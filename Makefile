@@ -17,14 +17,15 @@ BASELINE ?= $(firstword $(sort $(wildcard BENCH_*.json)))
 CANDIDATE ?= BENCH_$(SHA).json
 THRESHOLD ?= 5
 
-.PHONY: check vet staticcheck build test race bench benchsmoke benchdiff fuzzsmoke fmt
+.PHONY: check vet staticcheck build test race bench benchsmoke benchmod benchdiff fuzzsmoke fmt
 
 # check is the tier-1 gate: vet, staticcheck (when installed), build,
 # the full test suite under the race detector, a one-iteration
 # compile-and-run pass over every benchmark so a broken benchmark
-# cannot sit undetected until the next `make bench`, and a short fuzz
-# of the columnar segment decoder. Run it before every commit.
-check: vet staticcheck build race benchsmoke fuzzsmoke
+# cannot sit undetected until the next `make bench`, the bench/ module's
+# own vet and tests, and a short fuzz of the columnar segment decoder.
+# Run it before every commit.
+check: vet staticcheck build race benchsmoke benchmod fuzzsmoke
 
 vet:
 	$(GO) vet ./...
@@ -65,6 +66,13 @@ bench:
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run=NONE -bench='$(SWEEPBENCH)' -benchtime=1x -cpu 4 .
+
+# benchmod vets and tests the runtime benchmark under bench/. It is a
+# module of its own (root `go build ./...` does not see it) that
+# constructs internal/ types by name, so an internal/ API change that
+# breaks it must fail here rather than at the next benchmark run.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzzsmoke gives the decoder fuzz targets a short budget: enough to
 # catch a decode regression on the corpus plus fresh mutations, cheap

@@ -15,10 +15,11 @@
 //
 // Ingest is sharded: each shard lane owns an input stage and a
 // trace.Sequencer restoring per-source program order, and hands its
-// ordered sub-stream through a bounded SPSC ring to one merger
-// goroutine (merge.go) that k-way merges the lanes on their ingest-
-// tick frontiers, applies cross-source causal ordering, and
-// dispatches. There is no lock on the record hot path.
+// ordered sub-stream through a bounded merge lane to one merger
+// goroutine (flow.Merger, configured in merge.go) that k-way merges
+// the lanes on their ingest-tick frontiers, applies cross-source
+// causal ordering, and dispatches. There is no lock on the record hot
+// path.
 //
 // The input stage is a bounded flow.Queue with a pluggable overflow
 // policy (Config.Overflow); activity is reported through an
@@ -205,7 +206,7 @@ func newISMCounters(reg *metrics.Registry) ismCounters {
 
 // ismShard is one ingest lane: an input stage drained by its own
 // goroutine, a per-lane sequencer restoring program order for the
-// sources hashed to it, and an SPSC ring handing the ordered
+// sources hashed to it, and a merge lane handing the ordered
 // sub-stream to the merger. Source-affinity hashing keeps each node's
 // batches in one lane, so per-source FIFO order survives the fan-out.
 type ismShard struct {
@@ -216,8 +217,7 @@ type ismShard struct {
 	seq      *trace.Sequencer // nil unless Ordered
 	lastHeld int              // last held count folded into the gauge
 
-	ring  *flow.SPSC[mergeSlot]
-	space chan struct{} // merger -> lane: a ring slot freed
+	lane *mergeLane
 
 	// pushedBatches counts batches bound for this lane, raised before
 	// the batch's tick is drawn; settledBatches counts batches that
@@ -228,31 +228,13 @@ type ismShard struct {
 	// frontier is the highest tick the lane has finished sequencing
 	// (monotone watermark).
 	frontier atomic.Uint64
-	// done flips when the lane goroutine exits: the stage is drained,
-	// the ring holds its final contents, and any still-unsettled push
-	// is a drop on the closed stage whose tick postdates every ring
-	// slot.
-	done atomic.Bool
-	// ringRecs counts records pushed into the ring; with the merger's
-	// merged counter it forms the Drain watermark.
-	ringRecs atomic.Uint64
 
-	ringGauge *metrics.Gauge
-	lagGauge  *metrics.Gauge
+	lagGauge *metrics.Gauge
 }
 
 func (s *ismShard) signal() {
 	select {
 	case s.avail <- struct{}{}:
-	default:
-	}
-}
-
-// signalSpace tells a lane blocked on a full ring that the merger
-// freed a slot.
-func (s *ismShard) signalSpace() {
-	select {
-	case s.space <- struct{}{}:
 	default:
 	}
 }
@@ -329,14 +311,10 @@ func New(cfg Config, clock event.Clock) *ISM {
 		stop:  make(chan struct{}),
 	}
 	scope := m.ctr.reg.Scope("ism")
+	m.merge = newMerger(m)
 	m.shards = make([]*ismShard, shards)
 	for i := range m.shards {
-		sh := &ismShard{
-			id:    i,
-			avail: make(chan struct{}, 1),
-			ring:  flow.NewSPSC[mergeSlot](cfg.MergeRingCapacity),
-			space: make(chan struct{}, 1),
-		}
+		sh := &ismShard{id: i, avail: make(chan struct{}, 1)}
 		// Dropped and spilled batches still settle, or the merger would
 		// wait forever for their ticks. They advance the frontier too:
 		// a lane absorbing a stream of drops (a lossy policy under
@@ -348,7 +326,7 @@ func New(cfg Config, clock event.Clock) *ISM {
 		settle := func(e batchEnv) {
 			maxTick(&sh.frontier, e.tick)
 			sh.settledBatches.Add(1)
-			m.merge.signal()
+			m.merge.Signal()
 		}
 		if cfg.Buffering == SISO {
 			sh.input = newSISOStage(cfg.InputCapacity, cfg.Overflow, cfg.OverflowSpill, settle)
@@ -362,15 +340,15 @@ func New(cfg Config, clock event.Clock) *ISM {
 			}
 		}
 		ss := scope.Scope(fmt.Sprintf("shard%d", i))
-		sh.ringGauge = ss.Gauge("ring_occupancy")
 		sh.lagGauge = ss.Gauge("frontier_lag")
+		sh.lane = m.merge.NewLane(ss)
+		m.merge.Attach(sh.lane, sh)
 		m.shards[i] = sh
 	}
-	m.merge = newMerger(m)
 	// Effective configuration, exposed so sweep results stay
 	// attributable from a metrics snapshot alone.
 	scope.Gauge("shards").Set(int64(shards))
-	scope.Gauge("merge_ring_capacity").Set(int64(m.shards[0].ring.Cap()))
+	scope.Gauge("merge_ring_capacity").Set(int64(m.MergeRingCap()))
 	if cfg.Spool != nil {
 		m.spool = trace.NewWriter(cfg.Spool)
 	}
@@ -379,7 +357,7 @@ func New(cfg Config, clock event.Clock) *ISM {
 		m.outDone = make(chan struct{})
 		go m.dispatchOutput()
 	}
-	go m.merge.run()
+	m.merge.Start()
 	m.runWG.Add(len(m.shards))
 	for _, s := range m.shards {
 		go m.runShard(s)
@@ -576,13 +554,14 @@ func (m *ISM) Inject(msg tp.Message) {
 // merge ring.
 func (m *ISM) runShard(s *ismShard) {
 	defer m.runWG.Done()
-	// Mark the lane done before releasing the wait: a merger parked on
-	// this lane's settled count re-evaluates against the done flag
-	// instead of chasing in-flight drops forever.
-	defer func() {
-		s.done.Store(true)
-		m.merge.signal()
-	}()
+	// The stage is drained and the ring holds the lane's final
+	// contents: any still-unsettled push is a drop on the closed stage
+	// whose tick postdates every ring slot. Without the exit the
+	// shutdown race livelocks — injectors hammering a closing ISM keep
+	// an in-flight push outstanding at every settled-count read, the
+	// frontier never clears, and a sibling lane parked on a full ring is
+	// never refilled.
+	defer s.lane.Exit()
 	for {
 		env, ok := s.input.pop()
 		if !ok {
@@ -641,12 +620,7 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 		out, pooled = buf, true
 	}
 	if len(out) > 0 {
-		slot := mergeSlot{tick: env.tick, arrival: env.arrival, recs: out, pooled: pooled}
-		for !s.ring.TryPush(slot) {
-			<-s.space
-		}
-		s.ringRecs.Add(uint64(len(out)))
-		s.ringGauge.Set(int64(s.ring.Len()))
+		s.lane.Push(mergeSlot{tick: env.tick, arrival: env.arrival, recs: out, pooled: pooled})
 	} else if pooled {
 		flow.PutBatch(out)
 	}
@@ -656,7 +630,7 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 	maxTick(&s.frontier, env.tick)
 	s.settledBatches.Add(1)
 	m.processed.Add(n)
-	m.merge.signal()
+	m.merge.Signal()
 }
 
 // emitAll hands a dispatched batch to the output buffer or directly to
@@ -702,7 +676,7 @@ func (m *ISM) ShardCount() int { return len(m.shards) }
 
 // MergeRingCap reports the effective per-lane merge ring capacity
 // after the power-of-two rounding the ring applies.
-func (m *ISM) MergeRingCap() int { return m.shards[0].ring.Cap() }
+func (m *ISM) MergeRingCap() int { return m.shards[0].lane.Cap() }
 
 // Stats returns a snapshot of ISM statistics — a view over the
 // metrics registry plus input-stage accounting.
@@ -748,15 +722,6 @@ func (m *ISM) stageSpilled() uint64 {
 	return n
 }
 
-// ringRecsTotal sums records handed into the merge rings.
-func (m *ISM) ringRecsTotal() uint64 {
-	var n uint64
-	for _, s := range m.shards {
-		n += s.ringRecs.Load()
-	}
-	return n
-}
-
 // Drain blocks until every record injected so far has been processed
 // and merged. It is a test and shutdown aid; production tools consume
 // the live stream. Records injected concurrently with Drain may or may
@@ -772,14 +737,10 @@ func (m *ISM) Drain() {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	// Sequenced records sit in the SPSC rings until the merger consumes
-	// them; every lane publishes its ring count before processed, so
-	// the ring watermark is final once the loop above exits.
-	ringTarget := m.ringRecsTotal()
-	for m.merge.merged.Load() < ringTarget {
-		m.merge.signal()
-		time.Sleep(50 * time.Microsecond)
-	}
+	// Sequenced records sit in the merge rings until the merger consumes
+	// them; every lane pushes its slot before raising processed, so the
+	// rings' pushed watermark is final once the loop above exits.
+	m.merge.WaitConsumed(time.Time{})
 	if m.out != nil {
 		outTarget := m.outPushed.Load()
 		for m.ctr.delivered.Value() < outTarget {
@@ -814,8 +775,7 @@ func (m *ISM) Close() error {
 	m.runWG.Wait()
 	// Lanes are done: every slot is in the rings. Stop the merger,
 	// which final-drains them without the frontier rule.
-	close(m.merge.stop)
-	<-m.merge.done
+	m.merge.Close()
 	if m.out != nil {
 		close(m.out)
 		<-m.outDone
@@ -827,9 +787,9 @@ func (m *ISM) Close() error {
 	}
 	m.mu.Unlock()
 	// Records demoted to spill storage are part of the off-line record:
-	// a spill target with buffered state (a storage.Hierarchy main
-	// buffer, a Tiered hot window) is flushed so shutdown leaves every
-	// demoted record durable, not parked in memory.
+	// a spill target with buffered state (a storage.Tiered hot window)
+	// is flushed so shutdown leaves every demoted record durable, not
+	// parked in memory.
 	if f, ok := m.cfg.OverflowSpill.(interface{ Flush() error }); ok {
 		if ferr := f.Flush(); err == nil {
 			err = ferr

@@ -86,11 +86,15 @@ type Stats struct {
 	SessionDups      uint64 // batch-granular replays absorbed by the session layer
 }
 
-// laneSlot is one ordered sub-batch handed from a lane to the merger.
+// laneSlot is one ordered sub-batch handed from a lane to the merger,
+// which consumes it record by record: pos is its cursor.
 type laneSlot struct {
 	recs   []trace.Record
+	pos    int
 	pooled bool
 }
+
+type mergeLane = flow.MergeLane[laneSlot, *lane]
 
 // heldBatch is a session batch delivered above a contiguity hole,
 // parked until the hole closes.
@@ -117,13 +121,13 @@ type ackEntry struct {
 }
 
 // lane is one downstream manager's ingest path: contiguous session
-// admission, record-granular dedup, a bounded hand-off ring to the
+// admission, record-granular dedup, a bounded merge lane to the
 // merger, and the dispatch-gated ack queue.
 type lane struct {
 	node int32
-	idx  int // position in the relay's lane snapshot
+	ml   *mergeLane
 
-	// admitMu serializes admission. The SPSC ring's single-producer
+	// admitMu serializes admission. The merge lane's single-producer
 	// contract must survive a reconnect moving the downstream to a new
 	// serve goroutine; the mutex is uncontended in steady state (one
 	// live connection per downstream).
@@ -132,9 +136,6 @@ type lane struct {
 	held      map[int64]heldBatch
 	seq       *trace.Sequencer
 	scratch   map[trace.SourceKey]uint64 // per-batch ack-need accumulator
-
-	ring  *flow.SPSC[laneSlot]
-	space chan struct{}
 
 	// watermark is the lane's Time frontier: the downstream promises
 	// every future record carries at least this capture Time. Advanced
@@ -148,21 +149,8 @@ type lane struct {
 	ackSent  int64 // highest dispatch-gated ack advertised
 	pendAcks []ackEntry
 
-	admittedRecs atomic.Uint64
-	consumedRecs atomic.Uint64
-
-	ringGauge *metrics.Gauge
-	wmGauge   *metrics.Gauge
-	lagGauge  *metrics.Gauge
-}
-
-// signalSpace tells a lane blocked on a full ring that the merger
-// freed a slot.
-func (ln *lane) signalSpace() {
-	select {
-	case ln.space <- struct{}{}:
-	default:
-	}
+	wmGauge  *metrics.Gauge
+	lagGauge *metrics.Gauge
 }
 
 // raiseWatermark advances the lane's Time frontier monotonically.
@@ -173,13 +161,6 @@ func (ln *lane) raiseWatermark(w int64) {
 			return
 		}
 	}
-}
-
-// laneHead is the merger's cursor into a lane's current slot.
-type laneHead struct {
-	recs   []trace.Record
-	pos    int
-	pooled bool
 }
 
 // sink mirrors the ISM subscriber shape: record- or batch-granular.
@@ -198,8 +179,11 @@ type Relay struct {
 	cfg  Config
 	recv *fault.Receiver
 
+	// merge is the frontier merge core, configured record-granular on
+	// (Time, Node, Process) with watermarks as the frontier source.
+	// lanesMu serializes lane creation; lookups read its snapshot.
+	merge   *flow.Merger[laneSlot, *lane]
 	lanesMu sync.Mutex
-	lanes   atomic.Pointer[[]*lane]
 
 	// owner enforces source-partitioned admission: a source enters the
 	// federation through exactly one lane. restoreNext carries the
@@ -209,25 +193,10 @@ type Relay struct {
 	owner       map[trace.SourceKey]*lane
 	restoreNext map[trace.SourceKey]uint64
 
-	// Merger-goroutine state.
-	heads   []laneHead
-	has     []bool
-	heap    []int32
-	cm      *trace.CausalMerger // non-nil at the root
-	emitted map[trace.SourceKey]uint64
-	outBuf  []trace.Record
-	stalled int
-	retry   bool
-	force   bool
-
-	frontier atomic.Int64 // merge frontier: no future emission below this Time
-	closing  atomic.Bool
-	killed   atomic.Bool
-	parks    atomic.Uint64
-	wake     chan struct{}
-	stop     chan struct{}
-	runDone  chan struct{}
-
+	// The metric handles sit here on purpose: over a cache line of
+	// read-only words between the admission state above, locked per
+	// record by every serve goroutine, and the merger's state below,
+	// written per record — adjacent, they ping-pong one line.
 	reg        *metrics.Registry
 	laneScope  metrics.Scope
 	mLanes     *metrics.Gauge
@@ -241,6 +210,16 @@ type Relay struct {
 	mHeld      *metrics.Gauge
 	mUnseq     *metrics.Counter
 	mAcksGated *metrics.Counter
+	mSpoolErrs *metrics.Counter
+
+	// Merger-goroutine state.
+	cm       *trace.CausalMerger // non-nil at the root
+	emitted  map[trace.SourceKey]uint64
+	outBuf   []trace.Record
+	spoolErr error // first spool write failure; freezes the ack gate
+
+	frontier atomic.Int64 // merge frontier: no future emission below this Time
+	killed   atomic.Bool
 
 	mu      sync.Mutex
 	subs    []sink
@@ -263,19 +242,17 @@ func New(cfg Config) *Relay {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
+	clock := cfg.Clock
+	if clock == nil {
+		clock = event.NewRealClock()
+	}
 	r := &Relay{
 		cfg:         cfg,
 		owner:       make(map[trace.SourceKey]*lane),
 		restoreNext: make(map[trace.SourceKey]uint64),
 		emitted:     make(map[trace.SourceKey]uint64),
-		stalled:     -1,
-		wake:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
-		runDone:     make(chan struct{}),
 		reg:         reg,
 	}
-	empty := make([]*lane, 0)
-	r.lanes.Store(&empty)
 	r.frontier.Store(math.MinInt64)
 	s := reg.Scope("ism").Scope("relay")
 	r.laneScope = s
@@ -290,6 +267,21 @@ func New(cfg Config) *Relay {
 	r.mHeld = s.Gauge("held")
 	r.mUnseq = s.Counter("unsequenced_drops")
 	r.mAcksGated = s.Counter("acks_gated")
+	r.mSpoolErrs = s.Counter("spool_errors")
+	r.merge = flow.NewMerger(flow.MergeParams[laneSlot, *lane]{
+		RingCap:     cfg.LaneRing,
+		MinLanes:    cfg.Downstreams,
+		StallBudget: cfg.MaxStall,
+		Forced:      r.mBreaks,
+		Scope:       s,
+		Clock:       clock,
+		Less: func(a, b *laneSlot) bool {
+			return a.recs[a.pos].Before(b.recs[b.pos])
+		},
+		Passed:  passed,
+		Consume: r.consume,
+		OnPark:  r.onPark,
+	})
 	if cfg.Root {
 		r.cm = trace.NewCausalMerger()
 	}
@@ -321,7 +313,7 @@ func New(cfg Config) *Relay {
 		AckFrontier: r.ackFrontier,
 		OnHello:     r.onHello,
 	})
-	go r.run()
+	r.merge.Start()
 	return r
 }
 
@@ -404,17 +396,15 @@ func (r *Relay) inject(conn tp.Conn, m tp.Message) {
 
 // lookupLane finds an existing lane without creating one.
 func (r *Relay) lookupLane(node int32) *lane {
-	for _, ln := range *r.lanes.Load() {
-		if ln.node == node {
-			return ln
+	for _, ml := range r.merge.Lanes() {
+		if ml.State.node == node {
+			return ml.State
 		}
 	}
 	return nil
 }
 
-// laneFor returns (creating if needed) the downstream's lane. The lane
-// snapshot is copy-on-append behind an atomic pointer so the merger
-// iterates it without locks.
+// laneFor returns (creating if needed) the downstream's lane.
 func (r *Relay) laneFor(node int32) *lane {
 	if ln := r.lookupLane(node); ln != nil {
 		return ln
@@ -424,30 +414,23 @@ func (r *Relay) laneFor(node int32) *lane {
 	if ln := r.lookupLane(node); ln != nil {
 		return ln
 	}
-	cur := *r.lanes.Load()
 	ln := &lane{
 		node:    node,
-		idx:     len(cur),
 		held:    make(map[int64]heldBatch),
 		seq:     trace.NewSequencer(),
 		scratch: make(map[trace.SourceKey]uint64),
-		ring:    flow.NewSPSC[laneSlot](r.cfg.LaneRing),
-		space:   make(chan struct{}, 1),
 	}
 	// A relay can (re)start against downstreams already mid-stream; the
 	// restore cursors override adoption per source as they are claimed.
 	ln.seq.Resume()
 	ln.watermark.Store(math.MinInt64)
 	ls := r.laneScope.Scope(fmt.Sprintf("lane%d", node))
-	ln.ringGauge = ls.Gauge("ring_occupancy")
 	ln.wmGauge = ls.Gauge("watermark")
 	ln.lagGauge = ls.Gauge("lag_ticks")
-	next := make([]*lane, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = ln
-	r.lanes.Store(&next)
-	r.mLanes.Set(int64(len(next)))
-	return r.lookupLane(node) // return the published instance
+	ln.ml = r.merge.NewLane(ls)
+	r.merge.Attach(ln.ml, ln)
+	r.mLanes.Set(int64(len(r.merge.Lanes())))
+	return ln
 }
 
 // onHello adopts a reconnecting downstream's acked frontier: batches
@@ -539,7 +522,7 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 		ln.raiseWatermark(w)
 		ln.wmGauge.Set(ln.watermark.Load())
 		r.mMarks.Inc()
-		r.signal()
+		r.merge.Signal()
 		return
 	}
 	for k := range ln.scratch {
@@ -589,23 +572,18 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 		flow.PutBatch(recs)
 	}
 	if len(out) > 0 {
-		slot := laneSlot{recs: out, pooled: true}
-		for !ln.ring.TryPush(slot) {
-			<-ln.space
-		}
-		ln.admittedRecs.Add(uint64(len(out)))
-		ln.ringGauge.Set(int64(ln.ring.Len()))
+		ln.ml.Push(laneSlot{recs: out, pooled: true})
 	} else {
 		flow.PutBatch(out)
 	}
 	// The watermark must not advance until the records it covers are in
-	// the ring: the merger's clear rule reads "ring empty, watermark
-	// past t" as "this lane cannot contribute below t".
+	// the ring: the merge core reads "watermark past t, then ring empty"
+	// as "this lane cannot contribute below t".
 	if maxT != math.MinInt64 {
 		ln.raiseWatermark(maxT)
 		ln.wmGauge.Set(ln.watermark.Load())
 	}
-	r.signal()
+	r.merge.Signal()
 }
 
 // claim enforces source partitioning: a source's first lane owns it
@@ -626,182 +604,44 @@ func (r *Relay) claim(key trace.SourceKey, ln *lane) bool {
 	return owner == ln
 }
 
-// signal wakes the merger; safe from any goroutine, never blocks.
-func (r *Relay) signal() {
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
+// passed is the lane frontier predicate: a headless lane's watermark at
+// or past the candidate's capture Time is its promise that nothing
+// older is coming. Equal Times across lanes are arbitrated by
+// (Node, Process); the federation's determinism contract stamps
+// distinct Times, so the >= is exact there and best-effort otherwise.
+func passed(ln *lane, head *laneSlot) bool {
+	return ln.watermark.Load() >= head.recs[head.pos].Time
 }
 
-// run is the merger goroutine: a record-granular k-way merge over the
-// lane rings on the (Time, Node, Process) total order, gated by the
-// per-lane watermark rule, feeding the causal merger (root) or the
-// pass-through dispatch (inner tier). Acknowledgements advance only
-// here, after emission — the dispatch gate.
-func (r *Relay) run() {
-	defer close(r.runDone)
-	for {
-		if r.step() {
-			continue
-		}
-		r.flushOut()
-		r.updateFrontier()
-		r.advanceAcks()
-		r.parks.Add(1)
-		stalled := r.stalled >= 0 && !r.closing.Load()
-		if stalled {
-			r.mStalls.Inc()
-		}
-		if stalled && r.cfg.MaxStall > 0 {
-			t := time.NewTimer(r.cfg.MaxStall)
-			select {
-			case <-r.wake:
-				t.Stop()
-			case <-t.C:
-				// The watermark rule has held the merge past its stall
-				// budget; escape it for one record. step re-checks first —
-				// if the stall cleared while we slept, no break happens.
-				r.force = true
-			case <-r.stop:
-				t.Stop()
-				r.finalDrain()
-				return
-			}
-			continue
-		}
-		select {
-		case <-r.wake:
-		case <-r.stop:
-			r.finalDrain()
-			return
-		}
-	}
-}
-
-// grow extends the merger's per-lane state to cover a snapshot of n
-// lanes (the snapshot is append-only).
-func (r *Relay) grow(n int) {
-	for len(r.heads) < n {
-		r.heads = append(r.heads, laneHead{})
-		r.has = append(r.has, false)
-	}
-}
-
-// refill pops a slot into the head position of every headless lane.
-func (r *Relay) refill(lanes []*lane) {
-	for i, ln := range lanes {
-		if r.has[i] {
-			continue
-		}
-		if slot, ok := ln.ring.TryPop(); ok {
-			r.heads[i] = laneHead{recs: slot.recs, pooled: slot.pooled}
-			r.has[i] = true
-			r.heapPush(int32(i))
-			ln.signalSpace()
-			ln.ringGauge.Set(int64(ln.ring.Len()))
-		}
-	}
-}
-
-// step dispatches at most one record and reports whether it made
-// progress. No progress with stalled >= 0 is a watermark stall.
-func (r *Relay) step() bool {
-	r.stalled = -1
-	lanes := *r.lanes.Load()
-	r.grow(len(lanes))
-	r.refill(lanes)
-	if len(r.heap) == 0 {
-		r.force = false
-		return false
-	}
-	li := int(r.heap[0])
-	h := &r.heads[li]
+// consume takes the next record off a lane head: the record-granular
+// unit of the k-way merge on the (Time, Node, Process) total order.
+func (r *Relay) consume(_ *lane, h *laneSlot) bool {
 	rec := h.recs[h.pos]
-	if !r.closing.Load() && !r.clearFor(lanes, li, rec.Time) {
-		if r.retry {
-			r.retry = false
-			return true
-		}
-		if !r.force {
-			return false
-		}
-		r.force = false
-		r.mBreaks.Inc()
-	} else {
-		r.force = false
-	}
-	r.heapPop()
 	h.pos++
-	if h.pos == len(h.recs) {
-		lanes[li].consumedRecs.Add(uint64(len(h.recs)))
-		if h.pooled {
-			flow.PutBatch(h.recs)
-		}
-		r.heads[li] = laneHead{}
-		r.has[li] = false
-	} else {
-		r.heapPush(int32(li))
+	exhausted := h.pos == len(h.recs)
+	if exhausted && h.pooled {
+		flow.PutBatch(h.recs)
 	}
 	if !r.killed.Load() {
 		r.dispatch(rec)
 	}
-	return true
+	return exhausted
 }
 
-// clearFor reports whether dispatching a record with capture Time t
-// from lane min is safe: every other headless lane either has ring
-// backlog (pick it up first — it may sort below t) or a watermark at
-// or past t (it has promised nothing older is coming). Equal Times
-// across lanes are arbitrated by (Node, Process); the federation's
-// determinism contract stamps distinct Times, so the >= is exact
-// there and best-effort otherwise.
-func (r *Relay) clearFor(lanes []*lane, min int, t int64) bool {
-	if len(lanes) < r.cfg.Downstreams {
-		// An expected downstream has never attached: a silent lane
-		// whose watermark is unboundedly low. Hold everything (up to
-		// MaxStall, which escapes this gate like any other stall).
-		r.stalled = min
-		return false
-	}
-	for i, ln := range lanes {
-		if i == min || r.has[i] {
-			continue
-		}
-		// The watermark must be loaded BEFORE the ring is inspected: the
-		// lane pushes covered data first and raises the watermark second,
-		// so reading the pair the other way around opens a window where a
-		// batch lands between the two loads and its own watermark passes
-		// for a promise about an empty ring — releasing another lane's
-		// newer record past data already admitted here. With this order,
-		// anything pushed after the watermark read carries a Time above
-		// the value read (lane streams are Time-ordered), so a stale
-		// watermark is only ever conservative. The ism frontier rule's
-		// pushed-before-settled discipline, at the federation tier.
-		w := ln.watermark.Load()
-		if ln.ring.Len() > 0 {
-			r.retry = true
-			return false
-		}
-		if w >= t {
-			continue
-		}
-		ln.lagGauge.Set(t - w)
-		r.stalled = i
-		return false
-	}
-	return true
-}
-
-// finalDrain empties the rings without the watermark rule (every
-// serve goroutine has exited; ring contents are complete) and settles
-// the last acks.
-func (r *Relay) finalDrain() {
-	for r.step() {
-	}
+// onPark is the merger's park point: everything dispatched becomes
+// durable and visible, then — and only then — acknowledgements advance
+// (the dispatch gate). A watermark stall publishes how far the lane
+// waited on trails the record it holds back.
+func (r *Relay) onPark(blocker *mergeLane, head *laneSlot) {
 	r.flushOut()
 	r.updateFrontier()
 	r.advanceAcks()
+	if blocker != nil {
+		ln := blocker.State
+		if lag := head.recs[head.pos].Time - ln.watermark.Load(); lag > 0 {
+			ln.lagGauge.Set(lag)
+		}
+	}
 }
 
 // dispatch runs one merged record through the root causal merge or the
@@ -838,15 +678,23 @@ func (r *Relay) flushOut() {
 	spool := r.spool
 	subs := r.subs
 	r.mu.Unlock()
-	if spool != nil {
+	if spool != nil && r.spoolErr == nil {
 		// Flush eagerly: acks advance right after this, and an acked
 		// batch's records must already be durable — a crashed relay is
 		// rebuilt from the spool, and anything acked but lost would be
 		// trimmed from the downstream replay window and gone for good.
+		// A failed write ends the spool (a gap would corrupt the cursors
+		// a successor rebuilds from it) and freezes the ack gate.
 		r.mu.Lock()
-		_ = spool.WriteAll(r.outBuf)
-		_ = spool.Flush()
+		err := spool.WriteAll(r.outBuf)
+		if err == nil {
+			err = spool.Flush()
+		}
 		r.mu.Unlock()
+		if err != nil {
+			r.spoolErr = fmt.Errorf("relay: spool write: %w", err)
+			r.mSpoolErrs.Inc()
+		}
 	}
 	for _, s := range subs {
 		if s.batch != nil {
@@ -880,7 +728,11 @@ func (r *Relay) satisfied(e ackEntry) bool {
 // across the satisfied prefix, and tells the downstream. Runs on the
 // merger goroutine at its park points and during final drain.
 func (r *Relay) advanceAcks() {
-	for _, ln := range *r.lanes.Load() {
+	if r.spoolErr != nil {
+		return
+	}
+	for _, ml := range r.merge.Lanes() {
+		ln := ml.State
 		changed := false
 		ln.ackMu.Lock()
 		for len(ln.pendAcks) > 0 && r.satisfied(ln.pendAcks[0]) {
@@ -912,25 +764,21 @@ func (r *Relay) advanceAcks() {
 // leaves the frontier where it was (unknown backlog). A non-root relay
 // reads Watermark() to drive its own uplink marks.
 func (r *Relay) updateFrontier() {
-	lanes := *r.lanes.Load()
+	lanes := r.merge.Lanes()
 	if len(lanes) == 0 || len(lanes) < r.cfg.Downstreams {
 		return
 	}
-	// This snapshot is loaded fresh, so a lane attached since the last
-	// step() may not be covered by heads/has yet.
-	r.grow(len(lanes))
 	low := int64(math.MaxInt64)
-	for i, ln := range lanes {
+	for _, ml := range lanes {
 		var f int64
-		if r.has[i] {
-			h := &r.heads[i]
+		if h := ml.Head(); h != nil {
 			f = h.recs[h.pos].Time
 		} else {
-			// Watermark before ring, for the same reason as clearFor: a
-			// batch landing between the loads must not let its watermark
-			// vouch for an empty ring.
-			w := ln.watermark.Load()
-			if ln.ring.Len() > 0 {
+			// Watermark before ring (merge invariant 2): a batch landing
+			// between the loads must not let its watermark vouch for an
+			// empty ring.
+			w := ml.State.watermark.Load()
+			if ml.Backlog() > 0 {
 				return
 			}
 			f = w
@@ -949,17 +797,6 @@ func (r *Relay) updateFrontier() {
 // tier forwards it upstream via its Uplink's Mark.
 func (r *Relay) Watermark() int64 { return r.frontier.Load() }
 
-// quiet reports whether every admitted record has been consumed by the
-// merger.
-func (r *Relay) quiet() bool {
-	for _, ln := range *r.lanes.Load() {
-		if ln.admittedRecs.Load() != ln.consumedRecs.Load() {
-			return false
-		}
-	}
-	return true
-}
-
 // Drain blocks until every record admitted so far has been merged,
 // flushed and acked. It needs the downstream watermarks to have
 // released everything admitted — a merge stalled waiting for a silent
@@ -967,7 +804,7 @@ func (r *Relay) quiet() bool {
 // MaxStall). End-to-end tests prefer Uplink.WaitAcked, which adds the
 // wire to the guarantee.
 func (r *Relay) Drain() {
-	r.drainUntil(time.Time{})
+	r.merge.WaitQuiet(time.Time{})
 }
 
 // DrainFor is Drain with a deadline: it reports whether the relay went
@@ -979,40 +816,13 @@ func (r *Relay) Drain() {
 // dispatch everything held, and anything left unacked stays covered by
 // the downstream replay windows.
 func (r *Relay) DrainFor(d time.Duration) bool {
-	return r.drainUntil(time.Now().Add(d))
-}
-
-func (r *Relay) drainUntil(deadline time.Time) bool {
-	expired := func() bool {
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
-	for {
-		if r.quiet() {
-			p := r.parks.Load()
-			r.signal()
-			for r.parks.Load() == p && r.quiet() {
-				if expired() {
-					return false
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
-			if r.parks.Load() > p && r.quiet() {
-				return true
-			}
-			continue
-		}
-		if expired() {
-			return false
-		}
-		r.signal()
-		time.Sleep(50 * time.Microsecond)
-	}
+	return r.merge.WaitQuiet(time.Now().Add(d))
 }
 
 // Stats returns a snapshot of relay activity.
 func (r *Relay) Stats() Stats {
 	st := Stats{
-		Lanes:            len(*r.lanes.Load()),
+		Lanes:            len(r.merge.Lanes()),
 		Dispatched:       r.mDispatch.Value(),
 		Resumes:          r.mResumes.Value(),
 		Stalls:           r.mStalls.Value(),
@@ -1043,7 +853,8 @@ func (r *Relay) Kill() error {
 // Close shuts the relay down: the merger switches to closing mode
 // (drains stall-free so no admission can deadlock on a full ring), the
 // downstream connections close, the serve goroutines exit, the merger
-// final-drains, and the spool flushes. Records still parked in the
+// final-drains, and the spool flushes; the first spool write failure of
+// the incarnation, if any, is returned. Records still parked in the
 // root causal merge at that point are intentionally NOT emitted or
 // acked — their sends never arrived, and the downstream replay windows
 // redeliver them to the next incarnation. Callers wanting a clean
@@ -1057,63 +868,17 @@ func (r *Relay) Close() error {
 	r.closed = true
 	conns := append([]tp.Conn(nil), r.conns...)
 	r.mu.Unlock()
-	r.closing.Store(true)
-	r.signal()
+	r.merge.BeginClose()
 	for _, c := range conns {
 		_ = c.Close()
 	}
 	r.serveWG.Wait()
-	close(r.stop)
-	<-r.runDone
-	var err error
+	r.merge.Close()
+	err := r.spoolErr
 	r.mu.Lock()
-	if r.spool != nil {
+	if r.spool != nil && err == nil {
 		err = r.spool.Flush()
 	}
 	r.mu.Unlock()
 	return err
-}
-
-// 4-ary min-heap over lane indices keyed by each head record's
-// (Time, Node, Process) order — the ism merge-heap idiom at record
-// granularity.
-
-func (r *Relay) heapLess(a, b int32) bool {
-	ha, hb := &r.heads[a], &r.heads[b]
-	return ha.recs[ha.pos].Before(hb.recs[hb.pos])
-}
-
-func (r *Relay) heapPush(lane int32) {
-	r.heap = append(r.heap, lane)
-	i := len(r.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !r.heapLess(r.heap[i], r.heap[p]) {
-			break
-		}
-		r.heap[i], r.heap[p] = r.heap[p], r.heap[i]
-		i = p
-	}
-}
-
-func (r *Relay) heapPop() int32 {
-	top := r.heap[0]
-	last := len(r.heap) - 1
-	r.heap[0] = r.heap[last]
-	r.heap = r.heap[:last]
-	i := 0
-	for {
-		min := i
-		for c := 4*i + 1; c <= 4*i+4 && c < len(r.heap); c++ {
-			if r.heapLess(r.heap[c], r.heap[min]) {
-				min = c
-			}
-		}
-		if min == i {
-			break
-		}
-		r.heap[i], r.heap[min] = r.heap[min], r.heap[i]
-		i = min
-	}
-	return top
 }

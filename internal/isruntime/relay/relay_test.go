@@ -2,7 +2,9 @@ package relay
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -264,6 +266,16 @@ func TestRelayAdmissionOrderAndGatedAcks(t *testing.T) {
 	rec := func(seq uint64, tm int64) trace.Record {
 		return trace.Record{Node: 3, Kind: trace.KindUser, Time: tm, Payload: tm, Logical: seq}
 	}
+	// Sends are asynchronous and Drain only covers what a lane has
+	// admitted, so wait for the batch to land before draining.
+	landed := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never reached the relay", what)
+			}
+		}
+	}
 	// Batch 2 first: delivered by the receiver, parked by the lane.
 	batch(2, rec(2, 30), rec(3, 40))
 	time.Sleep(10 * time.Millisecond)
@@ -274,12 +286,14 @@ func TestRelayAdmissionOrderAndGatedAcks(t *testing.T) {
 		t.Fatalf("acked %d before the hole closed", f)
 	}
 	batch(1, rec(0, 10), rec(1, 20))
+	landed("hole-filling batch", func() bool { return rel.Stats().Dispatched == 4 })
 	rel.Drain()
 	if f := rel.ackFrontier(7); f != 2 {
 		t.Fatalf("ack frontier = %d, want 2 after both batches dispatched", f)
 	}
 	// An in-band mark occupies seq 3 and is trivially satisfied.
 	batch(3, markRecord(99))
+	landed("mark", func() bool { return rel.Stats().Marks == 1 })
 	rel.Drain()
 	if f := rel.ackFrontier(7); f != 3 {
 		t.Fatalf("ack frontier = %d, want 3 after mark", f)
@@ -322,10 +336,17 @@ func TestRelayPartitionRejects(t *testing.T) {
 		}
 	}
 	send(a1, 100, 1, trace.Record{Node: 5, Kind: trace.KindUser, Time: 1, Logical: 0})
-	rel.Drain()
+	// The send is asynchronous: the owning lane's record must be out
+	// before the second lane attaches with no watermark and holds it.
+	deadline := time.Now().Add(5 * time.Second)
+	for rel.Stats().Dispatched == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("owning lane's record never dispatched")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	send(a2, 101, 1, trace.Record{Node: 5, Kind: trace.KindUser, Time: 2, Logical: 1})
 	rel.Drain()
-	deadline := time.Now().Add(5 * time.Second)
 	for rel.Stats().PartitionRejects == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("cross-lane source was never rejected")
@@ -822,6 +843,142 @@ func TestFederationCrashResumeExactlyOnce(t *testing.T) {
 		lf.close(t)
 	}
 	if err := final.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// failAfter is a spool that accepts limit bytes and then fails every
+// write — a disk filling up mid-record.
+type failAfter struct {
+	buf   bytes.Buffer
+	limit int
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	room := w.limit - w.buf.Len()
+	if room >= len(p) {
+		return w.buf.Write(p)
+	}
+	w.buf.Write(p[:room])
+	return room, errors.New("disk full")
+}
+
+// TestRelaySpoolFailureFreezesAcks: the dispatch gate's promise is
+// "acked means durable", so a failed spool write must stop the ack
+// frontier where durability stopped. Every batch with a record missing
+// from the (short, torn) spool stays in the uplink's replay window,
+// Close surfaces the failure, and a successor resumed from that spool
+// still reaches the exactly-once root trace.
+func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
+	const (
+		batch   = 16
+		durable = 200 // whole records the first spool can take
+	)
+	all := genExecution(4, 600, 31)
+	want := predictRoot(all)
+	finalMark := int64(len(all)) + 2
+
+	var mu sync.Mutex
+	var cur *Relay
+	setCurrent := func(r *Relay) {
+		mu.Lock()
+		cur = r
+		mu.Unlock()
+	}
+	rd, err := tp.NewRedial(tp.RedialConfig{
+		Dial: func() (tp.Conn, error) {
+			mu.Lock()
+			r := cur
+			mu.Unlock()
+			if r == nil {
+				return nil, tp.ErrConnClosed
+			}
+			a, b := tp.Pipe(256)
+			r.Serve(b)
+			return a, nil
+		},
+		Backoff:    100 * time.Microsecond,
+		MaxBackoff: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for the header, `durable` records and half of the next one.
+	spool := &failAfter{limit: 8 + durable*trace.RecordSize + trace.RecordSize/2}
+	first := New(Config{Root: true, AckEvery: 1, Spool: spool})
+	setCurrent(first)
+	up := NewUplink(100, rd, UplinkConfig{BatchSize: batch, Window: 512})
+	push := func(recs []trace.Record) { // one session batch per `batch` records
+		for len(recs) > 0 {
+			n := min(batch, len(recs))
+			up.Push(recs[:n])
+			recs = recs[n:]
+		}
+		up.Flush()
+	}
+
+	// Phase 1, well inside the spool's capacity: durable and acked.
+	const early = 10 * batch
+	push(all[:early])
+	up.Beacon()
+	if !up.WaitAcked(10 * time.Second) {
+		t.Fatalf("healthy spool: %d batches never acked", up.Pending())
+	}
+	ackedEarly := up.sess.Acked()
+
+	// Phase 2 runs the spool out of room mid-record.
+	push(all[early:])
+	up.Mark(finalMark)
+	deadline := time.Now().Add(10 * time.Second)
+	for first.Stats().Dispatched < uint64(len(want)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("dispatched %d of %d", first.Stats().Dispatched, len(want))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	first.Drain()
+	if n := first.Metrics().Snapshot().Value("ism.relay.spool_errors"); n != 1 {
+		t.Fatalf("spool_errors = %v, want 1", n)
+	}
+	// The torn tail decodes to exactly the whole records that fit.
+	kept, rerr := trace.NewReader(bytes.NewReader(spool.buf.Bytes())).ReadAll()
+	if rerr == nil || len(kept) != durable {
+		t.Fatalf("short spool read %d records (err %v), want %d and a truncation error", len(kept), rerr, durable)
+	}
+	// Live subscribers aside, nothing past the failure was acknowledged:
+	// the ack frontier still covers only batches wholly in the spool, and
+	// every later batch is still in the replay window.
+	acked := up.sess.Acked()
+	if acked < ackedEarly {
+		t.Fatalf("ack frontier moved backwards: %d -> %d", ackedEarly, acked)
+	}
+	dataBatches := (len(all) + batch - 1) / batch
+	if lost := dataBatches - durable/batch; up.Pending() < lost {
+		t.Fatalf("replay window holds %d batches, but %d have records missing from the spool", up.Pending(), lost)
+	}
+	// Session sequences count the early beacon too, so acked-1 bounds
+	// the acked data batches from above.
+	if int(acked-1)*batch > durable {
+		t.Fatalf("acked through batch %d, but only %d records are durable", acked, durable)
+	}
+	setCurrent(nil)
+	if err := first.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Close = %v, want the first spool failure", err)
+	}
+
+	// The successor rebuilds from the short spool and the replay window
+	// makes up the rest.
+	var rest bytes.Buffer
+	second := New(Config{Root: true, AckEvery: 1, Resume: kept, Spool: &rest})
+	setCurrent(second)
+	drainAll(t, []*Uplink{up}, "successor")
+	second.Drain()
+	emitted := append(append([]trace.Record(nil), kept...), readTrace(t, rest.Bytes())...)
+	if !bytes.Equal(traceBytes(t, emitted), traceBytes(t, want)) {
+		t.Fatalf("root trace across the spool failure differs: %d records, want %d", len(emitted), len(want))
+	}
+	_ = up.Close()
+	if err := second.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
