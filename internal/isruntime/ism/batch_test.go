@@ -115,9 +115,10 @@ func TestShardedOrderedEquivalence(t *testing.T) {
 
 func TestMergePathAllocFree(t *testing.T) {
 	// The stage→sequence→ring→merge→dispatch hot path must not allocate
-	// in steady state: the batch pool supplies the record slices, the
-	// SPSC ring hands slots across by value, and the causal merger's
-	// dispatch buffer is reused across slots. The lane and merger
+	// in steady state: the batch pool supplies the record slices, an
+	// in-order batch is its own sequenced release, the SPSC ring hands
+	// slots across by value, and the causal merger's dispatch buffer is
+	// reused across slots. The lane and merger
 	// stages run synchronously here — same code shape as sequenceBatch
 	// plus merger.dispatch — because AllocsPerRun only observes the
 	// calling goroutine.
@@ -133,8 +134,8 @@ func TestMergePathAllocFree(t *testing.T) {
 	const perBatch = 64
 	seq := uint64(0)
 	run := func() {
-		// Lane side: batch in from the pool, sequenced into a pooled
-		// slot, input batch recycled.
+		// Lane side: batch in from the pool and, in order, through the
+		// sequencer as it is.
 		batch := flow.GetBatch(perBatch)
 		for j := 0; j < perBatch; j++ {
 			batch = append(batch, trace.Record{
@@ -142,13 +143,10 @@ func TestMergePathAllocFree(t *testing.T) {
 			})
 			seq++
 		}
-		out := flow.GetBatch(len(batch))
-		for _, r := range batch {
-			s := r.Logical
-			r.Logical = 0
-			out = seqr.AddTo(out, r, s)
+		out, inPlace := seqr.AddBatch(batch, flow.GetBatch)
+		if !inPlace {
+			t.Fatal("in-order batch was copied")
 		}
-		flow.PutBatch(batch)
 		if !ring.TryPush(mergeSlot{tick: seq, recs: out, pooled: true}) {
 			t.Fatal("ring full")
 		}
@@ -157,10 +155,7 @@ func TestMergePathAllocFree(t *testing.T) {
 		if !ok {
 			t.Fatal("ring empty")
 		}
-		orderBuf = orderBuf[:0]
-		for _, r := range slot.recs {
-			orderBuf = cm.AddTo(orderBuf, r)
-		}
+		orderBuf = cm.AddBatchTo(orderBuf[:0], slot.recs)
 		delivered += uint64(len(orderBuf))
 		flow.PutBatch(slot.recs)
 	}

@@ -214,8 +214,9 @@ type ismShard struct {
 	input inputStage
 	avail chan struct{}
 
-	seq      *trace.Sequencer // nil unless Ordered
-	lastHeld int              // last held count folded into the gauge
+	seq            *trace.Sequencer // nil unless Ordered
+	lastHeld       int              // last held count folded into the gauge
+	lastOutOfOrder uint64           // last out-of-order total folded into the counter
 
 	lane *mergeLane
 
@@ -585,29 +586,31 @@ func (m *ISM) runShard(s *ismShard) {
 
 // sequenceBatch runs one batch envelope through the lane's sequencer
 // and hands the program-ordered releases to the merger as one ring
-// slot. The whole batch is sequenced in one pass — one batch-pool
-// round trip, one ring push, one frontier update per LIS flush instead
-// of per record. A full ring parks the lane on the space signal, which
-// backpressures the input stage under its overflow policy.
+// slot. The whole batch is sequenced in one pass — one ring push, one
+// frontier update and, only for a batch that arrived out of order, one
+// batch-pool round trip per LIS flush instead of per record. A full
+// ring parks the lane on the space signal, which backpressures the
+// input stage under its overflow policy.
 func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 	n := uint64(len(env.recs))
 	m.ctr.arrived.Add(n)
 	out, pooled := env.recs, env.pooled
 	if s.seq != nil {
-		buf := flow.GetBatch(len(env.recs))
-		for _, r := range env.recs {
-			// The sensor carried the capture sequence in Logical; the
-			// merger reassigns Logical as a Lamport stamp on dispatch.
-			seq := r.Logical
-			r.Logical = 0
-			prev := len(buf)
-			buf = s.seq.AddTo(buf, r, seq)
-			if len(buf) == prev {
-				m.ctr.outOfOrder.Inc()
+		// The sensor carried the capture sequence in Logical, and the
+		// merger overwrites Logical on dispatch (a Lamport stamp, or the
+		// uplink sequence). An in-order batch is its own release and
+		// moves on as it is; only one that needs repair is copied.
+		var inPlace bool
+		out, inPlace = s.seq.AddBatch(env.recs, flow.GetBatch)
+		if !inPlace {
+			if env.pooled {
+				flow.PutBatch(env.recs)
 			}
+			pooled = true
 		}
-		if env.pooled {
-			flow.PutBatch(env.recs)
+		if o := s.seq.OutOfOrder(); o != s.lastOutOfOrder {
+			m.ctr.outOfOrder.Add(o - s.lastOutOfOrder)
+			s.lastOutOfOrder = o
 		}
 		// The held gauge sums per-lane and merger contributions;
 		// publishing the delta keeps concurrent lanes from clobbering
@@ -617,7 +620,6 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 			s.lastHeld = h
 			m.ctr.maxHeld.SetMax(m.ctr.held.Value())
 		}
-		out, pooled = buf, true
 	}
 	if len(out) > 0 {
 		s.lane.Push(mergeSlot{tick: env.tick, arrival: env.arrival, recs: out, pooled: pooled})

@@ -35,9 +35,10 @@ type merger struct {
 	*flow.Merger[mergeSlot, *ismShard]
 	m *ISM
 
-	cm       *trace.CausalMerger // nil unless Ordered without DeferCausal
-	orderBuf []trace.Record      // reusable dispatch buffer
-	lastHeld int                 // last held count folded into the gauge
+	cm             *trace.CausalMerger // nil unless Ordered without DeferCausal
+	orderBuf       []trace.Record      // reusable dispatch buffer
+	lastHeld       int                 // last held count folded into the gauge
+	lastOutOfOrder uint64              // last out-of-order total folded into the counter
 
 	// uplinkSeq restamps dispatched records with fresh per-source
 	// uplink sequence numbers under Config.DeferCausal: the leaf's
@@ -112,13 +113,10 @@ func (g *merger) dispatch(_ *ismShard, slot *mergeSlot) bool {
 		m.ctr.dispatched.Add(uint64(len(slot.recs)))
 		m.emitAll(slot.recs)
 	} else {
-		out := g.orderBuf[:0]
-		for _, r := range slot.recs {
-			prev := len(out)
-			out = g.cm.AddTo(out, r)
-			if len(out) == prev {
-				m.ctr.outOfOrder.Inc()
-			}
+		out := g.cm.AddBatchTo(g.orderBuf[:0], slot.recs)
+		if o := g.cm.OutOfOrder(); o != g.lastOutOfOrder {
+			m.ctr.outOfOrder.Add(o - g.lastOutOfOrder)
+			g.lastOutOfOrder = o
 		}
 		if h := g.cm.Held(); h != g.lastHeld {
 			m.ctr.held.Add(int64(h - g.lastHeld))

@@ -528,11 +528,11 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	for k := range ln.scratch {
 		delete(ln.scratch, k)
 	}
-	out := flow.GetBatch(len(recs))
 	held0 := ln.seq.Held()
 	maxT := int64(math.MinInt64)
 	rejects := 0
-	for _, rec := range recs {
+	for i := range recs {
+		rec := &recs[i]
 		key := trace.SourceKey{Node: rec.Node, Process: rec.Process}
 		if !r.claim(key, ln) {
 			rejects++
@@ -544,11 +544,17 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 		if s, ok := ln.scratch[key]; !ok || rec.Logical > s {
 			ln.scratch[key] = rec.Logical
 		}
-		out = ln.seq.AddTo(out, rec, rec.Logical)
+		if rejects > 0 {
+			recs[i-rejects] = *rec // close the gaps refused records leave
+		}
 	}
 	if rejects > 0 {
 		r.mRejects.Add(uint64(rejects))
 	}
+	// Claims come first so a restore cursor is seeded before the source's
+	// records reach the sequencer. A batch in uplink order — the steady
+	// state — then moves on as it is.
+	out, inPlace := ln.seq.AddBatch(recs[:len(recs)-rejects], flow.GetBatch)
 	// Accepted records either came out (len(out) may exceed the batch
 	// when releases unblock held successors), went on hold (a gap the
 	// dedup cursors open is impossible on an in-order lane, but a
@@ -568,12 +574,15 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	ln.ackMu.Lock()
 	ln.pendAcks = append(ln.pendAcks, ackEntry{seq: seq, needs: needs})
 	ln.ackMu.Unlock()
-	if pooled {
-		flow.PutBatch(recs)
+	if !inPlace {
+		if pooled {
+			flow.PutBatch(recs)
+		}
+		pooled = true
 	}
 	if len(out) > 0 {
-		ln.ml.Push(laneSlot{recs: out, pooled: true})
-	} else {
+		ln.ml.Push(laneSlot{recs: out, pooled: pooled})
+	} else if pooled {
 		flow.PutBatch(out)
 	}
 	// The watermark must not advance until the records it covers are in
@@ -657,7 +666,6 @@ func (r *Relay) dispatch(rec trace.Record) {
 		for _, e := range r.outBuf[prev:] {
 			r.emitted[trace.SourceKey{Node: e.Node, Process: e.Process}]++
 		}
-		r.mHeld.Set(int64(r.cm.Held()))
 	} else {
 		r.emitted[trace.SourceKey{Node: rec.Node, Process: rec.Process}]++
 		r.outBuf = append(r.outBuf, rec)
@@ -667,10 +675,14 @@ func (r *Relay) dispatch(rec trace.Record) {
 	}
 }
 
-// flushOut hands the dispatch buffer to the spool and subscribers.
-// Runs on the merger goroutine; always called before acks advance, so
-// an acked record is visible in the durable output.
+// flushOut hands the dispatch buffer to the spool and subscribers, and
+// publishes the causal merge's held count — per flush and per park, not
+// per record. Runs on the merger goroutine; always called before acks
+// advance, so an acked record is visible in the durable output.
 func (r *Relay) flushOut() {
+	if r.cm != nil {
+		r.mHeld.Set(int64(r.cm.Held()))
+	}
 	if len(r.outBuf) == 0 {
 		return
 	}

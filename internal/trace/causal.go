@@ -34,6 +34,42 @@ type SourceKey struct {
 	Node, Process int32
 }
 
+// sourceTable holds one *T of per-source state per SourceKey: a single
+// map behind a small direct-mapped lookaside, so a record of a recently
+// seen source reaches its state without a map operation. The lookaside
+// is a pure cache — which slots it holds never influences what a lookup
+// returns — and states are created on first lookup and never removed
+// (a manager's sources are a fixed, small population).
+type sourceTable[T any] struct {
+	look [lookasideSlots]struct {
+		key SourceKey
+		st  *T
+	}
+	all map[SourceKey]*T
+}
+
+// lookasideSlots and the slot function suit the dense ids sources
+// carry: up to 16 nodes of 4 processes, or 64 single-process nodes, map
+// to distinct slots. Sources that collide only fall back to the map.
+const lookasideSlots = 64
+
+func (t *sourceTable[T]) get(key SourceKey) *T {
+	e := &t.look[(uint32(key.Node)+uint32(key.Process)<<4)%lookasideSlots]
+	if e.st != nil && e.key == key {
+		return e.st
+	}
+	st := t.all[key]
+	if st == nil {
+		if t.all == nil {
+			t.all = map[SourceKey]*T{}
+		}
+		st = new(T)
+		t.all[key] = st
+	}
+	e.key, e.st = key, st
+	return st
+}
+
 // seqRecord is a Record plus the per-source sequence number assigned
 // at capture time; the LIS stamps Tag-independent sequence numbers
 // into Payload for kinds that do not use it, but to stay general the
@@ -48,27 +84,35 @@ type msgKey struct {
 	tag      uint16
 }
 
+// sendKey and recvKey name the message a send or receive record is one
+// half of: both carry the message tag, with Payload holding the peer
+// node.
+func sendKey(r *Record) msgKey { return msgKey{from: r.Node, to: int32(r.Payload), tag: r.Tag} }
+func recvKey(r *Record) msgKey { return msgKey{from: int32(r.Payload), to: r.Node, tag: r.Tag} }
+
 // Sequencer reconstructs per-source program order from out-of-order
 // arrivals. Records released by AddTo are in capture-sequence order
 // within each source; duplicates (sequence below the source's cursor)
 // are dropped. The Sequencer does not look at record kinds and does
 // not assign logical timestamps — that is the CausalMerger's job.
 type Sequencer struct {
-	resume    bool
-	nextSeq   map[SourceKey]uint64
-	held      map[SourceKey][]seqRecord // out-of-order input buffers
-	heldCount int
-	maxHeld   int
-	sequenced uint64
+	resume     bool
+	sources    sourceTable[seqSource]
+	heldCount  int
+	maxHeld    int
+	sequenced  uint64
+	outOfOrder uint64
+}
+
+// seqSource is one source's sequencing state.
+type seqSource struct {
+	next uint64      // the capture sequence the source's next release must carry
+	seen bool        // next is established: seeded, adopted, or advanced by a release
+	held []seqRecord // out-of-order input buffer, in arrival order
 }
 
 // NewSequencer returns an empty Sequencer.
-func NewSequencer() *Sequencer {
-	return &Sequencer{
-		nextSeq: map[SourceKey]uint64{},
-		held:    map[SourceKey][]seqRecord{},
-	}
-}
+func NewSequencer() *Sequencer { return &Sequencer{} }
 
 // Held returns the number of records currently held back waiting for a
 // program-order predecessor.
@@ -80,6 +124,10 @@ func (s *Sequencer) MaxHeld() int { return s.maxHeld }
 // Sequenced returns the total number of records released in program
 // order.
 func (s *Sequencer) Sequenced() uint64 { return s.sequenced }
+
+// OutOfOrder returns the total number of offered records that released
+// nothing on arrival: held back behind a gap, or dropped as duplicates.
+func (s *Sequencer) OutOfOrder() uint64 { return s.outOfOrder }
 
 // Resume makes the sequencer adopt an unseen source's first capture
 // sequence as that source's starting point instead of holding it back
@@ -105,7 +153,8 @@ func (s *Sequencer) Resume() { s.resume = true }
 // sequence match instead of re-delivering. Call before the source's
 // records arrive; it overrides any Resume adoption for the key.
 func (s *Sequencer) SetNext(key SourceKey, seq uint64) {
-	s.nextSeq[key] = seq
+	st := s.sources.get(key)
+	st.next, st.seen = seq, true
 }
 
 // AddTo offers a record with its per-source capture sequence number
@@ -113,37 +162,73 @@ func (s *Sequencer) SetNext(key SourceKey, seq uint64) {
 // became releasable — the record itself plus any held successors it
 // unblocks — to dst in program order.
 func (s *Sequencer) AddTo(dst []Record, rec Record, seq uint64) []Record {
-	key := SourceKey{rec.Node, rec.Process}
-	if s.resume {
-		if _, seen := s.nextSeq[key]; !seen {
-			s.nextSeq[key] = seq
+	return s.add(dst, s.sources.get(SourceKey{rec.Node, rec.Process}), &rec, seq)
+}
+
+// AddBatch is AddTo over a whole batch whose records carry their
+// capture sequence in Logical (left as it is). When the batch needs no
+// repair — every record is its source's next in sequence and nothing
+// of that source is held — the releases are the batch itself: AddBatch
+// returns recs, inPlace true, and copies nothing. Otherwise it takes a
+// buffer of capacity n from alloc, once, at the first record that is
+// out of order, and returns the releases in it.
+func (s *Sequencer) AddBatch(recs []Record, alloc func(n int) []Record) (out []Record, inPlace bool) {
+	inPlace = true
+	for i := range recs {
+		r := &recs[i]
+		st := s.sources.get(SourceKey{r.Node, r.Process})
+		if inPlace {
+			if len(st.held) == 0 && s.inOrder(st, r.Logical) {
+				continue
+			}
+			out, inPlace = append(alloc(len(recs))[:0], recs[:i]...), false
 		}
+		out = s.add(out, st, r, r.Logical)
 	}
-	want := s.nextSeq[key]
-	if seq != want {
-		if seq < want {
+	if inPlace {
+		return recs, true
+	}
+	return out, false
+}
+
+// inOrder reports whether seq is the source's next sequence — after
+// adopting it as such for an unseen source under Resume — and if so
+// advances the cursor past it.
+func (s *Sequencer) inOrder(st *seqSource, seq uint64) bool {
+	if !st.seen && s.resume {
+		st.next, st.seen = seq, true
+	}
+	if seq != st.next {
+		return false
+	}
+	st.next, st.seen = seq+1, true
+	s.sequenced++
+	return true
+}
+
+func (s *Sequencer) add(dst []Record, st *seqSource, rec *Record, seq uint64) []Record {
+	if !s.inOrder(st, seq) {
+		s.outOfOrder++
+		if seq < st.next {
 			// Duplicate or replayed record; drop.
 			return dst
 		}
-		s.held[key] = append(s.held[key], seqRecord{rec: rec, seq: seq})
+		st.held = append(st.held, seqRecord{rec: *rec, seq: seq})
 		s.heldCount++
 		if s.heldCount > s.maxHeld {
 			s.maxHeld = s.heldCount
 		}
 		return dst
 	}
-	dst = append(dst, rec)
-	s.sequenced++
-	s.nextSeq[key] = seq + 1
-	// Drain held successors now contiguous with the cursor. Gaps are
-	// rare and buffers small; the linear scan per release matches the
-	// original Orderer.
-	buf := s.held[key]
-	for len(buf) > 0 {
-		next := s.nextSeq[key]
+	dst = append(dst, *rec)
+	// Drain held successors now contiguous with the cursor. The buffer
+	// is in arrival order, so every release scans it: quadratic in one
+	// source's hold depth, which an in-order transport keeps at zero and
+	// a reordering one at a few flushes.
+	for len(st.held) > 0 {
 		idx := -1
-		for i, h := range buf {
-			if h.seq == next {
+		for i := range st.held {
+			if st.held[i].seq == st.next {
 				idx = i
 				break
 			}
@@ -151,17 +236,11 @@ func (s *Sequencer) AddTo(dst []Record, rec Record, seq uint64) []Record {
 		if idx < 0 {
 			break
 		}
-		h := buf[idx]
-		buf = append(buf[:idx], buf[idx+1:]...)
-		s.heldCount--
-		dst = append(dst, h.rec)
+		dst = append(dst, st.held[idx].rec)
 		s.sequenced++
-		s.nextSeq[key] = h.seq + 1
-	}
-	if len(buf) == 0 {
-		delete(s.held, key)
-	} else {
-		s.held[key] = buf
+		st.next++
+		st.held = append(st.held[:idx], st.held[idx+1:]...)
+		s.heldCount--
 	}
 	return dst
 }
@@ -178,36 +257,81 @@ func (s *Sequencer) AddTo(dst []Record, rec Record, seq uint64) []Record {
 // it (program order must survive the wait). The matching send releases
 // the receive and drains the queue, recursively unblocking any chains.
 // Release order is deterministic — it depends only on the input
-// sequence, never on map iteration order — which is what makes
-// sharded-vs-single-orderer runs byte-comparable.
+// sequence, never on map iteration order or on what the source
+// lookaside happens to hold — which is what makes sharded-vs-single-
+// orderer runs byte-comparable.
+//
+// A record touches only its own source's state, plus — a send or a
+// receive — its message's entry in the one message table; the only
+// other write to a source's state is the send that releases its parked
+// receive.
 type CausalMerger struct {
 	clock      uint64
-	sendSeen   map[msgKey]int      // multiset of dispatched sends
-	recvsHeld  map[msgKey][]Record // receives waiting for sends
-	pending    map[SourceKey]*pendQueue
-	stalled    map[SourceKey]bool
+	sources    sourceTable[mergeSource]
+	msgs       map[msgKey]*msgState // messages with an unmatched send or a waiting receive
+	freeMsgs   []*msgState          // retired entries, reused so matching allocates nothing
 	heldCount  int
 	maxHeld    int
 	dispatched uint64
+	outOfOrder uint64
 }
 
-// pendQueue is a head-indexed FIFO of program-order successors parked
-// behind a stalled receive; popping advances head instead of
-// reslicing so drained queues recycle their backing arrays.
-type pendQueue struct {
-	buf  []Record
-	head int
+// mergeSource is one source's merge state: whether a receive of it is
+// parked, and the program-order successors queued behind that receive.
+type mergeSource struct {
+	stalled bool
+	pend    pendRing
+}
+
+// msgState is one (from, to, tag) message's matching state. An entry
+// lives in the table only while it has either; with unique tags the
+// table therefore holds the messages in flight, not the run's.
+type msgState struct {
+	sends   int          // dispatched sends no receive has consumed
+	waiting []parkedRecv // receives that arrived ahead of their send, oldest first
+}
+
+// parkedRecv is a receive waiting for its send, with the source it
+// stalls.
+type parkedRecv struct {
+	rec Record
+	src *mergeSource
+}
+
+// pendRing is a FIFO ring of records parked behind a stalled receive.
+// It grows only when full, so its capacity stays within twice the most
+// records ever parked behind the source at once, however long the
+// source runs without fully draining.
+type pendRing struct {
+	buf  []Record // length zero or a power of two
+	head int      // index of the oldest record
+	n    int      // records queued
+}
+
+func (q *pendRing) push(rec *Record) {
+	if q.n == len(q.buf) {
+		grown := make([]Record, max(8, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = *rec
+	q.n++
+}
+
+// pop returns the oldest record in place: the slot stays intact until
+// the next push.
+func (q *pendRing) pop() *Record {
+	rec := &q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return rec
 }
 
 // NewCausalMerger returns an empty CausalMerger whose Lamport clock
 // starts at 1.
 func NewCausalMerger() *CausalMerger {
-	return &CausalMerger{
-		sendSeen:  map[msgKey]int{},
-		recvsHeld: map[msgKey][]Record{},
-		pending:   map[SourceKey]*pendQueue{},
-		stalled:   map[SourceKey]bool{},
-	}
+	return &CausalMerger{msgs: map[msgKey]*msgState{}}
 }
 
 // Held returns the number of records currently held back waiting for a
@@ -221,6 +345,10 @@ func (m *CausalMerger) MaxHeld() int { return m.maxHeld }
 // order.
 func (m *CausalMerger) Dispatched() uint64 { return m.dispatched }
 
+// OutOfOrder returns the total number of offered records that released
+// nothing on arrival: parked receives and records queued behind one.
+func (m *CausalMerger) OutOfOrder() uint64 { return m.outOfOrder }
+
 // Clock returns the current Lamport clock value — the logical
 // timestamp of the most recently dispatched record.
 func (m *CausalMerger) Clock() uint64 { return m.clock }
@@ -229,6 +357,34 @@ func (m *CausalMerger) hold() {
 	m.heldCount++
 	if m.heldCount > m.maxHeld {
 		m.maxHeld = m.heldCount
+	}
+}
+
+// msg returns mk's table entry, entering one when the message has none.
+func (m *CausalMerger) msg(mk msgKey) *msgState {
+	if e := m.msgs[mk]; e != nil {
+		return e
+	}
+	return m.enter(mk)
+}
+
+// enter gives mk, which has no entry, a recycled or fresh one.
+func (m *CausalMerger) enter(mk msgKey) *msgState {
+	var e *msgState
+	if n := len(m.freeMsgs); n > 0 {
+		e, m.freeMsgs = m.freeMsgs[n-1], m.freeMsgs[:n-1]
+	} else {
+		e = new(msgState)
+	}
+	m.msgs[mk] = e
+	return e
+}
+
+// retire removes mk's entry once nothing is left to match against it.
+func (m *CausalMerger) retire(mk msgKey, e *msgState) {
+	if e.sends == 0 && len(e.waiting) == 0 {
+		delete(m.msgs, mk)
+		m.freeMsgs = append(m.freeMsgs, e)
 	}
 }
 
@@ -248,13 +404,14 @@ func (m *CausalMerger) Observe(rec Record) {
 	m.dispatched++
 	switch rec.Kind {
 	case KindSend:
-		m.sendSeen[msgKey{from: rec.Node, to: int32(rec.Payload), tag: rec.Tag}]++
+		m.msg(sendKey(&rec)).sends++
 	case KindRecv:
-		mk := msgKey{from: int32(rec.Payload), to: rec.Node, tag: rec.Tag}
 		// A causally valid trace never emits a receive before its send,
 		// so the guard only matters for hand-built inputs.
-		if m.sendSeen[mk] > 0 {
-			m.sendSeen[mk]--
+		mk := recvKey(&rec)
+		if e := m.msgs[mk]; e != nil && e.sends > 0 {
+			e.sends--
+			m.retire(mk, e)
 		}
 	}
 }
@@ -263,80 +420,84 @@ func (m *CausalMerger) Observe(rec Record) {
 // and appends every record that became dispatchable — stamped with
 // Lamport timestamps, in causal order — to dst.
 func (m *CausalMerger) AddTo(dst []Record, rec Record) []Record {
-	key := SourceKey{rec.Node, rec.Process}
-	if m.stalled[key] {
-		// A receive from this source is parked; program order forces
-		// everything behind it to wait too.
-		q := m.pending[key]
-		if q == nil {
-			q = &pendQueue{}
-			m.pending[key] = q
-		}
-		q.buf = append(q.buf, rec)
-		m.hold()
-		return dst
-	}
-	return m.offer(dst, rec, key)
+	return m.add(dst, m.sources.get(SourceKey{rec.Node, rec.Process}), &rec)
 }
 
-func (m *CausalMerger) offer(dst []Record, rec Record, key SourceKey) []Record {
-	if rec.Kind == KindRecv {
-		mk := msgKey{from: int32(rec.Payload), to: rec.Node, tag: rec.Tag}
-		if m.sendSeen[mk] == 0 {
-			m.recvsHeld[mk] = append(m.recvsHeld[mk], rec)
-			m.stalled[key] = true
-			m.hold()
-			return dst
-		}
-		m.sendSeen[mk]--
-	}
-	return m.release(dst, rec)
-}
-
-func (m *CausalMerger) release(dst []Record, rec Record) []Record {
-	m.clock++
-	rec.Logical = m.clock
-	dst = append(dst, rec)
-	m.dispatched++
-	if rec.Kind == KindSend {
-		mk := msgKey{from: rec.Node, to: int32(rec.Payload), tag: rec.Tag}
-		m.sendSeen[mk]++
-		// Unblock the oldest receive waiting on this send, then drain
-		// the successors queued behind it.
-		if waiting := m.recvsHeld[mk]; len(waiting) > 0 {
-			r := waiting[0]
-			m.recvsHeld[mk] = waiting[1:]
-			if len(m.recvsHeld[mk]) == 0 {
-				delete(m.recvsHeld, mk)
-			}
-			m.heldCount--
-			m.sendSeen[mk]--
-			dst = m.release(dst, r)
-			rk := SourceKey{r.Node, r.Process}
-			delete(m.stalled, rk)
-			dst = m.drainPending(dst, rk)
-		}
+// AddBatchTo is AddTo over recs in order, without the per-call copy of
+// each record.
+func (m *CausalMerger) AddBatchTo(dst []Record, recs []Record) []Record {
+	for i := range recs {
+		r := &recs[i]
+		dst = m.add(dst, m.sources.get(SourceKey{r.Node, r.Process}), r)
 	}
 	return dst
 }
 
-func (m *CausalMerger) drainPending(dst []Record, key SourceKey) []Record {
-	q := m.pending[key]
-	if q == nil {
+func (m *CausalMerger) add(dst []Record, src *mergeSource, rec *Record) []Record {
+	if src.stalled {
+		// A receive from this source is parked; program order forces
+		// everything behind it to wait too.
+		src.pend.push(rec)
+		m.hold()
+		m.outOfOrder++
 		return dst
 	}
-	for q.head < len(q.buf) && !m.stalled[key] {
-		rec := q.buf[q.head]
-		q.buf[q.head] = Record{}
-		q.head++
+	n := len(dst)
+	dst = m.offer(dst, src, rec)
+	if len(dst) == n {
+		m.outOfOrder++
+	}
+	return dst
+}
+
+func (m *CausalMerger) offer(dst []Record, src *mergeSource, rec *Record) []Record {
+	if rec.Kind == KindRecv {
+		mk := recvKey(rec)
+		e := m.msgs[mk]
+		if e == nil || e.sends == 0 {
+			if e == nil {
+				e = m.enter(mk)
+			}
+			e.waiting = append(e.waiting, parkedRecv{rec: *rec, src: src})
+			src.stalled = true
+			m.hold()
+			return dst
+		}
+		e.sends--
+		m.retire(mk, e)
+	}
+	return m.release(dst, rec)
+}
+
+func (m *CausalMerger) release(dst []Record, rec *Record) []Record {
+	m.clock++
+	dst = append(dst, *rec)
+	dst[len(dst)-1].Logical = m.clock
+	m.dispatched++
+	if rec.Kind != KindSend {
+		return dst
+	}
+	mk := sendKey(rec)
+	e := m.msg(mk)
+	if len(e.waiting) == 0 {
+		e.sends++
+		return dst
+	}
+	// Unblock the oldest receive waiting on this send, then drain the
+	// successors queued behind it.
+	w := e.waiting[0]
+	e.waiting = e.waiting[:copy(e.waiting, e.waiting[1:])]
+	m.retire(mk, e)
+	m.heldCount--
+	dst = m.release(dst, &w.rec)
+	w.src.stalled = false
+	for w.src.pend.n > 0 && !w.src.stalled {
 		m.heldCount--
 		// May re-park (another receive with a missing send) — the loop
-		// condition stops the drain and the remainder stays queued.
-		dst = m.offer(dst, rec, key)
-	}
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
+		// condition stops the drain and the remainder stays queued. Only
+		// add pushes onto a ring, never a release, so the popped slot
+		// stays valid throughout the offer.
+		dst = m.offer(dst, w.src, w.src.pend.pop())
 	}
 	return dst
 }
@@ -415,9 +576,9 @@ func CheckCausal(rs []Record) error {
 		lastLogical = r.Logical
 		switch r.Kind {
 		case KindSend:
-			sends[msgKey{from: r.Node, to: int32(r.Payload), tag: r.Tag}]++
+			sends[sendKey(&r)]++
 		case KindRecv:
-			mk := msgKey{from: int32(r.Payload), to: r.Node, tag: r.Tag}
+			mk := recvKey(&r)
 			if sends[mk] == 0 {
 				return fmt.Errorf("trace: record %d receive before matching send", i)
 			}

@@ -3,6 +3,7 @@ package trace
 import (
 	"testing"
 
+	"prism/internal/raceflag"
 	"prism/internal/rng"
 )
 
@@ -441,5 +442,449 @@ func TestCausalMergerObserveRestores(t *testing.T) {
 	}
 	if restored.Held() != 1 {
 		t.Fatalf("restored held %d, want the parked tag-10 receive", restored.Held())
+	}
+}
+
+// refSequencer and refMerger are the ordering logic as it stood before
+// per-source state — one map per field, a key lookup per access — kept
+// as the oracle the differential test holds the two entries of each
+// stage to.
+type refSequencer struct {
+	resume         bool
+	next           map[SourceKey]uint64
+	held           map[SourceKey][]seqRecord
+	heldN, maxHeld int
+}
+
+func (s *refSequencer) add(dst []Record, rec Record, seq uint64) []Record {
+	key := SourceKey{rec.Node, rec.Process}
+	if _, seen := s.next[key]; s.resume && !seen {
+		s.next[key] = seq
+	}
+	if want := s.next[key]; seq != want {
+		if seq > want {
+			s.held[key] = append(s.held[key], seqRecord{rec: rec, seq: seq})
+			s.heldN++
+			s.maxHeld = max(s.maxHeld, s.heldN)
+		}
+		return dst
+	}
+	dst = append(dst, rec)
+	s.next[key] = seq + 1
+	buf := s.held[key]
+	for {
+		idx := -1
+		for i, h := range buf {
+			if h.seq == s.next[key] {
+				idx = i
+				break
+			}
+		}
+		if idx < 0 {
+			s.held[key] = buf
+			return dst
+		}
+		dst = append(dst, buf[idx].rec)
+		s.next[key] = buf[idx].seq + 1
+		buf = append(buf[:idx], buf[idx+1:]...)
+		s.heldN--
+	}
+}
+
+type refMerger struct {
+	clock, dispatched uint64
+	sendSeen          map[msgKey]int
+	recvsHeld         map[msgKey][]Record
+	pending           map[SourceKey][]Record
+	stalled           map[SourceKey]bool
+	heldN, maxHeld    int
+}
+
+func (m *refMerger) hold() {
+	m.heldN++
+	m.maxHeld = max(m.maxHeld, m.heldN)
+}
+
+func (m *refMerger) observe(rec Record) {
+	m.clock = max(m.clock, rec.Logical)
+	m.dispatched++
+	switch rec.Kind {
+	case KindSend:
+		m.sendSeen[sendKey(&rec)]++
+	case KindRecv:
+		if mk := recvKey(&rec); m.sendSeen[mk] > 0 {
+			m.sendSeen[mk]--
+		}
+	}
+}
+
+func (m *refMerger) add(dst []Record, rec Record) []Record {
+	key := SourceKey{rec.Node, rec.Process}
+	if m.stalled[key] {
+		m.pending[key] = append(m.pending[key], rec)
+		m.hold()
+		return dst
+	}
+	return m.offer(dst, rec, key)
+}
+
+func (m *refMerger) offer(dst []Record, rec Record, key SourceKey) []Record {
+	if rec.Kind == KindRecv {
+		mk := recvKey(&rec)
+		if m.sendSeen[mk] == 0 {
+			m.recvsHeld[mk] = append(m.recvsHeld[mk], rec)
+			m.stalled[key] = true
+			m.hold()
+			return dst
+		}
+		m.sendSeen[mk]--
+	}
+	return m.release(dst, rec)
+}
+
+func (m *refMerger) release(dst []Record, rec Record) []Record {
+	m.clock++
+	rec.Logical = m.clock
+	dst = append(dst, rec)
+	m.dispatched++
+	if rec.Kind != KindSend {
+		return dst
+	}
+	mk := sendKey(&rec)
+	m.sendSeen[mk]++
+	if waiting := m.recvsHeld[mk]; len(waiting) > 0 {
+		r := waiting[0]
+		m.recvsHeld[mk] = waiting[1:]
+		m.heldN--
+		m.sendSeen[mk]--
+		dst = m.release(dst, r)
+		rk := SourceKey{r.Node, r.Process}
+		delete(m.stalled, rk)
+		for len(m.pending[rk]) > 0 && !m.stalled[rk] {
+			next := m.pending[rk][0]
+			m.pending[rk] = m.pending[rk][1:]
+			m.heldN--
+			dst = m.offer(dst, next, rk)
+		}
+	}
+	return dst
+}
+
+func newRefSequencer() *refSequencer {
+	return &refSequencer{next: map[SourceKey]uint64{}, held: map[SourceKey][]seqRecord{}}
+}
+
+func newRefMerger() *refMerger {
+	return &refMerger{
+		sendSeen: map[msgKey]int{}, recvsHeld: map[msgKey][]Record{},
+		pending: map[SourceKey][]Record{}, stalled: map[SourceKey]bool{},
+	}
+}
+
+// diffStream builds one seeded arrival sequence for the differential
+// test, capture sequences in Logical: 2–16 sources (some node ids 64
+// apart, so they share a lookaside slot) run a causally valid execution
+// — one message tag in four from a set of three, so tags repeat while
+// earlier uses are still in flight — with the odd receive nobody sends; the per-source streams
+// are then interleaved at random, which puts receives ahead of their
+// sends in chains, and the arrival order is perturbed with local swaps
+// (gaps), replays and the odd lost record.
+func diffStream(st *rng.Stream) (in []Record, keys []SourceKey) {
+	keys = make([]SourceKey, 2+st.Intn(15))
+	onNode := map[int32][]int{}
+	for i := range keys {
+		keys[i] = SourceKey{Node: int32(i/2) + 64*int32(st.Intn(2)*(i/2%2)), Process: int32(i % 2)}
+		onNode[keys[i].Node] = append(onNode[keys[i].Node], i)
+	}
+	streams := make([][]Record, len(keys))
+	emit := func(i int, r Record) Record {
+		r.Node, r.Process, r.Logical = keys[i].Node, keys[i].Process, uint64(len(streams[i]))
+		r.Time = int64(len(in))
+		streams[i] = append(streams[i], r)
+		in = append(in, r) // counts records; rebuilt below
+		return r
+	}
+	var inflight []Record
+	for n := 150 + st.Intn(450); n > 0; n-- {
+		i := st.Intn(len(keys))
+		switch u := st.Intn(20); {
+		case u < 5:
+			peer := keys[st.Intn(len(keys))].Node
+			tag := uint16(100 + n)
+			if st.Intn(4) == 0 {
+				tag = uint16(st.Intn(3))
+			}
+			inflight = append(inflight, emit(i, Record{Kind: KindSend, Tag: tag, Payload: int64(peer)}))
+		case u < 10 && len(inflight) > 0:
+			k := st.Intn(len(inflight))
+			snd := inflight[k]
+			inflight = append(inflight[:k], inflight[k+1:]...)
+			at := onNode[int32(snd.Payload)]
+			emit(at[st.Intn(len(at))], Record{Kind: KindRecv, Tag: snd.Tag, Payload: int64(snd.Node)})
+		case u == 10 && st.Intn(16) == 0:
+			emit(i, Record{Kind: KindRecv, Tag: 9, Payload: int64(keys[0].Node)})
+		default:
+			emit(i, Record{Kind: KindUser, Tag: uint16(n)})
+		}
+	}
+	in = in[:0]
+	for live := len(streams); live > 0; {
+		i := st.Intn(len(streams))
+		if len(streams[i]) == 0 {
+			continue
+		}
+		in = append(in, streams[i][0])
+		if streams[i] = streams[i][1:]; len(streams[i]) == 0 {
+			live--
+		}
+	}
+	for k := len(in) / 6; k > 0; k-- {
+		i := st.Intn(len(in))
+		j := min(len(in)-1, i+st.Intn(8))
+		switch st.Intn(64) {
+		case 0: // loss
+			in = append(in[:i], in[i+1:]...)
+		case 1, 2, 3, 4, 5, 6, 7, 8: // replay: in[i] arrives again at j
+			in = append(in[:j+1], in[j:]...)
+			in[j] = in[i]
+		default:
+			in[i], in[j] = in[j], in[i]
+		}
+	}
+	return in, keys
+}
+
+// TestOrderingMatchesReference holds the per-record and the batch entry
+// of both stages to the reference on 64 seeded streams: byte-identical
+// releases (records and Lamport stamps) and equal counters after every
+// call, through Resume and SetNext mid-stream and a merger rebuilt with
+// Observe from what was emitted so far.
+func TestOrderingMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 64; seed++ {
+		st := rng.New(seed)
+		in, keys := diffStream(st)
+		refSeq, oneSeq, batSeq := newRefSequencer(), NewSequencer(), NewSequencer()
+		refCM, oneCM, batCM := newRefMerger(), NewCausalMerger(), NewCausalMerger()
+		var outRef, outOne, outBat []Record
+		var seqOOO, cmOOO uint64 // reference offers that released nothing
+		check := func(what string, ref, got []Record, counters ...[2]uint64) {
+			t.Helper()
+			if len(ref) != len(got) {
+				t.Fatalf("seed %d: %s released %d records, reference %d", seed, what, len(got), len(ref))
+			}
+			for i := range ref {
+				if ref[i] != got[i] {
+					t.Fatalf("seed %d: %s release %d is %v, reference %v", seed, what, i, got[i], ref[i])
+				}
+			}
+			for i, c := range counters {
+				if c[0] != c[1] {
+					t.Fatalf("seed %d: %s counter %d is %d, reference %d", seed, what, i, c[1], c[0])
+				}
+			}
+		}
+		seqCounters := func(s *Sequencer) [][2]uint64 {
+			return [][2]uint64{
+				{uint64(refSeq.heldN), uint64(s.Held())}, {uint64(refSeq.maxHeld), uint64(s.MaxHeld())},
+				{seqOOO, s.OutOfOrder()},
+			}
+		}
+		cmCounters := func(m *CausalMerger) [][2]uint64 {
+			return [][2]uint64{
+				{uint64(refCM.heldN), uint64(m.Held())}, {uint64(refCM.maxHeld), uint64(m.MaxHeld())},
+				{refCM.dispatched, m.Dispatched()}, {refCM.clock, m.Clock()}, {cmOOO, m.OutOfOrder()},
+			}
+		}
+		for len(in) > 0 {
+			switch st.Intn(60) {
+			case 0:
+				refSeq.resume = true
+				oneSeq.Resume()
+				batSeq.Resume()
+			case 1:
+				key := keys[st.Intn(len(keys))]
+				seq := max(1, refSeq.next[key]+uint64(st.Intn(3))) - 1 // back one, stay, or skip one
+				refSeq.next[key] = seq
+				oneSeq.SetNext(key, seq)
+				batSeq.SetNext(key, seq)
+			case 2:
+				refCM, oneCM, batCM, cmOOO = newRefMerger(), NewCausalMerger(), NewCausalMerger(), 0
+				for _, r := range outRef {
+					refCM.observe(r)
+					oneCM.Observe(r)
+					batCM.Observe(r)
+				}
+			}
+			chunk := in[:1+st.Intn(min(48, len(in)))]
+			in = in[len(chunk):]
+			var seqRef, seqOne, chunkRef []Record
+			mark := len(outRef)
+			for _, r := range chunk {
+				if seqRef = refSeq.add(seqRef[:0], r, r.Logical); len(seqRef) == 0 {
+					seqOOO++
+				}
+				seqOne = oneSeq.AddTo(seqOne[:0], r, r.Logical)
+				check("Sequencer.AddTo", seqRef, seqOne, seqCounters(oneSeq)...)
+				chunkRef = append(chunkRef, seqRef...)
+				for _, x := range seqRef {
+					from := len(outRef)
+					if outRef = refCM.add(outRef, x); len(outRef) == from {
+						cmOOO++
+					}
+					outOne = oneCM.AddTo(outOne, x)
+					check("CausalMerger.AddTo", outRef[from:], outOne[from:], cmCounters(oneCM)...)
+				}
+			}
+			batch := append([]Record(nil), chunk...)
+			seqBat, inPlace := batSeq.AddBatch(batch, heapBatch)
+			check("Sequencer.AddBatch", chunkRef, seqBat, seqCounters(batSeq)...)
+			if inPlace != (len(seqBat) > 0 && &seqBat[0] == &batch[0]) {
+				t.Fatalf("seed %d: AddBatch reports inPlace=%v for a result that says otherwise", seed, inPlace)
+			}
+			outBat = batCM.AddBatchTo(outBat, seqBat)
+			check("CausalMerger.AddBatchTo", outRef[mark:], outBat[mark:], cmCounters(batCM)...)
+		}
+	}
+}
+
+func heapBatch(n int) []Record { return make([]Record, 0, n) }
+
+// TestSequencerAddBatchInPlace: an in-order batch is its own release —
+// the caller's backing array comes back, nothing is copied or allocated
+// — and the first record out of order switches the rest of the batch,
+// in-order prefix included, to the allocated buffer.
+func TestSequencerAddBatchInPlace(t *testing.T) {
+	s := NewSequencer()
+	batch := make([]Record, 0, 8)
+	for i := 0; i < 8; i++ {
+		batch = append(batch, Record{Node: int32(i % 2), Tag: uint16(i), Logical: uint64(i / 2)})
+	}
+	alloc := func(int) []Record { t.Fatal("in-order batch asked for a buffer"); return nil }
+	out, inPlace := s.AddBatch(batch, alloc)
+	if !inPlace || len(out) != len(batch) || &out[0] != &batch[0] {
+		t.Fatalf("in-order batch not returned in place: inPlace=%v len=%d", inPlace, len(out))
+	}
+	// Node 0 continues in order, node 1 skips sequence 4: its 5 is held,
+	// and everything released — the in-order prefix too — is in buf.
+	next := []Record{{Node: 0, Logical: 4}, {Node: 1, Logical: 5}, {Node: 0, Logical: 5}}
+	buf := make([]Record, 0, 4)
+	out, inPlace = s.AddBatch(next, func(n int) []Record {
+		if n != len(next) {
+			t.Fatalf("asked for capacity %d, want %d", n, len(next))
+		}
+		return buf
+	})
+	if inPlace || len(out) != 2 || &out[0] != &buf[:1][0] || out[0] != next[0] || out[1] != next[2] {
+		t.Fatalf("repaired batch: inPlace=%v out=%v", inPlace, out)
+	}
+	if s.Held() != 1 || s.OutOfOrder() != 1 || s.Sequenced() != 10 {
+		t.Fatalf("held %d outOfOrder %d sequenced %d", s.Held(), s.OutOfOrder(), s.Sequenced())
+	}
+}
+
+// TestOrderingSteadyStateAllocFree: an in-order batch with matched
+// message pairs goes through both stages without allocating — no output
+// buffer at the sequencer, recycled message-table entries at the merger.
+func TestOrderingSteadyStateAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	s, m := NewSequencer(), NewCausalMerger()
+	batch := make([]Record, 64)
+	out := make([]Record, 0, len(batch))
+	var seq uint64
+	run := func() {
+		for i := range batch {
+			r := Record{Node: int32(i % 4), Kind: KindUser, Logical: seq + uint64(i/4)}
+			switch i % 16 {
+			case 0: // node 0 sends a fresh tag to node 1 ...
+				r.Kind, r.Tag, r.Payload = KindSend, uint16(seq)+uint16(i), 1
+			case 5: // ... which receives it five records on
+				r.Kind, r.Tag, r.Payload = KindRecv, uint16(seq)+uint16(i-5), 0
+			}
+			batch[i] = r
+		}
+		seq += uint64(len(batch) / 4)
+		ordered, inPlace := s.AddBatch(batch, heapBatch)
+		if !inPlace {
+			t.Fatal("in-order batch was copied")
+		}
+		if out = m.AddBatchTo(out[:0], ordered); len(out) != len(batch) {
+			t.Fatalf("released %d of %d", len(out), len(batch))
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("steady in-order batch allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestCausalMergerPendingBounded: a source that is never fully drained
+// — each release re-parks on the next receive with successors still
+// queued — keeps a pending ring the size of its deepest backlog, not of
+// everything that ever passed through it.
+func TestCausalMergerPendingBounded(t *testing.T) {
+	m := NewCausalMerger()
+	var out []Record
+	stalledRun := func(tag uint16) {
+		out = m.AddTo(out[:0], Record{Node: 1, Kind: KindRecv, Tag: tag, Payload: 0})
+		for i := 0; i < 3; i++ {
+			out = m.AddTo(out, Record{Node: 1, Kind: KindUser})
+		}
+	}
+	stalledRun(0)
+	const rounds = 1 << 18 // four records each: over a million through the ring
+	for k := 0; k < rounds; k++ {
+		stalledRun(uint16(k + 1))
+		// Releases run k, re-parks on run k+1's receive: 3 still queued.
+		out = m.AddTo(out[:0], Record{Node: 0, Kind: KindSend, Tag: uint16(k), Payload: 1})
+		if len(out) != 5 || m.Held() != 4 {
+			t.Fatalf("round %d: released %d, held %d", k, len(out), m.Held())
+		}
+	}
+	ring := &m.sources.get(SourceKey{Node: 1}).pend
+	if ring.n != 3 || cap(ring.buf) > 2*m.MaxHeld() {
+		t.Fatalf("pending ring holds %d in capacity %d after %d records; max held %d",
+			ring.n, cap(ring.buf), 4*rounds, m.MaxHeld())
+	}
+}
+
+// TestCausalMergerMessageTableBounded: a message's table entry goes
+// when nothing is left to match against it, so a trace of unique tags
+// leaves a table the size of what is in flight.
+func TestCausalMergerMessageTableBounded(t *testing.T) {
+	const pairs, inFlight = 1 << 20, 8
+	msg := func(kind Kind, i int) Record {
+		// Distinct (from, to, tag) per i: 16 senders x 65536 tags.
+		r := Record{Node: int32(i >> 16), Kind: kind, Tag: uint16(i), Payload: 100}
+		if kind == KindRecv {
+			r.Node, r.Payload = 100, int64(i>>16)
+		}
+		return r
+	}
+	m, restored := NewCausalMerger(), NewCausalMerger()
+	var out []Record
+	for i := 0; i < pairs+inFlight; i++ {
+		out = out[:0]
+		// Every other message's receive overtakes its send and parks.
+		if i < pairs && i%2 == 1 {
+			out = m.AddTo(out, msg(KindRecv, i))
+		}
+		if i < pairs {
+			out = m.AddTo(out, msg(KindSend, i))
+		}
+		if i >= inFlight && i%2 == 0 {
+			out = m.AddTo(out, msg(KindRecv, i-inFlight))
+		}
+		for _, r := range out {
+			restored.Observe(r)
+		}
+		if len(m.msgs) > inFlight || len(restored.msgs) > inFlight {
+			t.Fatalf("after %d pairs the table holds %d entries (%d rebuilt by Observe), %d in flight",
+				i, len(m.msgs), len(restored.msgs), inFlight)
+		}
+	}
+	if m.Dispatched() != 2*pairs || m.Held() != 0 || len(m.msgs) != 0 || len(m.freeMsgs) > inFlight+1 {
+		t.Fatalf("dispatched %d held %d table %d free %d", m.Dispatched(), m.Held(), len(m.msgs), len(m.freeMsgs))
 	}
 }
