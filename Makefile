@@ -17,7 +17,7 @@ BASELINE ?= $(firstword $(sort $(wildcard BENCH_*.json)))
 CANDIDATE ?= BENCH_$(SHA).json
 THRESHOLD ?= 5
 
-.PHONY: check vet staticcheck build test race bench benchsmoke benchmod benchdiff fuzzsmoke fmt
+.PHONY: check vet staticcheck build test race bench benchsmoke benchmod benchdiff benchpairs fuzzsmoke fmt
 
 # check is the tier-1 gate: vet, staticcheck (when installed), build,
 # the full test suite under the race detector, a one-iteration
@@ -87,6 +87,17 @@ fuzzsmoke:
 #   make benchdiff BASELINE=BENCH_old.json CANDIDATE=BENCH_new.json
 benchdiff:
 	$(GO) run ./cmd/benchjson -compare -threshold $(THRESHOLD) $(BASELINE) $(CANDIDATE)
+
+# benchpairs is the evidence behind a performance claim: PAIRS
+# alternated runs of bench/run.sh at PARENT (a commit, checked out into
+# a worktree under .bench_build/, or a directory) and in this working
+# tree, summarised per end-to-end metric as medians, quartiles and wins:
+#   make benchpairs PARENT=edaa93c WORKLOAD=fed_tree PAIRS=10 SEED=1
+PAIRS ?= 10
+SEED ?= 1
+benchpairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make benchpairs PARENT=<sha|dir> WORKLOAD=<workload> [PAIRS=10] [SEED=1]" >&2; exit 2; }
+	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 fmt:
 	gofmt -l -w .

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"prism/internal/isruntime/flow"
+	"prism/internal/isruntime/metrics"
 	"prism/internal/isruntime/tp"
 	"prism/internal/trace"
 )
@@ -263,6 +264,105 @@ func TestChaosSoakTCPExactlyOnce(t *testing.T) {
 	srv.check(t, nodes, batches, recs)
 }
 
+// TestChaosReplayToFlatPeer: batches sent while the link spoke columnar
+// sit in the replay window as encoded frames only. The peer reads them,
+// acknowledges none and dies; its successor is reached over a transport
+// that carries a message as it is handed over and negotiates nothing (an
+// in-process pipe). The reconnect replay must give it records, not a
+// frame it cannot read — exactly once, like any other replay.
+func TestChaosReplayToFlatPeer(t *testing.T) {
+	const batches, recs = 40, 8
+	srv := newSoakServer()
+	ln, err := tp.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	firstDone := make(chan struct{})
+	go func() {
+		defer close(firstDone)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for n := 0; n < batches; {
+			m, err := c.Recv()
+			if err != nil {
+				return
+			}
+			if m.Type == tp.MsgData {
+				n++
+			}
+			tp.Recycle(&m)
+		}
+	}()
+
+	var wgServe sync.WaitGroup
+	dials := 0 // Redial runs one dial at a time
+	rd, err := tp.NewRedial(tp.RedialConfig{
+		Dial: func() (tp.Conn, error) {
+			if dials++; dials == 1 {
+				return tp.Dial(ln.Addr())
+			}
+			local, remote := tp.Pipe(64)
+			wgServe.Add(1)
+			go func() { defer wgServe.Done(); srv.serve(remote) }()
+			return local, nil
+		},
+		Backoff: 100 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	sess := NewSession(0, rd, SessionConfig{Window: batches + 8, Metrics: reg})
+	ackDone := make(chan struct{})
+	go func() {
+		defer close(ackDone)
+		for {
+			if _, err := sess.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !tp.ColumnarActive(rd) {
+		if time.Now().After(deadline) {
+			t.Fatal("columnar never negotiated")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for b := 0; b < batches; b++ {
+		rs := make([]trace.Record, recs)
+		for i := range rs {
+			id := int64(b)*1_000 + int64(i)
+			rs[i] = trace.Record{Kind: trace.KindUser, Time: id, Payload: id}
+		}
+		if err := sess.Send(tp.DataMessage(0, rs)); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	<-firstDone
+	for sess.Pending() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d batches never acked by the flat peer", sess.Pending())
+		}
+		_ = sess.Resend()
+		sess.WaitAcked(20 * time.Millisecond)
+	}
+	if rd.Redials() == 0 {
+		t.Fatal("the link never moved to the flat peer")
+	}
+	if n := reg.Snapshot().Value("session.node0.batches_replayed"); n < batches {
+		t.Fatalf("session.node0.batches_replayed = %v, want at least the %d unacked batches", n, batches)
+	}
+	_ = sess.Close()
+	<-ackDone
+	wgServe.Wait()
+	srv.check(t, 1, batches, recs)
+}
+
 func TestChaosSoakDropPolicyCountedLoss(t *testing.T) {
 	const batches, recs = 3000, 4
 	a, b := tp.PipePolicy(8, flow.DropNewest, nil)
@@ -317,4 +417,55 @@ func TestChaosSoakDropPolicyCountedLoss(t *testing.T) {
 	}
 	_ = a.Close()
 	<-recvDone
+}
+
+// staleColumnar is a link as Session.replay can catch it mid-move: it
+// answered the columnar check while its columnar peer was still there,
+// and by the time of the Send it is connected to a flat one.
+type staleColumnar struct{ tp.Conn }
+
+func (staleColumnar) ColumnarActive() bool { return true }
+
+// TestChaosResendAcrossNegotiateDown: the session finds columnar active
+// and hands its transport a stored frame without records; the transport,
+// reconnected to a flat TCP peer in between, must re-frame the batch with
+// its session sequence, or the receiver takes every Resend for new data.
+func TestChaosResendAcrossNegotiateDown(t *testing.T) {
+	const batches, recs, resends = 12, 8, 3
+	srv := &soakServer{recv: NewReceiver(ReceiverConfig{AckEvery: 1 << 20}), seen: make(map[int64]int)}
+	ln, err := tp.Listen("127.0.0.1:0", tp.WithWireMode(tp.WireFlat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		if c, err := ln.Accept(); err == nil {
+			srv.serve(c)
+		}
+	}()
+	conn, err := tp.Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(0, staleColumnar{conn}, SessionConfig{Window: batches})
+	for b := 0; b < batches; b++ {
+		rs := make([]trace.Record, recs)
+		for i := range rs {
+			id := int64(b)*1_000 + int64(i)
+			rs[i] = trace.Record{Kind: trace.KindUser, Time: id, Payload: id}
+		}
+		if err := sess.Send(tp.DataMessage(0, rs)); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	for i := 0; i < resends; i++ { // nothing is acked: each one replays the whole window
+		if err := sess.Resend(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = sess.Close()
+	<-served
+	srv.check(t, 1, batches, recs)
 }

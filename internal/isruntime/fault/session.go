@@ -6,12 +6,14 @@ package fault
 // gone at the transport layer. The Session restores delivery by
 // sequencing and retaining: every data batch gets a per-node monotonic
 // sequence number (Message.Arg, starting at 1; Arg==0 marks legacy
-// unsequenced traffic), and a private copy of its records stays in a
-// bounded replay window until the receiver's cumulative CtlAck covers
-// it. On every reconnect the session introduces itself with CtlHello
-// (Arg = last ack it has seen) and replays the still-unacked suffix of
-// the window in sequence order. The receiver dedupes, so the wire
-// guarantee is at-least-once and the accounting guarantee exactly-once.
+// unsequenced traffic), and a private copy of it — its records, or
+// its encoded wire frame where the transport speaks columnar — stays
+// in a bounded replay window until the receiver's cumulative CtlAck
+// covers it. On every reconnect the session introduces itself with
+// CtlHello (Arg = last ack it has seen) and replays the still-unacked
+// suffix of the window in sequence order. The receiver dedupes, so the
+// wire guarantee is at-least-once and the accounting guarantee
+// exactly-once.
 //
 // Window overflow and give-up demote batches to the flow spill path —
 // the same escape hatch the LIS queues use — so bounded memory never
@@ -19,6 +21,7 @@ package fault
 // storage even though they leave the replay protocol.
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -68,13 +71,15 @@ type Session struct {
 	lost    uint64
 }
 
-// windowBatch is one retained batch. When the transport has negotiated
-// columnar framing, the batch is column-encoded once at Send and the
-// encoded body rides in the window alongside the records, so every
-// replay (reconnect, resend) retransmits the bytes verbatim instead of
-// re-running the encoder. The records stay authoritative: they feed
-// the spill path on demotion and the flat fallback when a reconnect
-// lands on a peer without columnar support.
+// windowBatch is one retained batch, in one of two forms. When the
+// transport has negotiated columnar framing the batch is column-encoded
+// once at Send and the window keeps only that body (enc, count, crc): a
+// fifth of the records' size, and every replay (reconnect, resend)
+// retransmits the bytes verbatim instead of re-running the encoder.
+// Otherwise it keeps a copy of the records. The two paths that need
+// records from an encoded batch — demotion to the spill, and a replay
+// onto a connection that does not speak columnar — decode it; both are
+// cold.
 type windowBatch struct {
 	recs  []trace.Record
 	enc   []byte
@@ -82,12 +87,46 @@ type windowBatch struct {
 	crc   uint32
 }
 
-// attach copies the pre-encoded body, if any, onto an outgoing message
-// so the transport frames it without re-encoding.
-func (wb windowBatch) attach(m *tp.Message) {
-	if wb.enc != nil {
-		m.Enc, m.EncCount, m.EncCRC = wb.enc, wb.count, wb.crc
+// records returns the batch's records, decoded into a fresh slice when
+// the window holds the batch encoded. It fails only if the window's own
+// encoding does not decode: memory corruption, in effect.
+func (wb windowBatch) records() ([]trace.Record, error) {
+	if wb.enc == nil {
+		return wb.recs, nil
 	}
+	rs := make([]trace.Record, wb.count)
+	if err := trace.DecodeColumns(wb.enc, rs); err != nil {
+		return nil, fmt.Errorf("fault: replay window frame: %w", err)
+	}
+	return rs, nil
+}
+
+// replay retransmits one window batch as seq on conn: the stored frame
+// verbatim where conn speaks columnar, its records otherwise. The check
+// is only a snapshot of a redialling link; a stream connection that has
+// negotiated down by the time it frames the message re-frames the stored
+// body flat itself, sequence included. The decode here is for transports
+// that carry a message as handed over (pipes), which never speak
+// columnar.
+func (s *Session) replay(conn tp.Conn, seq int64, wb windowBatch) error {
+	m := tp.DataMessage(s.node, nil)
+	m.Arg = seq
+	if wb.enc != nil && tp.ColumnarActive(conn) {
+		m.Enc, m.EncCount, m.EncCRC = wb.enc, wb.count, wb.crc
+	} else {
+		rs, err := wb.records()
+		if err != nil {
+			return err
+		}
+		m.Records = rs
+	}
+	if err := conn.Send(m); err != nil {
+		return err
+	}
+	if s.mReplayed != nil {
+		s.mReplayed.Inc()
+	}
+	return nil
 }
 
 // onConnectSetter is how the session claims a Redial's replay hook
@@ -149,7 +188,7 @@ func itoa(n int) string {
 }
 
 // Send implements tp.Conn. Data messages are stamped with the next
-// sequence number and their records copied into the replay window
+// sequence number and retained in the replay window, encoded or copied,
 // before transmission; a retryable transport failure is therefore
 // absorbed (the batch replays on reconnect) and Send reports success.
 // Control messages pass through unsequenced. A terminal failure
@@ -162,18 +201,17 @@ func (s *Session) Send(m tp.Message) error {
 	s.mu.Lock()
 	seq := s.nextSeq
 	s.nextSeq++
-	kept := make([]trace.Record, len(m.Records))
-	copy(kept, m.Records)
-	wb := windowBatch{recs: kept}
-	if len(kept) > 0 && tp.ColumnarActive(s.conn) {
+	var wb windowBatch
+	if len(m.Records) > 0 && tp.ColumnarActive(s.conn) {
 		// Stage in the reusable scratch, then copy exact-sized: the
 		// window retains the copy until acked, so encoding straight
 		// into a fresh slice would pay the append growth chain on
 		// every batch.
-		s.scratch = s.scratch[:0]
-		s.scratch, wb.crc = tp.EncodeColumnarBody(s.scratch, kept, &s.codec)
+		s.scratch, wb.crc = tp.EncodeColumnarBody(s.scratch[:0], m.Records, &s.codec)
 		wb.enc = append(make([]byte, 0, len(s.scratch)), s.scratch...)
-		wb.count = len(kept)
+		wb.count = len(m.Records)
+	} else {
+		wb.recs = append(make([]trace.Record, 0, len(m.Records)), m.Records...)
 	}
 	s.window[seq] = wb
 	for len(s.window) > s.cfg.Window {
@@ -184,8 +222,10 @@ func (s *Session) Send(m tp.Message) error {
 		s.mSent.Inc()
 	}
 
+	// The message keeps its records beside the encoded body, so a
+	// transport that lost columnar since the check above still has them.
 	m.Arg = seq
-	wb.attach(&m)
+	m.Enc, m.EncCount, m.EncCRC = wb.enc, wb.count, wb.crc
 	err := s.conn.Send(m)
 	if err == nil || tp.Retryable(err) {
 		// Retryable: the copy in the window replays on reconnect, so
@@ -215,11 +255,11 @@ func (s *Session) demoteOldestLocked() {
 	if _, ok := s.window[s.low]; !ok {
 		return
 	}
-	rs := s.window[s.low].recs
+	wb := s.window[s.low]
 	delete(s.window, s.low)
 	s.low++
 	if s.cfg.Spill != nil {
-		if err := s.cfg.Spill.Append(rs...); err == nil {
+		if rs, err := wb.records(); err == nil && s.cfg.Spill.Append(rs...) == nil {
 			s.spilled++
 			if s.mSpilled != nil {
 				s.mSpilled.Inc()
@@ -258,14 +298,8 @@ func (s *Session) onConnect(raw tp.Conn) error {
 		return err
 	}
 	for i, seq := range seqs {
-		m := tp.DataMessage(s.node, batches[i].recs)
-		m.Arg = seq
-		batches[i].attach(&m)
-		if err := raw.Send(m); err != nil {
+		if err := s.replay(raw, seq, batches[i]); err != nil {
 			return err
-		}
-		if s.mReplayed != nil {
-			s.mReplayed.Inc()
 		}
 	}
 	return nil
@@ -331,14 +365,8 @@ func (s *Session) Resend() error {
 	}
 	s.mu.Unlock()
 	for i, seq := range seqs {
-		m := tp.DataMessage(s.node, batches[i].recs)
-		m.Arg = seq
-		batches[i].attach(&m)
-		if err := s.conn.Send(m); err != nil {
+		if err := s.replay(s.conn, seq, batches[i]); err != nil {
 			return err
-		}
-		if s.mReplayed != nil {
-			s.mReplayed.Inc()
 		}
 	}
 	return nil

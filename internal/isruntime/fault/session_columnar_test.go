@@ -143,3 +143,78 @@ func TestSessionColumnarEncodedReplay(t *testing.T) {
 	_ = sess.Close()
 	<-recvDone
 }
+
+// TestSessionColumnarDemoteAfterEncode: with columnar framing active
+// the replay window holds a batch only as its encoded frame, so a batch
+// demoted to the spill — window overflow here — must come back out of
+// that frame record for record.
+func TestSessionColumnarDemoteAfterEncode(t *testing.T) {
+	ln, err := tp.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { // a peer that reads and never acks
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		for {
+			m, err := c.Recv()
+			if err != nil {
+				_ = c.Close()
+				return
+			}
+			tp.Recycle(&m)
+		}
+	}()
+	conn, err := tp.Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	spill := &memSpill{}
+	sess := NewSession(3, conn, SessionConfig{Window: 2, Spill: spill, Metrics: reg})
+	recvDone := make(chan struct{})
+	go func() { // lands the peer's capability advert
+		defer close(recvDone)
+		for {
+			if _, err := sess.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !tp.ColumnarActive(conn); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("columnar never negotiated")
+		}
+	}
+
+	const batches, recs = 5, 32
+	var want []trace.Record
+	for b := 0; b < batches; b++ {
+		rs := sessRecs(b*1000, recs)
+		if b < batches-2 { // all but the window's worth are demoted, oldest first
+			want = append(want, rs...)
+		}
+		if err := sess.Send(tp.DataMessage(3, rs)); err != nil {
+			t.Fatalf("send %d: %v", b, err)
+		}
+	}
+	if sess.Pending() != 2 || sess.Spilled() != batches-2 || sess.LostBatches() != 0 {
+		t.Fatalf("pending=%d spilled=%d lost=%d, want 2/%d/0", sess.Pending(), sess.Spilled(), sess.LostBatches(), batches-2)
+	}
+	if got := reg.Snapshot().Value("session.node3.batches_spilled"); got != batches-2 {
+		t.Fatalf("session.node3.batches_spilled = %v, want %d", got, batches-2)
+	}
+	if len(spill.rs) != len(want) {
+		t.Fatalf("spill holds %d records, want %d", len(spill.rs), len(want))
+	}
+	for i := range want {
+		if spill.rs[i] != want[i] {
+			t.Fatalf("spilled record %d: got %+v want %+v", i, spill.rs[i], want[i])
+		}
+	}
+	_ = sess.Close()
+	<-recvDone
+}

@@ -40,11 +40,12 @@ type merger struct {
 	lastHeld       int                 // last held count folded into the gauge
 	lastOutOfOrder uint64              // last out-of-order total folded into the counter
 
-	// uplinkSeq restamps dispatched records with fresh per-source
-	// uplink sequence numbers under Config.DeferCausal: the leaf's
-	// contribution to the cross-manager contract (contiguous per-source
-	// sequences for the relay's lane sequencers).
-	uplinkSeq map[trace.SourceKey]uint64
+	// Under Config.DeferCausal (restamp) dispatched records leave with
+	// fresh per-source uplink sequence numbers, counted in uplinkSeq:
+	// the leaf's contribution to the cross-manager contract (contiguous
+	// per-source sequences for the relay's lane sequencers).
+	restamp   bool
+	uplinkSeq trace.SourceTable[uint64]
 
 	slots  *metrics.Counter
 	stalls *metrics.Counter
@@ -54,9 +55,7 @@ func newMerger(m *ISM) *merger {
 	s := m.ctr.reg.Scope("ism").Scope("merge")
 	g := &merger{m: m, slots: s.Counter("slots"), stalls: s.Counter("stalls")}
 	if m.cfg.Ordered {
-		if m.cfg.DeferCausal {
-			g.uplinkSeq = make(map[trace.SourceKey]uint64)
-		} else {
+		if g.restamp = m.cfg.DeferCausal; !g.restamp {
 			g.cm = trace.NewCausalMerger()
 		}
 	}
@@ -98,15 +97,16 @@ func (g *merger) dispatch(_ *ismShard, slot *mergeSlot) bool {
 	m := g.m
 	g.slots.Inc()
 	if g.cm == nil {
-		if g.uplinkSeq != nil {
+		if g.restamp {
 			// Deferred causal mode: the record leaves this manager in
 			// program order with a fresh per-source uplink sequence in
 			// Logical — contiguous even when the inbound capture
 			// sequence stream was not (dedup, resume adoption).
 			for i := range slot.recs {
-				key := trace.SourceKey{Node: slot.recs[i].Node, Process: slot.recs[i].Process}
-				slot.recs[i].Logical = g.uplinkSeq[key]
-				g.uplinkSeq[key]++
+				rec := &slot.recs[i]
+				next := g.uplinkSeq.Get(trace.SourceKey{Node: rec.Node, Process: rec.Process})
+				rec.Logical = *next
+				*next++
 			}
 		}
 		m.ctr.latency.Observe(m.clock.Now() - slot.arrival)

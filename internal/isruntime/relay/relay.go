@@ -103,11 +103,38 @@ type heldBatch struct {
 	pooled bool
 }
 
+// source is one source's relay-wide book. Admission and the merger
+// each reach it through a lookaside of their own (lane.books,
+// Relay.emit) and then hold the pointer, so the table below is locked
+// once per source per goroutine, not per record.
+type source struct {
+	// owner is the one lane the source enters the federation through,
+	// fixed by its first claim; restore is the dedup cursor rebuilt from
+	// Config.Resume (zero: none), installed in the owner's sequencer at
+	// that claim. Both under Relay.ownMu.
+	owner   *lane
+	restore uint64
+	// emitted counts the source's records emitted so far — the currency
+	// the ack gate trades in. Merger goroutine only.
+	emitted uint64
+}
+
+// laneSource is what one lane's admission keeps per source, under
+// admitMu: the ownership verdict, settled by the lane's first record of
+// the source and final from then on, and the source's share of the
+// batch in process.
+type laneSource struct {
+	src      *source // nil until the verdict is in
+	owned    bool
+	touched  bool   // listed in lane.touched: the batch in process carried the source
+	batchMax uint64 // highest uplink sequence the batch in process carried for it
+}
+
 // sourceNeed is one source's contribution to a batch's ack condition:
 // the batch may be acknowledged once the relay has emitted past seq
 // (the highest uplink sequence the batch carried for the source).
 type sourceNeed struct {
-	key trace.SourceKey
+	src *source
 	seq uint64
 }
 
@@ -135,7 +162,8 @@ type lane struct {
 	nextBatch int64 // highest contiguously admitted session seq
 	held      map[int64]heldBatch
 	seq       *trace.Sequencer
-	scratch   map[trace.SourceKey]uint64 // per-batch ack-need accumulator
+	books     trace.SourceTable[laneSource]
+	touched   []*laneSource // the sources the batch in process carried
 
 	// watermark is the lane's Time frontier: the downstream promises
 	// every future record carries at least this capture Time. Advanced
@@ -185,18 +213,12 @@ type Relay struct {
 	merge   *flow.Merger[laneSlot, *lane]
 	lanesMu sync.Mutex
 
-	// owner enforces source-partitioned admission: a source enters the
-	// federation through exactly one lane. restoreNext carries the
-	// per-source dedup cursors rebuilt from Config.Resume, applied to a
-	// lane's sequencer when it first claims the source.
-	ownMu       sync.Mutex
-	owner       map[trace.SourceKey]*lane
-	restoreNext map[trace.SourceKey]uint64
+	// sources holds every source's book. Source-partitioned admission —
+	// a source enters the federation through exactly one lane — is
+	// enforced on it, at each lane's first record of a source.
+	ownMu   sync.Mutex
+	sources map[trace.SourceKey]*source
 
-	// The metric handles sit here on purpose: over a cache line of
-	// read-only words between the admission state above, locked per
-	// record by every serve goroutine, and the merger's state below,
-	// written per record — adjacent, they ping-pong one line.
 	reg        *metrics.Registry
 	laneScope  metrics.Scope
 	mLanes     *metrics.Gauge
@@ -214,7 +236,7 @@ type Relay struct {
 
 	// Merger-goroutine state.
 	cm       *trace.CausalMerger // non-nil at the root
-	emitted  map[trace.SourceKey]uint64
+	emit     trace.SourceTable[*source]
 	outBuf   []trace.Record
 	spoolErr error // first spool write failure; freezes the ack gate
 
@@ -247,11 +269,9 @@ func New(cfg Config) *Relay {
 		clock = event.NewRealClock()
 	}
 	r := &Relay{
-		cfg:         cfg,
-		owner:       make(map[trace.SourceKey]*lane),
-		restoreNext: make(map[trace.SourceKey]uint64),
-		emitted:     make(map[trace.SourceKey]uint64),
-		reg:         reg,
+		cfg:     cfg,
+		sources: make(map[trace.SourceKey]*source),
+		reg:     reg,
 	}
 	r.frontier.Store(math.MinInt64)
 	s := reg.Scope("ism").Scope("relay")
@@ -291,12 +311,13 @@ func New(cfg Config) *Relay {
 	// The emitted counts double as the per-source restore cursors —
 	// emission preserves per-source order, so "n records of key seen"
 	// means exactly uplink sequences [0, n).
-	for _, rec := range cfg.Resume {
-		key := trace.SourceKey{Node: rec.Node, Process: rec.Process}
-		r.restoreNext[key]++
-		r.emitted[key]++
+	for i := range cfg.Resume {
+		rec := &cfg.Resume[i]
+		src := r.emitBook(rec)
+		src.restore++
+		src.emitted++
 		if r.cm != nil {
-			r.cm.Observe(rec)
+			r.cm.Observe(*rec)
 		}
 	}
 	if cfg.Spool != nil {
@@ -415,10 +436,9 @@ func (r *Relay) laneFor(node int32) *lane {
 		return ln
 	}
 	ln := &lane{
-		node:    node,
-		held:    make(map[int64]heldBatch),
-		seq:     trace.NewSequencer(),
-		scratch: make(map[trace.SourceKey]uint64),
+		node: node,
+		held: make(map[int64]heldBatch),
+		seq:  trace.NewSequencer(),
 	}
 	// A relay can (re)start against downstreams already mid-stream; the
 	// restore cursors override adoption per source as they are claimed.
@@ -525,24 +545,28 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 		r.merge.Signal()
 		return
 	}
-	for k := range ln.scratch {
-		delete(ln.scratch, k)
-	}
 	held0 := ln.seq.Held()
 	maxT := int64(math.MinInt64)
 	rejects := 0
 	for i := range recs {
 		rec := &recs[i]
 		key := trace.SourceKey{Node: rec.Node, Process: rec.Process}
-		if !r.claim(key, ln) {
+		b := ln.books.Get(key)
+		if b.src == nil {
+			r.claim(key, ln, b)
+		}
+		if !b.owned {
 			rejects++
 			continue
 		}
 		if rec.Time > maxT {
 			maxT = rec.Time
 		}
-		if s, ok := ln.scratch[key]; !ok || rec.Logical > s {
-			ln.scratch[key] = rec.Logical
+		if !b.touched {
+			b.touched, b.batchMax = true, rec.Logical
+			ln.touched = append(ln.touched, b)
+		} else if rec.Logical > b.batchMax {
+			b.batchMax = rec.Logical
 		}
 		if rejects > 0 {
 			recs[i-rejects] = *rec // close the gaps refused records leave
@@ -565,11 +589,13 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 		r.mDups.Add(uint64(absorbed))
 	}
 	var needs []sourceNeed
-	if len(ln.scratch) > 0 {
-		needs = make([]sourceNeed, 0, len(ln.scratch))
-		for k, s := range ln.scratch {
-			needs = append(needs, sourceNeed{key: k, seq: s})
+	if len(ln.touched) > 0 {
+		needs = make([]sourceNeed, 0, len(ln.touched))
+		for _, b := range ln.touched {
+			needs = append(needs, sourceNeed{src: b.src, seq: b.batchMax})
+			b.touched = false
 		}
+		ln.touched = ln.touched[:0]
 	}
 	ln.ackMu.Lock()
 	ln.pendAcks = append(ln.pendAcks, ackEntry{seq: seq, needs: needs})
@@ -595,22 +621,46 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	r.merge.Signal()
 }
 
-// claim enforces source partitioning: a source's first lane owns it
-// for the relay's lifetime, and the first claim installs the restore
-// cursor rebuilt from Config.Resume into the owning lane's sequencer.
-func (r *Relay) claim(key trace.SourceKey, ln *lane) bool {
+// claim enforces source partitioning at a lane's first record of a
+// source, filling the lane's verdict in b: a source's first lane owns
+// it for the relay's lifetime, and that first claim installs the
+// restore cursor rebuilt from Config.Resume into the owning lane's
+// sequencer — before the record reaches it.
+func (r *Relay) claim(key trace.SourceKey, ln *lane, b *laneSource) {
 	r.ownMu.Lock()
-	owner, ok := r.owner[key]
-	if !ok {
-		r.owner[key] = ln
-		if n, ok := r.restoreNext[key]; ok {
-			ln.seq.SetNext(key, n)
+	src := r.sourceLocked(key)
+	if src.owner == nil {
+		src.owner = ln
+		if src.restore > 0 {
+			ln.seq.SetNext(key, src.restore)
 		}
-		r.ownMu.Unlock()
-		return true
 	}
+	b.src, b.owned = src, src.owner == ln
 	r.ownMu.Unlock()
-	return owner == ln
+}
+
+// sourceLocked returns key's book, opening it at the first mention.
+// Runs with r.ownMu held.
+func (r *Relay) sourceLocked(key trace.SourceKey) *source {
+	src := r.sources[key]
+	if src == nil {
+		src = new(source)
+		r.sources[key] = src
+	}
+	return src
+}
+
+// emitBook returns the book of rec's source for the merger goroutine,
+// which keeps its own lookaside over the shared table.
+func (r *Relay) emitBook(rec *trace.Record) *source {
+	key := trace.SourceKey{Node: rec.Node, Process: rec.Process}
+	p := r.emit.Get(key)
+	if *p == nil {
+		r.ownMu.Lock()
+		*p = r.sourceLocked(key)
+		r.ownMu.Unlock()
+	}
+	return *p
 }
 
 // passed is the lane frontier predicate: a headless lane's watermark at
@@ -660,15 +710,14 @@ func (r *Relay) onPark(blocker *mergeLane, head *laneSlot) {
 // lane) stays unemitted and therefore keeps its batch unacked; the
 // downstream's replay window covers it across a relay crash.
 func (r *Relay) dispatch(rec trace.Record) {
+	prev := len(r.outBuf)
 	if r.cm != nil {
-		prev := len(r.outBuf)
 		r.outBuf = r.cm.AddTo(r.outBuf, rec)
-		for _, e := range r.outBuf[prev:] {
-			r.emitted[trace.SourceKey{Node: e.Node, Process: e.Process}]++
-		}
 	} else {
-		r.emitted[trace.SourceKey{Node: rec.Node, Process: rec.Process}]++
 		r.outBuf = append(r.outBuf, rec)
+	}
+	for i := prev; i < len(r.outBuf); i++ {
+		r.emitBook(&r.outBuf[i]).emitted++
 	}
 	if len(r.outBuf) >= r.cfg.FlushBatch {
 		r.flushOut()
@@ -725,11 +774,11 @@ func (r *Relay) flushOut() {
 }
 
 // satisfied reports whether every record a batch carried has been
-// emitted. Reads the merger-owned emitted map — advanceAcks (its only
-// caller) runs on the merger goroutine.
-func (r *Relay) satisfied(e ackEntry) bool {
+// emitted. Reads the merger-owned emitted counts — advanceAcks (its
+// only caller) runs on the merger goroutine.
+func satisfied(e ackEntry) bool {
 	for _, n := range e.needs {
-		if r.emitted[n.key] <= n.seq {
+		if n.src.emitted <= n.seq {
 			return false
 		}
 	}
@@ -747,7 +796,7 @@ func (r *Relay) advanceAcks() {
 		ln := ml.State
 		changed := false
 		ln.ackMu.Lock()
-		for len(ln.pendAcks) > 0 && r.satisfied(ln.pendAcks[0]) {
+		for len(ln.pendAcks) > 0 && satisfied(ln.pendAcks[0]) {
 			if s := ln.pendAcks[0].seq; s > ln.ackSent {
 				ln.ackSent = s
 				changed = true

@@ -321,7 +321,8 @@ func TestRelayAdmissionOrderAndGatedAcks(t *testing.T) {
 }
 
 // TestRelayPartitionRejects verifies source-partitioned admission: a
-// source that already entered through one lane is refused on another.
+// source that already entered through one lane is refused on another,
+// on the first offer and on every later one.
 func TestRelayPartitionRejects(t *testing.T) {
 	rel := New(Config{Root: true})
 	a1, b1 := tp.Pipe(16)
@@ -362,6 +363,19 @@ func TestRelayPartitionRejects(t *testing.T) {
 	for rel.ackFrontier(101) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("rejecting lane ack frontier = %d, want 1", rel.ackFrontier(101))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Both lanes now hold a cached verdict for the source: the owner's
+	// next record still passes, the other lane's next offer is still
+	// refused, and counted.
+	send(a1, 100, 2, trace.Record{Node: 5, Kind: trace.KindUser, Time: 3, Logical: 1})
+	send(a2, 101, 2, trace.Record{Node: 5, Kind: trace.KindUser, Time: 4, Logical: 2})
+	send(a1, 100, 3, markRecord(10))
+	send(a2, 101, 3, markRecord(10))
+	for rel.Stats().PartitionRejects != 2 || rel.Stats().Dispatched != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the verdicts were cached: %+v, want 2 rejects and 2 dispatched", rel.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}

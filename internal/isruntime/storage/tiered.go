@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -165,8 +167,13 @@ func NewTiered(cfg TieredConfig) (*Tiered, error) {
 			return nil, fmt.Errorf("storage: tier directory: %w", err)
 		}
 	}
+	seq, err := nextSegmentSeq(cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
 	t := &Tiered{
 		cfg:  cfg,
+		seq:  seq,
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -183,6 +190,33 @@ func NewTiered(cfg TieredConfig) (*Tiered, error) {
 	}
 	go t.compactLoop()
 	return t, nil
+}
+
+// nextSegmentSeq returns the first segment number no file in dir uses:
+// a store opened on a predecessor's directory names its segments past
+// the predecessor's, since creating a segment truncates whatever held
+// the name. It does not adopt what it finds.
+func nextSegmentSeq(dir string) (int, error) {
+	if dir == "" {
+		return 0, nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, fmt.Errorf("storage: tier directory: %w", err)
+	}
+	next := 0
+	for _, e := range entries {
+		num, ok := strings.CutPrefix(e.Name(), "warm-")
+		if !ok {
+			num, ok = strings.CutPrefix(e.Name(), "cold-")
+		}
+		if num, seg := strings.CutSuffix(num, ".seg"); ok && seg {
+			if n, err := strconv.Atoi(num); err == nil && n >= next {
+				next = n + 1
+			}
+		}
+	}
+	return next, nil
 }
 
 // Append stores records — the flow.Spill entry point. The hot window

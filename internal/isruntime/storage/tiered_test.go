@@ -225,6 +225,76 @@ func TestTieredFiles(t *testing.T) {
 	}
 }
 
+// TestTieredReopenKeepsPredecessorSegments: a store opened on the
+// directory of an earlier one (a manager restarted on its spill
+// directory) numbers its segments past everything already there, so
+// sealing and compacting never create — and so truncate — a file the
+// predecessor left.
+func TestTieredReopenKeepsPredecessorSegments(t *testing.T) {
+	dir := t.TempDir()
+	cfg := TieredConfig{HotCapacity: 32, SegmentRecords: 16, WarmLimit: 2, Dir: dir}
+	first, err := NewTiered(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Append(tierRecs(300, 0)...); err != nil {
+		t.Fatal(err)
+	}
+	waitCompactions(t, first, 1)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[e.Name()] = data
+	}
+	if len(before) == 0 {
+		t.Fatal("the first store left no segment files")
+	}
+
+	second, err := NewTiered(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tierRecs(300, 1000)
+	if err := second.Append(in...); err != nil {
+		t.Fatal(err)
+	}
+	waitCompactions(t, second, 1)
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range before {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("predecessor segment %s: %v", name, err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("predecessor segment %s rewritten: %d bytes, was %d", name, len(got), len(want))
+		}
+	}
+	got, err := second.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(in) {
+		t.Fatalf("second store reads %d of its %d records", len(got), len(in))
+	}
+	for i := range in {
+		if got[i] != in[i] {
+			t.Fatalf("second store record %d corrupted", i)
+		}
+	}
+}
+
 // TestTieredFlushSealsEverything checks Flush drains the hot window so
 // all records are durable in segment form.
 func TestTieredFlushSealsEverything(t *testing.T) {

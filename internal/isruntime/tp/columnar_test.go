@@ -289,6 +289,39 @@ func TestFlatSenderColumnarReceiver(t *testing.T) {
 	}
 }
 
+// TestPreEncodedBodyOnFlatConn: a pre-encoded body handed to a
+// connection that is flat by the time it frames the message (a session
+// replaying its encoded window after a reconnect negotiated down) goes
+// out as the flat frame of the same message — records decoded, session
+// sequence in Arg kept, or the receiver cannot dedup the replay.
+func TestPreEncodedBodyOnFlatConn(t *testing.T) {
+	ln, got := startEchoServer(t)
+	client, err := Dial(ln.Addr(), WithWireMode(WireFlat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	rs := colRecs(8)
+	var cc trace.ColumnCodec
+	body, crc := EncodeColumnarBody(nil, rs, &cc)
+	if err := client.Send(Message{Type: MsgData, Node: 1, Arg: 9, Enc: body, EncCount: len(rs), EncCRC: crc}); err != nil {
+		t.Fatal(err)
+	}
+	m := recvData(t, got)
+	if m.Arg != 9 || m.Node != 1 {
+		t.Fatalf("flat fallback sent node %d arg %d, want 1 and 9", m.Node, m.Arg)
+	}
+	if len(m.Records) != len(rs) {
+		t.Fatalf("got %d records, want %d", len(m.Records), len(rs))
+	}
+	for i := range rs {
+		if m.Records[i] != rs[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, m.Records[i], rs[i])
+		}
+	}
+	Recycle(&m)
+}
+
 // TestSendBatchColumnar checks the writev coalescing path ships
 // columnar frames once negotiated.
 func TestSendBatchColumnar(t *testing.T) {

@@ -168,7 +168,9 @@ func (c *streamConn) appendWireLocked(buf []byte, m *Message) ([]byte, int, erro
 			flow.PutBatch(rs)
 			return buf, 0, fmt.Errorf("tp: pre-encoded body: %v: %w", err, ErrCorruptFrame)
 		}
-		out, err := AppendMessage(buf, Message{Type: m.Type, Node: m.Node, Records: rs})
+		flat := *m // the session sequence in Arg travels with the records
+		flat.Records = rs
+		out, err := AppendMessage(buf, flat)
 		flow.PutBatch(rs)
 		return out, m.EncCount, err
 	}

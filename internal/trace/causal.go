@@ -34,13 +34,16 @@ type SourceKey struct {
 	Node, Process int32
 }
 
-// sourceTable holds one *T of per-source state per SourceKey: a single
+// SourceTable holds one *T of per-source state per SourceKey: a single
 // map behind a small direct-mapped lookaside, so a record of a recently
 // seen source reaches its state without a map operation. The lookaside
 // is a pure cache — which slots it holds never influences what a lookup
 // returns — and states are created on first lookup and never removed
-// (a manager's sources are a fixed, small population).
-type sourceTable[T any] struct {
+// (a manager's sources are a fixed, small population). The zero value
+// is an empty table; it is not safe for concurrent use. Exported for
+// the per-record books other layers keep per source: the leaf's uplink
+// restamp and the relay's admission and emission state.
+type SourceTable[T any] struct {
 	look [lookasideSlots]struct {
 		key SourceKey
 		st  *T
@@ -53,7 +56,8 @@ type sourceTable[T any] struct {
 // to distinct slots. Sources that collide only fall back to the map.
 const lookasideSlots = 64
 
-func (t *sourceTable[T]) get(key SourceKey) *T {
+// Get returns key's state, zero-valued on the first lookup.
+func (t *SourceTable[T]) Get(key SourceKey) *T {
 	e := &t.look[(uint32(key.Node)+uint32(key.Process)<<4)%lookasideSlots]
 	if e.st != nil && e.key == key {
 		return e.st
@@ -97,7 +101,7 @@ func recvKey(r *Record) msgKey { return msgKey{from: int32(r.Payload), to: r.Nod
 // not assign logical timestamps — that is the CausalMerger's job.
 type Sequencer struct {
 	resume     bool
-	sources    sourceTable[seqSource]
+	sources    SourceTable[seqSource]
 	heldCount  int
 	maxHeld    int
 	sequenced  uint64
@@ -153,7 +157,7 @@ func (s *Sequencer) Resume() { s.resume = true }
 // sequence match instead of re-delivering. Call before the source's
 // records arrive; it overrides any Resume adoption for the key.
 func (s *Sequencer) SetNext(key SourceKey, seq uint64) {
-	st := s.sources.get(key)
+	st := s.sources.Get(key)
 	st.next, st.seen = seq, true
 }
 
@@ -162,7 +166,7 @@ func (s *Sequencer) SetNext(key SourceKey, seq uint64) {
 // became releasable — the record itself plus any held successors it
 // unblocks — to dst in program order.
 func (s *Sequencer) AddTo(dst []Record, rec Record, seq uint64) []Record {
-	return s.add(dst, s.sources.get(SourceKey{rec.Node, rec.Process}), &rec, seq)
+	return s.add(dst, s.sources.Get(SourceKey{rec.Node, rec.Process}), &rec, seq)
 }
 
 // AddBatch is AddTo over a whole batch whose records carry their
@@ -176,7 +180,7 @@ func (s *Sequencer) AddBatch(recs []Record, alloc func(n int) []Record) (out []R
 	inPlace = true
 	for i := range recs {
 		r := &recs[i]
-		st := s.sources.get(SourceKey{r.Node, r.Process})
+		st := s.sources.Get(SourceKey{r.Node, r.Process})
 		if inPlace {
 			if len(st.held) == 0 && s.inOrder(st, r.Logical) {
 				continue
@@ -267,7 +271,7 @@ func (s *Sequencer) add(dst []Record, st *seqSource, rec *Record, seq uint64) []
 // receive.
 type CausalMerger struct {
 	clock      uint64
-	sources    sourceTable[mergeSource]
+	sources    SourceTable[mergeSource]
 	msgs       map[msgKey]*msgState // messages with an unmatched send or a waiting receive
 	freeMsgs   []*msgState          // retired entries, reused so matching allocates nothing
 	heldCount  int
@@ -420,7 +424,7 @@ func (m *CausalMerger) Observe(rec Record) {
 // and appends every record that became dispatchable — stamped with
 // Lamport timestamps, in causal order — to dst.
 func (m *CausalMerger) AddTo(dst []Record, rec Record) []Record {
-	return m.add(dst, m.sources.get(SourceKey{rec.Node, rec.Process}), &rec)
+	return m.add(dst, m.sources.Get(SourceKey{rec.Node, rec.Process}), &rec)
 }
 
 // AddBatchTo is AddTo over recs in order, without the per-call copy of
@@ -428,7 +432,7 @@ func (m *CausalMerger) AddTo(dst []Record, rec Record) []Record {
 func (m *CausalMerger) AddBatchTo(dst []Record, recs []Record) []Record {
 	for i := range recs {
 		r := &recs[i]
-		dst = m.add(dst, m.sources.get(SourceKey{r.Node, r.Process}), r)
+		dst = m.add(dst, m.sources.Get(SourceKey{r.Node, r.Process}), r)
 	}
 	return dst
 }

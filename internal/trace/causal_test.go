@@ -842,7 +842,7 @@ func TestCausalMergerPendingBounded(t *testing.T) {
 			t.Fatalf("round %d: released %d, held %d", k, len(out), m.Held())
 		}
 	}
-	ring := &m.sources.get(SourceKey{Node: 1}).pend
+	ring := &m.sources.Get(SourceKey{Node: 1}).pend
 	if ring.n != 3 || cap(ring.buf) > 2*m.MaxHeld() {
 		t.Fatalf("pending ring holds %d in capacity %d after %d records; max held %d",
 			ring.n, cap(ring.buf), 4*rounds, m.MaxHeld())
