@@ -372,25 +372,6 @@ func (t *Tiered) unpin(segs []*tierSegment) {
 	t.mu.Unlock()
 }
 
-// collect drains a scan into one materialized slice — the convenience
-// form behind the legacy Read* methods; Scan is the streaming form.
-func (t *Tiered) collect(f ScanFilter, hint int) ([]trace.Record, error) {
-	sc := t.Scan(f, ScanOptions{})
-	defer sc.Close()
-	out := make([]trace.Record, 0, hint)
-	for {
-		b, err := sc.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, b...)
-		flow.PutBatch(b)
-	}
-}
-
 // ScanFiles streams the segments stored in the given files (each a
 // concatenation of one or more segments, as written by
 // trace.SegmentWriter or found in a Tiered directory) in argument

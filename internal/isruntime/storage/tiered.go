@@ -364,7 +364,9 @@ func (t *Tiered) publishLocked() {
 
 // compactLoop is the dedicated compaction goroutine: it waits for the
 // warm tier to age past WarmLimit, then folds rounds until the backlog
-// clears.
+// clears or a round fails. A failed round waits for the next seal's
+// kick: retrying at once would re-read every claimed file in a hot
+// loop while the fault persists.
 func (t *Tiered) compactLoop() {
 	defer close(t.done)
 	for {
@@ -386,7 +388,7 @@ func (t *Tiered) compactLoop() {
 // compactOnce folds the oldest WarmLimit warm segments into one cold
 // segment. It claims the segments under the lock, performs the
 // decode/merge/encode I/O outside it under the byte budget, then
-// commits the swap. It reports whether a round ran.
+// commits the swap. It reports whether a round ran and committed.
 func (t *Tiered) compactOnce() bool {
 	t.mu.Lock()
 	if t.eligibleLocked() < t.cfg.WarmLimit {
@@ -415,8 +417,8 @@ func (t *Tiered) compactOnce() bool {
 			t.m.compactErrors.Inc()
 		}
 		t.mu.Unlock()
-		_ = err // retained in stats; the next round retries
-		return true
+		_ = err // retained in stats; the next kick retries
+		return false
 	}
 	for _, s := range claimed {
 		data := s.data
@@ -513,29 +515,6 @@ func (t *Tiered) throttle(n int) {
 	}
 }
 
-// ReadAll returns every retained record in append order: cold, then
-// warm, then the hot window. Like every Read*, it is a collector over
-// Scan: the tier lock is held only for the snapshot, never for the
-// decode.
-func (t *Tiered) ReadAll() ([]trace.Record, error) {
-	t.mu.Lock()
-	hint := int(t.stats.RecordsStored) + len(t.hot)
-	t.mu.Unlock()
-	return t.collect(FilterAll(), hint)
-}
-
-// ReadRange returns the retained records with capture time in
-// [minT, maxT], skipping segments the footer index excludes.
-func (t *Tiered) ReadRange(minT, maxT int64) ([]trace.Record, error) {
-	return t.collect(FilterRange(minT, maxT), 0)
-}
-
-// ReadSource returns the retained records contributed by node,
-// skipping segments whose source index excludes it.
-func (t *Tiered) ReadSource(node int32) ([]trace.Record, error) {
-	return t.collect(FilterSource(node), 0)
-}
-
 // Recent returns a copy of the hot window in arrival order.
 func (t *Tiered) Recent() []trace.Record {
 	t.mu.Lock()
@@ -565,7 +544,7 @@ func (t *Tiered) Stats() TierStats {
 	return t.stats
 }
 
-// Close flushes the hot window and stops the compactor. Reads remain
+// Close flushes the hot window and stops the compactor. Scans remain
 // valid after Close; appends fail.
 func (t *Tiered) Close() error {
 	t.mu.Lock()

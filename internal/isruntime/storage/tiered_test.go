@@ -83,7 +83,7 @@ func TestTieredFlow(t *testing.T) {
 	if st.HotResident >= 64 {
 		t.Fatalf("hot window never sealed: %+v", st)
 	}
-	got, err := ts.ReadAll()
+	got, err := collect(ts.Scan(FilterAll(), ScanOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTieredFilteredReads(t *testing.T) {
 	}
 	waitCompactions(t, ts, 1)
 
-	got, err := ts.ReadRange(1000, 1990)
+	got, err := collect(ts.Scan(FilterRange(1000, 1990), ScanOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTieredFilteredReads(t *testing.T) {
 		}
 	}
 
-	bySrc, err := ts.ReadSource(2)
+	bySrc, err := collect(ts.Scan(FilterSource(2), ScanOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestTieredFilteredReads(t *testing.T) {
 			t.Fatalf("source read leaked node %d", r.Node)
 		}
 	}
-	if got, err := ts.ReadSource(99); err != nil || len(got) != 0 {
+	if got, err := collect(ts.Scan(FilterSource(99), ScanOptions{})); err != nil || len(got) != 0 {
 		t.Fatalf("absent source: %d records, %v", len(got), err)
 	}
 }
@@ -184,8 +184,8 @@ func TestTieredFiles(t *testing.T) {
 		t.Fatalf("disk holds %d warm / %d cold, stats say %d / %d", warm, cold, final.WarmSegments, final.ColdSegments)
 	}
 
-	// Reads remain valid after Close.
-	got, err := ts.ReadAll()
+	// Scans remain valid after Close.
+	got, err := collect(ts.Scan(FilterAll(), ScanOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestTieredReopenKeepsPredecessorSegments(t *testing.T) {
 			t.Fatalf("predecessor segment %s rewritten: %d bytes, was %d", name, len(got), len(want))
 		}
 	}
-	got, err := second.ReadAll()
+	got, err := collect(second.Scan(FilterAll(), ScanOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +354,52 @@ func TestTieredCompactBudget(t *testing.T) {
 	}
 }
 
+// TestTieredFailedCompactionWaitsForNextSeal: a round that fails (a
+// claimed warm file is gone) is retried by the next seal's kick, not at
+// once — an immediate retry re-reads every claimed file in a hot loop
+// for as long as the fault lasts.
+func TestTieredFailedCompactionWaitsForNextSeal(t *testing.T) {
+	dir := t.TempDir()
+	ts, err := NewTiered(TieredConfig{HotCapacity: 8, SegmentRecords: 8, WarmLimit: 4, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	if err := ts.Append(tierRecs(24, 0)...); err != nil { // 3 warm segments
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "warm-000001.seg")); err != nil {
+		t.Fatal(err)
+	}
+	waitErrors := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for ts.Stats().CompactErrors < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("compactor never failed %d rounds: %+v", n, ts.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := ts.Append(tierRecs(8, 24)...); err != nil { // the 4th seal kicks a round
+		t.Fatal(err)
+	}
+	waitErrors(1)
+	time.Sleep(50 * time.Millisecond)
+	st := ts.Stats()
+	if st.CompactErrors > 2 || st.Compactions != 0 {
+		t.Fatalf("failed rounds retried without a seal: %+v", st)
+	}
+	if err := ts.Append(tierRecs(8, 32)...); err != nil { // one more seal, one more round
+		t.Fatal(err)
+	}
+	waitErrors(st.CompactErrors + 1)
+	time.Sleep(50 * time.Millisecond)
+	if got := ts.Stats().CompactErrors; got != st.CompactErrors+1 {
+		t.Fatalf("one seal retried %d rounds, want 1", got-st.CompactErrors)
+	}
+}
+
 // TestTieredConcurrent hammers appends and reads while the compactor
 // runs — the -race tier-1 gate for the new store.
 func TestTieredConcurrent(t *testing.T) {
@@ -374,11 +420,11 @@ func TestTieredConcurrent(t *testing.T) {
 					return
 				}
 				if i%200 == 0 {
-					if _, err := ts.ReadAll(); err != nil {
+					if _, err := collect(ts.Scan(FilterAll(), ScanOptions{})); err != nil {
 						t.Error(err)
 						return
 					}
-					if _, err := ts.ReadSource(1); err != nil {
+					if _, err := collect(ts.Scan(FilterSource(1), ScanOptions{})); err != nil {
 						t.Error(err)
 						return
 					}
@@ -390,7 +436,7 @@ func TestTieredConcurrent(t *testing.T) {
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ts.ReadAll()
+	got, err := collect(ts.Scan(FilterAll(), ScanOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

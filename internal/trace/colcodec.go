@@ -1,7 +1,7 @@
 package trace
 
-// Batch-column codec: the per-column encoders and decoders shared by
-// the columnar segment format (segment.go) and the transfer protocol's
+// Batch-column codec: the one encoder and the decoders shared by the
+// columnar segment format (segment.go) and the transfer protocol's
 // columnar wire frames (internal/isruntime/tp). Both encode a record
 // run as seven concatenated columns:
 //
@@ -16,16 +16,36 @@ package trace
 // Segments wrap the columns with a footer index (per-column offsets,
 // time ranges, per-source spans) for query skipping; wire frames ship
 // them bare behind a short header, since a frame is decoded whole or
-// not at all. Keeping one implementation means a record stream costs
-// the same bytes per record on the wire as it does at rest.
+// not at all. One encoder writes both, so a record stream costs the
+// same bytes per record on the wire as it does at rest.
+//
+// The two decoders differ only in what they know about the layout. A
+// wire frame carries no column offsets, so DecodeColumns walks the
+// columns one after another. A segment's footer gives every column's
+// start, so decodeColumnsAt reads the four varint columns side by side
+// in one pass: four independent dependency chains instead of four
+// serial loops.
+//
+// Measured varint lengths in 8192-record segments of the runtime
+// benchmark's seed-1 stream (1 / 2 / 3 bytes):
+//
+//	time     2.4 % / 82.5 % / 15.0 %
+//	logical 21.7 % / 78.3 %
+//	tag     66.5 % / 28.4 % /  5.1 %
+//	payload 22.2 % / 14.4 % / 63.4 %
+//
+// So no single length dominates; the interleaved decoder resolves any
+// varint of up to four bytes without a branch on its length.
 //
 // Delta arithmetic is two's-complement wrapping in both directions, so
 // every int64/uint64 bit pattern round-trips exactly. Decoders never
-// panic on hostile input; structural failures wrap ErrBadSegment.
+// panic on hostile input; structural failures wrap ErrBadSegment and
+// name the column.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 const numColumns = 7
@@ -58,12 +78,17 @@ type ColumnCodec struct {
 // AppendColumns appends the seven-column encoding of rs to dst and
 // returns the extended slice. Decode with DecodeColumns and the same
 // record count.
-//
-// The loops are specialized per field rather than routed through the
-// closure-taking helpers segment projection uses: this is the per-batch
-// wire path, and the indirect call per record per column is what the
-// specialization removes.
 func (cc *ColumnCodec) AppendColumns(dst []byte, rs []Record) []byte {
+	var off [numColumns]int
+	return cc.appendColumns(dst, rs, &off)
+}
+
+// appendColumns is the one column encoder, behind wire frames and
+// segments alike. It records in off where each column starts in dst,
+// which a segment's footer keeps. The loops are specialized per field:
+// no indirect call per record per column.
+func (cc *ColumnCodec) appendColumns(dst []byte, rs []Record, off *[numColumns]int) []byte {
+	off[0] = len(dst)
 	var prev, prevDelta int64
 	for i := range rs {
 		v := rs[i].Time
@@ -71,6 +96,7 @@ func (cc *ColumnCodec) AppendColumns(dst []byte, rs []Record) []byte {
 		dst = appendUvarint(dst, zigzag(delta-prevDelta))
 		prev, prevDelta = v, delta
 	}
+	off[1] = len(dst)
 	prev, prevDelta = 0, 0
 	for i := range rs {
 		v := int64(rs[i].Logical)
@@ -78,6 +104,7 @@ func (cc *ColumnCodec) AppendColumns(dst []byte, rs []Record) []byte {
 		dst = appendUvarint(dst, zigzag(delta-prevDelta))
 		prev, prevDelta = v, delta
 	}
+	off[2] = len(dst)
 	for i := 0; i < len(rs); {
 		v := rs[i].Node
 		j := i + 1
@@ -88,6 +115,7 @@ func (cc *ColumnCodec) AppendColumns(dst []byte, rs []Record) []byte {
 		dst = appendUvarint(dst, zigzag(int64(v)))
 		i = j
 	}
+	off[3] = len(dst)
 	for i := 0; i < len(rs); {
 		v := rs[i].Process
 		j := i + 1
@@ -98,13 +126,16 @@ func (cc *ColumnCodec) AppendColumns(dst []byte, rs []Record) []byte {
 		dst = appendUvarint(dst, zigzag(int64(v)))
 		i = j
 	}
+	off[4] = len(dst)
 	dst, cc.kinds = appendKindsCol(dst, rs, cc.kinds)
+	off[5] = len(dst)
 	prev = 0
 	for i := range rs {
 		v := int64(rs[i].Tag)
 		dst = appendUvarint(dst, zigzag(v-prev))
 		prev = v
 	}
+	off[6] = len(dst)
 	prev = 0
 	for i := range rs {
 		v := rs[i].Payload
@@ -120,11 +151,9 @@ func (cc *ColumnCodec) AppendColumns(dst []byte, rs []Record) []byte {
 // ErrBadSegment, and out is left in an unspecified state on failure.
 // With out sized by the caller the decode performs no allocation.
 //
-// Like AppendColumns, the loops are specialized per field: the wire
-// receive path decodes every batch through here, so the closure
-// indirection the segment projections tolerate is removed, and the
-// dominant one-byte varint case is resolved without a call (uvarint
-// itself exceeds the inlining budget).
+// A wire frame carries no column offsets, so each column is decoded in
+// turn, the next one starting where the last ended. A one-byte varint
+// is resolved without a call.
 func DecodeColumns(buf []byte, out []Record) error {
 	var prev, prevDelta int64
 	for i := range out {
@@ -158,32 +187,14 @@ func DecodeColumns(buf []byte, out []Record) error {
 		out[i].Logical = uint64(v)
 		prev, prevDelta = v, delta
 	}
-	for i := 0; i < len(out); {
-		runLen, v, rest, err := rleRun(buf, colNames[2], len(out)-i)
-		if err != nil {
-			return err
-		}
-		buf = rest
-		n := int32(v)
-		for j := 0; j < runLen; j++ {
-			out[i+j].Node = n
-		}
-		i += runLen
-	}
-	for i := 0; i < len(out); {
-		runLen, v, rest, err := rleRun(buf, colNames[3], len(out)-i)
-		if err != nil {
-			return err
-		}
-		buf = rest
-		p := int32(v)
-		for j := 0; j < runLen; j++ {
-			out[i+j].Process = p
-		}
-		i += runLen
-	}
-	buf, err := decodeKindsCol(buf, out)
+	buf, err := decodeRunsCol(buf, 2, out)
 	if err != nil {
+		return err
+	}
+	if buf, err = decodeRunsCol(buf, 3, out); err != nil {
+		return err
+	}
+	if buf, err = decodeKindsCol(buf, out); err != nil {
 		return err
 	}
 	prev = 0
@@ -222,72 +233,189 @@ func DecodeColumns(buf []byte, out []Record) error {
 	return nil
 }
 
-// rleRun decodes one (runLength, value) pair, bounds-checking the run
-// against the records remaining.
-func rleRun(col []byte, name string, remaining int) (int, int64, []byte, error) {
-	runLen, rest, err := uvarint(col, name)
-	if err != nil {
-		return 0, 0, nil, err
+// decodeColumnsAt decodes exactly len(out) records from the seven
+// columns of buf, column ci spanning buf[off[ci]:off[ci+1]]. Every
+// column must be consumed exactly. The node, process and kind columns
+// go through the run loops DecodeColumns uses; the time, logical, tag
+// and payload columns are decoded together, one record at a time, with
+// a cursor per column. out is left in an unspecified state on failure.
+// The decode performs no allocation.
+func decodeColumnsAt(buf []byte, off *[numColumns + 1]int, out []Record) error {
+	for _, ci := range [...]int{2, 3, 4} {
+		col := buf[off[ci]:off[ci+1]]
+		var err error
+		if ci == 4 {
+			col, err = decodeKindsCol(col, out)
+		} else {
+			col, err = decodeRunsCol(col, ci, out)
+		}
+		if err != nil {
+			return err
+		}
+		if len(col) != 0 {
+			return trailing(len(col), ci)
+		}
 	}
-	u, rest, err := uvarint(rest, name)
-	if err != nil {
-		return 0, 0, nil, err
+
+	tc, lc := buf[off[0]:off[1]], buf[off[1]:off[2]]
+	gc, pc := buf[off[5]:off[6]], buf[off[6]:off[7]]
+	var (
+		pt, pl, pg, pp int // cursors into tc, lc, gc, pc
+		prevT, deltaT  int64
+		prevL, deltaL  int64
+		prevG, prevP   int64
+		fast           int // records left that may load 4 bytes in every column
+	)
+	for i := range out {
+		if fast == 0 {
+			// A fast record advances each cursor by at most 4 bytes, so
+			// this many records load 4 bytes without passing any
+			// column's end.
+			fast = min(len(tc)-pt, len(lc)-pl, len(gc)-pg, len(pc)-pp) >> 2
+		}
+		// A clear high bit ends a varint: each mask is non-zero when its
+		// varint ends within the 4-byte word, and all are zero when no
+		// word was loaded.
+		var mt, ml, mg, mp, wt, wl, wg, wp uint32
+		if fast > 0 {
+			wt = binary.LittleEndian.Uint32(tc[pt:])
+			wl = binary.LittleEndian.Uint32(lc[pl:])
+			wg = binary.LittleEndian.Uint32(gc[pg:])
+			wp = binary.LittleEndian.Uint32(pc[pp:])
+			mt, ml = ^wt&0x80808080, ^wl&0x80808080
+			mg, mp = ^wg&0x80808080, ^wp&0x80808080
+		}
+		var ut, ul, ug, up uint64
+		if mt != 0 && ml != 0 && mg != 0 && mp != 0 {
+			var n int
+			ut, n = varint4(wt, mt)
+			pt += n
+			ul, n = varint4(wl, ml)
+			pl += n
+			ug, n = varint4(wg, mg)
+			pg += n
+			up, n = varint4(wp, mp)
+			pp += n
+			fast--
+		} else {
+			// A varint longer than four bytes, or one near a column's
+			// end: this record takes binary.Uvarint in every column.
+			fast = 0
+			var err error
+			if ut, pt, err = uvarintAt(tc, pt, 0, i); err != nil {
+				return err
+			}
+			if ul, pl, err = uvarintAt(lc, pl, 1, i); err != nil {
+				return err
+			}
+			if ug, pg, err = uvarintAt(gc, pg, 5, i); err != nil {
+				return err
+			}
+			if up, pp, err = uvarintAt(pc, pp, 6, i); err != nil {
+				return err
+			}
+		}
+		deltaT += unzigzag(ut)
+		prevT += deltaT
+		deltaL += unzigzag(ul)
+		prevL += deltaL
+		prevG += unzigzag(ug)
+		prevP += unzigzag(up)
+		r := &out[i]
+		r.Time, r.Logical, r.Tag, r.Payload = prevT, uint64(prevL), uint16(prevG), prevP
+	}
+	switch {
+	case pt != len(tc):
+		return trailing(len(tc)-pt, 0)
+	case pl != len(lc):
+		return trailing(len(lc)-pl, 1)
+	case pg != len(gc):
+		return trailing(len(gc)-pg, 5)
+	case pp != len(pc):
+		return trailing(len(pc)-pp, 6)
+	}
+	return nil
+}
+
+// varint4 decodes the varint at the front of the little-endian word w,
+// where m = ^w & 0x80808080 is non-zero: the lowest set bit of m is the
+// high bit of the varint's last byte. It keeps the bytes up to that
+// one and gathers their 7-bit groups.
+func varint4(w, m uint32) (uint64, int) {
+	w &= m ^ (m - 1)
+	u := w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000 | w>>3&0xfe00000
+	return uint64(u), bits.TrailingZeros32(m)>>3 + 1
+}
+
+// uvarintAt reads the varint at col[p:] for record i of column ci,
+// returning it and the cursor past it.
+func uvarintAt(col []byte, p, ci, i int) (uint64, int, error) {
+	u, n := binary.Uvarint(col[p:])
+	if n <= 0 {
+		return 0, p, fmt.Errorf("%w: truncated or overlong varint in %s column at record %d", ErrBadSegment, colNames[ci], i)
+	}
+	return u, p + n, nil
+}
+
+func trailing(n, ci int) error {
+	return fmt.Errorf("%w: %d trailing bytes in %s column", ErrBadSegment, n, colNames[ci])
+}
+
+// decodeRunsCol decodes len(out) run-length encoded node (ci 2) or
+// process (ci 3) ids from the front of col, returning the remaining
+// bytes.
+func decodeRunsCol(col []byte, ci int, out []Record) ([]byte, error) {
+	for i := 0; i < len(out); {
+		runLen, v, rest, err := rleRun(col, colNames[ci], len(out)-i)
+		if err != nil {
+			return nil, err
+		}
+		col = rest
+		run := out[i : i+runLen]
+		if ci == 2 {
+			for j := range run {
+				run[j].Node = int32(v)
+			}
+		} else {
+			for j := range run {
+				run[j].Process = int32(v)
+			}
+		}
+		i += runLen
+	}
+	return col, nil
+}
+
+// rleRun decodes one (runLength, value) pair, bounds-checking the run
+// against the records remaining. A pair of one-byte varints, the
+// common case for short runs of small ids, is read without a call.
+func rleRun(col []byte, name string, remaining int) (int, int64, []byte, error) {
+	var runLen, u uint64
+	if len(col) >= 2 && col[0]|col[1] < 0x80 {
+		runLen, u, col = uint64(col[0]), uint64(col[1]), col[2:]
+	} else {
+		var err error
+		if runLen, col, err = uvarintSlow(col, name); err != nil {
+			return 0, 0, nil, err
+		}
+		if u, col, err = uvarintSlow(col, name); err != nil {
+			return 0, 0, nil, err
+		}
 	}
 	if runLen == 0 || runLen > uint64(remaining) {
 		return 0, 0, nil, fmt.Errorf("%w: %s run of %d exceeds remaining %d records", ErrBadSegment, name, runLen, remaining)
 	}
-	return int(runLen), unzigzag(u), rest, nil
+	return int(runLen), unzigzag(u), col, nil
 }
 
-// appendUvarint is binary.AppendUvarint with the dominant one-byte
-// case inlined: well-shaped columns emit mostly sub-128 deltas and run
-// lengths.
+// appendUvarint is binary.AppendUvarint with the one-byte case
+// inlined: run lengths, run values and kind indexes are mostly below
+// 128, and so are a share of every varint column (table above).
 func appendUvarint(dst []byte, u uint64) []byte {
 	if u < 0x80 {
 		return append(dst, byte(u))
 	}
 	return binary.AppendUvarint(dst, u)
-}
-
-// appendDoD encodes a column as zigzag varints of second differences:
-// near-monotone sequences (timestamps, ingest ticks) have near-zero
-// curvature and cost one byte per record.
-func appendDoD(dst []byte, rs []Record, get func(*Record) int64) []byte {
-	var prev, prevDelta int64
-	for i := range rs {
-		v := get(&rs[i])
-		delta := v - prev
-		dst = appendUvarint(dst, zigzag(delta-prevDelta))
-		prev, prevDelta = v, delta
-	}
-	return dst
-}
-
-// appendDelta encodes a column as zigzag varints of first differences.
-func appendDelta(dst []byte, rs []Record, get func(*Record) int64) []byte {
-	var prev int64
-	for i := range rs {
-		v := get(&rs[i])
-		dst = appendUvarint(dst, zigzag(v-prev))
-		prev = v
-	}
-	return dst
-}
-
-// appendRLE encodes a column as (runLength uvarint, value zigzag
-// varint) pairs — constant runs of any length cost a handful of bytes.
-func appendRLE(dst []byte, rs []Record, get func(*Record) int64) []byte {
-	for i := 0; i < len(rs); {
-		v := get(&rs[i])
-		j := i + 1
-		for j < len(rs) && get(&rs[j]) == v {
-			j++
-		}
-		dst = appendUvarint(dst, uint64(j-i))
-		dst = appendUvarint(dst, zigzag(v))
-		i = j
-	}
-	return dst
 }
 
 // appendKindsCol encodes the kind column as a first-appearance
@@ -322,17 +450,9 @@ func appendKindsCol(dst []byte, rs []Record, scratch []byte) ([]byte, []byte) {
 	return dst, scratch
 }
 
-// uvarint reads one varint from col, returning the remaining bytes.
-// The one-byte case is resolved inline for the same reason
-// appendUvarint special-cases it; uvarintSlow keeps the multi-byte and
-// error handling out of the inlining budget.
-func uvarint(col []byte, what string) (uint64, []byte, error) {
-	if len(col) > 0 && col[0] < 0x80 {
-		return uint64(col[0]), col[1:], nil
-	}
-	return uvarintSlow(col, what)
-}
-
+// uvarintSlow reads one varint from col, returning the remaining bytes.
+// Callers resolve the one-byte case inline before calling it: a
+// wrapper that did so would exceed the inlining budget.
 func uvarintSlow(col []byte, what string) (uint64, []byte, error) {
 	u, n := binary.Uvarint(col)
 	if n <= 0 {
@@ -341,71 +461,10 @@ func uvarintSlow(col []byte, what string) (uint64, []byte, error) {
 	return u, col[n:], nil
 }
 
-// decodeDoDCol decodes len(out) delta-of-delta values from the front
-// of col, returning the remaining bytes.
-func decodeDoDCol(col []byte, name string, out []Record, set func(*Record, int64)) ([]byte, error) {
-	var prev, prevDelta int64
-	for i := range out {
-		u, rest, err := uvarint(col, name)
-		if err != nil {
-			return nil, err
-		}
-		col = rest
-		delta := prevDelta + unzigzag(u)
-		v := prev + delta
-		set(&out[i], v)
-		prev, prevDelta = v, delta
-	}
-	return col, nil
-}
-
-// decodeDeltaCol decodes len(out) first-difference values from the
-// front of col, returning the remaining bytes.
-func decodeDeltaCol(col []byte, name string, out []Record, set func(*Record, int64)) ([]byte, error) {
-	var prev int64
-	for i := range out {
-		u, rest, err := uvarint(col, name)
-		if err != nil {
-			return nil, err
-		}
-		col = rest
-		v := prev + unzigzag(u)
-		set(&out[i], v)
-		prev = v
-	}
-	return col, nil
-}
-
-// decodeRLECol decodes len(out) run-length encoded values from the
-// front of col, returning the remaining bytes.
-func decodeRLECol(col []byte, name string, out []Record, set func(*Record, int64)) ([]byte, error) {
-	i := 0
-	for i < len(out) {
-		runLen, rest, err := uvarint(col, name)
-		if err != nil {
-			return nil, err
-		}
-		u, rest, err := uvarint(rest, name)
-		if err != nil {
-			return nil, err
-		}
-		col = rest
-		if runLen == 0 || runLen > uint64(len(out)-i) {
-			return nil, fmt.Errorf("%w: %s run of %d exceeds remaining %d records", ErrBadSegment, name, runLen, len(out)-i)
-		}
-		v := unzigzag(u)
-		for j := 0; j < int(runLen); j++ {
-			set(&out[i+j], v)
-		}
-		i += int(runLen)
-	}
-	return col, nil
-}
-
 // decodeKindsCol decodes len(out) dictionary-coded kinds from the
 // front of col, returning the remaining bytes.
 func decodeKindsCol(col []byte, out []Record) ([]byte, error) {
-	dictLen, col, err := uvarint(col, "kind")
+	dictLen, col, err := uvarintSlow(col, "kind")
 	if err != nil {
 		return nil, err
 	}
@@ -416,15 +475,19 @@ func decodeKindsCol(col []byte, out []Record) ([]byte, error) {
 	col = col[dictLen:]
 	i := 0
 	for i < len(out) {
-		runLen, rest, err := uvarint(col, "kind")
-		if err != nil {
+		// A run is a length varint and a one-byte index; a one-byte
+		// length is read without a call.
+		var runLen uint64
+		if len(col) > 0 && col[0] < 0x80 {
+			runLen, col = uint64(col[0]), col[1:]
+		} else if runLen, col, err = uvarintSlow(col, "kind"); err != nil {
 			return nil, err
 		}
-		if len(rest) == 0 {
+		if len(col) == 0 {
 			return nil, fmt.Errorf("%w: kind run missing dictionary index", ErrBadSegment)
 		}
-		idx := rest[0]
-		col = rest[1:]
+		idx := col[0]
+		col = col[1:]
 		if runLen == 0 || runLen > uint64(len(out)-i) {
 			return nil, fmt.Errorf("%w: kind run of %d exceeds remaining %d records", ErrBadSegment, runLen, len(out)-i)
 		}

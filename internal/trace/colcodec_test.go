@@ -1,0 +1,263 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// extremesBatch builds records from int64/uint64/int32 extremes, so
+// deltas wrap and most varints run to 9–10 bytes (5 for run values).
+func extremesBatch(rng *rand.Rand, n int) []Record {
+	i64 := [...]int64{math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1}
+	i32 := [...]int32{math.MinInt32, math.MaxInt32, 0, -1}
+	rs := make([]Record, n)
+	for i := range rs {
+		rs[i] = Record{
+			Node:    i32[rng.Intn(len(i32))],
+			Process: i32[rng.Intn(len(i32))],
+			Kind:    Kind(rng.Intn(256)),
+			Tag:     uint16(rng.Intn(2)) * math.MaxUint16,
+			Time:    i64[rng.Intn(len(i64))],
+			Logical: uint64(i64[rng.Intn(len(i64))]),
+			Payload: i64[rng.Intn(len(i64))],
+		}
+	}
+	return rs
+}
+
+// decodeBoth decodes in through a segment and through its wire column
+// bytes, failing unless both return it exactly and the segment's
+// column region is the wire body byte for byte.
+func decodeBoth(t *testing.T, what string, in []Record) {
+	t.Helper()
+	buf := AppendSegment(nil, in)
+	var seg Segment
+	if _, err := seg.Parse(buf); err != nil {
+		t.Fatalf("%s: parse: %v", what, err)
+	}
+	got, err := seg.AppendRecords(nil)
+	if err != nil {
+		t.Fatalf("%s: segment decode: %v", what, err)
+	}
+	recordsEqual(t, what+" segment", got, in)
+
+	var cc ColumnCodec
+	cols := cc.AppendColumns(nil, in)
+	if !bytes.Equal(buf[seg.colOff[0]:seg.colOff[numColumns]], cols) {
+		t.Fatalf("%s: segment columns differ from the wire body", what)
+	}
+	wire := make([]Record, len(in))
+	if err := DecodeColumns(cols, wire); err != nil {
+		t.Fatalf("%s: wire decode: %v", what, err)
+	}
+	recordsEqual(t, what+" wire", wire, in)
+}
+
+func recordsEqual(t *testing.T, what string, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d\n got  %+v\n want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestColumnDecodersAgree runs the interleaved segment decoder and the
+// sequential wire decoder over the same seeded batches, and pins the
+// one-codec invariant on each (a segment's column region is the wire
+// body of the same records): one-byte columns, the measured length
+// mix, 9–10-byte varints from wrapping extremes, the property test's
+// random shapes, and short batches whose varints all sit within the
+// final 3 bytes of their columns (the per-record fallback).
+func TestColumnDecodersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for iter := 0; iter < 20; iter++ {
+		n := 1 + rng.Intn(3000)
+		decodeBoth(t, "one-byte", mixBatch(rng, n, oneByteMix))
+		decodeBoth(t, "measured-mix", mixBatch(rng, n, measuredMix))
+		decodeBoth(t, "extremes", extremesBatch(rng, n))
+		decodeBoth(t, "random", randomBatch(rng, n))
+	}
+	for n := 0; n <= 8; n++ {
+		for iter := 0; iter < 20; iter++ {
+			decodeBoth(t, "short", mixBatch(rng, n, measuredMix))
+		}
+	}
+}
+
+// TestMixBatchLengths checks the benchmark generator reproduces the
+// measured varint-length shares it claims to, within one and a half
+// points (about four standard errors at 8192 draws).
+func TestMixBatchLengths(t *testing.T) {
+	in := mixBatch(rand.New(rand.NewSource(1)), decodeBenchRecords, measuredMix)
+	var off [numColumns]int
+	var cc ColumnCodec
+	buf := cc.appendColumns(nil, in, &off)
+	end := append(off[1:], len(buf))
+	for k, ci := range [...]int{0, 1, 5, 6} {
+		var counts [3]int
+		for _, v := range splitVarints(buf[off[ci]:end[ci]]) {
+			counts[len(v)-1]++
+		}
+		for l, want := range measuredMix[k] {
+			if got := 100 * float64(counts[l]) / float64(len(in)); math.Abs(got-want) > 1.5 {
+				t.Errorf("%s column: %.1f %% of varints are %d bytes, want %.1f %%", colNames[ci], got, l+1, want)
+			}
+		}
+	}
+}
+
+// splitVarints cuts a varint column after every byte with a clear high
+// bit; a trailing partial varint is the last piece.
+func splitVarints(col []byte) [][]byte {
+	var out [][]byte
+	for start, i := 0, 0; i < len(col); i++ {
+		if col[i] < 0x80 || i == len(col)-1 {
+			out = append(out, col[start:i+1])
+			start = i + 1
+		}
+	}
+	return out
+}
+
+// resum recomputes a segment's checksum after a test edits it.
+func resum(seg []byte) {
+	n := len(seg)
+	binary.LittleEndian.PutUint32(seg[n-12:], crc32.Checksum(seg[segHeaderSize:n-12], segCRC))
+}
+
+// withColumn returns a copy of the segment in buf with column ci
+// replaced by col, the footer offsets, length and checksum patched so
+// Parse accepts it.
+func withColumn(t *testing.T, buf []byte, ci int, col []byte) []byte {
+	t.Helper()
+	var seg Segment
+	if _, err := seg.Parse(buf); err != nil {
+		t.Fatal(err)
+	}
+	off := seg.colOff
+	delta := len(col) - (off[ci+1] - off[ci])
+	out := append([]byte(nil), buf[:off[ci]]...)
+	out = append(out, col...)
+	out = append(out, buf[off[ci+1]:]...)
+	foot := out[off[numColumns]+delta:]
+	for j := ci + 1; j <= numColumns; j++ {
+		binary.LittleEndian.PutUint32(foot[4*j:], uint32(off[j]+delta))
+	}
+	binary.LittleEndian.PutUint32(out[8:], uint32(len(out)))
+	resum(out)
+	return out
+}
+
+// expectBadSegment parses buf and decodes it behind a three-record
+// prefix: the decode must fail with ErrBadSegment naming one of names
+// and hand the prefix back untouched.
+func expectBadSegment(t *testing.T, what string, buf []byte, names ...string) {
+	t.Helper()
+	var seg Segment
+	if _, err := seg.Parse(buf); err != nil {
+		t.Fatalf("%s: parse: %v", what, err)
+	}
+	prefix := []Record{{Node: 1}, {Node: 2}, {Node: 3}}
+	dst := append(make([]Record, 0, 3+seg.Count()), prefix...)
+	got, err := seg.AppendRecords(dst)
+	if !errors.Is(err, ErrBadSegment) {
+		t.Fatalf("%s: decode error %v, want ErrBadSegment", what, err)
+	}
+	named := false
+	for _, name := range names {
+		named = named || strings.Contains(err.Error(), name)
+	}
+	if !named {
+		t.Fatalf("%s: error %q names none of %q", what, err, names)
+	}
+	recordsEqual(t, what+" prefix", got, prefix)
+}
+
+// TestSegmentDecodeHostileVarints breaks one varint of each interleaved
+// column, at the first, a middle and the last record: an overlong
+// 11-byte varint, or a truncated one (the last record's terminator
+// dropped, an earlier one's continuation bit set so it swallows the
+// next).
+func TestSegmentDecodeHostileVarints(t *testing.T) {
+	const n = 64
+	in := mixBatch(rand.New(rand.NewSource(3)), n, measuredMix)
+	buf := AppendSegment(nil, in)
+	var seg Segment
+	if _, err := seg.Parse(buf); err != nil {
+		t.Fatal(err)
+	}
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
+	for _, ci := range [...]int{0, 1, 5, 6} {
+		varints := splitVarints(buf[seg.colOff[ci]:seg.colOff[ci+1]])
+		for _, r := range [...]int{0, n / 2, n - 1} {
+			for _, mode := range [...]string{"overlong", "truncated"} {
+				bad := append([]byte(nil), varints[r]...)
+				switch {
+				case mode == "overlong":
+					bad = overlong
+				case r == n-1:
+					bad = bad[:len(bad)-1]
+				default:
+					bad[len(bad)-1] |= 0x80
+				}
+				var col []byte
+				for i, v := range varints {
+					if i == r {
+						v = bad
+					}
+					col = append(col, v...)
+				}
+				what := colNames[ci] + " " + mode
+				expectBadSegment(t, what, withColumn(t, buf, ci, col), colNames[ci])
+			}
+		}
+	}
+}
+
+// TestSegmentDecodeShiftedOffsets moves each inner column boundary in
+// the footer by one byte either way and re-seals the checksum: the
+// columns on both sides still parse, and the decode must reject the
+// segment by naming one of them.
+func TestSegmentDecodeShiftedOffsets(t *testing.T) {
+	in := mixBatch(rand.New(rand.NewSource(4)), 64, measuredMix)
+	buf := AppendSegment(nil, in)
+	var seg Segment
+	if _, err := seg.Parse(buf); err != nil {
+		t.Fatal(err)
+	}
+	foot := seg.colOff[numColumns]
+	for ci := 1; ci < numColumns; ci++ {
+		for _, d := range [...]int{-1, 1} {
+			b := append([]byte(nil), buf...)
+			binary.LittleEndian.PutUint32(b[foot+4*ci:], uint32(seg.colOff[ci]+d))
+			resum(b)
+			expectBadSegment(t, colNames[ci]+" boundary shifted", b, colNames[ci-1], colNames[ci])
+		}
+	}
+}
+
+// TestSegmentDecodeTrailingBytes gives each column one byte more than
+// its records use, leaving every other column intact: only the
+// exact-consumption check can catch it.
+func TestSegmentDecodeTrailingBytes(t *testing.T) {
+	in := mixBatch(rand.New(rand.NewSource(5)), 64, measuredMix)
+	buf := AppendSegment(nil, in)
+	var seg Segment
+	if _, err := seg.Parse(buf); err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < numColumns; ci++ {
+		col := append(buf[seg.colOff[ci]:seg.colOff[ci+1]:seg.colOff[ci+1]], 0)
+		expectBadSegment(t, colNames[ci]+" trailing", withColumn(t, buf, ci, col), colNames[ci])
+	}
+}

@@ -28,7 +28,8 @@ package trace
 // itself — columns and footer index alike.
 //
 // Timestamps and ingest ticks are near-monotone, so their second
-// differences are near zero and encode in one byte; node and process
+// differences are small and encode in one to three bytes (measured
+// shares in colcodec.go); node and process
 // ids arrive in long constant runs (a spill run is a sequence of
 // per-source batches); kinds draw from a tiny alphabet. The flat codec
 // spends a fixed RecordSize = 36 bytes per record; a segment of the
@@ -111,11 +112,11 @@ type SourceRange struct {
 
 // segScratch holds the per-encoder reusable state so steady-state
 // segment encoding performs no allocation beyond output growth. The
-// column encoders themselves live in colcodec.go, shared with the wire
+// column encoder itself lives in colcodec.go, shared with the wire
 // frame codec.
 type segScratch struct {
 	sources []SourceRange
-	kinds   []byte
+	cc      ColumnCodec
 }
 
 // AppendSegment appends the columnar segment encoding of rs to dst and
@@ -135,37 +136,14 @@ func appendSegment(dst []byte, rs []Record, sc *segScratch) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rs)))
 
-	var colOff [numColumns + 1]uint32
-	col := func(i int) { colOff[i] = uint32(len(dst) - base) }
-
-	// Column 0: capture time, delta-of-delta.
-	col(0)
-	dst = appendDoD(dst, rs, func(r *Record) int64 { return r.Time })
-	// Column 1: logical/ingest ticks, delta-of-delta over the uint64
-	// bits.
-	col(1)
-	dst = appendDoD(dst, rs, func(r *Record) int64 { return int64(r.Logical) })
-	// Column 2: node ids, run-length encoded.
-	col(2)
-	dst = appendRLE(dst, rs, func(r *Record) int64 { return int64(r.Node) })
-	// Column 3: process ids, run-length encoded.
-	col(3)
-	dst = appendRLE(dst, rs, func(r *Record) int64 { return int64(r.Process) })
-	// Column 4: kinds, dictionary + run-length indexes.
-	col(4)
-	dst, sc.kinds = appendKindsCol(dst, rs, sc.kinds)
-	// Column 5: tags, delta.
-	col(5)
-	dst = appendDelta(dst, rs, func(r *Record) int64 { return int64(r.Tag) })
-	// Column 6: payloads, delta.
-	col(6)
-	dst = appendDelta(dst, rs, func(r *Record) int64 { return r.Payload })
-	col(7)
+	// Columns: the wire frame body, byte for byte.
+	var colOff [numColumns]int
+	dst = sc.cc.appendColumns(dst, rs, &colOff)
 	colEnd := uint32(len(dst) - base)
 
 	// Footer.
-	for i := 0; i < numColumns; i++ {
-		dst = binary.LittleEndian.AppendUint32(dst, colOff[i])
+	for _, off := range colOff {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(off-base))
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, colEnd)
 	minT, maxT := timeRange(rs)
@@ -377,36 +355,15 @@ func (s *Segment) HasSource(node int32) bool {
 	return ok
 }
 
-// column returns column i's encoded bytes.
-func (s *Segment) column(i int) []byte { return s.buf[s.colOff[i]:s.colOff[i+1]] }
-
 // AppendRecords decodes every record in the segment, appending to dst.
+// The footer's column offsets let the four varint columns decode in
+// one pass (decodeColumnsAt); every column must be consumed exactly.
 // On error dst is returned at its original length. With sufficient
 // capacity in dst the decode performs no allocation.
 func (s *Segment) AppendRecords(dst []Record) ([]Record, error) {
 	base := len(dst)
 	dst = slices.Grow(dst, s.count)[:base+s.count]
-	out := dst[base:]
-
-	if err := s.decodeDoD(0, out, func(r *Record, v int64) { r.Time = v }); err != nil {
-		return dst[:base], err
-	}
-	if err := s.decodeDoD(1, out, func(r *Record, v int64) { r.Logical = uint64(v) }); err != nil {
-		return dst[:base], err
-	}
-	if err := s.decodeRLE(2, out, func(r *Record, v int64) { r.Node = int32(v) }); err != nil {
-		return dst[:base], err
-	}
-	if err := s.decodeRLE(3, out, func(r *Record, v int64) { r.Process = int32(v) }); err != nil {
-		return dst[:base], err
-	}
-	if err := s.decodeKinds(out); err != nil {
-		return dst[:base], err
-	}
-	if err := s.decodeDelta(5, out, func(r *Record, v int64) { r.Tag = uint16(v) }); err != nil {
-		return dst[:base], err
-	}
-	if err := s.decodeDelta(6, out, func(r *Record, v int64) { r.Payload = v }); err != nil {
+	if err := decodeColumnsAt(s.buf, &s.colOff, dst[base:]); err != nil {
 		return dst[:base], err
 	}
 	return dst, nil
@@ -449,39 +406,6 @@ func (s *Segment) AppendSource(dst []Record, node int32) ([]Record, error) {
 		}
 	}
 	return dst, nil
-}
-
-// consumed enforces a segment column's exact-length contract: the
-// shared stream decoders (colcodec.go) return the bytes they did not
-// consume, and a footer-framed column must be consumed exactly.
-func consumed(rest []byte, name string, err error) error {
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in %s column", ErrBadSegment, len(rest), name)
-	}
-	return nil
-}
-
-func (s *Segment) decodeDoD(ci int, out []Record, set func(*Record, int64)) error {
-	rest, err := decodeDoDCol(s.column(ci), colNames[ci], out, set)
-	return consumed(rest, colNames[ci], err)
-}
-
-func (s *Segment) decodeDelta(ci int, out []Record, set func(*Record, int64)) error {
-	rest, err := decodeDeltaCol(s.column(ci), colNames[ci], out, set)
-	return consumed(rest, colNames[ci], err)
-}
-
-func (s *Segment) decodeRLE(ci int, out []Record, set func(*Record, int64)) error {
-	rest, err := decodeRLECol(s.column(ci), colNames[ci], out, set)
-	return consumed(rest, colNames[ci], err)
-}
-
-func (s *Segment) decodeKinds(out []Record) error {
-	rest, err := decodeKindsCol(s.column(4), out)
-	return consumed(rest, colNames[4], err)
 }
 
 // SegmentWriter encodes record runs as consecutive segments on an

@@ -7,9 +7,11 @@ import (
 
 // FuzzSegmentDecode drives the columnar decoder with arbitrary bytes:
 // whatever the input, Parse and the decode paths must return an error
-// or a valid batch — never panic, never run away. A re-encode of
-// whatever decoded must round-trip, pinning encoder/decoder agreement
-// on fuzz-discovered shapes.
+// or a valid batch — never panic, never run away. Whatever the
+// interleaved segment decoder accepts, the sequential wire decoder
+// must decode to the same records from the same column bytes; and a
+// re-encode must round-trip, pinning encoder/decoder agreement on
+// fuzz-discovered shapes.
 func FuzzSegmentDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1337))
 	empty := AppendSegment(nil, nil)
@@ -25,6 +27,13 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(big[:len(big)/2])
 	f.Add([]byte{})
 	f.Add([]byte("PSEG"))
+	// The interleaved decoder's fallback: 5- to 10-byte varints, and
+	// columns shorter than one 4-byte load.
+	f.Add(AppendSegment(nil, extremesBatch(rng, 40)))
+	f.Add(AppendSegment(nil, mixBatch(rng, 200, measuredMix)))
+	for n := 1; n <= 3; n++ {
+		f.Add(AppendSegment(nil, mixBatch(rng, n, measuredMix)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var seg Segment
@@ -46,6 +55,15 @@ func FuzzSegmentDecode(f *testing.F) {
 			}
 			if len(out) != seg.Count() {
 				t.Fatalf("decoded %d records, footer says %d", len(out), seg.Count())
+			}
+			wire := make([]Record, len(out))
+			if err := DecodeColumns(seg.buf[seg.colOff[0]:seg.colOff[numColumns]], wire); err != nil {
+				t.Fatalf("wire decoder rejects columns the segment decoder took: %v", err)
+			}
+			for i := range out {
+				if wire[i] != out[i] {
+					t.Fatalf("record %d: segment decoder %+v, wire decoder %+v", i, out[i], wire[i])
+				}
 			}
 			if _, err := seg.AppendRange(nil, seg.MinTime(), seg.MaxTime()); err != nil {
 				t.Fatalf("range decode failed after full decode: %v", err)
