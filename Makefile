@@ -11,9 +11,9 @@ SWEEPBENCH ?= PipelineThroughput|ISMPipeline|TieredScan|ReplayFirehose|RelayFanI
 # sync with `go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)`.
 STATICCHECK_VERSION ?= 2025.1
 SHA := $(shell git rev-parse --short HEAD)
-# benchdiff inputs: baseline file, candidate file, and the ns/op
-# regression percentage that fails the diff.
-BASELINE ?= $(firstword $(sort $(wildcard BENCH_*.json)))
+# benchdiff inputs: baseline file (no default: name the document to
+# compare against), candidate file, and the ns/op regression percentage
+# that fails the diff.
 CANDIDATE ?= BENCH_$(SHA).json
 THRESHOLD ?= 5
 
@@ -50,9 +50,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench records a committed baseline: -count runs of every benchmark,
-# aggregated into BENCH_<sha>.json (ns/op min/mean/max, allocs/op, and
-# the GOMAXPROCS/NumCPU context that makes speedups interpretable).
+# bench records a baseline: -count runs of every benchmark, aggregated
+# into BENCH_<sha>.json (ns/op min/mean/max, allocs/op, and the
+# GOMAXPROCS/NumCPU context that makes speedups interpretable). The
+# file is a local artifact for `make benchdiff`, not committed.
 # Narrow with e.g. `make bench BENCH=FactorialVista BENCHCOUNT=3`.
 bench:
 	$(GO) test -run XXX -timeout 0 -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) ./... | tee bench.out
@@ -82,10 +83,12 @@ fuzzsmoke:
 	$(GO) test -run=NONE -fuzz='FuzzSegmentDecode' -fuzztime=10s ./internal/trace
 	$(GO) test -run=NONE -fuzz='FuzzColumnarFrameDecode' -fuzztime=10s ./internal/isruntime/tp
 
-# benchdiff compares two committed baselines and fails on ns/op
-# regressions past THRESHOLD percent:
+# benchdiff compares two benchmark documents recorded on the same host
+# shape (benchjson refuses a num_cpu or GOMAXPROCS mismatch) and fails
+# on ns/op regressions past THRESHOLD percent:
 #   make benchdiff BASELINE=BENCH_old.json CANDIDATE=BENCH_new.json
 benchdiff:
+	@test -n "$(BASELINE)" || { echo "usage: make benchdiff BASELINE=<old.json> [CANDIDATE=BENCH_$(SHA).json] [THRESHOLD=5]" >&2; exit 2; }
 	$(GO) run ./cmd/benchjson -compare -threshold $(THRESHOLD) $(BASELINE) $(CANDIDATE)
 
 # benchpairs is the evidence behind a performance claim: PAIRS

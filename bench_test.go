@@ -17,7 +17,6 @@ import (
 	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/ism"
 	"prism/internal/isruntime/lis"
-	"prism/internal/isruntime/storage"
 	"prism/internal/isruntime/tp"
 	"prism/internal/paradyn"
 	"prism/internal/picl"
@@ -236,15 +235,6 @@ func BenchmarkTraceMerge(b *testing.B) {
 	}
 }
 
-func BenchmarkOrderer(b *testing.B) {
-	b.ReportAllocs()
-	o := trace.NewOrderer()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Add(trace.Record{Node: 0, Kind: trace.KindUser}, uint64(i))
-	}
-}
-
 func BenchmarkTPWireRoundTrip(b *testing.B) {
 	msg := tp.DataMessage(0, make([]trace.Record, 32))
 	var buf writableBuffer
@@ -307,22 +297,6 @@ func BenchmarkVistaAnalytic(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkStorageSpill(b *testing.B) {
-	h, err := storage.New(storage.Spill, 1024, io.Discard)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := trace.Record{Kind: trace.KindUser}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Append(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(trace.RecordSize)
 }
 
 func BenchmarkAnalyzeTrace(b *testing.B) {

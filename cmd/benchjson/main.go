@@ -18,7 +18,8 @@
 // more than the threshold percentage. Deltas compare min ns/op to min
 // ns/op: the minimum over -count runs is the least noise-contaminated
 // estimate of a benchmark's true cost, so a min-vs-min regression is a
-// code change, not scheduler jitter.
+// code change, not scheduler jitter. Two documents recorded at a
+// different num_cpu or GOMAXPROCS are refused with exit status 2.
 package main
 
 import (
@@ -204,6 +205,10 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		return 2
 	}
+	if err := sameHost(oldDoc, newDoc); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		return 2
+	}
 
 	c := compareDocs(oldDoc, newDoc, threshold)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -242,6 +247,17 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 	fmt.Printf("\nno ns/op regression past %.1f%% (%s → %s)\n",
 		threshold, oldDoc.GitSHA, newDoc.GitSHA)
 	return 0
+}
+
+// sameHost refuses a comparison between documents recorded at a
+// different CPU count or GOMAXPROCS: there a ns/op delta measures the
+// host, not the code.
+func sameHost(oldDoc, newDoc document) error {
+	if oldDoc.NumCPU != newDoc.NumCPU || oldDoc.GOMAXPROCS != newDoc.GOMAXPROCS {
+		return fmt.Errorf("refusing to compare across hosts: num_cpu %d vs %d, gomaxprocs %d vs %d",
+			oldDoc.NumCPU, newDoc.NumCPU, oldDoc.GOMAXPROCS, newDoc.GOMAXPROCS)
+	}
+	return nil
 }
 
 // fmtRate renders a benchmark's records/s metric for the compare

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func bench(name string, procs int, nsMin float64) entry {
 	return entry{Name: name, Procs: procs, NsPerOpMin: nsMin}
@@ -65,6 +71,35 @@ func TestCompareDocsEmptyOld(t *testing.T) {
 	c := compareDocs(document{}, newDoc, 5)
 	if len(c.added) != 1 || len(c.rows) != 0 || len(c.regressed) != 0 {
 		t.Fatalf("added=%d rows=%d regressed=%v", len(c.added), len(c.rows), c.regressed)
+	}
+}
+
+func TestRunCompareRefusesAcrossHosts(t *testing.T) {
+	// ns/op recorded on a 1-CPU host against a 2-CPU one measures the
+	// host: compare must refuse with exit 2 and name both values.
+	dir := t.TempDir()
+	write := func(name string, numCPU, procs int) string {
+		data, err := json.Marshal(document{NumCPU: numCPU, GOMAXPROCS: procs,
+			Benchmarks: []entry{bench("BenchmarkA", procs, 100)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	one, two := write("one.json", 1, 1), write("two.json", 2, 2)
+	if code := runCompare(one, two, 5); code != 2 {
+		t.Fatalf("compare across num_cpu exited %d, want 2", code)
+	}
+	if code := runCompare(one, write("one-again.json", 1, 1), 5); code != 0 {
+		t.Fatalf("compare on one host exited %d, want 0", code)
+	}
+	err := sameHost(document{NumCPU: 1, GOMAXPROCS: 1}, document{NumCPU: 2, GOMAXPROCS: 4})
+	if err == nil || !strings.Contains(err.Error(), "num_cpu 1 vs 2") || !strings.Contains(err.Error(), "gomaxprocs 1 vs 4") {
+		t.Fatalf("refusal %v does not name both values", err)
 	}
 }
 

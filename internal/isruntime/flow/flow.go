@@ -40,7 +40,7 @@ const (
 	// DropNewest rejects the arriving element.
 	DropNewest
 	// SpillToStorage displaces the oldest queued element into a spill
-	// target (e.g. an isruntime/storage.Hierarchy) and admits the new
+	// target (e.g. an isruntime/storage.Tiered) and admits the new
 	// one. Without a spill target it degrades to DropOldest.
 	SpillToStorage
 	numPolicies
@@ -63,7 +63,7 @@ func (p OverflowPolicy) String() string {
 func (p OverflowPolicy) Valid() bool { return p >= 0 && p < numPolicies }
 
 // Spill is the next storage level a SpillToStorage stage demotes
-// displaced records to. isruntime/storage.Hierarchy implements it.
+// displaced records to. isruntime/storage.Tiered implements it.
 type Spill interface {
 	Append(rs ...trace.Record) error
 }

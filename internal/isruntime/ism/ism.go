@@ -91,7 +91,7 @@ type Config struct {
 	// the displaced records to OverflowSpill.
 	Overflow flow.OverflowPolicy
 	// OverflowSpill receives records displaced under SpillToStorage
-	// (e.g. an isruntime/storage.Hierarchy).
+	// (e.g. an isruntime/storage.Tiered).
 	OverflowSpill flow.Spill
 	// Metrics, when non-nil, is the registry the ISM reports through
 	// (under the "ism" scope). Nil gets a private registry.

@@ -121,13 +121,14 @@ func TestAsyncFlushPolicies(t *testing.T) {
 	})
 
 	t.Run("spill-to-storage", func(t *testing.T) {
-		hier, err := storage.New(storage.Ring, 1024, nil)
+		store, err := storage.NewTiered(storage.TieredConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer store.Close()
 		conn := &blockableConn{gate: make(chan struct{})}
 		b, err := NewBuffered(0, capacity, conn,
-			WithAsyncFlush(pending, flow.SpillToStorage, hier))
+			WithAsyncFlush(pending, flow.SpillToStorage, store))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,8 +142,8 @@ func TestAsyncFlushPolicies(t *testing.T) {
 		if st.Spilled == 0 {
 			t.Fatalf("nothing spilled: %+v", st)
 		}
-		if got := hier.Stats().Appended; got != st.Spilled {
-			t.Fatalf("hierarchy holds %d, LIS spilled %d", got, st.Spilled)
+		if got := store.Stats().Appended; got != st.Spilled {
+			t.Fatalf("store holds %d, LIS spilled %d", got, st.Spilled)
 		}
 		if st.Forwarded+st.Dropped+st.Spilled != st.Captured {
 			t.Fatalf("records unaccounted: %+v", st)
@@ -235,15 +236,16 @@ func TestDaemonOverflowPolicies(t *testing.T) {
 	}
 }
 
-// TestDaemonSpillToStorage wires a daemon pipe to a storage hierarchy:
+// TestDaemonSpillToStorage wires a daemon pipe to a tiered store:
 // displaced records are demoted, not lost.
 func TestDaemonSpillToStorage(t *testing.T) {
-	hier, err := storage.New(storage.Ring, 1024, nil)
+	store, err := storage.NewTiered(storage.TieredConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	conn := &blockableConn{gate: make(chan struct{})}
-	d, err := NewDaemon(0, conn, 2, 2, WithOverflow(flow.SpillToStorage, hier))
+	d, err := NewDaemon(0, conn, 2, 2, WithOverflow(flow.SpillToStorage, store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +260,8 @@ func TestDaemonSpillToStorage(t *testing.T) {
 	if st.Spilled == 0 {
 		t.Fatalf("nothing spilled: %+v", st)
 	}
-	if got := hier.Stats().Appended; got != st.Spilled {
-		t.Fatalf("hierarchy holds %d, daemon spilled %d", got, st.Spilled)
+	if got := store.Stats().Appended; got != st.Spilled {
+		t.Fatalf("store holds %d, daemon spilled %d", got, st.Spilled)
 	}
 	if st.Forwarded+st.Spilled+st.Dropped != n {
 		t.Fatalf("records unaccounted: %+v", st)

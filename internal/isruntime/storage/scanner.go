@@ -373,11 +373,12 @@ func (t *Tiered) unpin(segs []*tierSegment) {
 }
 
 // ScanFiles streams the segments stored in the given files (each a
-// concatenation of one or more segments, as written by
-// trace.SegmentWriter or found in a Tiered directory) in argument
-// order. Framing reads only the 16-byte header per segment; decode is
-// deferred to the scan workers, so pushdown skips unmatching segments
-// without reading their columns.
+// concatenation of one or more trace.AppendSegment encodings, such as
+// a Tiered directory's files) in argument order. Framing reads only the
+// 16-byte header per segment; decode is deferred to the scan workers,
+// so pushdown skips unmatching segments without reading their columns.
+// A torn tail — stray bytes too short for a header, or a segment that
+// runs past the end of its file — fails with trace.ErrBadSegment.
 func ScanFiles(paths []string, f ScanFilter, opts ScanOptions) (*Scanner, error) {
 	var refs []segRef
 	var hdr [trace.SegmentHeaderSize]byte
@@ -394,6 +395,11 @@ func ScanFiles(paths []string, f ScanFilter, opts ScanOptions) (*Scanner, error)
 		size := st.Size()
 		var off int64
 		for off < size {
+			if size-off < trace.SegmentHeaderSize {
+				fd.Close()
+				return nil, fmt.Errorf("storage: scan %s at %d: %w: %d stray bytes, too few for a segment header",
+					path, off, trace.ErrBadSegment, size-off)
+			}
 			if _, err := fd.ReadAt(hdr[:], off); err != nil {
 				fd.Close()
 				return nil, fmt.Errorf("storage: scan %s at %d: %w", path, off, err)
@@ -405,7 +411,8 @@ func ScanFiles(paths []string, f ScanFilter, opts ScanOptions) (*Scanner, error)
 			}
 			if off+int64(segLen) > size {
 				fd.Close()
-				return nil, fmt.Errorf("storage: scan %s at %d: segment of %d bytes runs past end of file", path, off, segLen)
+				return nil, fmt.Errorf("storage: scan %s at %d: %w: segment of %d bytes runs past end of file",
+					path, off, trace.ErrBadSegment, segLen)
 			}
 			refs = append(refs, segRef{path: path, off: off, size: segLen, count: count})
 			off += int64(segLen)

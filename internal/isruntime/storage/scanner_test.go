@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -101,8 +102,8 @@ func TestScannerMatchesReads(t *testing.T) {
 	}
 }
 
-// TestScanFilesAndDir checks the standalone-file plane: a
-// SegmentWriter stream scanned as one file, and a tier directory
+// TestScanFilesAndDir checks the standalone-file plane: a stream of
+// concatenated segments scanned as one file, and a tier directory
 // scanned cold-then-warm without a live store.
 func TestScanFilesAndDir(t *testing.T) {
 	dir := t.TempDir()
@@ -110,17 +111,11 @@ func TestScanFilesAndDir(t *testing.T) {
 
 	// One file holding several concatenated segments.
 	path := filepath.Join(dir, "stream.seg")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := trace.NewSegmentWriter(f)
+	var stream []byte
 	for i := 0; i < len(all); i += 150 {
-		if _, err := sw.WriteSegment(all[i : i+150]); err != nil {
-			t.Fatal(err)
-		}
+		stream = trace.AppendSegment(stream, all[i:i+150])
 	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, stream, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sc, err := ScanFiles([]string{path}, FilterAll(), ScanOptions{Parallel: 2})
@@ -169,6 +164,40 @@ func TestScanFilesAndDir(t *testing.T) {
 	}
 	if _, err := ScanDir(t.TempDir(), FilterAll(), ScanOptions{}); err == nil {
 		t.Fatal("ScanDir over an empty directory should fail")
+	}
+}
+
+// TestScanFilesTornTail checks that framing a file with a torn tail
+// fails with trace.ErrBadSegment — never with a bare io.EOF a caller
+// could take for a clean end of file — and that a header claiming more
+// than trace.MaxSegmentBytes is refused before anything is read for it.
+func TestScanFilesTornTail(t *testing.T) {
+	whole := trace.AppendSegment(nil, tierRecs(100, 0))
+	two := trace.AppendSegment(append([]byte(nil), whole...), tierRecs(100, 100))
+	oversize := append([]byte(nil), whole...)
+	binary.LittleEndian.PutUint32(oversize[8:], trace.MaxSegmentBytes+1)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"body cut short", two[:len(two)-7]},
+		{"stray bytes", append(append([]byte(nil), whole...), 1, 2, 3, 4, 5)},
+		{"oversize claim", oversize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "torn.seg")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sc, err := ScanFiles([]string{path}, FilterAll(), ScanOptions{})
+			if err == nil {
+				sc.Close()
+				t.Fatal("torn file framed cleanly")
+			}
+			if !errors.Is(err, trace.ErrBadSegment) || errors.Is(err, io.EOF) {
+				t.Fatalf("ScanFiles = %v, want trace.ErrBadSegment", err)
+			}
+		})
 	}
 }
 

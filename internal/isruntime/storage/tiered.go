@@ -1,3 +1,8 @@
+// Package storage implements the trace-data storage hierarchy of the
+// paper's Figure 4: local LIS buffers feed a "main instrumentation
+// data buffer" in host memory, which "in turn, may be flushed to the
+// next level of the storage hierarchy, for example, a disk. The
+// storage capacity is assumed to increase with each level."
 package storage
 
 // Tiered retention: the paper treats spill capacity as a first-class
@@ -513,13 +518,6 @@ func (t *Tiered) throttle(n int) {
 	case <-time.After(d):
 	case <-t.stop:
 	}
-}
-
-// Recent returns a copy of the hot window in arrival order.
-func (t *Tiered) Recent() []trace.Record {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]trace.Record(nil), t.hot...)
 }
 
 // Flush seals the entire hot window into a final (possibly short) warm

@@ -25,9 +25,6 @@ import (
 //     assigns Lamport logical timestamps. It is inherently global and
 //     runs single-threaded at the merge point. Its input must be
 //     program-ordered per source; it never reorders within a source.
-//
-// Orderer composes the two for callers that want the original
-// single-stage behavior.
 
 // SourceKey identifies an event source (node, process).
 type SourceKey struct {
@@ -502,67 +499,6 @@ func (m *CausalMerger) release(dst []Record, rec *Record) []Record {
 		// add pushes onto a ring, never a release, so the popped slot
 		// stays valid throughout the offer.
 		dst = m.offer(dst, w.src, w.src.pend.pop())
-	}
-	return dst
-}
-
-// Orderer reconstructs causal order from out-of-order event arrivals
-// and assigns Lamport logical timestamps. It is the single-stage
-// composition of a Sequencer and a CausalMerger.
-//
-// Causality model:
-//   - events from the same source are ordered by their capture
-//     sequence numbers (program order);
-//   - a KindRecv event additionally happens-after the matching
-//     KindSend (matched by Tag: send and recv carry the same message
-//     tag, with Payload holding the peer node).
-//
-// An event is dispatchable when its program-order predecessor has been
-// dispatched and, for receives, the matching send has been dispatched.
-type Orderer struct {
-	seq    *Sequencer
-	merge  *CausalMerger
-	seqBuf []Record // reused program-order staging buffer
-}
-
-// NewOrderer returns an empty Orderer whose Lamport clock starts at 1.
-func NewOrderer() *Orderer {
-	return &Orderer{seq: NewSequencer(), merge: NewCausalMerger()}
-}
-
-// Held returns the number of events currently held back out of order —
-// the instantaneous input-buffer length of §3.3's "average buffer
-// length" metric — across both stages.
-func (o *Orderer) Held() int { return o.seq.Held() + o.merge.Held() }
-
-// MaxHeld returns an upper bound on the maximum number of
-// simultaneously held events (the per-stage maxima can peak at
-// different times).
-func (o *Orderer) MaxHeld() int { return o.seq.MaxHeld() + o.merge.MaxHeld() }
-
-// Dispatched returns the total number of events released in causal
-// order.
-func (o *Orderer) Dispatched() uint64 { return o.merge.Dispatched() }
-
-// Resume makes the orderer adopt an unseen source's first capture
-// sequence as that source's starting point; see Sequencer.Resume.
-func (o *Orderer) Resume() { o.seq.Resume() }
-
-// Add offers an event with its per-source capture sequence number
-// (0-based, contiguous per source). It returns the events that became
-// dispatchable, in causal order, each stamped with a Lamport logical
-// timestamp.
-func (o *Orderer) Add(rec Record, seq uint64) []Record {
-	return o.AddTo(nil, rec, seq)
-}
-
-// AddTo is Add appending into a caller-provided buffer, so a processor
-// offering a whole batch can reuse one dispatch slice across records
-// instead of allocating per Add.
-func (o *Orderer) AddTo(dst []Record, rec Record, seq uint64) []Record {
-	o.seqBuf = o.seq.AddTo(o.seqBuf[:0], rec, seq)
-	for _, r := range o.seqBuf {
-		dst = o.merge.AddTo(dst, r)
 	}
 	return dst
 }

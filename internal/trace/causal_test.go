@@ -7,8 +7,37 @@ import (
 	"prism/internal/rng"
 )
 
+// orderer chains a Sequencer into a CausalMerger one record at a time
+// — the two stages the ISM runs per shard and at the merge point — so
+// the Orderer tests check their composition.
+type orderer struct {
+	seq    *Sequencer
+	merge  *CausalMerger
+	seqBuf []Record
+}
+
+func newOrderer() *orderer {
+	return &orderer{seq: NewSequencer(), merge: NewCausalMerger()}
+}
+
+// Add offers rec with its per-source capture sequence and returns the
+// records that became dispatchable, Lamport-stamped, in causal order.
+func (o *orderer) Add(rec Record, seq uint64) []Record {
+	o.seqBuf = o.seq.AddTo(o.seqBuf[:0], rec, seq)
+	var out []Record
+	for _, r := range o.seqBuf {
+		out = o.merge.AddTo(out, r)
+	}
+	return out
+}
+
+func (o *orderer) Held() int          { return o.seq.Held() + o.merge.Held() }
+func (o *orderer) MaxHeld() int       { return o.seq.MaxHeld() + o.merge.MaxHeld() }
+func (o *orderer) Dispatched() uint64 { return o.merge.Dispatched() }
+func (o *orderer) Resume()            { o.seq.Resume() }
+
 func TestOrdererInOrderPassThrough(t *testing.T) {
-	o := NewOrderer()
+	o := newOrderer()
 	var all []Record
 	for i := 0; i < 5; i++ {
 		out := o.Add(Record{Node: 0, Kind: KindUser, Time: int64(i)}, uint64(i))
@@ -31,7 +60,7 @@ func TestOrdererInOrderPassThrough(t *testing.T) {
 }
 
 func TestOrdererReordersProgramOrder(t *testing.T) {
-	o := NewOrderer()
+	o := newOrderer()
 	// Arrivals out of order: seq 2, 0, 1.
 	if out := o.Add(Record{Node: 0, Kind: KindUser, Tag: 2}, 2); len(out) != 0 {
 		t.Fatalf("seq 2 dispatched early: %v", out)
@@ -53,7 +82,7 @@ func TestOrdererReordersProgramOrder(t *testing.T) {
 }
 
 func TestOrdererRecvWaitsForSend(t *testing.T) {
-	o := NewOrderer()
+	o := newOrderer()
 	// Recv on node 1 arrives before the matching send from node 0.
 	recv := Record{Node: 1, Kind: KindRecv, Tag: 42, Payload: 0}
 	if out := o.Add(recv, 0); len(out) != 0 {
@@ -79,7 +108,7 @@ func TestOrdererRecvWaitsForSend(t *testing.T) {
 }
 
 func TestOrdererDuplicateDropped(t *testing.T) {
-	o := NewOrderer()
+	o := newOrderer()
 	o.Add(Record{Node: 0, Kind: KindUser}, 0)
 	if out := o.Add(Record{Node: 0, Kind: KindUser}, 0); len(out) != 0 {
 		t.Fatalf("duplicate dispatched: %v", out)
@@ -90,7 +119,7 @@ func TestOrdererDuplicateDropped(t *testing.T) {
 }
 
 func TestOrdererMultipleSources(t *testing.T) {
-	o := NewOrderer()
+	o := newOrderer()
 	var all []Record
 	all = append(all, o.Add(Record{Node: 0, Kind: KindUser}, 0)...)
 	all = append(all, o.Add(Record{Node: 1, Kind: KindUser}, 0)...)
@@ -104,7 +133,7 @@ func TestOrdererMultipleSources(t *testing.T) {
 }
 
 func TestOrdererChainAcrossSources(t *testing.T) {
-	o := NewOrderer()
+	o := newOrderer()
 	// Node 1: recv(seq 0) then user(seq 1); both held until node 0's send.
 	if out := o.Add(Record{Node: 1, Kind: KindRecv, Tag: 5, Payload: 0}, 0); len(out) != 0 {
 		t.Fatal("early dispatch")
@@ -156,7 +185,7 @@ func TestOrdererRandomizedDeliveries(t *testing.T) {
 		}
 		// Shuffle delivery order.
 		st.Shuffle(len(items), func(a, b int) { items[a], items[b] = items[b], items[a] })
-		o := NewOrderer()
+		o := newOrderer()
 		var out []Record
 		for _, it := range items {
 			out = append(out, o.Add(it.rec, it.seq)...)
@@ -190,7 +219,7 @@ func TestCheckCausalDetectsViolations(t *testing.T) {
 }
 
 func TestOrdererResumeAdoptsMidStreamSource(t *testing.T) {
-	o := NewOrderer()
+	o := newOrderer()
 	o.Resume()
 	// A restarted manager first sees this source at capture seq 40 —
 	// the prefix died with the previous incarnation. Resume mode
@@ -216,7 +245,7 @@ func TestOrdererResumeAdoptsMidStreamSource(t *testing.T) {
 		t.Fatalf("fresh source blocked: %v", out)
 	}
 	// Without Resume, the same mid-stream arrival is held.
-	plain := NewOrderer()
+	plain := newOrderer()
 	if out := plain.Add(Record{Node: 3, Kind: KindUser, Tag: 40}, 40); len(out) != 0 {
 		t.Fatalf("plain orderer adopted mid-stream: %v", out)
 	}

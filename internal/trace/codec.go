@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Binary trace format. Each file starts with a magic/version header;
@@ -231,89 +229,4 @@ func (tr *Reader) ReadAllHint(n int) ([]Record, error) {
 		}
 		out = append(out, r)
 	}
-}
-
-// MarshalText renders records in the line-oriented text form, one
-// record per line, suitable for diffing and for ParaGraph-style
-// off-line consumers.
-func MarshalText(w io.Writer, rs []Record) error {
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 64)
-	for _, r := range rs {
-		buf = r.AppendText(buf[:0])
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// UnmarshalText parses the line-oriented text form.
-func UnmarshalText(r io.Reader) ([]Record, error) {
-	var out []Record
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		rec, err := ParseRecord(text)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
-}
-
-// ParseRecord parses a single text-form record line.
-func ParseRecord(s string) (Record, error) {
-	f := strings.Fields(s)
-	if len(f) != 7 {
-		return Record{}, fmt.Errorf("want 7 fields, got %d", len(f))
-	}
-	var r Record
-	node, err := strconv.ParseInt(f[0], 10, 32)
-	if err != nil {
-		return r, err
-	}
-	proc, err := strconv.ParseInt(f[1], 10, 32)
-	if err != nil {
-		return r, err
-	}
-	kind, ok := kindFromName(f[2])
-	if !ok {
-		return r, fmt.Errorf("unknown kind %q", f[2])
-	}
-	tag, err := strconv.ParseUint(f[3], 10, 16)
-	if err != nil {
-		return r, err
-	}
-	tm, err := strconv.ParseInt(f[4], 10, 64)
-	if err != nil {
-		return r, err
-	}
-	logical, err := strconv.ParseUint(f[5], 10, 64)
-	if err != nil {
-		return r, err
-	}
-	payload, err := strconv.ParseInt(f[6], 10, 64)
-	if err != nil {
-		return r, err
-	}
-	r = Record{Node: int32(node), Process: int32(proc), Kind: kind,
-		Tag: uint16(tag), Time: tm, Logical: logical, Payload: payload}
-	return r, nil
-}
-
-func kindFromName(name string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == name {
-			return Kind(k), true
-		}
-	}
-	return 0, false
 }

@@ -187,63 +187,6 @@ func TestInvalidKindRejected(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	rs := sampleRecords()
-	var buf bytes.Buffer
-	if err := MarshalText(&buf, rs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rs) {
-		t.Fatalf("got %d records", len(got))
-	}
-	for i := range rs {
-		if got[i] != rs[i] {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, got[i], rs[i])
-		}
-	}
-}
-
-func TestTextCommentsAndBlanks(t *testing.T) {
-	in := "# a comment\n\n0 0 user 1 5 0 0\n   \n"
-	got, err := UnmarshalText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Kind != KindUser || got[0].Time != 5 {
-		t.Fatalf("parsed %v", got)
-	}
-}
-
-func TestParseRecordErrors(t *testing.T) {
-	bad := []string{
-		"1 2 3",
-		"x 0 user 1 5 0 0",
-		"0 x user 1 5 0 0",
-		"0 0 bogus 1 5 0 0",
-		"0 0 user x 5 0 0",
-		"0 0 user 1 x 0 0",
-		"0 0 user 1 5 x 0",
-		"0 0 user 1 5 0 x",
-	}
-	for _, s := range bad {
-		if _, err := ParseRecord(s); err == nil {
-			t.Fatalf("%q accepted", s)
-		}
-	}
-}
-
-func TestUnmarshalTextLineNumberInError(t *testing.T) {
-	in := "0 0 user 1 5 0 0\nbroken line\n"
-	_, err := UnmarshalText(strings.NewReader(in))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestEncodeDecodeRecordDirect(t *testing.T) {
 	r := Record{Node: -1, Process: -2, Kind: KindRecv, Tag: 65535,
 		Time: -9999, Logical: 1 << 60, Payload: -1}

@@ -66,13 +66,13 @@ type Record struct {
 }
 
 // String renders the record in the stable single-line text form used
-// by trace dumps and the text codec.
+// by trace dumps.
 func (r Record) String() string { return string(r.AppendText(nil)) }
 
 // AppendText appends the record's single-line text form (no trailing
-// newline) to dst and returns the extended slice. MarshalText renders
-// through one reused buffer this way instead of allocating a string
-// per record.
+// newline) to dst and returns the extended slice, so a dump of many
+// records can render through one reused buffer instead of allocating a
+// string per record.
 func (r Record) AppendText(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, int64(r.Node), 10)
 	dst = append(dst, ' ')

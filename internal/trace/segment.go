@@ -45,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"slices"
 )
@@ -63,8 +62,9 @@ const (
 	// segMinSize is the smallest well-formed segment (empty, no
 	// sources).
 	segMinSize = segHeaderSize + segFooterBase
-	// MaxSegmentBytes bounds a single segment's encoded size. The
-	// stream reader refuses larger length claims before allocating.
+	// MaxSegmentBytes bounds a single segment's encoded size.
+	// ParseSegmentHeader refuses larger length claims, so a file framer
+	// never sizes a read by one.
 	MaxSegmentBytes = 1 << 30
 )
 
@@ -110,25 +110,11 @@ type SourceRange struct {
 	MaxTime int64
 }
 
-// segScratch holds the per-encoder reusable state so steady-state
-// segment encoding performs no allocation beyond output growth. The
-// column encoder itself lives in colcodec.go, shared with the wire
-// frame codec.
-type segScratch struct {
-	sources []SourceRange
-	cc      ColumnCodec
-}
-
 // AppendSegment appends the columnar segment encoding of rs to dst and
 // returns the extended slice. The records are stored in the given
-// order and decode byte-identically. Encoding scratch is allocated per
-// call; hot paths should hold a SegmentWriter, which reuses it.
+// order and decode byte-identically. The column encoder lives in
+// colcodec.go, shared with the wire frame codec.
 func AppendSegment(dst []byte, rs []Record) []byte {
-	var sc segScratch
-	return appendSegment(dst, rs, &sc)
-}
-
-func appendSegment(dst []byte, rs []Record, sc *segScratch) []byte {
 	base := len(dst)
 	// Header; segLen is patched once the total is known.
 	dst = binary.LittleEndian.AppendUint32(dst, segMagic)
@@ -137,8 +123,9 @@ func appendSegment(dst []byte, rs []Record, sc *segScratch) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rs)))
 
 	// Columns: the wire frame body, byte for byte.
+	var cc ColumnCodec
 	var colOff [numColumns]int
-	dst = sc.cc.appendColumns(dst, rs, &colOff)
+	dst = cc.appendColumns(dst, rs, &colOff)
 	colEnd := uint32(len(dst) - base)
 
 	// Footer.
@@ -149,9 +136,9 @@ func appendSegment(dst []byte, rs []Record, sc *segScratch) []byte {
 	minT, maxT := timeRange(rs)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(minT))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(maxT))
-	sc.sources = collectSources(sc.sources[:0], rs)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(sc.sources)))
-	for _, s := range sc.sources {
+	sources := collectSources(rs)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(sources)))
+	for _, s := range sources {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Node))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Count))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(s.MinTime))
@@ -162,7 +149,7 @@ func appendSegment(dst []byte, rs []Record, sc *segScratch) []byte {
 	// byte must fail loudly, not silently misdirect range queries.
 	crc := crc32.Checksum(dst[base+segHeaderSize:], segCRC)
 	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	footerLen := uint32(segFooterBase + segSourceSize*len(sc.sources))
+	footerLen := uint32(segFooterBase + segSourceSize*len(sources))
 	dst = binary.LittleEndian.AppendUint32(dst, footerLen)
 	dst = binary.LittleEndian.AppendUint32(dst, segFootMagic)
 
@@ -187,9 +174,10 @@ func timeRange(rs []Record) (int64, int64) {
 	return minT, maxT
 }
 
-// collectSources accumulates per-node counts and time spans into dst
-// (reused backing storage), returned sorted by node.
-func collectSources(dst []SourceRange, rs []Record) []SourceRange {
+// collectSources returns per-node counts and time spans over rs, sorted
+// by node.
+func collectSources(rs []Record) []SourceRange {
+	var dst []SourceRange
 	for i := range rs {
 		r := &rs[i]
 		found := false
@@ -406,108 +394,4 @@ func (s *Segment) AppendSource(dst []Record, node int32) ([]Record, error) {
 		}
 	}
 	return dst, nil
-}
-
-// SegmentWriter encodes record runs as consecutive segments on an
-// io.Writer. Each WriteSegment is a single Write of one self-framed
-// segment, so a segment file is an append-only concatenation — and a
-// torn tail is detected by the next reader, not silently decoded.
-// Encode scratch is reused across calls.
-type SegmentWriter struct {
-	w        io.Writer
-	buf      []byte
-	sc       segScratch
-	wrote    int64
-	segments int
-}
-
-// NewSegmentWriter creates a segment writer on w.
-func NewSegmentWriter(w io.Writer) *SegmentWriter {
-	return &SegmentWriter{w: w}
-}
-
-// WriteSegment encodes rs as one segment and writes it, returning the
-// encoded size.
-func (sw *SegmentWriter) WriteSegment(rs []Record) (int, error) {
-	sw.buf = appendSegment(sw.buf[:0], rs, &sw.sc)
-	n, err := sw.w.Write(sw.buf)
-	sw.wrote += int64(n)
-	if err != nil {
-		return n, err
-	}
-	if n != len(sw.buf) {
-		return n, io.ErrShortWrite
-	}
-	sw.segments++
-	return n, nil
-}
-
-// Offset returns the total bytes written — the next segment's start
-// offset.
-func (sw *SegmentWriter) Offset() int64 { return sw.wrote }
-
-// Segments returns the number of segments written.
-func (sw *SegmentWriter) Segments() int { return sw.segments }
-
-// SegmentReader is the bulk decoder over a stream of segments: it
-// frames segments out of an io.Reader, exposes each one's footer index
-// for skipping, and reconstructs records into caller-owned batches
-// with no steady-state allocation (the segment buffer and index
-// scratch are reused across segments).
-type SegmentReader struct {
-	r   io.Reader
-	seg Segment
-	buf []byte
-}
-
-// NewSegmentReader creates a segment reader on r.
-func NewSegmentReader(r io.Reader) *SegmentReader {
-	return &SegmentReader{r: r}
-}
-
-// Next frames and parses the next segment, returning its index view.
-// The returned Segment is reused by the following Next call. It
-// returns io.EOF cleanly at end of stream.
-func (sr *SegmentReader) Next() (*Segment, error) {
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrBadSegment, err)
-	}
-	_, segLen, err := ParseSegmentHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	if cap(sr.buf) < segLen {
-		sr.buf = make([]byte, segLen)
-	}
-	buf := sr.buf[:segLen]
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(sr.r, buf[segHeaderSize:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated segment body: %v", ErrBadSegment, err)
-	}
-	if _, err := sr.seg.Parse(buf); err != nil {
-		return nil, err
-	}
-	return &sr.seg, nil
-}
-
-// ReadAll decodes every record from every remaining segment.
-func (sr *SegmentReader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		seg, err := sr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out, err = seg.AppendRecords(out)
-		if err != nil {
-			return out, err
-		}
-	}
 }

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -204,45 +202,6 @@ func TestSegmentCorruption(t *testing.T) {
 	}
 }
 
-func TestSegmentWriterReaderStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var disk bytes.Buffer
-	sw := NewSegmentWriter(&disk)
-	var want []Record
-	for i := 0; i < 5; i++ {
-		rs := randomBatch(rng, 100+i)
-		want = append(want, rs...)
-		n, err := sw.WriteSegment(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n < segMinSize {
-			t.Fatalf("segment %d impossibly small: %d bytes", i, n)
-		}
-	}
-	if sw.Segments() != 5 || sw.Offset() != int64(disk.Len()) {
-		t.Fatalf("writer accounting: %d segments, offset %d of %d bytes", sw.Segments(), sw.Offset(), disk.Len())
-	}
-	got, err := NewSegmentReader(bytes.NewReader(disk.Bytes())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("stream read %d of %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("stream record %d corrupted", i)
-		}
-	}
-	// A torn tail (partial final segment) errors instead of decoding.
-	torn := disk.Bytes()[:disk.Len()-7]
-	_, err = NewSegmentReader(bytes.NewReader(torn)).ReadAll()
-	if !errors.Is(err, ErrBadSegment) {
-		t.Fatalf("torn tail: %v", err)
-	}
-}
-
 // TestSegmentScanAllocs pins the bulk decoder's steady state at zero
 // allocations per segment scan.
 func TestSegmentScanAllocs(t *testing.T) {
@@ -306,27 +265,3 @@ func TestSegmentCompressionRatio(t *testing.T) {
 		t.Fatalf("compression ratio %.2fx below the 4x bar (%d bytes for %d records)", ratio, len(buf), len(rs))
 	}
 }
-
-func TestSegmentReaderRejectsOversizeClaim(t *testing.T) {
-	buf := AppendSegment(nil, []Record{{Kind: KindUser}})
-	// Claim a segment length beyond MaxSegmentBytes: the stream reader
-	// must reject the claim before allocating for it.
-	huge := make([]byte, len(buf))
-	copy(huge, buf)
-	huge[8], huge[9], huge[10], huge[11] = 0xff, 0xff, 0xff, 0x7f
-	_, err := NewSegmentReader(bytes.NewReader(huge)).ReadAll()
-	if !errors.Is(err, ErrBadSegment) {
-		t.Fatalf("oversize claim: %v", err)
-	}
-}
-
-func TestSegmentWriterShortWrite(t *testing.T) {
-	sw := NewSegmentWriter(shortWriter{})
-	if _, err := sw.WriteSegment([]Record{{Kind: KindUser}}); err != io.ErrShortWrite {
-		t.Fatalf("short write: %v", err)
-	}
-}
-
-type shortWriter struct{}
-
-func (shortWriter) Write(p []byte) (int, error) { return len(p) - 1, nil }

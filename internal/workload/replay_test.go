@@ -215,9 +215,8 @@ func TestLoadCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := trace.NewSegmentWriter(f)
 	for i := 0; i < len(recs); i += 100 {
-		if _, err := sw.WriteSegment(recs[i : i+100]); err != nil {
+		if _, err := f.Write(trace.AppendSegment(nil, recs[i:i+100])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,8 +269,7 @@ func TestLoadCaptureMixedTierDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw := trace.NewSegmentWriter(f)
-		if _, err := sw.WriteSegment(rs); err != nil {
+		if _, err := f.Write(trace.AppendSegment(nil, rs)); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
