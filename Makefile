@@ -78,10 +78,11 @@ benchmod:
 # fuzzsmoke gives the decoder fuzz targets a short budget: enough to
 # catch a decode regression on the corpus plus fresh mutations, cheap
 # enough to sit inside the tier-1 gate. Both ends of the columnar
-# codec's life are covered: segment files and wire frames.
+# codec's life are covered: segment files and the wire's frame stream
+# (control, flat and columnar frames back to back).
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz='FuzzSegmentDecode' -fuzztime=10s ./internal/trace
-	$(GO) test -run=NONE -fuzz='FuzzColumnarFrameDecode' -fuzztime=10s ./internal/isruntime/tp
+	$(GO) test -run=NONE -fuzz='FuzzReadMessage' -fuzztime=10s ./internal/isruntime/tp
 
 # benchdiff compares two benchmark documents recorded on the same host
 # shape (benchjson refuses a num_cpu or GOMAXPROCS mismatch) and fails

@@ -274,8 +274,8 @@ func fmtRate(e entry) string {
 
 // fmtWire renders a benchmark's wire-B/rec metric — the achieved wire
 // cost per record the transport benchmarks report. Tracking it in the
-// compare table keeps the framing efficiency (columnar vs flat) under
-// the same regression review as timing.
+// compare table keeps the wire framing's efficiency under the same
+// regression review as timing.
 func fmtWire(e entry) string {
 	if v, ok := e.Metrics["wire-B/rec"]; ok {
 		return fmt.Sprintf("%.2f", v)

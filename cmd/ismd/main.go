@@ -16,7 +16,7 @@
 //	     [-overflow drop-oldest|block|drop-newest|spill] [-publish 0]
 //	     [-resilient] [-degraded-after 5s] [-shards 1] [-merge-ring 0]
 //	     [-spill-dir d] [-spill-hot 16384] [-spill-segment 8192]
-//	     [-spill-warm 8] [-compact-budget 0] [-wire columnar|flat]
+//	     [-spill-warm 8] [-compact-budget 0]
 //	ismd -relay -downstreams N [-max-stall 0] [-lane-ring 0]
 //	     [-resume-spool trace.bin] [-spool trace.bin] [-addr ...]
 //	ismd -uplink relayaddr [-uplink-node 1] [-uplink-batch 512]
@@ -47,13 +47,9 @@
 // -compact-budget bounds the compactor's I/O rate so compaction cannot
 // starve the ingest path's disk bandwidth.
 //
-// -wire selects the data-batch framing on every listener and uplink
-// connection. The default, columnar, negotiates per peer: connections
-// advertise the capability and batches travel as column-encoded frames
-// (the segment codec on the wire, several times smaller than flat
-// record arrays) only when both ends support it, so mixed-version
-// deployments interoperate. -wire flat disables the advertisement and
-// forces the fixed-width record framing everywhere.
+// Data batches on every listener and uplink connection travel as
+// column-encoded frames: the segment codec on the wire, several times
+// smaller than flat record arrays.
 //
 // With -resilient the manager runs the session protocol in front of
 // the input stage: sequenced batches from resilient LIS nodes (see
@@ -193,7 +189,7 @@ func printWireStats(snap metrics.Snapshot) {
 
 // runRelay is the -relay mode: a root relay manager merging downstream
 // manager sessions into the single causally ordered root trace.
-func runRelay(addr, spool, resumeSpool string, downstreams, laneRing int, maxStall, statsEvery, degradedAfter time.Duration, wire tp.WireMode) {
+func runRelay(addr, spool, resumeSpool string, downstreams, laneRing int, maxStall, statsEvery, degradedAfter time.Duration) {
 	reg := metrics.NewRegistry()
 	// A restarted relay re-reads its previous spool: emission counts,
 	// causal-merge state and per-source dedup cursors are rebuilt from
@@ -244,7 +240,7 @@ func runRelay(addr, spool, resumeSpool string, downstreams, laneRing int, maxSta
 		spoolFile = f
 	}
 	rel := relay.New(cfg)
-	ln, err := tp.Listen(addr, tp.WithConnMetrics(reg), tp.WithWireMode(wire))
+	ln, err := tp.Listen(addr, tp.WithConnMetrics(reg))
 	if err != nil {
 		log.Fatalf("ismd: %v", err)
 	}
@@ -333,13 +329,8 @@ func main() {
 	uplinkBatch := flag.Int("uplink-batch", 512, "with -uplink, records per uplink flush")
 	uplinkWindow := flag.Int("uplink-window", 0, "with -uplink, session replay window in unacked batches (0 means the session default)")
 	markInterval := flag.Duration("mark-interval", time.Second, "with -uplink, watermark beacon cadence")
-	wire := flag.String("wire", "columnar", "wire framing for data batches: columnar (negotiated, falls back per peer) or flat")
 	flag.Parse()
 
-	wireMode, err := tp.ParseWireMode(*wire)
-	if err != nil {
-		log.Fatalf("ismd: %v", err)
-	}
 	if err := validateModeFlags(flag.CommandLine, *relayMode, *uplink); err != nil {
 		log.Fatalf("ismd: %v", err)
 	}
@@ -348,7 +339,7 @@ func main() {
 		if *downstreams < 0 || *downstreams > maxDownstreams {
 			log.Fatalf("ismd: -downstreams must be between 0 and %d, got %d", maxDownstreams, *downstreams)
 		}
-		runRelay(*addr, *spool, *resumeSpool, *downstreams, *laneRing, *maxStall, *statsEvery, *degradedAfter, wireMode)
+		runRelay(*addr, *spool, *resumeSpool, *downstreams, *laneRing, *maxStall, *statsEvery, *degradedAfter)
 		return
 	}
 
@@ -430,7 +421,7 @@ func main() {
 	if *uplink != "" {
 		relayAddr := *uplink
 		rd, err := tp.NewRedial(tp.RedialConfig{
-			Dial:    func() (tp.Conn, error) { return tp.Dial(relayAddr, tp.WithConnMetrics(reg), tp.WithWireMode(wireMode)) },
+			Dial:    func() (tp.Conn, error) { return tp.Dial(relayAddr, tp.WithConnMetrics(reg)) },
 			Backoff: 50 * time.Millisecond,
 			Metrics: reg,
 		})
@@ -452,11 +443,11 @@ func main() {
 			AckEvery: 1, Clock: clock, Metrics: reg,
 		})
 	}
-	ln, err := tp.Listen(*addr, tp.WithConnMetrics(reg), tp.WithWireMode(wireMode))
+	ln, err := tp.Listen(*addr, tp.WithConnMetrics(reg))
 	if err != nil {
 		log.Fatalf("ismd: %v", err)
 	}
-	log.Printf("ismd: %s ISM listening on %s (wire=%s)", cfg.Buffering, ln.Addr(), *wire)
+	log.Printf("ismd: %s ISM listening on %s", cfg.Buffering, ln.Addr())
 	// The effective topology, post-defaulting and ring rounding — the
 	// same figures the metrics snapshot reports as ism.shards and
 	// ism.merge_ring_capacity.

@@ -9,7 +9,7 @@
 //	        [-policy buffered|forwarding|daemon] [-buffer 64]
 //	        [-duration 10s] [-seed 1] [-dial-timeout 5s] [-io-timeout 0]
 //	        [-resilient] [-redial-backoff 50ms] [-redial-giveup 30s]
-//	        [-window 256] [-heartbeat 1s] [-wire columnar|flat]
+//	        [-window 256] [-heartbeat 1s]
 //	        [-replay <spool|segfile|segdir>] [-speed 1]
 //
 // With -replay the synthetic workload is skipped entirely: the named
@@ -69,19 +69,14 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", time.Second, "with -resilient, liveness beacon interval (0 disables)")
 	replayPath := flag.String("replay", "", "replay a captured trace (flat spool file, segment file, or tier segment directory) instead of running the synthetic workload")
 	speed := flag.Float64("speed", 1, "with -replay, timing scale: 1 = original pacing, 2 = twice as fast, 0 = max-speed firehose")
-	wire := flag.String("wire", "columnar", "wire framing for data batches: columnar (negotiated, falls back per peer) or flat")
 	flag.Parse()
 
-	wireMode, err := tp.ParseWireMode(*wire)
-	if err != nil {
-		log.Fatalf("lisnode: %v", err)
-	}
 	if err := validateSpeed(*speed); err != nil {
 		log.Fatalf("lisnode: %v", err)
 	}
 
 	reg := metrics.NewRegistry()
-	connOpts := []tp.ConnOption{tp.WithConnMetrics(reg), tp.WithWireMode(wireMode)}
+	connOpts := []tp.ConnOption{tp.WithConnMetrics(reg)}
 	if *ioTimeout > 0 {
 		connOpts = append(connOpts,
 			tp.WithReadTimeout(*ioTimeout), tp.WithWriteTimeout(*ioTimeout))
@@ -151,6 +146,7 @@ func main() {
 	}
 
 	var server lis.LIS
+	var err error
 	switch *policy {
 	case "buffered":
 		server, err = lis.NewBuffered(int32(*node), *buffer, conn, lis.WithMetrics(reg))

@@ -264,12 +264,12 @@ func TestChaosSoakTCPExactlyOnce(t *testing.T) {
 	srv.check(t, nodes, batches, recs)
 }
 
-// TestChaosReplayToFlatPeer: batches sent while the link spoke columnar
-// sit in the replay window as encoded frames only. The peer reads them,
+// TestChaosReplayToFlatPeer: batches sent over a TCP link sit in the
+// replay window as encoded frames only. The peer reads them,
 // acknowledges none and dies; its successor is reached over a transport
-// that carries a message as it is handed over and negotiates nothing (an
-// in-process pipe). The reconnect replay must give it records, not a
-// frame it cannot read — exactly once, like any other replay.
+// that carries a message as it is handed over (an in-process pipe). The
+// reconnect replay must give it records, not a frame it cannot read —
+// exactly once, like any other replay.
 func TestChaosReplayToFlatPeer(t *testing.T) {
 	const batches, recs = 40, 8
 	srv := newSoakServer()
@@ -326,13 +326,6 @@ func TestChaosReplayToFlatPeer(t *testing.T) {
 			}
 		}
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for !tp.ColumnarActive(rd) {
-		if time.Now().After(deadline) {
-			t.Fatal("columnar never negotiated")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	for b := 0; b < batches; b++ {
 		rs := make([]trace.Record, recs)
 		for i := range rs {
@@ -344,6 +337,7 @@ func TestChaosReplayToFlatPeer(t *testing.T) {
 		}
 	}
 	<-firstDone
+	deadline := time.Now().Add(10 * time.Second)
 	for sess.Pending() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d batches never acked by the flat peer", sess.Pending())
@@ -419,21 +413,14 @@ func TestChaosSoakDropPolicyCountedLoss(t *testing.T) {
 	<-recvDone
 }
 
-// staleColumnar is a link as Session.replay can catch it mid-move: it
-// answered the columnar check while its columnar peer was still there,
-// and by the time of the Send it is connected to a flat one.
-type staleColumnar struct{ tp.Conn }
-
-func (staleColumnar) ColumnarActive() bool { return true }
-
-// TestChaosResendAcrossNegotiateDown: the session finds columnar active
-// and hands its transport a stored frame without records; the transport,
-// reconnected to a flat TCP peer in between, must re-frame the batch with
-// its session sequence, or the receiver takes every Resend for new data.
-func TestChaosResendAcrossNegotiateDown(t *testing.T) {
+// TestChaosResendEncodedWindow: a session over a TCP link keeps its
+// window as encoded frames and hands the transport a stored frame on
+// every Resend; each retransmit must carry its session sequence, or the
+// receiver takes every Resend for new data.
+func TestChaosResendEncodedWindow(t *testing.T) {
 	const batches, recs, resends = 12, 8, 3
 	srv := &soakServer{recv: NewReceiver(ReceiverConfig{AckEvery: 1 << 20}), seen: make(map[int64]int)}
-	ln, err := tp.Listen("127.0.0.1:0", tp.WithWireMode(tp.WireFlat))
+	ln, err := tp.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +436,7 @@ func TestChaosResendAcrossNegotiateDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(0, staleColumnar{conn}, SessionConfig{Window: batches})
+	sess := NewSession(0, conn, SessionConfig{Window: batches})
 	for b := 0; b < batches; b++ {
 		rs := make([]trace.Record, recs)
 		for i := range rs {

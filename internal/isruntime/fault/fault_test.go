@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -219,6 +220,63 @@ func TestSessionTerminalFailureDemotesWindow(t *testing.T) {
 	if s.Pending() != 0 || len(sp.rs) != 1 {
 		t.Fatalf("window not demoted: pending=%d spill=%d", s.Pending(), len(sp.rs))
 	}
+}
+
+// TestSessionAckBeyondSent: acks come off the network, and one naming a
+// batch that was never sent must not wedge the session. Unclamped, such
+// an ack walks the trim loop toward its value under the session lock
+// (without end at MaxInt64, where the watermark wraps), or leaves the
+// watermark past the next sequence so window overflow never finds a
+// batch to demote. Each case runs under a deadline.
+func TestSessionAckBeyondSent(t *testing.T) {
+	within := func(t *testing.T, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatal("session wedged")
+		}
+	}
+	batch := func() tp.Message {
+		return tp.DataMessage(0, []trace.Record{{Kind: trace.KindUser, Payload: 1}})
+	}
+	for _, c := range []struct {
+		name string
+		ack  int64
+	}{{"ack=2^40", 1 << 40}, {"ack=MaxInt64", math.MaxInt64}} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSession(0, &scriptConn{}, SessionConfig{})
+			if err := s.Send(batch()); err != nil {
+				t.Fatal(err)
+			}
+			within(t, func() { s.Deliver(tp.ControlMessage(0, tp.CtlAck, c.ack)) })
+			if s.Acked() != 1 || s.Pending() != 0 {
+				t.Fatalf("acked=%d pending=%d, want 1/0", s.Acked(), s.Pending())
+			}
+		})
+	}
+	t.Run("ack=100-then-overflow", func(t *testing.T) {
+		sp := &memSpill{}
+		s := NewSession(0, &scriptConn{}, SessionConfig{Window: 4, Spill: sp})
+		if err := s.Send(batch()); err != nil {
+			t.Fatal(err)
+		}
+		s.Deliver(tp.ControlMessage(0, tp.CtlAck, 100))
+		within(t, func() {
+			for i := 0; i < 10; i++ {
+				_ = s.Send(batch())
+			}
+		})
+		if s.Pending() != 4 || s.Spilled() != 6 {
+			t.Fatalf("pending=%d spilled=%d, want 4/6", s.Pending(), s.Spilled())
+		}
+		s.Deliver(tp.ControlMessage(0, tp.CtlAck, 11))
+		if s.Acked() != 11 || s.Pending() != 0 {
+			t.Fatalf("after ack 11: acked=%d pending=%d, want 11/0", s.Acked(), s.Pending())
+		}
+	})
 }
 
 func TestReceiverDedupAckGap(t *testing.T) {

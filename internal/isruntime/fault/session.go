@@ -7,7 +7,7 @@ package fault
 // sequencing and retaining: every data batch gets a per-node monotonic
 // sequence number (Message.Arg, starting at 1; Arg==0 marks legacy
 // unsequenced traffic), and a private copy of it — its records, or
-// its encoded wire frame where the transport speaks columnar — stays
+// its encoded wire frame where the transport is a stream — stays
 // in a bounded replay window until the receiver's cumulative CtlAck
 // covers it. On every reconnect the session introduces itself with
 // CtlHello (Arg = last ack it has seen) and replays the still-unacked
@@ -22,7 +22,7 @@ package fault
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -72,14 +72,14 @@ type Session struct {
 }
 
 // windowBatch is one retained batch, in one of two forms. When the
-// transport has negotiated columnar framing the batch is column-encoded
-// once at Send and the window keeps only that body (enc, count, crc): a
-// fifth of the records' size, and every replay (reconnect, resend)
-// retransmits the bytes verbatim instead of re-running the encoder.
-// Otherwise it keeps a copy of the records. The two paths that need
-// records from an encoded batch — demotion to the spill, and a replay
-// onto a connection that does not speak columnar — decode it; both are
-// cold.
+// transport frames data columnar (a stream connection) the batch is
+// column-encoded once at Send and the window keeps only that body (enc,
+// count, crc): a fifth of the records' size, and every replay
+// (reconnect, resend) retransmits the bytes verbatim instead of
+// re-running the encoder. Otherwise (a pipe) it keeps a copy of the
+// records. The two paths that need records from an encoded batch —
+// demotion to the spill, and a replay onto a pipe a Redial moved to —
+// decode it; both are cold.
 type windowBatch struct {
 	recs  []trace.Record
 	enc   []byte
@@ -102,12 +102,8 @@ func (wb windowBatch) records() ([]trace.Record, error) {
 }
 
 // replay retransmits one window batch as seq on conn: the stored frame
-// verbatim where conn speaks columnar, its records otherwise. The check
-// is only a snapshot of a redialling link; a stream connection that has
-// negotiated down by the time it frames the message re-frames the stored
-// body flat itself, sequence included. The decode here is for transports
-// that carry a message as handed over (pipes), which never speak
-// columnar.
+// verbatim where conn frames columnar, its records otherwise. The decode
+// is for transports that carry a message as handed over (pipes).
 func (s *Session) replay(conn tp.Conn, seq int64, wb windowBatch) error {
 	m := tp.DataMessage(s.node, nil)
 	m.Arg = seq
@@ -152,7 +148,7 @@ func NewSession(node int32, conn tp.Conn, cfg SessionConfig) *Session {
 		window:  make(map[int64]windowBatch),
 	}
 	if cfg.Metrics != nil {
-		sc := cfg.Metrics.Scope("session").Scope("node" + itoa(int(node)))
+		sc := cfg.Metrics.Scope("session").Scope("node" + strconv.Itoa(int(node)))
 		s.mSent = sc.Counter("batches_sent")
 		s.mReplayed = sc.Counter("batches_replayed")
 		s.mSpilled = sc.Counter("batches_spilled")
@@ -162,29 +158,6 @@ func NewSession(node int32, conn tp.Conn, cfg SessionConfig) *Session {
 		rc.SetOnConnect(s.onConnect)
 	}
 	return s
-}
-
-// itoa avoids strconv for the tiny node ids used in metric scopes.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [24]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }
 
 // Send implements tp.Conn. Data messages are stamped with the next
@@ -223,7 +196,8 @@ func (s *Session) Send(m tp.Message) error {
 	}
 
 	// The message keeps its records beside the encoded body, so a
-	// transport that lost columnar since the check above still has them.
+	// transport that carries messages as handed over (a pipe a Redial
+	// moved to since the check above) still delivers them.
 	m.Arg = seq
 	m.Enc, m.EncCount, m.EncCRC = wb.enc, wb.count, wb.crc
 	err := s.conn.Send(m)
@@ -279,26 +253,41 @@ func (s *Session) demoteOldestLocked() {
 // mutated, so replay does not race the window bookkeeping.
 func (s *Session) onConnect(raw tp.Conn) error {
 	s.mu.Lock()
-	acked := s.acked
-	seqs := make([]int64, 0, len(s.window))
-	for seq := range s.window {
-		if seq > acked {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	batches := make([]windowBatch, len(seqs))
-	for i, seq := range seqs {
-		batches[i] = s.window[seq]
-	}
+	acked, pending := s.acked, s.unackedLocked()
 	s.mu.Unlock()
 
 	hello := tp.ControlMessage(s.node, tp.CtlHello, acked)
 	if err := raw.Send(hello); err != nil {
 		return err
 	}
-	for i, seq := range seqs {
-		if err := s.replay(raw, seq, batches[i]); err != nil {
+	return s.replayAll(raw, pending)
+}
+
+// seqBatch is one window entry with its sequence number.
+type seqBatch struct {
+	seq int64
+	wb  windowBatch
+}
+
+// unackedLocked returns the replay window in sequence order. Called
+// with s.mu held. Every entry lies in [low, nextSeq): sends add at the
+// top, acks and demotion remove at the bottom, and acks never pass
+// nextSeq-1.
+func (s *Session) unackedLocked() []seqBatch {
+	out := make([]seqBatch, 0, len(s.window))
+	for seq := s.low; seq < s.nextSeq; seq++ {
+		if wb, ok := s.window[seq]; ok {
+			out = append(out, seqBatch{seq, wb})
+		}
+	}
+	return out
+}
+
+// replayAll retransmits pending on conn in order, stopping at the first
+// failure.
+func (s *Session) replayAll(conn tp.Conn, pending []seqBatch) error {
+	for _, p := range pending {
+		if err := s.replay(conn, p.seq, p.wb); err != nil {
 			return err
 		}
 	}
@@ -308,14 +297,17 @@ func (s *Session) onConnect(raw tp.Conn) error {
 // Deliver consumes session-protocol messages addressed to the sender:
 // a cumulative CtlAck trims the replay window. It returns true when
 // the message was consumed and false when it belongs to the caller
-// (flush/stop/start control traffic).
+// (flush/stop/start control traffic). An ack comes off the network, so
+// it is clamped to the last sequence sent: it cannot cover a batch that
+// was never sent, and an unclamped one would walk the trim loop up to
+// any value the peer names.
 func (s *Session) Deliver(m tp.Message) bool {
 	if m.Type != tp.MsgControl || m.Control != tp.CtlAck {
 		return false
 	}
 	s.mu.Lock()
-	if m.Arg > s.acked {
-		s.acked = m.Arg
+	if ack := min(m.Arg, s.nextSeq-1); ack > s.acked {
+		s.acked = ack
 	}
 	for s.low <= s.acked {
 		delete(s.window, s.low)
@@ -354,22 +346,9 @@ func (s *Session) Heartbeat() error {
 // broke the connection (and so never triggered the reconnect replay).
 func (s *Session) Resend() error {
 	s.mu.Lock()
-	seqs := make([]int64, 0, len(s.window))
-	for seq := range s.window {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	batches := make([]windowBatch, len(seqs))
-	for i, seq := range seqs {
-		batches[i] = s.window[seq]
-	}
+	pending := s.unackedLocked()
 	s.mu.Unlock()
-	for i, seq := range seqs {
-		if err := s.replay(s.conn, seq, batches[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.replayAll(s.conn, pending)
 }
 
 // Pending returns the number of unacked batches in the replay window.

@@ -1,7 +1,7 @@
 package fault
 
-// Session × columnar wire: once the transport negotiates columnar
-// framing, the session encodes each batch once at Send and replays the
+// Session × columnar wire: over a stream transport, which frames data
+// columnar, the session encodes each batch once at Send and replays the
 // stored body verbatim — Resend and reconnect replay must not change
 // what the receiver decodes, and the replayed frames must stay
 // columnar-sized.
@@ -71,26 +71,6 @@ func TestSessionColumnarEncodedReplay(t *testing.T) {
 	}
 	sess := NewSession(3, conn, SessionConfig{Window: 16})
 
-	// A background Recv loop consumes the server's capability advert
-	// (negotiation only advances inside Recv); it then parks until the
-	// session is closed.
-	recvDone := make(chan struct{})
-	go func() {
-		defer close(recvDone)
-		for {
-			if _, err := sess.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for !tp.ColumnarActive(conn) {
-		if time.Now().After(deadline) {
-			t.Fatal("columnar never negotiated")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
 	const batches, recs = 4, 32
 	want := make(map[int64][]trace.Record)
 	for b := 0; b < batches; b++ {
@@ -141,11 +121,10 @@ func TestSessionColumnarEncodedReplay(t *testing.T) {
 		t.Errorf("bytes_tx = %d, want < %d (half the flat record bytes)", tx, flat/2)
 	}
 	_ = sess.Close()
-	<-recvDone
 }
 
-// TestSessionColumnarDemoteAfterEncode: with columnar framing active
-// the replay window holds a batch only as its encoded frame, so a batch
+// TestSessionColumnarDemoteAfterEncode: over a stream transport the
+// replay window holds a batch only as its encoded frame, so a batch
 // demoted to the spill — window overflow here — must come back out of
 // that frame record for record.
 func TestSessionColumnarDemoteAfterEncode(t *testing.T) {
@@ -175,20 +154,6 @@ func TestSessionColumnarDemoteAfterEncode(t *testing.T) {
 	reg := metrics.NewRegistry()
 	spill := &memSpill{}
 	sess := NewSession(3, conn, SessionConfig{Window: 2, Spill: spill, Metrics: reg})
-	recvDone := make(chan struct{})
-	go func() { // lands the peer's capability advert
-		defer close(recvDone)
-		for {
-			if _, err := sess.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	for deadline := time.Now().Add(5 * time.Second); !tp.ColumnarActive(conn); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("columnar never negotiated")
-		}
-	}
 
 	const batches, recs = 5, 32
 	var want []trace.Record
@@ -216,5 +181,4 @@ func TestSessionColumnarDemoteAfterEncode(t *testing.T) {
 		}
 	}
 	_ = sess.Close()
-	<-recvDone
 }

@@ -18,18 +18,11 @@ package tp
 //	crc     uint32 (crc32c of the body)
 //	body    bodyLen bytes — the seven columns of trace.AppendColumns
 //
-// Negotiation: a frame type an old receiver rejects as corrupt cannot
-// be sent blind. A columnar-capable endpoint therefore advertises with
-// a CtlHello whose Arg is capsHelloArg — a negative value no session
-// hello ever carries, ignored harmlessly by every legacy consumer —
-// and a sender emits columnar frames only after it has seen the peer's
-// advert. Receivers always accept both frame kinds; the negotiation
-// only gates what a sender dares to emit. Against an old peer (no
-// advert) every frame stays flat.
-//
-// The capability hello is transport bookkeeping, not application
-// traffic: streamConn.Recv consumes it and it is excluded from the
-// tp.msgs/bytes counters.
+// Every data frame a stream connection sends that carries records (or
+// a pre-encoded Enc body) is columnar, from the first Send; controls
+// and empty data frames stay flat. Receivers decode both kinds (a flat
+// data frame shares the control frame's layout). There is no handshake:
+// a peer that cannot decode columnar frames is not supported.
 
 import (
 	"encoding/binary"
@@ -51,59 +44,18 @@ const frameColumnar = 2
 // shared frameHeaderSize prefix: bodyLen u32 + crc u32.
 const columnarExtSize = 4 + 4
 
-// capsHelloArg is the CtlHello argument advertising columnar decode
-// capability. Session hellos carry the sender's acked sequence, which
-// is never negative, so the advert can share the control value without
-// colliding: legacy receivers track liveness and ignore a hello that
-// does not advance their frontier.
-const capsHelloArg int64 = -2
-
 var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// WireMode selects the data-frame encoding policy of a stream
-// connection.
-type WireMode uint8
-
-const (
-	// WireColumnar (the default) negotiates the columnar encoding:
-	// advertise capability, emit columnar data frames once the peer has
-	// advertised too, fall back to flat frames otherwise.
-	WireColumnar WireMode = iota
-	// WireFlat disables the columnar encoding entirely: no advert, all
-	// data frames flat. Inbound columnar frames are still decoded — the
-	// mode gates sending, not receiving.
-	WireFlat
-)
-
-// ParseWireMode maps the -wire flag values of ismd/lisnode onto a
-// WireMode.
-func ParseWireMode(s string) (WireMode, error) {
-	switch s {
-	case "columnar":
-		return WireColumnar, nil
-	case "flat":
-		return WireFlat, nil
-	}
-	return WireColumnar, fmt.Errorf("tp: unknown wire mode %q (want columnar or flat)", s)
-}
-
-// WithWireMode selects the connection's data-frame encoding policy.
-// The default is WireColumnar.
-func WithWireMode(m WireMode) ConnOption {
-	return func(o *connOptions) { o.wireMode = m }
-}
-
 // ColumnarSender is implemented by connections that can report whether
-// the columnar encoding is active toward the peer (capability
-// advertised by both sides). The session layer uses it to decide
-// whether to hold replay-window batches in encoded form.
+// they frame data messages columnar: stream connections always do. The
+// session layer uses it to decide whether to hold replay-window batches
+// in encoded form.
 type ColumnarSender interface {
 	ColumnarActive() bool
 }
 
-// ColumnarActive reports whether c currently sends data frames
-// columnar-encoded. Connections without the concept (pipes) report
-// false.
+// ColumnarActive reports whether c sends data frames columnar-encoded.
+// Connections that carry a message as handed over (pipes) report false.
 func ColumnarActive(c Conn) bool {
 	cs, ok := c.(ColumnarSender)
 	return ok && cs.ColumnarActive()

@@ -3,6 +3,7 @@ package tp
 import (
 	"bytes"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -135,9 +136,9 @@ func TestColumnarFrameCorruption(t *testing.T) {
 
 // startEchoServer accepts one conn and runs a Recv loop that counts
 // data records and echoes a CtlAck per data message.
-func startEchoServer(t *testing.T, opts ...ConnOption) (*Listener, chan Message) {
+func startEchoServer(t *testing.T) (*Listener, chan Message) {
 	t.Helper()
-	ln, err := Listen("127.0.0.1:0", opts...)
+	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,24 +176,10 @@ func recvData(t *testing.T, got chan Message) Message {
 	}
 }
 
-// drainAck consumes the echo server's per-batch ack on the client; the
-// server's capability advert precedes it on the wire, so after this
-// returns the client has negotiated columnar.
-func drainAck(t *testing.T, c Conn) {
-	t.Helper()
-	m, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != MsgControl || m.Control != CtlAck {
-		t.Fatalf("expected ack, got %+v", m)
-	}
-}
-
-// TestColumnarNegotiation drives a live TCP conn through negotiation:
-// before the peer advert is seen frames go flat, after it they go
-// columnar, and the transferred records are identical either way.
-func TestColumnarNegotiation(t *testing.T) {
+// TestFirstFrameColumnar: the very first data frame after Dial — no
+// Recv, no wait — is columnar, byte for byte the AppendColumnarMessage
+// encoding, and arrives intact.
+func TestFirstFrameColumnar(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ln, got := startEchoServer(t)
 	client, err := Dial(ln.Addr(), WithConnMetrics(reg))
@@ -200,116 +187,53 @@ func TestColumnarNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-
-	// First send races the advert: either encoding is legal, but the
-	// records must arrive intact.
 	rs := colRecs(16)
-	if err := client.Send(DataMessage(1, rs)); err != nil {
-		t.Fatal(err)
-	}
-	m := recvData(t, got)
-	if len(m.Records) != 16 || m.Records[3] != rs[3] {
-		t.Fatalf("first batch mangled: %+v", m)
-	}
-	Recycle(&m)
-
-	// Drain the ack so the advert (which precedes it) is processed.
-	drainAck(t, client)
-	if !ColumnarActive(client) {
-		t.Fatal("advert consumed but columnar not active")
-	}
-	before := reg.Snapshot().Value("tp.bytes_tx")
-	if err := client.Send(DataMessage(1, rs)); err != nil {
-		t.Fatal(err)
-	}
-	m = recvData(t, got)
-	if len(m.Records) != 16 || m.Records[7] != rs[7] {
-		t.Fatalf("columnar batch mangled: %+v", m)
-	}
-	Recycle(&m)
-	sent := reg.Snapshot().Value("tp.bytes_tx") - before
-	if flat := float64(frameHeaderSize + 16*trace.RecordSize); sent >= flat/2 {
-		t.Fatalf("negotiated frame took %v bytes, want well under flat %v", sent, flat)
-	}
-}
-
-// TestColumnarFlatReceiver pins the mixed-version downgrade: a
-// columnar-capable sender facing a receiver that never advertises
-// (WireFlat) must keep every frame flat.
-func TestColumnarFlatReceiver(t *testing.T) {
-	reg := metrics.NewRegistry()
-	ln, got := startEchoServer(t, WithWireMode(WireFlat))
-	client, err := Dial(ln.Addr(), WithConnMetrics(reg))
+	var cc trace.ColumnCodec
+	want, err := AppendColumnarMessage(nil, DataMessage(1, rs), &cc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	rs := colRecs(8)
-	for i := 0; i < 3; i++ {
-		if err := client.Send(DataMessage(1, rs)); err != nil {
-			t.Fatal(err)
+	if err := client.Send(DataMessage(1, rs)); err != nil {
+		t.Fatal(err)
+	}
+	if sent := reg.Snapshot().Value("tp.bytes_tx"); sent != float64(len(want)) {
+		t.Fatalf("first frame took %v bytes, want the columnar %d (flat is %d)",
+			sent, len(want), frameHeaderSize+len(rs)*trace.RecordSize)
+	}
+	if !ColumnarActive(client) {
+		t.Fatal("stream conn does not report columnar framing")
+	}
+	m := recvData(t, got)
+	if len(m.Records) != len(rs) {
+		t.Fatalf("got %d records, want %d", len(m.Records), len(rs))
+	}
+	for i := range rs {
+		if m.Records[i] != rs[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, m.Records[i], rs[i])
 		}
-		m := recvData(t, got)
-		if len(m.Records) != 8 {
-			t.Fatalf("batch %d mangled", i)
-		}
-		Recycle(&m)
-		time.Sleep(5 * time.Millisecond) // ample time for a (wrong) advert
 	}
-	if ColumnarActive(client) {
-		t.Fatal("client negotiated columnar against a flat-only receiver")
-	}
-	want := 3 * float64(frameHeaderSize+8*trace.RecordSize)
-	if got := reg.Snapshot().Value("tp.bytes_tx"); got != want {
-		t.Fatalf("bytes_tx = %v, want flat %v", got, want)
-	}
+	Recycle(&m)
 }
 
-// TestFlatSenderColumnarReceiver pins the other direction: a WireFlat
-// sender against a columnar-capable receiver stays flat and still
-// interoperates.
+// TestFlatSenderColumnarReceiver: a flat data frame written raw onto
+// the socket reaches a stream connection's reader with node, session
+// sequence and records intact — receivers decode both frame kinds.
 func TestFlatSenderColumnarReceiver(t *testing.T) {
 	ln, got := startEchoServer(t)
-	client, err := Dial(ln.Addr(), WithWireMode(WireFlat))
+	nc, err := net.Dial("tcp", ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
+	defer nc.Close()
 	rs := colRecs(8)
-	if err := client.Send(DataMessage(1, rs)); err != nil {
+	flat := DataMessage(1, rs)
+	flat.Arg = 9
+	if err := WriteMessage(nc, flat); err != nil {
 		t.Fatal(err)
 	}
 	m := recvData(t, got)
-	if len(m.Records) != 8 || m.Records[2] != rs[2] {
-		t.Fatalf("batch mangled: %+v", m)
-	}
-	Recycle(&m)
-	if ColumnarActive(client) {
-		t.Fatal("WireFlat client reports columnar active")
-	}
-}
-
-// TestPreEncodedBodyOnFlatConn: a pre-encoded body handed to a
-// connection that is flat by the time it frames the message (a session
-// replaying its encoded window after a reconnect negotiated down) goes
-// out as the flat frame of the same message — records decoded, session
-// sequence in Arg kept, or the receiver cannot dedup the replay.
-func TestPreEncodedBodyOnFlatConn(t *testing.T) {
-	ln, got := startEchoServer(t)
-	client, err := Dial(ln.Addr(), WithWireMode(WireFlat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	rs := colRecs(8)
-	var cc trace.ColumnCodec
-	body, crc := EncodeColumnarBody(nil, rs, &cc)
-	if err := client.Send(Message{Type: MsgData, Node: 1, Arg: 9, Enc: body, EncCount: len(rs), EncCRC: crc}); err != nil {
-		t.Fatal(err)
-	}
-	m := recvData(t, got)
-	if m.Arg != 9 || m.Node != 1 {
-		t.Fatalf("flat fallback sent node %d arg %d, want 1 and 9", m.Node, m.Arg)
+	if m.Type != MsgData || m.Node != 1 || m.Arg != 9 {
+		t.Fatalf("header fields: %+v", m)
 	}
 	if len(m.Records) != len(rs) {
 		t.Fatalf("got %d records, want %d", len(m.Records), len(rs))
@@ -323,7 +247,7 @@ func TestPreEncodedBodyOnFlatConn(t *testing.T) {
 }
 
 // TestSendBatchColumnar checks the writev coalescing path ships
-// columnar frames once negotiated.
+// columnar frames.
 func TestSendBatchColumnar(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ln, got := startEchoServer(t)
@@ -332,14 +256,7 @@ func TestSendBatchColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if err := client.Send(DataMessage(1, colRecs(4))); err != nil {
-		t.Fatal(err)
-	}
-	first := recvData(t, got)
-	Recycle(&first)
-	drainAck(t, client)
 
-	before := reg.Snapshot().Value("tp.bytes_tx")
 	ms := make([]Message, 4)
 	for i := range ms {
 		ms[i] = DataMessage(1, colRecs(64))
@@ -357,75 +274,84 @@ func TestSendBatchColumnar(t *testing.T) {
 	if total != 4*64 {
 		t.Fatalf("received %d records, want %d", total, 4*64)
 	}
-	sent := reg.Snapshot().Value("tp.bytes_tx") - before
+	sent := reg.Snapshot().Value("tp.bytes_tx")
 	if flat := float64(4 * (frameHeaderSize + 64*trace.RecordSize)); sent >= flat/4 {
 		t.Fatalf("batch send took %v bytes, want well under flat %v", sent, flat)
 	}
 }
 
-// TestParseWireMode is the table-driven flag-value check.
-func TestParseWireMode(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    WireMode
-		wantErr bool
-	}{
-		{"columnar", WireColumnar, false},
-		{"flat", WireFlat, false},
-		{"", WireColumnar, true},
-		{"Columnar", WireColumnar, true},
-		{"zstd", WireColumnar, true},
-	}
-	for _, c := range cases {
-		got, err := ParseWireMode(c.in)
-		if (err != nil) != c.wantErr || got != c.want {
-			t.Errorf("ParseWireMode(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.wantErr)
-		}
-	}
-}
-
-// FuzzColumnarFrameDecode feeds arbitrary bytes through the columnar
-// frame reader: decode must never panic, and a frame that decodes must
-// re-encode to an equivalent record batch (parse / decode / re-encode
-// round trip).
-func FuzzColumnarFrameDecode(f *testing.F) {
+// FuzzReadMessage feeds arbitrary bytes through the frame reader as a
+// stream: frames are read until the first error, and decode must never
+// panic. Every frame that decodes re-encodes — columnar when it is data
+// with records, flat otherwise, as the stream transport sends it — and
+// decodes back to the same type, node, argument and records (and
+// control signal, for control frames).
+func FuzzReadMessage(f *testing.F) {
 	var cc trace.ColumnCodec
-	seedRecs := colRecs(12)
-	m := DataMessage(3, seedRecs)
-	m.Arg = 1
-	seed, _ := AppendColumnarMessage(nil, m, &cc)
-	f.Add(seed)
-	f.Add(seed[:len(seed)-4])
-	mut := append([]byte(nil), seed...)
-	mut[20] ^= 0x40
-	f.Add(mut)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := ReadMessage(bytes.NewReader(data))
+	data := DataMessage(3, colRecs(12))
+	data.Arg = 1
+	var frames [][]byte
+	for _, m := range []Message{
+		ControlMessage(3, CtlHello, 4),
+		ControlMessage(3, CtlAck, 7),
+		ControlMessage(3, CtlHeartbeat, 0),
+		DataMessage(3, nil),
+		data,
+	} {
+		frame, err := AppendMessage(nil, m)
 		if err != nil {
-			return
+			f.Fatal(err)
 		}
-		if dec.Type != MsgData || len(dec.Records) == 0 {
-			Recycle(&dec)
-			return
-		}
+		frames = append(frames, frame)
+	}
+	col, err := AppendColumnarMessage(nil, data, &cc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	frames = append(frames, col)
+	var all []byte
+	for _, frame := range frames {
+		f.Add(frame)
+		all = append(all, frame...)
+	}
+	f.Add(all)
+	f.Fuzz(func(t *testing.T, in []byte) {
 		var cc trace.ColumnCodec
-		re, err := AppendColumnarMessage(nil, DataMessage(dec.Node, dec.Records), &cc)
-		if err != nil {
-			t.Fatalf("decoded frame failed re-encode: %v", err)
-		}
-		back, err := ReadMessage(bytes.NewReader(re))
-		if err != nil {
-			t.Fatalf("re-encoded frame failed decode: %v", err)
-		}
-		if len(back.Records) != len(dec.Records) {
-			t.Fatalf("round trip count %d != %d", len(back.Records), len(dec.Records))
-		}
-		for i := range back.Records {
-			if back.Records[i] != dec.Records[i] {
-				t.Fatalf("record %d drifted: %+v != %+v", i, back.Records[i], dec.Records[i])
+		r := bytes.NewReader(in)
+		for {
+			m, err := ReadMessage(r)
+			if err != nil {
+				return
 			}
+			var re []byte
+			if m.Type == MsgData && len(m.Records) > 0 {
+				re, err = AppendColumnarMessage(nil, m, &cc)
+			} else {
+				re, err = AppendMessage(nil, m)
+			}
+			if err != nil {
+				t.Fatalf("decoded frame failed re-encode: %v", err)
+			}
+			back, err := ReadMessage(bytes.NewReader(re))
+			if err != nil {
+				t.Fatalf("re-encoded frame failed decode: %v", err)
+			}
+			if back.Type != m.Type || back.Node != m.Node || back.Arg != m.Arg {
+				t.Fatalf("header drifted: %+v != %+v", back, m)
+			}
+			if m.Type == MsgControl && back.Control != m.Control {
+				t.Fatalf("control drifted: %v != %v", back.Control, m.Control)
+			}
+			if len(back.Records) != len(m.Records) {
+				t.Fatalf("round trip count %d != %d", len(back.Records), len(m.Records))
+			}
+			for i := range back.Records {
+				if back.Records[i] != m.Records[i] {
+					t.Fatalf("record %d drifted: %+v != %+v", i, back.Records[i], m.Records[i])
+				}
+			}
+			Recycle(&back)
+			Recycle(&m)
 		}
-		Recycle(&back)
-		Recycle(&dec)
 	})
 }

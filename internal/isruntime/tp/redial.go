@@ -252,9 +252,8 @@ func (r *Redial) withJitter(d time.Duration) time.Duration {
 
 // ColumnarActive implements ColumnarSender by deferring to the live
 // underlying connection. Between connections (an outage, or before the
-// first dial) it reports false: a fresh connection renegotiates from
-// scratch, so callers must not assume the capability survives a
-// redial.
+// first dial) it reports false: the next connection Dial returns may be
+// of another kind.
 func (r *Redial) ColumnarActive() bool {
 	r.mu.Lock()
 	c := r.conn

@@ -2,26 +2,22 @@ package tp
 
 import (
 	"bufio"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/metrics"
 	"prism/internal/trace"
 )
 
-// ConnOption configures a stream connection (timeouts, metrics, wire
-// encoding policy).
+// ConnOption configures a stream connection (timeouts, metrics).
 type ConnOption func(*connOptions)
 
 type connOptions struct {
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 	registry     *metrics.Registry
-	wireMode     WireMode
 }
 
 // WithReadTimeout bounds each Recv: a peer that stops sending for
@@ -79,9 +75,6 @@ type streamConn struct {
 	opts connOptions
 	m    *connMetrics
 
-	// peerColumnar flips once the peer's capability advert arrives on
-	// the Recv side; it gates whether data frames are sent columnar.
-	peerColumnar atomic.Bool
 	// recvState arbitrates ownership of the read side (c.r) between
 	// Recv and Close's pre-close drain: 0 = untouched, 1 = a Recv has
 	// run (Close must leave c.r alone), 2 = Close claimed it for the
@@ -89,10 +82,9 @@ type streamConn struct {
 	// racing the drain). Both transitions are one-way CASes from 0.
 	recvState atomic.Int32
 
-	wmu          sync.Mutex
-	w            *bufio.Writer
-	advertQueued bool              // capability advert written into w
-	codec        trace.ColumnCodec // columnar encode scratch, under wmu
+	wmu   sync.Mutex
+	w     *bufio.Writer
+	codec trace.ColumnCodec // columnar encode scratch, under wmu
 
 	closeOnce sync.Once
 	closeErr  error
@@ -114,65 +106,21 @@ func NewStreamConn(nc net.Conn, opts ...ConnOption) Conn {
 	}
 }
 
-// ColumnarActive implements ColumnarSender: data frames toward the
-// peer currently travel columnar-encoded.
-func (c *streamConn) ColumnarActive() bool {
-	return c.opts.wireMode != WireFlat && c.peerColumnar.Load()
-}
+// ColumnarActive implements ColumnarSender: a stream connection frames
+// every data message with records columnar.
+func (c *streamConn) ColumnarActive() bool { return true }
 
-// queueAdvertLocked writes the columnar capability advert into the
-// write buffer once, ahead of the first frame. It is not flushed on
-// its own: on the dial side it piggybacks on the first frame's flush,
-// which avoids a blocking rendezvous against in-memory net.Conns whose
-// peer is not reading yet.
-func (c *streamConn) queueAdvertLocked() error {
-	if c.advertQueued || c.opts.wireMode == WireFlat {
-		return nil
-	}
-	c.advertQueued = true
-	return WriteMessage(c.w, ControlMessage(0, CtlHello, capsHelloArg))
-}
-
-// Advertise queues the capability advert and flushes it immediately.
-// Listeners call it on accept: a pure-receiver endpoint never sends a
-// frame of its own, so a piggybacked advert would never reach the
-// sending peer and every inbound frame would stay flat.
-func (c *streamConn) Advertise() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.queueAdvertLocked(); err != nil {
-		return Classify(err)
-	}
-	return Classify(c.w.Flush())
-}
-
-// appendWireLocked appends m's wire encoding to buf — columnar when
-// the connection has negotiated it and the message carries data, flat
-// otherwise — and returns the extended slice plus the record count
-// shipped. A pre-encoded columnar body on a flat connection is decoded
-// back to records first (rare: a session replaying its encoded window
-// after a reconnect negotiated down).
+// appendWireLocked appends m's wire encoding to buf — columnar for a
+// data message with records or a pre-encoded body, flat otherwise — and
+// returns the extended slice plus the record count shipped.
 func (c *streamConn) appendWireLocked(buf []byte, m *Message) ([]byte, int, error) {
-	if m.Type == MsgData && (m.Enc != nil || len(m.Records) > 0) &&
-		c.opts.wireMode != WireFlat && c.peerColumnar.Load() {
+	if m.Type == MsgData && (m.Enc != nil || len(m.Records) > 0) {
 		out, err := AppendColumnarMessage(buf, *m, &c.codec)
 		n := len(m.Records)
 		if m.Enc != nil {
 			n = m.EncCount
 		}
 		return out, n, err
-	}
-	if m.Enc != nil && m.Records == nil {
-		rs := flow.GetBatch(m.EncCount)[:m.EncCount]
-		if err := trace.DecodeColumns(m.Enc, rs); err != nil {
-			flow.PutBatch(rs)
-			return buf, 0, fmt.Errorf("tp: pre-encoded body: %v: %w", err, ErrCorruptFrame)
-		}
-		flat := *m // the session sequence in Arg travels with the records
-		flat.Records = rs
-		out, err := AppendMessage(buf, flat)
-		flow.PutBatch(rs)
-		return out, m.EncCount, err
 	}
 	out, err := AppendMessage(buf, *m)
 	return out, len(m.Records), err
@@ -189,21 +137,16 @@ func (c *streamConn) Send(m Message) error {
 	if c.opts.writeTimeout > 0 {
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.opts.writeTimeout))
 	}
-	err := c.queueAdvertLocked()
-	var n, recs int
+	eb := encodePool.Get().(*encodeBuffer)
+	buf, recs, err := c.appendWireLocked(eb.b[:0], &m)
+	eb.b = buf[:0]
+	n := len(buf)
 	if err == nil {
-		eb := encodePool.Get().(*encodeBuffer)
-		var buf []byte
-		buf, recs, err = c.appendWireLocked(eb.b[:0], &m)
-		eb.b = buf[:0]
-		n = len(buf)
-		if err == nil {
-			if _, err = c.w.Write(buf); err == nil {
-				err = c.w.Flush()
-			}
+		if _, err = c.w.Write(buf); err == nil {
+			err = c.w.Flush()
 		}
-		encodePool.Put(eb)
 	}
+	encodePool.Put(eb)
 	Recycle(&m)
 	if err != nil {
 		if c.m != nil {
@@ -244,25 +187,23 @@ func (c *streamConn) SendBatch(ms []Message) error {
 	if c.opts.writeTimeout > 0 {
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.opts.writeTimeout))
 	}
-	err := c.queueAdvertLocked()
 	bf := batchFramesPool.Get().(*batchFrames)
 	total, recs := 0, 0
-	if err == nil {
-		for i := range ms {
-			eb := encodePool.Get().(*encodeBuffer)
-			var buf []byte
-			var n int
-			buf, n, err = c.appendWireLocked(eb.b[:0], &ms[i])
-			eb.b = buf[:0]
-			if err != nil {
-				encodePool.Put(eb)
-				break
-			}
-			bf.ebs = append(bf.ebs, eb)
-			bf.bufs = append(bf.bufs, buf)
-			total += len(buf)
-			recs += n
+	var err error
+	for i := range ms {
+		eb := encodePool.Get().(*encodeBuffer)
+		var buf []byte
+		var n int
+		buf, n, err = c.appendWireLocked(eb.b[:0], &ms[i])
+		eb.b = buf[:0]
+		if err != nil {
+			encodePool.Put(eb)
+			break
 		}
+		bf.ebs = append(bf.ebs, eb)
+		bf.bufs = append(bf.bufs, buf)
+		total += len(buf)
+		recs += n
 	}
 	sent := len(bf.bufs)
 	for i := range ms {
@@ -270,9 +211,8 @@ func (c *streamConn) SendBatch(ms []Message) error {
 	}
 	if err == nil {
 		if tc, ok := c.nc.(*net.TCPConn); ok {
-			// Pending buffered bytes (a queued advert, or residue of a
-			// partial earlier failure) must precede the batch in stream
-			// order.
+			// Pending buffered bytes (residue of a partial earlier
+			// failure) must precede the batch in stream order.
 			if err = c.w.Flush(); err == nil {
 				// WriteTo consumes its vector in place, so hand it a
 				// copy of the slice header and keep bf.bufs intact for
@@ -312,42 +252,34 @@ func (c *streamConn) SendBatch(ms []Message) error {
 }
 
 // Recv implements Conn. Orderly shutdown surfaces as plain io.EOF;
-// every other failure is classified into the typed taxonomy. The
-// peer's capability advert is consumed here — it is transport
-// bookkeeping, not application traffic, and is excluded from the
-// message and byte counters.
+// every other failure is classified into the typed taxonomy.
 func (c *streamConn) Recv() (Message, error) {
 	if !c.recvState.CompareAndSwap(0, 1) && c.recvState.Load() == 2 {
 		return Message{}, Classify(net.ErrClosed)
 	}
-	for {
-		if c.opts.readTimeout > 0 {
-			_ = c.nc.SetReadDeadline(time.Now().Add(c.opts.readTimeout))
-		}
-		m, n, err := readMessage(c.r)
-		if err != nil {
-			return m, Classify(err)
-		}
-		if m.Type == MsgControl && m.Control == CtlHello && m.Arg == capsHelloArg {
-			c.peerColumnar.Store(true)
-			continue
-		}
-		if c.m != nil {
-			c.m.msgsRecv.Inc()
-			c.m.bytesRecv.Add(uint64(n))
-			c.m.recsRecv.Add(uint64(len(m.Records)))
-		}
-		return m, nil
+	if c.opts.readTimeout > 0 {
+		_ = c.nc.SetReadDeadline(time.Now().Add(c.opts.readTimeout))
 	}
+	m, n, err := readMessage(c.r)
+	if err != nil {
+		return m, Classify(err)
+	}
+	if c.m != nil {
+		c.m.msgsRecv.Inc()
+		c.m.bytesRecv.Add(uint64(n))
+		c.m.recsRecv.Add(uint64(len(m.Records)))
+	}
+	return m, nil
 }
 
 // Close implements Conn. A fire-and-forget sender that never called
-// Recv closes with the peer's capability advert still unread, and on
-// TCP an unread receive queue turns the close into an RST — which
-// discards the peer's receive queue too, losing data frames still in
-// flight. For such conns Close briefly drains inbound bytes first so
-// the close degrades to an orderly FIN; conns with a reader (everything
-// running a control loop) skip this, their Recv side owns the buffer.
+// Recv may close with frames from the peer (an ack, a control signal)
+// still unread, and on TCP an unread receive queue turns the close into
+// an RST — which discards the peer's receive queue too, losing data
+// frames still in flight. For such conns Close briefly drains inbound
+// bytes first so the close degrades to an orderly FIN; conns with a
+// reader (everything running a control loop) skip this, their Recv side
+// owns the buffer.
 func (c *streamConn) Close() error {
 	c.closeOnce.Do(func() {
 		if c.recvState.CompareAndSwap(0, 2) {
@@ -386,24 +318,13 @@ func Listen(addr string, opts ...ConnOption) (*Listener, error) {
 // Addr returns the bound address, useful with port 0.
 func (ln *Listener) Addr() string { return ln.l.Addr().String() }
 
-// Accept waits for the next connection. The columnar capability
-// advert is flushed to the dialer immediately: accepted connections
-// are typically pure receivers with no outbound frame for a lazy
-// advert to piggyback on.
+// Accept waits for the next connection.
 func (ln *Listener) Accept() (Conn, error) {
 	nc, err := ln.l.Accept()
 	if err != nil {
 		return nil, err
 	}
-	c := NewStreamConn(nc, ln.opts...)
-	if sc, ok := c.(*streamConn); ok {
-		// An advert flush failure means the dialer already hung up; the
-		// connection is returned anyway (Accept errors are treated as
-		// listener-fatal by accept loops) and the caller's first
-		// operation surfaces the death.
-		_ = sc.Advertise()
-	}
-	return c, nil
+	return NewStreamConn(nc, ln.opts...), nil
 }
 
 // Close stops the listener. It is idempotent: the second and later

@@ -89,12 +89,10 @@ type Message struct {
 	// Enc, when non-nil, is the pre-encoded columnar wire body of this
 	// data message: EncCount records, EncCRC the crc32c of the bytes
 	// (see EncodeColumnarBody). The session layer holds replay-window
-	// batches in this form so retransmits skip re-encoding; a
-	// columnar-active stream transport frames Enc verbatim, and one
-	// that negotiated flat encodes from Records when present or decodes
-	// Enc when not. The bytes stay owned by the producer and must not
-	// be mutated while the message is in flight; Recycle leaves them
-	// alone.
+	// batches in this form so retransmits skip re-encoding; the stream
+	// transport frames Enc verbatim. The bytes stay owned by the
+	// producer and must not be mutated while the message is in flight;
+	// Recycle leaves them alone.
 	Enc      []byte
 	EncCount int
 	EncCRC   uint32
@@ -346,9 +344,9 @@ func (c *chanConn) Close() error {
 //	count   uint32 (LE)   number of records
 //	records count * trace.RecordSize bytes
 //
-// Data frames may instead travel columnar (type frameColumnar, see
-// columnar.go): the same header prefix followed by a bodyLen/crc
-// extension and a column-encoded body, negotiated per connection.
+// The stream transport sends data frames with records columnar instead
+// (type frameColumnar, see columnar.go): the same header prefix
+// followed by a bodyLen/crc extension and a column-encoded body.
 const frameHeaderSize = 1 + 1 + 4 + 8 + 4
 
 // maxFrameRecords bounds a frame to keep a malformed or hostile peer

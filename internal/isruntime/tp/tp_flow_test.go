@@ -229,8 +229,13 @@ func TestConnMetrics(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("server never received")
 	}
+	var cc trace.ColumnCodec
+	frame, err := AppendColumnarMessage(nil, DataMessage(0, recs(3)), &cc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := reg.Snapshot()
-	wantBytes := float64(frameHeaderSize + 3*trace.RecordSize)
+	wantBytes := float64(len(frame))
 	if snap.Value("tp.msgs_sent") != 1 || snap.Value("tp.bytes_tx") != wantBytes {
 		t.Fatalf("send metrics %+v", snap)
 	}

@@ -3,14 +3,13 @@
 // and out to a subscriber. This is the throughput number the ISM work
 // is judged by — records/sec through the full decode→stage→order→
 // dispatch pipeline — alongside the per-op allocation count of the
-// steady state. The TCP variants also report the achieved wire cost
-// per record, the figure that separates columnar from flat framing.
+// steady state. The TCP variant also reports the achieved wire cost
+// per record.
 package prism
 
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"prism/internal/isruntime/event"
 	"prism/internal/isruntime/flow"
@@ -89,9 +88,9 @@ func benchPipelineThroughput(b *testing.B, reg *metrics.Registry, mk func(m *ism
 }
 
 // dialPipelineConns dials pipelineSources client connections against
-// ln, keeps each drained by a discard goroutine (negotiation and any
-// server-side control traffic only advance inside Recv), and returns
-// them with a combined cleanup.
+// ln, keeps each drained by a discard goroutine (server-side control
+// traffic would otherwise sit unread), and returns them with a combined
+// cleanup.
 func dialPipelineConns(b *testing.B, m *ism.ISM, ln *tp.Listener, opts ...tp.ConnOption) ([]tp.Conn, func()) {
 	b.Helper()
 	accepted := make([]tp.Conn, 0, pipelineSources)
@@ -136,21 +135,6 @@ func dialPipelineConns(b *testing.B, m *ism.ISM, ln *tp.Listener, opts ...tp.Con
 	}
 }
 
-// waitColumnar blocks until every conn has negotiated columnar framing
-// so the timed region measures the steady state, not the handshake.
-func waitColumnar(b *testing.B, conns []tp.Conn) {
-	b.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for _, c := range conns {
-		for !tp.ColumnarActive(c) {
-			if time.Now().After(deadline) {
-				b.Fatal("columnar framing never negotiated")
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-}
-
 func BenchmarkPipelineThroughput(b *testing.B) {
 	b.Run("pipe", func(b *testing.B) {
 		benchPipelineThroughput(b, nil, func(m *ism.ISM) ([]tp.Conn, func()) {
@@ -176,20 +160,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			conns, cleanup := dialPipelineConns(b, m, ln, tp.WithConnMetrics(reg))
-			waitColumnar(b, conns)
-			return conns, cleanup
-		})
-	})
-	b.Run("tcp-flat", func(b *testing.B) {
-		reg := metrics.NewRegistry()
-		benchPipelineThroughput(b, reg, func(m *ism.ISM) ([]tp.Conn, func()) {
-			ln, err := tp.Listen("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			return dialPipelineConns(b, m, ln,
-				tp.WithConnMetrics(reg), tp.WithWireMode(tp.WireFlat))
+			return dialPipelineConns(b, m, ln, tp.WithConnMetrics(reg))
 		})
 	})
 }

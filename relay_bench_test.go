@@ -3,9 +3,8 @@
 // relay k-way merges the lane streams into one causally ordered root
 // trace. This is the federation tier's throughput number — records/sec
 // through the uplink batch → session → lane admission → watermark
-// merge → causal dispatch path. The TCP variants also report the
-// achieved wire cost per record, the figure that separates columnar
-// from flat framing.
+// merge → causal dispatch path. The TCP variant also reports the
+// achieved wire cost per record.
 package prism
 
 import (
@@ -32,11 +31,10 @@ const (
 // Capture Times interleave globally across lanes, so the merge is
 // doing real frontier work, not lane-at-a-time pass-through. One op =
 // one batch of relayBatch records. mk serves the lane's remote side
-// into r and returns the local conns for the uplinks to wrap; when
-// columnar is set the benchmark waits for negotiation before timing,
-// and a non-nil reg (carrying the lane conns' metrics) adds the
-// achieved wire bytes per record.
-func benchRelayFanIn(b *testing.B, reg *metrics.Registry, columnar bool, mk func(r *relay.Relay) ([]tp.Conn, func())) {
+// into r and returns the local conns for the uplinks to wrap; a non-nil
+// reg (carrying the lane conns' metrics) adds the achieved wire bytes
+// per record.
+func benchRelayFanIn(b *testing.B, reg *metrics.Registry, mk func(r *relay.Relay) ([]tp.Conn, func())) {
 	r := relay.New(relay.Config{Root: true, Downstreams: relayLanes})
 	var delivered uint64
 	r.SubscribeBatch("count", func(rs []trace.Record) { delivered += uint64(len(rs)) })
@@ -50,10 +48,6 @@ func benchRelayFanIn(b *testing.B, reg *metrics.Registry, columnar bool, mk func
 			BatchSize: relayBatch,
 			Window:    1024,
 		})
-	}
-	if columnar {
-		// The uplink's ack loop is the Recv that lands the advert.
-		waitColumnar(b, conns)
 	}
 
 	seqs := make([]uint64, relayLanes)
@@ -149,7 +143,7 @@ func dialRelayConns(b *testing.B, r *relay.Relay, ln *tp.Listener, opts ...tp.Co
 
 func BenchmarkRelayFanIn(b *testing.B) {
 	b.Run("pipe", func(b *testing.B) {
-		benchRelayFanIn(b, nil, false, func(r *relay.Relay) ([]tp.Conn, func()) {
+		benchRelayFanIn(b, nil, func(r *relay.Relay) ([]tp.Conn, func()) {
 			conns := make([]tp.Conn, relayLanes)
 			for i := range conns {
 				lisSide, ismSide := tp.Pipe(64)
@@ -161,23 +155,12 @@ func BenchmarkRelayFanIn(b *testing.B) {
 	})
 	b.Run("tcp", func(b *testing.B) {
 		reg := metrics.NewRegistry()
-		benchRelayFanIn(b, reg, true, func(r *relay.Relay) ([]tp.Conn, func()) {
+		benchRelayFanIn(b, reg, func(r *relay.Relay) ([]tp.Conn, func()) {
 			ln, err := tp.Listen("127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
 			}
 			return dialRelayConns(b, r, ln, tp.WithConnMetrics(reg))
-		})
-	})
-	b.Run("tcp-flat", func(b *testing.B) {
-		reg := metrics.NewRegistry()
-		benchRelayFanIn(b, reg, false, func(r *relay.Relay) ([]tp.Conn, func()) {
-			ln, err := tp.Listen("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			return dialRelayConns(b, r, ln,
-				tp.WithConnMetrics(reg), tp.WithWireMode(tp.WireFlat))
 		})
 	})
 }
