@@ -78,11 +78,15 @@ benchmod:
 # fuzzsmoke gives the decoder fuzz targets a short budget: enough to
 # catch a decode regression on the corpus plus fresh mutations, cheap
 # enough to sit inside the tier-1 gate. Both ends of the columnar
-# codec's life are covered: segment files and the wire's frame stream
-# (control, flat and columnar frames back to back).
+# codec's life are covered: segment files, wire bodies against the
+# serial reference decoder, and the wire's frame stream (control, flat
+# and columnar frames back to back). Minimising a new input gets 100
+# runs instead of Go's default 60 s, which would eat the whole budget.
+FUZZFLAGS = -run=NONE -fuzztime=10s -fuzzminimizetime=100x
 fuzzsmoke:
-	$(GO) test -run=NONE -fuzz='FuzzSegmentDecode' -fuzztime=10s ./internal/trace
-	$(GO) test -run=NONE -fuzz='FuzzReadMessage' -fuzztime=10s ./internal/isruntime/tp
+	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzSegmentDecode$$' ./internal/trace
+	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzColumnsDecode$$' ./internal/trace
+	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzReadMessage$$' ./internal/isruntime/tp
 
 # benchdiff compares two benchmark documents recorded on the same host
 # shape (benchjson refuses a num_cpu or GOMAXPROCS mismatch) and fails

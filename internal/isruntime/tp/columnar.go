@@ -10,7 +10,8 @@ package tp
 // Frame layout (little-endian), alongside the flat layout in tp.go:
 //
 //	type    uint8  = frameColumnar (2)
-//	control uint8  (always 0 — columnar frames carry data only)
+//	control uint8  (always 0 — columnar frames carry data only; any
+//	               other value is ErrCorruptFrame)
 //	node    int32
 //	arg     int64  (session batch sequence, as in flat frames)
 //	count   uint32 (records in the batch; never zero)

@@ -132,6 +132,15 @@ func TestColumnarFrameCorruption(t *testing.T) {
 			t.Fatal("truncated frame decoded")
 		}
 	})
+	t.Run("nonzero-control", func(t *testing.T) {
+		for c := 1; c <= 0xff; c++ {
+			bad := append([]byte(nil), frame...)
+			bad[1] = byte(c)
+			if _, err := ReadMessage(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptFrame) {
+				t.Fatalf("control %d: err = %v, want ErrCorruptFrame", c, err)
+			}
+		}
+	})
 }
 
 // startEchoServer accepts one conn and runs a Recv loop that counts

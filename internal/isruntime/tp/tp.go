@@ -448,8 +448,10 @@ func readMessage(r io.Reader) (Message, int, error) {
 		return Message{}, 0, fmt.Errorf("tp: oversized frame (%d records): %w", count, ErrCorruptFrame)
 	}
 	if h[0] == frameColumnar {
+		if m.Control != CtlNone {
+			return Message{}, 0, fmt.Errorf("tp: columnar frame with control %d: %w", m.Control, ErrCorruptFrame)
+		}
 		m.Type = MsgData
-		m.Control = CtlNone
 		m, bodyLen, err := readColumnarBody(r, eb, m, count)
 		return m, frameHeaderSize + columnarExtSize + bodyLen, err
 	}

@@ -19,12 +19,12 @@ package trace
 // not at all. One encoder writes both, so a record stream costs the
 // same bytes per record on the wire as it does at rest.
 //
-// The two decoders differ only in what they know about the layout. A
-// wire frame carries no column offsets, so DecodeColumns walks the
-// columns one after another. A segment's footer gives every column's
-// start, so decodeColumnsAt reads the four varint columns side by side
-// in one pass: four independent dependency chains instead of four
-// serial loops.
+// There is one decoder, decodeVarintCols: given every column's start,
+// it reads the four varint columns side by side in one pass, four
+// independent dependency chains instead of four serial loops. A
+// segment's footer supplies the starts (decodeColumnsAt); a wire frame
+// carries none, so DecodeColumns finds them first by counting varint
+// terminator bytes and running the node, process and kind run loops.
 //
 // Measured varint lengths in 8192-record segments of the runtime
 // benchmark's seed-1 stream (1 / 2 / 3 bytes):
@@ -151,94 +151,64 @@ func (cc *ColumnCodec) appendColumns(dst []byte, rs []Record, off *[numColumns]i
 // ErrBadSegment, and out is left in an unspecified state on failure.
 // With out sized by the caller the decode performs no allocation.
 //
-// A wire frame carries no column offsets, so each column is decoded in
-// turn, the next one starting where the last ended. A one-byte varint
-// is resolved without a call.
+// A wire frame carries no column offsets, so DecodeColumns finds them
+// before decoding: the time, logical and tag columns each end at their
+// len(out)-th terminator byte (high bit clear), counted eight bytes at
+// a time; node, process and kind end where their run loops stop; and
+// payload runs to the end of buf. The four varint columns then decode
+// side by side in decodeVarintCols, as a segment's do.
 func DecodeColumns(buf []byte, out []Record) error {
-	var prev, prevDelta int64
-	for i := range out {
-		var u uint64
-		if len(buf) > 0 && buf[0] < 0x80 {
-			u, buf = uint64(buf[0]), buf[1:]
-		} else {
-			var err error
-			if u, buf, err = uvarintSlow(buf, colNames[0]); err != nil {
-				return err
-			}
+	var off [numColumns + 1]int
+	for ci := range numColumns - 1 {
+		col := buf[off[ci]:]
+		var err error
+		switch ci {
+		case 2, 3:
+			col, err = decodeRunsCol(col, ci, out)
+		case 4:
+			col, err = decodeKindsCol(col, out)
+		default:
+			col, err = skipVarints(col, len(out), ci)
 		}
-		delta := prevDelta + unzigzag(u)
-		v := prev + delta
-		out[i].Time = v
-		prev, prevDelta = v, delta
-	}
-	prev, prevDelta = 0, 0
-	for i := range out {
-		var u uint64
-		if len(buf) > 0 && buf[0] < 0x80 {
-			u, buf = uint64(buf[0]), buf[1:]
-		} else {
-			var err error
-			if u, buf, err = uvarintSlow(buf, colNames[1]); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
-		delta := prevDelta + unzigzag(u)
-		v := prev + delta
-		out[i].Logical = uint64(v)
-		prev, prevDelta = v, delta
+		off[ci+1] = len(buf) - len(col)
 	}
-	buf, err := decodeRunsCol(buf, 2, out)
-	if err != nil {
-		return err
-	}
-	if buf, err = decodeRunsCol(buf, 3, out); err != nil {
-		return err
-	}
-	if buf, err = decodeKindsCol(buf, out); err != nil {
-		return err
-	}
-	prev = 0
-	for i := range out {
-		var u uint64
-		if len(buf) > 0 && buf[0] < 0x80 {
-			u, buf = uint64(buf[0]), buf[1:]
-		} else {
-			var err error
-			if u, buf, err = uvarintSlow(buf, colNames[5]); err != nil {
-				return err
-			}
+	off[numColumns] = len(buf)
+	return decodeVarintCols(buf, &off, out)
+}
+
+// skipVarints returns what follows the first n varints of column ci at
+// the front of col: the bytes past its n-th terminator. Whole 8-byte
+// words are counted until the one holding that terminator, which a
+// byte loop then finds. The varints themselves are left for
+// decodeVarintCols to check.
+func skipVarints(col []byte, n, ci int) ([]byte, error) {
+	p := 0
+	for ; p+8 <= len(col); p += 8 {
+		c := bits.OnesCount64(^binary.LittleEndian.Uint64(col[p:]) & 0x8080808080808080)
+		if c >= n {
+			break
 		}
-		v := prev + unzigzag(u)
-		out[i].Tag = uint16(v)
-		prev = v
+		n -= c
 	}
-	prev = 0
-	for i := range out {
-		var u uint64
-		if len(buf) > 0 && buf[0] < 0x80 {
-			u, buf = uint64(buf[0]), buf[1:]
-		} else {
-			var err error
-			if u, buf, err = uvarintSlow(buf, colNames[6]); err != nil {
-				return err
-			}
+	for ; n > 0 && p < len(col); p++ {
+		if col[p] < 0x80 {
+			n--
 		}
-		v := prev + unzigzag(u)
-		out[i].Payload = v
-		prev = v
 	}
-	if len(buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after columns", ErrBadSegment, len(buf))
+	if n > 0 {
+		return nil, fmt.Errorf("%w: %s column truncated, %d varints short", ErrBadSegment, colNames[ci], n)
 	}
-	return nil
+	return col[p:], nil
 }
 
 // decodeColumnsAt decodes exactly len(out) records from the seven
 // columns of buf, column ci spanning buf[off[ci]:off[ci+1]]. Every
 // column must be consumed exactly. The node, process and kind columns
-// go through the run loops DecodeColumns uses; the time, logical, tag
-// and payload columns are decoded together, one record at a time, with
-// a cursor per column. out is left in an unspecified state on failure.
+// go through the run loops DecodeColumns uses, the others through
+// decodeVarintCols. out is left in an unspecified state on failure.
 // The decode performs no allocation.
 func decodeColumnsAt(buf []byte, off *[numColumns + 1]int, out []Record) error {
 	for _, ci := range [...]int{2, 3, 4} {
@@ -256,7 +226,15 @@ func decodeColumnsAt(buf []byte, off *[numColumns + 1]int, out []Record) error {
 			return trailing(len(col), ci)
 		}
 	}
+	return decodeVarintCols(buf, off, out)
+}
 
+// decodeVarintCols decodes the time, logical, tag and payload fields of
+// len(out) records from those columns of buf, column ci spanning
+// buf[off[ci]:off[ci+1]], and requires each to be consumed exactly. The
+// four columns are decoded together, one record at a time, with a
+// cursor per column.
+func decodeVarintCols(buf []byte, off *[numColumns + 1]int, out []Record) error {
 	tc, lc := buf[off[0]:off[1]], buf[off[1]:off[2]]
 	gc, pc := buf[off[5]:off[6]], buf[off[6]:off[7]]
 	var (

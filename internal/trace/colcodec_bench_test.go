@@ -1,16 +1,17 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// Yardsticks of the two column decoders over the same bytes: one op is
-// one 8192-record segment (the tier's seal size) through Parse +
-// AppendRecords, or its column region through DecodeColumns. The
-// records reproduce the varint-length mix measured in 8192-record
-// segments of the runtime benchmark's seed-1 stream, so neither decoder
-// is judged on the one-byte case alone.
+// Yardsticks of the column decoder's two entries: one op is one
+// 8192-record segment (the tier's seal size) through Parse +
+// AppendRecords, or one wire body through DecodeColumns. The records
+// reproduce the varint-length mix measured in 8192-record segments of
+// the runtime benchmark's seed-1 stream, so neither entry is judged on
+// the one-byte case alone.
 
 // lengthMix is one varint column's length distribution: the percentage
 // of varints that are 1, 2 and 3 bytes long.
@@ -113,18 +114,26 @@ func BenchmarkSegmentDecode(b *testing.B) {
 	b.ReportMetric(float64(len(rs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
+// BenchmarkColumnsDecode times the wire decoder at the frame sizes the
+// runtime benchmark sends — 32 records (flat_paced's LIS flush), 256
+// (flat_firehose's), 512 (fed_tree's uplink batch) — and at the
+// segment size.
 func BenchmarkColumnsDecode(b *testing.B) {
-	rs := mixBatch(rand.New(rand.NewSource(1)), decodeBenchRecords, measuredMix)
-	var cc ColumnCodec
-	cols := cc.AppendColumns(nil, rs)
-	dst := make([]Record, len(rs))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(rs) * RecordSize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeColumns(cols, dst); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range [...]int{32, 256, 512, decodeBenchRecords} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			rs := mixBatch(rand.New(rand.NewSource(1)), n, measuredMix)
+			var cc ColumnCodec
+			cols := cc.AppendColumns(nil, rs)
+			dst := make([]Record, len(rs))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(rs) * RecordSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeColumns(cols, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rs)), "ns/rec")
+		})
 	}
-	b.ReportMetric(float64(len(rs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -31,9 +32,93 @@ func extremesBatch(rng *rand.Rand, n int) []Record {
 	return rs
 }
 
-// decodeBoth decodes in through a segment and through its wire column
-// bytes, failing unless both return it exactly and the segment's
-// column region is the wire body byte for byte.
+// serialDecodeColumns decodes a wire body one column after another,
+// each starting where the last ended, so it needs no column boundaries.
+// It is the reference the differential tests and FuzzColumnsDecode hold
+// DecodeColumns to.
+func serialDecodeColumns(buf []byte, out []Record) error {
+	var prev, prevDelta int64
+	for i := range out {
+		var u uint64
+		if len(buf) > 0 && buf[0] < 0x80 {
+			u, buf = uint64(buf[0]), buf[1:]
+		} else {
+			var err error
+			if u, buf, err = uvarintSlow(buf, colNames[0]); err != nil {
+				return err
+			}
+		}
+		delta := prevDelta + unzigzag(u)
+		v := prev + delta
+		out[i].Time = v
+		prev, prevDelta = v, delta
+	}
+	prev, prevDelta = 0, 0
+	for i := range out {
+		var u uint64
+		if len(buf) > 0 && buf[0] < 0x80 {
+			u, buf = uint64(buf[0]), buf[1:]
+		} else {
+			var err error
+			if u, buf, err = uvarintSlow(buf, colNames[1]); err != nil {
+				return err
+			}
+		}
+		delta := prevDelta + unzigzag(u)
+		v := prev + delta
+		out[i].Logical = uint64(v)
+		prev, prevDelta = v, delta
+	}
+	buf, err := decodeRunsCol(buf, 2, out)
+	if err != nil {
+		return err
+	}
+	if buf, err = decodeRunsCol(buf, 3, out); err != nil {
+		return err
+	}
+	if buf, err = decodeKindsCol(buf, out); err != nil {
+		return err
+	}
+	prev = 0
+	for i := range out {
+		var u uint64
+		if len(buf) > 0 && buf[0] < 0x80 {
+			u, buf = uint64(buf[0]), buf[1:]
+		} else {
+			var err error
+			if u, buf, err = uvarintSlow(buf, colNames[5]); err != nil {
+				return err
+			}
+		}
+		v := prev + unzigzag(u)
+		out[i].Tag = uint16(v)
+		prev = v
+	}
+	prev = 0
+	for i := range out {
+		var u uint64
+		if len(buf) > 0 && buf[0] < 0x80 {
+			u, buf = uint64(buf[0]), buf[1:]
+		} else {
+			var err error
+			if u, buf, err = uvarintSlow(buf, colNames[6]); err != nil {
+				return err
+			}
+		}
+		v := prev + unzigzag(u)
+		out[i].Payload = v
+		prev = v
+	}
+	if len(buf) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after columns", ErrBadSegment, len(buf))
+	}
+	return nil
+}
+
+// decodeBoth decodes in through a segment, through its wire column
+// bytes and through the serial reference, failing unless all three
+// return it exactly and the segment's column region is the wire body
+// byte for byte.
 func decodeBoth(t *testing.T, what string, in []Record) {
 	t.Helper()
 	buf := AppendSegment(nil, in)
@@ -57,6 +142,11 @@ func decodeBoth(t *testing.T, what string, in []Record) {
 		t.Fatalf("%s: wire decode: %v", what, err)
 	}
 	recordsEqual(t, what+" wire", wire, in)
+	serial := make([]Record, len(in))
+	if err := serialDecodeColumns(cols, serial); err != nil {
+		t.Fatalf("%s: serial decode: %v", what, err)
+	}
+	recordsEqual(t, what+" serial", serial, in)
 }
 
 func recordsEqual(t *testing.T, what string, got, want []Record) {
@@ -71,8 +161,8 @@ func recordsEqual(t *testing.T, what string, got, want []Record) {
 	}
 }
 
-// TestColumnDecodersAgree runs the interleaved segment decoder and the
-// sequential wire decoder over the same seeded batches, and pins the
+// TestColumnDecodersAgree runs the segment decoder, the wire decoder
+// and the serial reference over the same seeded batches, and pins the
 // one-codec invariant on each (a segment's column region is the wire
 // body of the same records): one-byte columns, the measured length
 // mix, 9–10-byte varints from wrapping extremes, the property test's
@@ -260,4 +350,140 @@ func TestSegmentDecodeTrailingBytes(t *testing.T) {
 		col := append(buf[seg.colOff[ci]:seg.colOff[ci+1]:seg.colOff[ci+1]], 0)
 		expectBadSegment(t, colNames[ci]+" trailing", withColumn(t, buf, ci, col), colNames[ci])
 	}
+}
+
+// expectBadColumns decodes body as n records through DecodeColumns and
+// the serial reference: both must fail with ErrBadSegment, and
+// DecodeColumns's error must name one of names.
+func expectBadColumns(t *testing.T, what string, body []byte, n int, names ...string) {
+	t.Helper()
+	if err := serialDecodeColumns(body, make([]Record, n)); !errors.Is(err, ErrBadSegment) {
+		t.Fatalf("%s: serial decode error %v, want ErrBadSegment", what, err)
+	}
+	err := DecodeColumns(body, make([]Record, n))
+	if !errors.Is(err, ErrBadSegment) {
+		t.Fatalf("%s: decode error %v, want ErrBadSegment", what, err)
+	}
+	named := false
+	for _, name := range names {
+		named = named || strings.Contains(err.Error(), name)
+	}
+	if !named {
+		t.Fatalf("%s: error %q names none of %q", what, err, names)
+	}
+}
+
+// TestColumnsDecodeHostileVarints breaks one varint of each varint
+// column of a wire body, at the first, a middle and the last record.
+// An overlong 11-byte varint and a body cut short inside the varint
+// must be blamed on that column. A varint whose terminator gains its
+// continuation bit swallows the next varint, which may belong to the
+// next column: those bytes read as a valid column followed by a short
+// one, so the blame may fall on any later column. A column of
+// continuation bytes to the end of the body has no terminator for
+// either decoder to find.
+func TestColumnsDecodeHostileVarints(t *testing.T) {
+	const n = 64
+	in := mixBatch(rand.New(rand.NewSource(3)), n, measuredMix)
+	var off [numColumns]int
+	var cc ColumnCodec
+	buf := cc.appendColumns(nil, in, &off)
+	end := append(off[1:], len(buf))
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
+	for _, ci := range [...]int{0, 1, 5, 6} {
+		varints := splitVarints(buf[off[ci]:end[ci]])
+		for _, r := range [...]int{0, n / 2, n - 1} {
+			start := off[ci]
+			for _, v := range varints[:r] {
+				start += len(v)
+			}
+			v := varints[r]
+			what := fmt.Sprintf("%s record %d", colNames[ci], r)
+			cut := buf[:start+len(v)-1]
+			expectBadColumns(t, what+" cut", cut, n, colNames[ci])
+			body := append(append(append([]byte(nil), buf[:start]...), overlong...), buf[start+len(v):]...)
+			expectBadColumns(t, what+" overlong", body, n, colNames[ci])
+			body = append([]byte(nil), buf...)
+			body[start+len(v)-1] |= 0x80
+			expectBadColumns(t, what+" swallowed", body, n, colNames[ci:]...)
+		}
+		body := append(append([]byte(nil), buf[:off[ci]]...), bytes.Repeat([]byte{0x80}, end[ci]-off[ci])...)
+		expectBadColumns(t, colNames[ci]+" continuation only", body, n, colNames[ci])
+	}
+	expectBadColumns(t, "spare trailing byte", append(buf, 0), n, colNames[6])
+}
+
+// TestSkipVarints pins the terminator count that finds a wire body's
+// column boundaries: where the n-th terminator falls against the 8-byte
+// words counted whole, columns shorter than one word, and n = 0.
+func TestSkipVarints(t *testing.T) {
+	cont := func(k int) []byte { return bytes.Repeat([]byte{0x80}, k) }
+	ones := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	cases := []struct {
+		name string
+		col  []byte
+		n    int
+		rest int // bytes left after the n-th terminator; -1 for an error
+	}{
+		{"n=0 empty", nil, 0, 0},
+		{"n=0", ones, 0, len(ones)},
+		{"inside word", append(cont(3), 1, 0x80, 0x80, 0x80, 2, 9), 1, 5},
+		{"last byte of word", append(cont(7), 1, 9), 1, 1},
+		{"first byte of next word", append(cont(8), 1, 9), 1, 1},
+		{"eighth of eight in word", ones, 8, len(ones) - 8},
+		{"ninth, first of next word", ones, 9, len(ones) - 9},
+		{"sixteenth, last of second word", ones, 16, 1},
+		{"all", ones, len(ones), 0},
+		{"one short", ones, len(ones) + 1, -1},
+		{"shorter than a word", []byte{0x81, 1, 5}, 1, 1},
+		{"shorter than a word, all", []byte{0x81, 1, 5}, 2, 0},
+		{"shorter than a word, one short", []byte{0x81, 1, 5}, 3, -1},
+		{"continuation only", cont(20), 1, -1},
+		{"empty", nil, 1, -1},
+	}
+	for _, c := range cases {
+		rest, err := skipVarints(c.col, c.n, 5)
+		switch {
+		case c.rest < 0 && !errors.Is(err, ErrBadSegment):
+			t.Errorf("%s: error %v, want ErrBadSegment", c.name, err)
+		case c.rest < 0 && !strings.Contains(err.Error(), "tag"):
+			t.Errorf("%s: error %q does not name the tag column", c.name, err)
+		case c.rest >= 0 && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.rest >= 0 && len(rest) != c.rest:
+			t.Errorf("%s: %d bytes left, want %d", c.name, len(rest), c.rest)
+		}
+	}
+}
+
+// FuzzColumnsDecode holds DecodeColumns to the serial reference on
+// arbitrary bytes and record counts below 600: it must never panic,
+// must accept exactly the bodies the reference accepts and decode them
+// to the same records, and must wrap ErrBadSegment on every rejection.
+func FuzzColumnsDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(25))
+	var cc ColumnCodec
+	add := func(rs []Record) { f.Add(cc.AppendColumns(nil, rs), uint16(len(rs))) }
+	add(mixBatch(rng, 512, measuredMix))
+	add(mixBatch(rng, 32, measuredMix))
+	add(extremesBatch(rng, 40))
+	for n := 0; n <= 7; n++ {
+		add(mixBatch(rng, n, measuredMix))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, count uint16) {
+		n := int(count) % 600
+		got, want := make([]Record, n), make([]Record, n)
+		err := DecodeColumns(body, got)
+		refErr := serialDecodeColumns(body, want)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder error %v, reference error %v", err, refErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadSegment) {
+				t.Fatalf("error %v does not wrap ErrBadSegment", err)
+			}
+			return
+		}
+		recordsEqual(t, "decoded", got, want)
+	})
 }

@@ -7,9 +7,9 @@ import (
 
 // FuzzSegmentDecode drives the columnar decoder with arbitrary bytes:
 // whatever the input, Parse and the decode paths must return an error
-// or a valid batch — never panic, never run away. Whatever the
-// interleaved segment decoder accepts, the sequential wire decoder
-// must decode to the same records from the same column bytes; and a
+// or a valid batch — never panic, never run away. Whatever the segment
+// decoder accepts, the wire decoder, which finds the column boundaries
+// itself, must decode to the same records from the same bytes; and a
 // re-encode must round-trip, pinning encoder/decoder agreement on
 // fuzz-discovered shapes.
 func FuzzSegmentDecode(f *testing.F) {
