@@ -6,7 +6,7 @@ BENCHTIME ?= 1s
 # and ISM ingest paths are the ones the sharded merge is supposed to
 # scale, so `make bench` re-runs them at each of these proc counts.
 BENCHCPUS ?= 1,2,4,8
-SWEEPBENCH ?= PipelineThroughput|ISMPipeline|TieredScan|ReplayFirehose|RelayFanIn
+SWEEPBENCH ?= PipelineThroughput|ISMPipeline|RelayFanIn
 # staticcheck version the CI workflow pins; keep the local install in
 # sync with `go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)`.
 STATICCHECK_VERSION ?= 2025.1

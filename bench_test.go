@@ -213,7 +213,6 @@ func BenchmarkTraceEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(trace.RecordSize)
 }
 
 func BenchmarkTraceMerge(b *testing.B) {

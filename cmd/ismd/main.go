@@ -63,6 +63,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -187,6 +188,40 @@ func printWireStats(snap metrics.Snapshot) {
 	}
 }
 
+// loadResume reads a relay's previous spool for relay.Config.Resume.
+// A missing spool is an empty one. A torn tail — a segment cut short by
+// a crash mid-write — is dropped and the relay resumes from the whole
+// segments before it: that segment's Flush never returned, so none of
+// its batches were acked and the downstream replay windows still hold
+// them. When the spool is also the file this incarnation appends to
+// (truncate), the dropped bytes are cut off first, so new segments
+// follow the last whole one. Any other decode failure — a corrupt
+// segment, or a file that is no segment stream — is an error and leaves
+// the file untouched: the records after it were acked.
+func loadResume(path string, truncate bool) ([]trace.Record, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	recs, n, err := trace.DecodeSegments(nil, data)
+	if err == nil {
+		return recs, nil
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, err
+	}
+	log.Printf("ismd: resume spool %s: dropping %d bytes after the last whole segment: %v", path, len(data)-n, err)
+	if truncate {
+		if err := os.Truncate(path, int64(n)); err != nil {
+			return nil, err
+		}
+	}
+	return recs, nil
+}
+
 // runRelay is the -relay mode: a root relay manager merging downstream
 // manager sessions into the single causally ordered root trace.
 func runRelay(addr, spool, resumeSpool string, downstreams, laneRing int, maxStall, statsEvery, degradedAfter time.Duration) {
@@ -196,20 +231,12 @@ func runRelay(addr, spool, resumeSpool string, downstreams, laneRing int, maxSta
 	// it, so downstream at-least-once replays dedupe record-granularly
 	// instead of duplicating the root trace.
 	var resume []trace.Record
-	resumeBytes := 0
 	if resumeSpool != "" {
-		data, err := os.ReadFile(resumeSpool)
-		if err != nil && !os.IsNotExist(err) {
+		var err error
+		if resume, err = loadResume(resumeSpool, spool == resumeSpool); err != nil {
 			log.Fatalf("ismd: resume spool: %v", err)
 		}
-		resumeBytes = len(data)
-		if len(data) > 0 {
-			resume, err = trace.NewReader(strings.NewReader(string(data))).ReadAllHint(len(data) / trace.RecordSize)
-			if err != nil {
-				log.Fatalf("ismd: resume spool: %v", err)
-			}
-			log.Printf("ismd: resuming from %s (%d records)", resumeSpool, len(resume))
-		}
+		log.Printf("ismd: resuming from %s (%d records)", resumeSpool, len(resume))
 	}
 	cfg := relay.Config{
 		Root:        true,
@@ -225,11 +252,8 @@ func runRelay(addr, spool, resumeSpool string, downstreams, laneRing int, maxSta
 		if spool == resumeSpool {
 			// Same file as the resume source: the previous incarnation's
 			// output is the prefix of this one's, so append, don't
-			// truncate — and when that prefix exists its header already
-			// covers the stream, so the relay must not write another one
-			// mid-file.
+			// truncate.
 			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-			cfg.SpoolContinue = resumeBytes > 0
 		}
 		f, err := os.OpenFile(spool, mode, 0o644)
 		if err != nil {

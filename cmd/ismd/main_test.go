@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"prism/internal/isruntime/metrics"
+	"prism/internal/trace"
 )
 
 // spillFlagSet mirrors the spill-related subset of main's flag
@@ -206,6 +210,130 @@ func TestWireStatLines(t *testing.T) {
 				if got[i] != tc.want[i] {
 					t.Errorf("line %d: got %q, want %q", i, got[i], tc.want[i])
 				}
+			}
+		})
+	}
+}
+
+// TestLoadResume: a restarted relay resumes from the whole segments of
+// its spool, cuts a torn tail off before appending to the same file,
+// and treats an empty or missing spool as empty. Whatever it resumed
+// from, the segments it appends afterwards decode as one stream.
+func TestLoadResume(t *testing.T) {
+	recs := make([]trace.Record, 1200) // segments of 512, 512 and 176
+	for i := range recs {
+		recs[i] = trace.Record{Node: int32(i % 3), Kind: trace.KindUser, Time: int64(i), Logical: uint64(i / 3)}
+	}
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	if w.WriteAll(recs) != nil || w.Flush() != nil {
+		t.Fatal("write failed")
+	}
+	whole := buf.Bytes()
+	_, seg1, err := trace.ParseSegmentHeader(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, seg2, err := trace.ParseSegmentHeader(whole[seg1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := recs[:7]
+
+	cases := []struct {
+		name string
+		data []byte // nil: no file
+		want int    // records resumed
+		keep int    // spool bytes left
+	}{
+		{"whole spool", whole, len(recs), len(whole)},
+		{"cut inside a header", whole[:seg1+5], 512, seg1},
+		{"cut inside a body", whole[:seg1+seg2/2], 512, seg1},
+		{"cut inside the last footer", whole[:len(whole)-3], 1024, seg1 + seg2},
+		{"empty file", []byte{}, 0, 0},
+		{"missing file", nil, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "root.bin")
+			if c.data != nil {
+				if err := os.WriteFile(path, c.data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := loadResume(path, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != c.want {
+				t.Fatalf("resumed %d records, want %d", len(got), c.want)
+			}
+			for i := range got {
+				if got[i] != recs[i] {
+					t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
+				}
+			}
+			f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fi, err := f.Stat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != int64(c.keep) {
+				t.Fatalf("spool holds %d bytes before appending, want %d", fi.Size(), c.keep)
+			}
+			aw := trace.NewWriter(f)
+			if aw.WriteAll(extra) != nil || aw.Flush() != nil || f.Close() != nil {
+				t.Fatal("append failed")
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, _, err := trace.DecodeSegments(nil, data)
+			if err != nil || len(all) != c.want+len(extra) {
+				t.Fatalf("appended spool decodes to %d records (%v), want %d", len(all), err, c.want+len(extra))
+			}
+		})
+	}
+
+	// Bytes that are not a torn tail refuse the resume and stay on disk:
+	// the records after a corrupt segment were acked, so cutting them
+	// off would lose them for good.
+	flat := []byte("SIRP\x01\x00\x00\x00") // the pre-segment spool header
+	for _, r := range recs[:40] {
+		var b [trace.RecordSize]byte
+		trace.PutRecord(b[:], r)
+		flat = append(flat, b[:]...)
+	}
+	flipped := bytes.Clone(whole)
+	flipped[seg1+trace.SegmentHeaderSize+3] ^= 0xff
+	refused := []struct {
+		name string
+		data []byte
+	}{
+		{"flat-format spool", flat},
+		{"flat-format header only", flat[:8]},
+		{"corrupt middle segment", flipped},
+		{"short tail of another format", append(bytes.Clone(whole[:seg1]), "PSEG\x02\x00"...)},
+	}
+	for _, c := range refused {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "root.bin")
+			if err := os.WriteFile(path, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := loadResume(path, true); err == nil {
+				t.Fatalf("resumed %d records, want an error", len(got))
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, c.data) {
+				t.Fatalf("spool changed: %d bytes, was %d", len(data), len(c.data))
 			}
 		})
 	}

@@ -13,7 +13,7 @@
 //	        [-replay <spool|segfile|segdir>] [-speed 1]
 //
 // With -replay the synthetic workload is skipped entirely: the named
-// capture (a flat spool file, a columnar segment file, or a Tiered
+// capture (a spool or other columnar segment file, or a Tiered
 // segment directory) is re-emitted through per-node buffered LISes
 // over the same wire path, with original timing scaled by -speed
 // (0 = max-speed firehose). The run ends when the capture is
@@ -67,7 +67,7 @@ func main() {
 	redialGiveup := flag.Duration("redial-giveup", 30*time.Second, "with -resilient, give up after this much cumulative downtime in one outage (0 = retry forever)")
 	window := flag.Int("window", 256, "with -resilient, unacked batches retained for replay")
 	heartbeat := flag.Duration("heartbeat", time.Second, "with -resilient, liveness beacon interval (0 disables)")
-	replayPath := flag.String("replay", "", "replay a captured trace (flat spool file, segment file, or tier segment directory) instead of running the synthetic workload")
+	replayPath := flag.String("replay", "", "replay a captured trace (spool or segment file, or tier segment directory) instead of running the synthetic workload")
 	speed := flag.Float64("speed", 1, "with -replay, timing scale: 1 = original pacing, 2 = twice as fast, 0 = max-speed firehose")
 	flag.Parse()
 

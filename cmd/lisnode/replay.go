@@ -1,6 +1,6 @@
 package main
 
-// Replay mode: -replay re-emits a captured trace (flat spool, segment
+// Replay mode: -replay re-emits a captured trace (spool or segment
 // file, or Tiered segment directory) through per-node buffered LISes
 // sharing the node's real ISM connection — the full LIS→TP→ISM wire
 // path, not a shortcut — with the capture's original timing, scaled by

@@ -139,7 +139,7 @@ func captureSpool(t *testing.T, runs [][]trace.Record) []byte {
 func testReplayRoundTrip(t *testing.T, speed float64) {
 	runs := genCausalRuns(42, 3, 2, 4000)
 	original := captureSpool(t, runs)
-	captured, err := trace.NewReader(bytes.NewReader(original)).ReadAll()
+	captured, _, err := trace.DecodeSegments(nil, original)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +178,8 @@ func testReplayRoundTrip(t *testing.T, speed float64) {
 	lisSide.Close()
 
 	if !bytes.Equal(original, replayed.Bytes()) {
-		a, _ := trace.NewReader(bytes.NewReader(original)).ReadAll()
-		b, _ := trace.NewReader(bytes.NewReader(replayed.Bytes())).ReadAll()
+		a, _, _ := trace.DecodeSegments(nil, original)
+		b, _, _ := trace.DecodeSegments(nil, replayed.Bytes())
 		if len(a) != len(b) {
 			t.Fatalf("replayed trace has %d records, original %d", len(b), len(a))
 		}

@@ -126,7 +126,7 @@ func main() {
 	}
 
 	spoolBytes := spool.Len()
-	records, err := trace.NewReader(&spool).ReadAll()
+	records, _, err := trace.DecodeSegments(nil, spool.Bytes())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -239,8 +239,8 @@ func (c *Cluster) Trace() ([]trace.Record, error) {
 		return nil, err
 	}
 	c.closed = true
-	data := bytes.NewReader(c.spool.Bytes())
-	return trace.NewReader(data).ReadAllHint(c.spool.Len() / trace.RecordSize)
+	recs, _, err := trace.DecodeSegments(nil, c.spool.Bytes())
+	return recs, err
 }
 
 // Close tears the cluster down. Safe after Trace.

@@ -268,8 +268,8 @@ func (f *Federation) Trace() ([]trace.Record, error) {
 	if err := f.Drain(); err != nil {
 		return nil, err
 	}
-	data := bytes.NewReader(f.spool.Bytes())
-	return trace.NewReader(data).ReadAllHint(f.spool.Len() / trace.RecordSize)
+	recs, _, err := trace.DecodeSegments(nil, f.spool.Bytes())
+	return recs, err
 }
 
 // Predict computes the root trace the federation must emit, from the

@@ -67,7 +67,7 @@ func TestTraceWriterTool(t *testing.T) {
 	if tw.Records() != 2 {
 		t.Fatalf("wrote %d", tw.Records())
 	}
-	rs, err := trace.NewReader(&buf).ReadAll()
+	rs, _, err := trace.DecodeSegments(nil, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@
 // case study evaluates (§3.3.2): SISO (single input buffer shared by
 // all sources) and MISO (one input buffer per source), a pluggable
 // data processor performing causal ordering with logical timestamps,
-// an output buffer dispatching to subscribed tools, and optional
-// spooling to a trace file for off-line use.
+// dispatch to subscribed tools, and optional spooling to a trace
+// segment stream for off-line use.
 //
 // Ingest is sharded: each shard lane owns an input stage and a
 // trace.Sequencer restoring per-source program order, and hands its
@@ -96,8 +96,10 @@ type Config struct {
 	// Metrics, when non-nil, is the registry the ISM reports through
 	// (under the "ism" scope). Nil gets a private registry.
 	Metrics *metrics.Registry
-	// Spool, when non-nil, receives every dispatched record in the
-	// binary trace format (the off-line storage path of Figure 2).
+	// Spool, when non-nil, receives every dispatched record as a trace
+	// segment stream (the off-line storage path of Figure 2). It is
+	// flushed only by Close, so its bytes depend on the dispatched
+	// records alone, not on how dispatch batched them.
 	Spool io.Writer
 	// Ordered enables the causal-ordering data processor. When
 	// false, records are dispatched in arrival order (a pure
@@ -124,13 +126,6 @@ type Config struct {
 	// incarnation). Needs an in-order per-source feed, which the
 	// session protocol provides. Ignored unless Ordered.
 	ResumeSources bool
-	// OutputCapacity, when positive, interposes a bounded output
-	// buffer between the data processor and the tools (the "Single
-	// Output buffer" of the SISO/MISO configurations, §3.3.2): a
-	// dispatcher goroutine drains it, so slow tools exert
-	// backpressure on the merger only when the buffer fills.
-	// Zero keeps synchronous dispatch on the merger goroutine.
-	OutputCapacity int
 }
 
 // Stats is a snapshot of ISM activity and performance, read from the
@@ -145,9 +140,6 @@ type Stats struct {
 	MeanLatencyNs float64 // mean arrival->output-buffer latency
 	MaxLatencyNs  int64
 	ControlsSeen  uint64 // control messages processed
-	// OutputQueued is the current output-buffer occupancy (0 with
-	// synchronous dispatch).
-	OutputQueued int
 	// Delivered counts records handed to subscribers.
 	Delivered uint64
 	// InputDropped counts records lost to input-stage overflow.
@@ -267,10 +259,6 @@ type ISM struct {
 	pushed    atomic.Uint64
 	processed atomic.Uint64
 
-	out       chan trace.Record
-	outDone   chan struct{}
-	outPushed atomic.Uint64
-
 	mu        sync.Mutex
 	subs      []subscriber
 	spool     *trace.Writer
@@ -353,11 +341,6 @@ func New(cfg Config, clock event.Clock) *ISM {
 	if cfg.Spool != nil {
 		m.spool = trace.NewWriter(cfg.Spool)
 	}
-	if cfg.OutputCapacity > 0 {
-		m.out = make(chan trace.Record, cfg.OutputCapacity)
-		m.outDone = make(chan struct{})
-		go m.dispatchOutput()
-	}
 	m.merge.Start()
 	m.runWG.Add(len(m.shards))
 	for _, s := range m.shards {
@@ -381,36 +364,6 @@ func (m *ISM) shardFor(node int32) *ismShard {
 // Metrics returns the registry the ISM reports through.
 func (m *ISM) Metrics() *metrics.Registry { return m.ctr.reg }
 
-// dispatchOutput drains the output buffer to the subscribed tools.
-func (m *ISM) dispatchOutput() {
-	defer close(m.outDone)
-	for r := range m.out {
-		m.emit(r)
-	}
-}
-
-// emit hands one record to the spool and every subscriber.
-func (m *ISM) emit(r trace.Record) {
-	m.mu.Lock()
-	spool := m.spool
-	subs := m.subs
-	m.mu.Unlock()
-	if spool != nil {
-		m.mu.Lock()
-		_ = spool.Write(r)
-		m.mu.Unlock()
-	}
-	for _, s := range subs {
-		if s.batch != nil {
-			one := [1]trace.Record{r}
-			s.batch(one[:])
-			continue
-		}
-		s.fn(r)
-	}
-	m.ctr.delivered.Inc()
-}
-
 // Subscribe registers a tool sink; every dispatched record is passed
 // to fn in causal (or arrival) order on the merger goroutine.
 // Subscribers must be registered before data flows for complete
@@ -423,12 +376,11 @@ func (m *ISM) Subscribe(name string, fn func(trace.Record)) {
 
 // SubscribeBatch registers a batch-granular tool sink: every dispatched
 // batch is passed to fn as one slice, in dispatch order, on the merger
-// goroutine (or in single-record slices on the dispatcher goroutine
-// when an output buffer is configured). The slice is only valid for
-// the duration of the call — the ISM recycles it into the batch pool
-// afterwards — so sinks that keep records must copy. This is the
-// uplink hook of the federated tier: forwarding a leaf's merged output
-// batch-at-a-time keeps the wire path batch-granular end to end.
+// goroutine. The slice is only valid for the duration of the call —
+// the ISM recycles it into the batch pool afterwards — so sinks that
+// keep records must copy. This is the uplink hook of the federated
+// tier: forwarding a leaf's merged output batch-at-a-time keeps the
+// wire path batch-granular end to end.
 func (m *ISM) SubscribeBatch(name string, fn func([]trace.Record)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -635,18 +587,11 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 	m.merge.Signal()
 }
 
-// emitAll hands a dispatched batch to the output buffer or directly to
-// the spool and subscribers. It runs on the merger goroutine — the
-// single dispatch point behind the parallel lanes.
+// emitAll hands a dispatched batch to the spool and subscribers. It
+// runs on the merger goroutine — the single dispatch point behind the
+// parallel lanes.
 func (m *ISM) emitAll(rs []trace.Record) {
 	if len(rs) == 0 {
-		return
-	}
-	if m.out != nil {
-		m.outPushed.Add(uint64(len(rs)))
-		for _, r := range rs {
-			m.out <- r // backpressure when the output buffer is full
-		}
 		return
 	}
 	m.mu.Lock()
@@ -700,9 +645,6 @@ func (m *ISM) Stats() Stats {
 	if st.Arrived > 0 {
 		st.HoldBackRatio = float64(st.OutOfOrder) / float64(st.Arrived)
 	}
-	if m.out != nil {
-		st.OutputQueued = int(m.outPushed.Load() - st.Delivered)
-	}
 	return st
 }
 
@@ -743,12 +685,6 @@ func (m *ISM) Drain() {
 	// them; every lane pushes its slot before raising processed, so the
 	// rings' pushed watermark is final once the loop above exits.
 	m.merge.WaitConsumed(time.Time{})
-	if m.out != nil {
-		outTarget := m.outPushed.Load()
-		for m.ctr.delivered.Value() < outTarget {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
 }
 
 // Close stops the lanes after draining buffered input, lets the merger
@@ -778,10 +714,6 @@ func (m *ISM) Close() error {
 	// Lanes are done: every slot is in the rings. Stop the merger,
 	// which final-drains them without the frontier rule.
 	m.merge.Close()
-	if m.out != nil {
-		close(m.out)
-		<-m.outDone
-	}
 	var err error
 	m.mu.Lock()
 	if m.spool != nil {

@@ -87,7 +87,7 @@ func TestRelayKillAbandonsRestOfSlot(t *testing.T) {
 	if acked := f.rel.ackFrontier(100); acked != 0 {
 		t.Fatalf("abandoned batch acknowledged (frontier %d)", acked)
 	}
-	spooled, err := trace.NewReader(bytes.NewReader(f.spool.Bytes())).ReadAll()
+	spooled, _, err := trace.DecodeSegments(nil, f.spool.Bytes())
 	if err != nil || len(spooled) != 1 {
 		t.Fatalf("spool holds %d records (err %v), want the 1 emitted", len(spooled), err)
 	}

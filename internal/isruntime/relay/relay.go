@@ -55,15 +55,11 @@ type Config struct {
 	// are rebuilt from it, so downstream at-least-once replays dedupe
 	// record-granularly instead of re-emitting.
 	Resume []trace.Record
-	// Spool, when non-nil, receives every emitted record in the binary
-	// trace format — at the root, the federation's single causally
-	// ordered trace.
+	// Spool, when non-nil, receives every emitted record as a trace
+	// segment stream — at the root, the federation's single causally
+	// ordered trace. A restarted relay may append to the spool it
+	// resumed from: segments frame themselves.
 	Spool io.Writer
-	// SpoolContinue marks Spool as the continuation of an existing
-	// trace stream (a restarted relay appending to the spool it resumed
-	// from): the stream header is suppressed, because the file's
-	// original header already covers the appended records.
-	SpoolContinue bool
 	// Metrics, when non-nil, is the registry the relay reports through
 	// (under the "ism.relay" scope). Nil gets a private registry.
 	Metrics *metrics.Registry
@@ -321,11 +317,7 @@ func New(cfg Config) *Relay {
 		}
 	}
 	if cfg.Spool != nil {
-		if cfg.SpoolContinue {
-			r.spool = trace.NewAppendWriter(cfg.Spool)
-		} else {
-			r.spool = trace.NewWriter(cfg.Spool)
-		}
+		r.spool = trace.NewWriter(cfg.Spool)
 	}
 	r.recv = fault.NewReceiver(fault.ReceiverConfig{
 		AckEvery:    cfg.AckEvery,

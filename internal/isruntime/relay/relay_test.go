@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -110,7 +111,7 @@ func traceBytes(t *testing.T, rs []trace.Record) []byte {
 
 func readTrace(t *testing.T, data []byte) []trace.Record {
 	t.Helper()
-	rs, err := trace.NewReader(bytes.NewReader(data)).ReadAll()
+	rs, _, err := trace.DecodeSegments(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -862,19 +863,35 @@ func TestFederationCrashResumeExactlyOnce(t *testing.T) {
 }
 
 // failAfter is a spool that accepts limit bytes and then fails every
-// write — a disk filling up mid-record.
+// write — a disk filling up mid-segment.
 type failAfter struct {
+	mu    sync.Mutex
 	buf   bytes.Buffer
 	limit int
 }
 
 func (w *failAfter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	room := w.limit - w.buf.Len()
 	if room >= len(p) {
 		return w.buf.Write(p)
 	}
 	w.buf.Write(p[:room])
 	return room, errors.New("disk full")
+}
+
+// fillAfter leaves room for n more bytes.
+func (w *failAfter) fillAfter(n int) {
+	w.mu.Lock()
+	w.limit = w.buf.Len() + n
+	w.mu.Unlock()
+}
+
+func (w *failAfter) contents() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]byte(nil), w.buf.Bytes()...)
 }
 
 // TestRelaySpoolFailureFreezesAcks: the dispatch gate's promise is
@@ -884,10 +901,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // Close surfaces the failure, and a successor resumed from that spool
 // still reaches the exactly-once root trace.
 func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
-	const (
-		batch   = 16
-		durable = 200 // whole records the first spool can take
-	)
+	const batch = 16
 	all := genExecution(4, 600, 31)
 	want := predictRoot(all)
 	finalMark := int64(len(all)) + 2
@@ -917,8 +931,7 @@ func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for the header, `durable` records and half of the next one.
-	spool := &failAfter{limit: 8 + durable*trace.RecordSize + trace.RecordSize/2}
+	spool := &failAfter{limit: math.MaxInt}
 	first := New(Config{Root: true, AckEvery: 1, Spool: spool})
 	setCurrent(first)
 	up := NewUplink(100, rd, UplinkConfig{BatchSize: batch, Window: 512})
@@ -940,7 +953,10 @@ func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
 	}
 	ackedEarly := up.sess.Acked()
 
-	// Phase 2 runs the spool out of room mid-record.
+	// Phase 2 runs the spool out of room mid-segment: the room left is
+	// half of what the rest of the trace takes even as one segment, the
+	// most compact way the relay could spool it.
+	spool.fillAfter(len(trace.AppendSegment(nil, all[early:])) / 2)
 	push(all[early:])
 	up.Mark(finalMark)
 	deadline := time.Now().Add(10 * time.Second)
@@ -954,11 +970,14 @@ func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
 	if n := first.Metrics().Snapshot().Value("ism.relay.spool_errors"); n != 1 {
 		t.Fatalf("spool_errors = %v, want 1", n)
 	}
-	// The torn tail decodes to exactly the whole records that fit.
-	kept, rerr := trace.NewReader(bytes.NewReader(spool.buf.Bytes())).ReadAll()
-	if rerr == nil || len(kept) != durable {
-		t.Fatalf("short spool read %d records (err %v), want %d and a truncation error", len(kept), rerr, durable)
+	// The short spool decodes to the whole segments that fit; a torn
+	// tail after them is a bad segment.
+	data := spool.contents()
+	kept, n, rerr := trace.DecodeSegments(nil, data)
+	if n < len(data) && !errors.Is(rerr, trace.ErrBadSegment) || n == len(data) && rerr != nil {
+		t.Fatalf("short spool: %d of %d bytes decode, err %v", n, len(data), rerr)
 	}
+	durable := len(kept)
 	// Live subscribers aside, nothing past the failure was acknowledged:
 	// the ack frontier still covers only batches wholly in the spool, and
 	// every later batch is still in the replay window.

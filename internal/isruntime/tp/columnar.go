@@ -144,12 +144,6 @@ func readColumnarBody(r io.Reader, eb *encodeBuffer, m Message, count uint32) (M
 		flow.PutBatch(rs)
 		return Message{}, 0, fmt.Errorf("tp: columnar body: %v: %w", err, ErrCorruptFrame)
 	}
-	for i := range rs {
-		if !rs[i].Kind.Valid() {
-			flow.PutBatch(rs)
-			return Message{}, 0, fmt.Errorf("tp: record %d has invalid kind: %w", i, ErrCorruptFrame)
-		}
-	}
 	m.Records = rs
 	m.Pooled = true
 	return m, int(bodyLen), nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,6 +126,18 @@ func TestColumnarFrameCorruption(t *testing.T) {
 		bad[frameHeaderSize+2] = 0xff
 		if _, err := ReadMessage(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptFrame) {
 			t.Fatalf("err = %v, want ErrCorruptFrame", err)
+		}
+	})
+	t.Run("invalid-kind", func(t *testing.T) {
+		bad := colRecs(8)
+		bad[5].Kind = 77
+		buf, err := AppendColumnarMessage(nil, DataMessage(2, bad), &cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadMessage(bytes.NewReader(buf))
+		if !errors.Is(err, ErrCorruptFrame) || !strings.Contains(err.Error(), "kind") {
+			t.Fatalf("err = %v, want ErrCorruptFrame naming the kind column", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {

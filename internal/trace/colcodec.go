@@ -451,6 +451,11 @@ func decodeKindsCol(col []byte, out []Record) ([]byte, error) {
 	}
 	dict := col[:dictLen]
 	col = col[dictLen:]
+	for _, k := range dict {
+		if !Kind(k).Valid() {
+			return nil, fmt.Errorf("%w: kind dictionary holds invalid kind %d", ErrBadSegment, k)
+		}
+	}
 	i := 0
 	for i < len(out) {
 		// A run is a length varint and a one-byte index; a one-byte

@@ -14,6 +14,8 @@ import (
 
 // extremesBatch builds records from int64/uint64/int32 extremes, so
 // deltas wrap and most varints run to 9–10 bytes (5 for run values).
+// Kinds stay valid: a dictionary entry outside the defined set is a
+// decode error, not an extreme.
 func extremesBatch(rng *rand.Rand, n int) []Record {
 	i64 := [...]int64{math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1}
 	i32 := [...]int32{math.MinInt32, math.MaxInt32, 0, -1}
@@ -22,7 +24,7 @@ func extremesBatch(rng *rand.Rand, n int) []Record {
 		rs[i] = Record{
 			Node:    i32[rng.Intn(len(i32))],
 			Process: i32[rng.Intn(len(i32))],
-			Kind:    Kind(rng.Intn(256)),
+			Kind:    Kind(rng.Intn(int(numKinds))),
 			Tag:     uint16(rng.Intn(2)) * math.MaxUint16,
 			Time:    i64[rng.Intn(len(i64))],
 			Logical: uint64(i64[rng.Intn(len(i64))]),

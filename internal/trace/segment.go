@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"slices"
 )
@@ -175,28 +176,26 @@ func timeRange(rs []Record) (int64, int64) {
 }
 
 // collectSources returns per-node counts and time spans over rs, sorted
-// by node.
+// by node. Records arrive in per-source runs (one LIS flush each), so
+// the previous record's entry is tried before the search.
 func collectSources(rs []Record) []SourceRange {
 	var dst []SourceRange
+	j := 0
 	for i := range rs {
 		r := &rs[i]
-		found := false
-		for j := range dst {
-			if dst[j].Node == r.Node {
-				dst[j].Count++
-				if r.Time < dst[j].MinTime {
-					dst[j].MinTime = r.Time
-				}
-				if r.Time > dst[j].MaxTime {
-					dst[j].MaxTime = r.Time
-				}
-				found = true
-				break
+		if j == len(dst) || dst[j].Node != r.Node {
+			j = 0
+			for j < len(dst) && dst[j].Node != r.Node {
+				j++
+			}
+			if j == len(dst) {
+				dst = append(dst, SourceRange{Node: r.Node, MinTime: r.Time, MaxTime: r.Time})
 			}
 		}
-		if !found {
-			dst = append(dst, SourceRange{Node: r.Node, Count: 1, MinTime: r.Time, MaxTime: r.Time})
-		}
+		s := &dst[j]
+		s.Count++
+		s.MinTime = min(s.MinTime, r.Time)
+		s.MaxTime = max(s.MaxTime, r.Time)
 	}
 	slices.SortFunc(dst, func(a, b SourceRange) int { return int(a.Node) - int(b.Node) })
 	return dst
@@ -310,6 +309,48 @@ func (s *Segment) Parse(buf []byte) ([]byte, error) {
 	s.sources = sources
 	s.colOff = colOff
 	return buf[segLen:], nil
+}
+
+// DecodeSegments decodes a stream of concatenated segments, such as a
+// Writer's output, appending the records to dst. It returns the
+// extended slice and n, the length of the prefix of buf that whole
+// segments cover. At the first torn or corrupt segment it stops with an
+// error wrapping ErrBadSegment; the records and n then cover the
+// segments before it. The error also wraps io.ErrUnexpectedEOF when
+// that segment is only cut short by the end of buf — the torn tail a
+// crash mid-write leaves — and not corrupt or of another format.
+func DecodeSegments(dst []Record, buf []byte) ([]Record, int, error) {
+	var seg Segment
+	n := 0
+	for n < len(buf) {
+		rest, err := seg.Parse(buf[n:])
+		if err == nil {
+			dst, err = seg.AppendRecords(dst)
+		}
+		if err != nil {
+			if cutShort(buf[n:]) {
+				return dst, n, fmt.Errorf("%w (segment at byte %d cut short: %w)", err, n, io.ErrUnexpectedEOF)
+			}
+			return dst, n, fmt.Errorf("%w (segment at byte %d)", err, n)
+		}
+		n = len(buf) - len(rest)
+	}
+	return dst, n, nil
+}
+
+// cutShort reports whether b is the start of a segment that runs past
+// the end of b: the magic and version bytes present are right, and a
+// whole header claims more bytes than b holds.
+func cutShort(b []byte) bool {
+	if len(b) >= segHeaderSize {
+		_, segLen, err := ParseSegmentHeader(b)
+		return err == nil && segLen > len(b)
+	}
+	var want [8]byte
+	binary.LittleEndian.PutUint32(want[0:], segMagic)
+	binary.LittleEndian.PutUint32(want[4:], segVersion)
+	k := min(len(b), len(want))
+	return string(b[:k]) == string(want[:k])
 }
 
 // Count returns the number of records in the segment.

@@ -178,68 +178,23 @@ func Replay(recs []trace.Record, cfg ReplayConfig) (st ReplayStats, err error) {
 	return st, nil
 }
 
-// LoadCapture loads a captured trace for replay, auto-detecting the
-// container: a directory is read as a Tiered segment directory; a file
-// starting with the segment magic as a concatenated segment stream;
-// anything else as a flat spool (trace.Writer output).
+// LoadCapture loads a captured trace for replay through the parallel
+// scan plane: a directory as a Tiered segment directory (cold then
+// warm, oldest first), a file as a segment stream — a manager's spool
+// or any other concatenation of segments.
 func LoadCapture(path string) ([]trace.Record, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("workload: load capture: %w", err)
 	}
+	var sc *storage.Scanner
 	if fi.IsDir() {
-		return LoadSegmentDir(path)
+		sc, err = storage.ScanDir(path, storage.FilterAll(), storage.ScanOptions{})
+	} else {
+		sc, err = storage.ScanFiles([]string{path}, storage.FilterAll(), storage.ScanOptions{})
 	}
-	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("workload: load capture: %w", err)
-	}
-	var hdr [trace.SegmentHeaderSize]byte
-	n, err := io.ReadFull(f, hdr[:])
-	f.Close()
-	if err != nil && n == 0 {
-		return nil, fmt.Errorf("workload: load capture %s: %w", path, err)
-	}
-	if _, _, err := trace.ParseSegmentHeader(hdr[:n]); err == nil {
-		return LoadSegmentFile(path)
-	}
-	return LoadSpool(path)
-}
-
-// LoadSpool reads a flat spool file (trace.Writer framing).
-func LoadSpool(path string) ([]trace.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("workload: load spool: %w", err)
-	}
-	defer f.Close()
-	hint := 0
-	if fi, err := f.Stat(); err == nil {
-		hint = int(fi.Size()) / trace.RecordSize
-	}
-	recs, err := trace.NewReader(f).ReadAllHint(hint)
-	if err != nil {
-		return recs, fmt.Errorf("workload: load spool %s: %w", path, err)
-	}
-	return recs, nil
-}
-
-// LoadSegmentFile reads a file of concatenated columnar segments
-// through the parallel scan plane.
-func LoadSegmentFile(path string) ([]trace.Record, error) {
-	sc, err := storage.ScanFiles([]string{path}, storage.FilterAll(), storage.ScanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return collectScan(sc)
-}
-
-// LoadSegmentDir reads a Tiered segment directory (cold then warm,
-// oldest first) through the parallel scan plane.
-func LoadSegmentDir(dir string) ([]trace.Record, error) {
-	sc, err := storage.ScanDir(dir, storage.FilterAll(), storage.ScanOptions{})
-	if err != nil {
-		return nil, err
 	}
 	return collectScan(sc)
 }

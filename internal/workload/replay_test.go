@@ -188,8 +188,9 @@ func TestReplayEmitError(t *testing.T) {
 	}
 }
 
-// TestLoadCapture checks container auto-detection: flat spool, segment
-// stream, and tier segment directory all load the same records.
+// TestLoadCapture checks that a spool and a hand-cut segment stream
+// load the same records, and that a flat fixed-width record file — the
+// retired spool format — is rejected rather than misread.
 func TestLoadCapture(t *testing.T) {
 	dir := t.TempDir()
 	recs := replayRecs(300)
@@ -237,6 +238,19 @@ func TestLoadCapture(t *testing.T) {
 				t.Fatalf("%s: record %d = %+v, want %+v", name, i, got[i], recs[i])
 			}
 		}
+	}
+
+	flat := []byte("SIRP\x01\x00\x00\x00") // the flat stream's magic and version
+	for _, r := range recs {
+		flat = append(flat, make([]byte, trace.RecordSize)...)
+		trace.PutRecord(flat[len(flat)-trace.RecordSize:], r)
+	}
+	flatPath := filepath.Join(dir, "flat.spool")
+	if err := os.WriteFile(flatPath, flat, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadCapture(flatPath); !errors.Is(err, trace.ErrBadSegment) {
+		t.Fatalf("flat record file: %d records, err %v, want ErrBadSegment", len(got), err)
 	}
 
 	if _, err := LoadCapture(filepath.Join(dir, "missing")); err == nil {
