@@ -16,7 +16,7 @@
 //	     [-overflow drop-oldest|block|drop-newest|spill] [-publish 0]
 //	     [-resilient] [-degraded-after 5s] [-shards 1] [-merge-ring 0]
 //	     [-spill-dir d] [-spill-hot 16384] [-spill-segment 8192]
-//	     [-spill-warm 8] [-compact-budget 0]
+//	     [-spill-warm 8]
 //	ismd -relay -downstreams N [-max-stall 0] [-lane-ring 0]
 //	     [-resume-spool trace.bin] [-spool trace.bin] [-addr ...]
 //	ismd -uplink relayaddr [-uplink-node 1] [-uplink-batch 512]
@@ -41,11 +41,9 @@
 // (-miso is rejected).
 //
 // With -overflow spill, records displaced from the input stage demote
-// into a tiered columnar store (hot in-memory window, warm compressed
-// segments, background-compacted cold segments) instead of being
-// dropped; -spill-dir persists the segments as files, and
-// -compact-budget bounds the compactor's I/O rate so compaction cannot
-// starve the ingest path's disk bandwidth.
+// into a tiered columnar store (hot in-memory window, then compressed
+// segments) instead of being dropped; -spill-dir persists the segments
+// by appending each, once, to a tier file of -spill-warm segments.
 //
 // Data batches on every listener and uplink connection travel as
 // column-encoded frames: the segment codec on the wire, several times
@@ -85,11 +83,10 @@ import (
 // spillOnlyFlags configure the tiered spill store and mean nothing
 // under any other overflow policy.
 var spillOnlyFlags = map[string]bool{
-	"spill-dir":      true,
-	"spill-hot":      true,
-	"spill-segment":  true,
-	"spill-warm":     true,
-	"compact-budget": true,
+	"spill-dir":     true,
+	"spill-hot":     true,
+	"spill-segment": true,
+	"spill-warm":    true,
 }
 
 // validateOverflowFlags rejects spill-tuning flags that were
@@ -336,8 +333,7 @@ func main() {
 	spillDir := flag.String("spill-dir", "", "with -overflow spill, store tiered segments as files under this directory (default in-memory)")
 	spillHot := flag.Int("spill-hot", 1<<14, "tiered spill hot-window capacity in records")
 	spillSegment := flag.Int("spill-segment", 1<<13, "tiered spill records per sealed segment")
-	spillWarm := flag.Int("spill-warm", 8, "warm segments that trigger a background compaction round")
-	compactBudget := flag.Int64("compact-budget", 0, "compactor I/O budget in bytes/second (0 unbounded)")
+	spillWarm := flag.Int("spill-warm", 8, "tiered spill segments per tier file")
 	publish := flag.Duration("publish", 0, "self-publish runtime metrics into the stream at this interval (0 disables)")
 	resilient := flag.Bool("resilient", false, "run the session protocol (ack, dedup, replay tolerance) in front of the input stage")
 	degradedAfter := flag.Duration("degraded-after", 5*time.Second, "with -resilient, report nodes silent for longer than this as degraded (0 disables)")
@@ -409,15 +405,14 @@ func main() {
 		cfg.Overflow = flow.DropNewest
 	case "spill":
 		// Displaced records demote into a tiered columnar store instead
-		// of being lost: hot in-memory window, warm sealed segments,
-		// cold background-compacted merges under the I/O budget.
+		// of being lost: hot in-memory window, then sealed segments
+		// appended to tier files.
 		var err error
 		tier, err = storage.NewTiered(storage.TieredConfig{
 			HotCapacity:    *spillHot,
 			SegmentRecords: *spillSegment,
 			WarmLimit:      *spillWarm,
 			Dir:            *spillDir,
-			CompactBudget:  *compactBudget,
 			Metrics:        reg,
 		})
 		if err != nil {
@@ -574,13 +569,13 @@ func main() {
 			}
 			if tier != nil {
 				// ISM.Close already flushed the hot window through the
-				// OverflowSpill Flush hook; Close here stops the compactor.
+				// OverflowSpill Flush hook; Close here closes the tier file.
 				if err := tier.Close(); err != nil {
 					log.Printf("ismd: spill tier: %v", err)
 				}
 				ts := tier.Stats()
-				fmt.Printf("spill tier: appended=%d sealed=%d warm=%d cold=%d compactions=%d disk-bytes=%d\n",
-					ts.Appended, ts.Sealed, ts.WarmSegments, ts.ColdSegments, ts.Compactions, ts.BytesToDisk)
+				fmt.Printf("spill tier: appended=%d sealed=%d warm=%d cold=%d disk-bytes=%d\n",
+					ts.Appended, ts.Sealed, ts.WarmSegments, ts.ColdSegments, ts.BytesToDisk)
 			}
 			snap := reg.Snapshot()
 			printWireStats(snap)

@@ -24,7 +24,6 @@ func spillFlagSet() *flag.FlagSet {
 	fs.Int("spill-hot", 1<<14, "")
 	fs.Int("spill-segment", 1<<13, "")
 	fs.Int("spill-warm", 8, "")
-	fs.Int64("compact-budget", 0, "")
 	fs.String("spool", "", "")
 	return fs
 }
@@ -63,7 +62,7 @@ func TestValidateOverflowFlags(t *testing.T) {
 	}{
 		{name: "defaults", args: nil, overflow: "drop-oldest"},
 		{name: "spill flags with spill policy",
-			args:     []string{"-overflow", "spill", "-spill-dir", "/tmp/x", "-spill-hot", "64", "-compact-budget", "1024"},
+			args:     []string{"-overflow", "spill", "-spill-dir", "/tmp/x", "-spill-hot", "64", "-spill-warm", "4"},
 			overflow: "spill"},
 		{name: "spill-dir without spill",
 			args:     []string{"-spill-dir", "/tmp/x"},
@@ -71,9 +70,9 @@ func TestValidateOverflowFlags(t *testing.T) {
 			wantErr:  []string{"-spill-dir", "drop-oldest"}},
 		{name: "every spill flag without spill",
 			args: []string{"-overflow", "block", "-spill-dir", "d", "-spill-hot", "1",
-				"-spill-segment", "2", "-spill-warm", "3", "-compact-budget", "4"},
+				"-spill-segment", "2", "-spill-warm", "3"},
 			overflow: "block",
-			wantErr:  []string{"-spill-dir", "-spill-hot", "-spill-segment", "-spill-warm", "-compact-budget"}},
+			wantErr:  []string{"-spill-dir", "-spill-hot", "-spill-segment", "-spill-warm"}},
 		{name: "unrelated flags stay legal",
 			args:     []string{"-spool", "out.bin"},
 			overflow: "drop-newest"},

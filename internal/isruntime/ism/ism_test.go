@@ -2,6 +2,7 @@ package ism
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -314,50 +315,27 @@ func TestMISORoundRobinFairness(t *testing.T) {
 	// The unit of transfer is a batch envelope, so MISO fairness is
 	// batch-granular: with two batches queued per source, pop must
 	// alternate sources instead of draining one source's queue first.
-	var clock event.VirtualClock
-	m := New(Config{Buffering: MISO}, &clock)
-	defer m.Close()
-	var mu sync.Mutex
+	// The stage is driven directly, so all four batches are queued
+	// before the first pop.
+	s := newMISOStage(4, flow.DropNewest, nil, nil)
+	for _, b := range []struct {
+		node int32
+		tag  uint16
+	}{{0, 1}, {0, 2}, {1, 1}, {1, 2}} {
+		s.push(b.node, batchEnv{node: b.node, recs: []trace.Record{seqRec(b.node, trace.KindUser, b.tag, uint64(b.tag), 0)}})
+	}
 	var order []int32
-	gate := make(chan struct{})
-	first := true
-	m.Subscribe("t", func(r trace.Record) {
-		if first {
-			// Stall the processor on the very first record so every
-			// remaining batch is queued before the next pop.
-			first = false
-			<-gate
+	for {
+		e, ok := s.pop()
+		if !ok {
+			break
 		}
-		mu.Lock()
-		order = append(order, r.Node)
-		mu.Unlock()
-	})
-	batch := func(node int32, base uint64) []trace.Record {
-		rs := make([]trace.Record, 2)
-		for i := range rs {
-			rs[i] = seqRec(node, trace.KindUser, uint16(base)+uint16(i), base+uint64(i), 0)
-		}
-		return rs
+		order = append(order, e.node, int32(e.recs[0].Tag))
 	}
-	m.Inject(tp.DataMessage(0, batch(0, 0)))
-	m.Inject(tp.DataMessage(0, batch(0, 2)))
-	m.Inject(tp.DataMessage(1, batch(1, 0)))
-	m.Inject(tp.DataMessage(1, batch(1, 2)))
-	close(gate)
-	m.Drain()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 8 {
-		t.Fatalf("dispatched %d", len(order))
-	}
-	// The first batch popped is source 0's (it may have been popped
-	// before source 1 arrived — the gate holds it mid-dispatch). The
-	// remaining pops must round-robin: B, A, B — not A, B, B.
-	want := []int32{0, 0, 1, 1, 0, 0, 1, 1}
-	for i, n := range want {
-		if order[i] != n {
-			t.Fatalf("MISO did not interleave batches: %v", order)
-		}
+	// A1, B1, A2, B2 — not A1, A2, B1, B2.
+	want := []int32{0, 1, 1, 1, 0, 2, 1, 2}
+	if !slices.Equal(order, want) {
+		t.Fatalf("MISO did not interleave batches: got (node, tag) %v, want %v", order, want)
 	}
 }
 

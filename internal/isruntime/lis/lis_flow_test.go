@@ -57,12 +57,20 @@ func TestBufferedConcurrentCaptureSlowConn(t *testing.T) {
 }
 
 // blockableConn blocks every Send until released — a wedged transport.
+// A Send that reaches the gate signals entered (when non-nil).
 type blockableConn struct {
 	collectConn
-	gate chan struct{}
+	gate    chan struct{}
+	entered chan struct{}
 }
 
 func (c *blockableConn) Send(m tp.Message) error {
+	if c.entered != nil {
+		select {
+		case c.entered <- struct{}{}:
+		default:
+		}
+	}
 	<-c.gate
 	return c.collectConn.Send(m)
 }
@@ -78,16 +86,26 @@ func TestAsyncFlushPolicies(t *testing.T) {
 			b.Capture(rec(i))
 		}
 	}
+	wedged := func() *blockableConn {
+		return &blockableConn{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	}
+	// wedge flushes one batch and waits until the sender is blocked
+	// sending it, so every later batch queues in the pending stage (the
+	// sender would otherwise coalesce whatever it could pop first).
+	wedge := func(b *Buffered, conn *blockableConn) {
+		fill(b, 1)
+		<-conn.entered
+	}
 
 	t.Run("drop-newest", func(t *testing.T) {
-		conn := &blockableConn{gate: make(chan struct{})}
+		conn := wedged()
 		b, err := NewBuffered(0, capacity, conn,
 			WithAsyncFlush(pending, flow.DropNewest, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fill(b, 5) // sender takes 1, pending holds 2, 2 batches dropped
-		time.Sleep(5 * time.Millisecond)
+		wedge(b, conn)
+		fill(b, 4) // pending holds 2, 2 batches dropped
 		close(conn.gate)
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
@@ -102,14 +120,14 @@ func TestAsyncFlushPolicies(t *testing.T) {
 	})
 
 	t.Run("drop-oldest", func(t *testing.T) {
-		conn := &blockableConn{gate: make(chan struct{})}
+		conn := wedged()
 		b, err := NewBuffered(0, capacity, conn,
 			WithAsyncFlush(pending, flow.DropOldest, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fill(b, 5)
-		time.Sleep(5 * time.Millisecond)
+		wedge(b, conn)
+		fill(b, 4)
 		close(conn.gate)
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
@@ -126,14 +144,14 @@ func TestAsyncFlushPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer store.Close()
-		conn := &blockableConn{gate: make(chan struct{})}
+		conn := wedged()
 		b, err := NewBuffered(0, capacity, conn,
 			WithAsyncFlush(pending, flow.SpillToStorage, store))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fill(b, 5)
-		time.Sleep(5 * time.Millisecond)
+		wedge(b, conn)
+		fill(b, 4)
 		close(conn.gate)
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
@@ -151,15 +169,16 @@ func TestAsyncFlushPolicies(t *testing.T) {
 	})
 
 	t.Run("block", func(t *testing.T) {
-		conn := &blockableConn{gate: make(chan struct{})}
+		conn := wedged()
 		b, err := NewBuffered(0, capacity, conn,
 			WithAsyncFlush(pending, flow.Block, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
+		wedge(b, conn)
 		done := make(chan struct{})
 		go func() {
-			fill(b, 5) // must stall once the pending stage fills
+			fill(b, 4) // must stall once the pending stage fills
 			close(done)
 		}()
 		select {

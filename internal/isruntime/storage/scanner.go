@@ -13,12 +13,10 @@ package storage
 //
 // Invariants the plane relies on:
 //
-//   - sealed segments are immutable: sealing appends to the warm tail
-//     and a compaction commit is the only remover, so a snapshotted
-//     in-memory ref stays valid forever;
-//   - file-backed refs are pinned: a compaction commit that would
-//     delete a pinned file defers the removal to the last unpin, so an
-//     unlocked read never races os.Remove;
+//   - sealed segments are immutable: a seal appends a segment to the
+//     open tier file (or a fresh slice) and references it only after
+//     its write returned, and nothing removes or rewrites a file while
+//     the store lives, so a snapshotted ref stays valid forever;
 //   - the hot window is mutable (sealing shifts it in place), so the
 //     snapshot copies matching hot records into a pooled batch under
 //     the lock and emits them after the last segment.
@@ -136,20 +134,18 @@ var errScannerClosed = errors.New("storage: scanner closed")
 // (Next/Close); the decode pool runs internally. Every scanner must be
 // Closed, including after Next returned io.EOF or an error.
 type Scanner struct {
-	refs    []segRef
-	filter  ScanFilter
-	hot     flow.Batch // pre-filtered hot copy; emitted last, nil when absent
-	win     *flow.Reorder[scanResult]
-	wg      sync.WaitGroup
-	release func() // unpins tier files; nil when nothing is pinned
-	once    sync.Once
+	refs   []segRef
+	filter ScanFilter
+	hot    flow.Batch // pre-filtered hot copy; emitted last, nil when absent
+	win    *flow.Reorder[scanResult]
+	wg     sync.WaitGroup
 
 	// consumer-side state, single-goroutine by contract.
 	err    error
 	closed bool
 }
 
-func newScanner(refs []segRef, hot flow.Batch, f ScanFilter, opts ScanOptions, release func()) *Scanner {
+func newScanner(refs []segRef, hot flow.Batch, f ScanFilter, opts ScanOptions) *Scanner {
 	workers := opts.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -165,11 +161,10 @@ func newScanner(refs []segRef, hot flow.Batch, f ScanFilter, opts ScanOptions, r
 		window = 1
 	}
 	s := &Scanner{
-		refs:    refs,
-		filter:  f,
-		hot:     hot,
-		win:     flow.NewReorder[scanResult](window, len(refs)),
-		release: release,
+		refs:   refs,
+		filter: f,
+		hot:    hot,
+		win:    flow.NewReorder[scanResult](window, len(refs)),
 	}
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
@@ -287,14 +282,11 @@ func (s *Scanner) Next() (flow.Batch, error) {
 		}
 		flow.PutBatch(h)
 	}
-	// Clean exhaustion: drop the pins now rather than waiting for
-	// Close, so a long-lived-but-drained scanner holds nothing.
-	s.releaseOnce()
 	return nil, io.EOF
 }
 
-// Close stops the decode pool, recycles undelivered batches, and
-// releases the scan's pins on tier segment files. Idempotent.
+// Close stops the decode pool and recycles undelivered batches.
+// Idempotent.
 func (s *Scanner) Close() {
 	if s.closed {
 		return
@@ -310,38 +302,19 @@ func (s *Scanner) shutdown() {
 		flow.PutBatch(s.hot)
 		s.hot = nil
 	}
-	s.releaseOnce()
-}
-
-func (s *Scanner) releaseOnce() {
-	s.once.Do(func() {
-		if s.release != nil {
-			s.release()
-		}
-	})
 }
 
 // Scan returns a streaming scanner over a consistent snapshot of the
 // store: every segment present at call time plus a copy of the hot
 // window, in append order (cold, warm, hot). The snapshot is taken
-// under the lock; all decode work happens outside it, so appends,
-// sealing, and the compactor proceed while the scan runs. File-backed
-// segments are pinned for the scanner's lifetime — a compaction commit
-// that would delete a pinned file defers the removal to Close.
+// under the lock; all decode work happens outside it, so appends and
+// sealing proceed while the scan runs.
 func (t *Tiered) Scan(f ScanFilter, opts ScanOptions) *Scanner {
 	t.mu.Lock()
-	refs := make([]segRef, 0, len(t.cold)+len(t.warm))
-	var pinned []*tierSegment
-	for _, tier := range [2][]*tierSegment{t.cold, t.warm} {
-		for _, ts := range tier {
-			if f.skipSeg(ts) {
-				continue
-			}
-			refs = append(refs, segRef{data: ts.data, path: ts.path, size: ts.bytes, count: ts.count})
-			if ts.path != "" {
-				ts.pins++
-				pinned = append(pinned, ts)
-			}
+	refs := make([]segRef, 0, len(t.segs))
+	for i := range t.segs {
+		if ts := &t.segs[i]; !f.skipSeg(ts) {
+			refs = append(refs, ts.segRef)
 		}
 	}
 	hot := flow.GetBatch(len(t.hot))
@@ -351,25 +324,7 @@ func (t *Tiered) Scan(f ScanFilter, opts ScanOptions) *Scanner {
 		}
 	}
 	t.mu.Unlock()
-	var release func()
-	if len(pinned) > 0 {
-		release = func() { t.unpin(pinned) }
-	}
-	return newScanner(refs, hot, f, opts, release)
-}
-
-// unpin drops a scan's pins, completing any file removal a compaction
-// commit deferred while the scan was reading.
-func (t *Tiered) unpin(segs []*tierSegment) {
-	t.mu.Lock()
-	for _, s := range segs {
-		s.pins--
-		if s.pins == 0 && s.removeDeferred {
-			s.removeDeferred = false
-			_ = os.Remove(s.path)
-		}
-	}
-	t.mu.Unlock()
+	return newScanner(refs, hot, f, opts)
 }
 
 // ScanFiles streams the segments stored in the given files (each a
@@ -419,7 +374,7 @@ func ScanFiles(paths []string, f ScanFilter, opts ScanOptions) (*Scanner, error)
 		}
 		fd.Close()
 	}
-	return newScanner(refs, nil, f, opts, nil), nil
+	return newScanner(refs, nil, f, opts), nil
 }
 
 // ScanDir streams every *.seg file under dir in tier append order.
@@ -431,10 +386,11 @@ func ScanDir(dir string, f ScanFilter, opts ScanOptions) (*Scanner, error) {
 	return ScanFiles(paths, f, opts)
 }
 
-// SegmentFiles lists dir's *.seg files in tier append order: cold
-// segments first, then warm, each oldest-first (the shared tier
-// sequence number embedded in the names makes lexical order age
-// order); segment files with other names sort after both.
+// SegmentFiles lists dir's *.seg files in tier append order. The
+// cold- and warm- files of stores that compacted (cold first, then
+// warm) precede every other segment file, tier-NNNNNN.seg among them;
+// each group sorts lexically, which the zero-padded sequence number
+// embedded in tier names makes age order.
 func SegmentFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

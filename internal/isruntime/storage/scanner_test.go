@@ -78,7 +78,9 @@ func TestScannerMatchesReads(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			waitCompactions(t, ts, 1)
+			if st := ts.Stats(); st.ColdSegments == 0 {
+				t.Fatalf("no closed tier file to scan: %+v", st)
+			}
 
 			var wantRange, wantSource []trace.Record
 			for _, r := range all {
@@ -104,7 +106,7 @@ func TestScannerMatchesReads(t *testing.T) {
 
 // TestScanFilesAndDir checks the standalone-file plane: a stream of
 // concatenated segments scanned as one file, and a tier directory
-// scanned cold-then-warm without a live store.
+// scanned in append order without a live store.
 func TestScanFilesAndDir(t *testing.T) {
 	dir := t.TempDir()
 	all := tierRecs(600, 0)
@@ -136,7 +138,7 @@ func TestScanFilesAndDir(t *testing.T) {
 	}
 	recsEqual(t, drainScan(t, sc), want, "segment stream source filter")
 
-	// A tier directory read back cold-first after the store is gone.
+	// A tier directory read back after the store is gone.
 	tierDir := filepath.Join(dir, "tier")
 	ts, err := NewTiered(TieredConfig{HotCapacity: 64, SegmentRecords: 32, WarmLimit: 4, Dir: tierDir})
 	if err != nil {
@@ -147,7 +149,6 @@ func TestScanFilesAndDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitCompactions(t, ts, 1)
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,61 +246,11 @@ func TestScannerAppendNotBlockedDuringScan(t *testing.T) {
 	recsEqual(t, got, all[32:], "post-append drain") // first segment already consumed
 }
 
-// TestScanPinsDeferCompactorRemoval checks the pin protocol: a
-// compaction commit must not delete segment files an open scanner
-// snapshotted; the removal happens at Close instead.
-func TestScanPinsDeferCompactorRemoval(t *testing.T) {
-	dir := t.TempDir()
-	ts, err := NewTiered(TieredConfig{HotCapacity: 8, SegmentRecords: 8, WarmLimit: 4, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	if err := ts.Append(tierRecs(24, 0)...); err != nil { // 3 warm segments
-		t.Fatal(err)
-	}
-	pinnedFiles := []string{
-		filepath.Join(dir, "warm-000000.seg"),
-		filepath.Join(dir, "warm-000001.seg"),
-		filepath.Join(dir, "warm-000002.seg"),
-	}
-	for _, p := range pinnedFiles {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("expected warm segment on disk: %v", err)
-		}
-	}
-
-	sc := ts.Scan(FilterAll(), ScanOptions{Parallel: 1, Window: 1})
-	if err := ts.Append(tierRecs(16, 24)...); err != nil { // 2 more → compaction folds 4
-		t.Fatal(err)
-	}
-	waitCompactions(t, ts, 1)
-
-	// The three pinned files survive the commit; the unpinned fourth
-	// claimed segment is gone.
-	for _, p := range pinnedFiles {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("compactor removed pinned file: %v", err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "warm-000003.seg")); !os.IsNotExist(err) {
-		t.Fatalf("unpinned claimed segment should be removed, stat err = %v", err)
-	}
-
-	got := drainScan(t, sc) // drains and Closes → deferred removal runs
-	recsEqual(t, got, tierRecs(24, 0), "pinned snapshot")
-	for _, p := range pinnedFiles {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("deferred removal did not run for %s, stat err = %v", p, err)
-		}
-	}
-}
-
 // TestScannerErrorSticky corrupts a segment file and checks the error
 // surfaces in order, stays sticky, and leaves Close safe.
 func TestScannerErrorSticky(t *testing.T) {
 	dir := t.TempDir()
-	ts, err := NewTiered(TieredConfig{HotCapacity: 8, SegmentRecords: 8, WarmLimit: 1 << 20, Dir: dir})
+	ts, err := NewTiered(TieredConfig{HotCapacity: 8, SegmentRecords: 8, WarmLimit: 1, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +258,10 @@ func TestScannerErrorSticky(t *testing.T) {
 	if err := ts.Append(tierRecs(24, 0)...); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt column bytes in place, keeping the framing intact, so the
-	// failure surfaces as a checksum mismatch at decode time.
-	torn := filepath.Join(dir, "warm-000001.seg")
+	// Corrupt column bytes of the second segment (one per tier file
+	// here) in place, keeping the framing intact, so the failure
+	// surfaces as a checksum mismatch at decode time.
+	torn := filepath.Join(dir, "tier-000001.seg")
 	data, err := os.ReadFile(torn)
 	if err != nil {
 		t.Fatal(err)

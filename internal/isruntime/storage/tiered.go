@@ -11,15 +11,13 @@ package storage
 // production retention:
 //
 //	hot   — an in-memory window of the most recent records;
-//	warm  — recently sealed columnar segments (memory or files);
-//	cold  — background-compacted merges of aged warm segments,
-//	        produced by a dedicated goroutine under a bounded I/O
-//	        budget so compaction cannot steal the spill path's disk
-//	        bandwidth.
+//	warm  — the sealed columnar segments of the open tier file;
+//	cold  — the segments of closed tier files.
 //
-// Records flow hot → warm → cold and are never lost: sealing moves the
-// oldest hot run into one segment, compaction folds the oldest warm
-// segments into one cold segment. Order is preserved end to end, so
+// Records flow hot → warm → cold and are never lost or rewritten: a
+// seal encodes the oldest hot run as one segment and appends it to the
+// open tier file, which is closed after WarmLimit segments, so every
+// record reaches the disk once. Order is preserved end to end, so
 // cold + warm + hot read back as the exact append-order stream — the
 // property the trace-replay driver depends on.
 
@@ -28,10 +26,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/metrics"
@@ -47,20 +45,17 @@ type TieredConfig struct {
 	// window fills, the oldest SegmentRecords records seal into a warm
 	// segment. Zero means 1<<14.
 	HotCapacity int
-	// SegmentRecords is the seal granularity — records per warm
-	// segment. Zero means 1<<13; it must not exceed HotCapacity.
+	// SegmentRecords is the seal granularity — records per segment.
+	// Zero means 1<<13; it must not exceed HotCapacity.
 	SegmentRecords int
-	// WarmLimit is the number of warm segments that triggers a
-	// compaction round folding them into one cold segment. Zero means
-	// 8.
+	// WarmLimit is the number of segments per tier file: after
+	// WarmLimit seals the file is closed and its segments turn cold.
+	// Zero means 8.
 	WarmLimit int
-	// Dir, when non-empty, stores segments as files (warm-NNNNNN.seg,
-	// cold-NNNNNN.seg) under this directory; empty keeps segments in
+	// Dir, when non-empty, appends segments to tier files
+	// (tier-NNNNNN.seg) under this directory; empty keeps segments in
 	// memory.
 	Dir string
-	// CompactBudget bounds the compactor's I/O rate in bytes/second
-	// (reads plus writes). Zero is unbounded.
-	CompactBudget int64
 	// Metrics, when non-nil, mirrors tier activity under the
 	// "storage.tier" scope.
 	Metrics *metrics.Registry
@@ -69,42 +64,28 @@ type TieredConfig struct {
 // TierStats summarizes tiered-store activity.
 type TierStats struct {
 	Appended      uint64 // records accepted
-	Sealed        uint64 // records sealed into warm segments
+	Sealed        uint64 // records sealed into segments
 	HotResident   int    // records currently in the hot window
-	WarmSegments  int    // current warm segment count
-	ColdSegments  int    // current cold segment count
-	RecordsStored uint64 // records currently in warm+cold segments
-	BytesStored   int64  // current warm+cold segment bytes
-	BytesToDisk   uint64 // cumulative segment bytes written (seal + compact)
-	Compactions   uint64 // completed compaction rounds
-	Compacted     uint64 // warm segments folded into cold
-	CompactErrors uint64 // failed compaction rounds (segments retained)
-	ThrottleNs    int64  // cumulative compactor budget sleep
+	WarmSegments  int    // segments in the open tier file
+	ColdSegments  int    // segments in closed tier files
+	RecordsStored uint64 // records currently in segments
+	BytesStored   int64  // current segment bytes
+	BytesToDisk   uint64 // cumulative segment bytes written
 }
 
 // tierMetrics is the optional registry-backed counter set.
 type tierMetrics struct {
-	appended, sealed, bytesDisk, compactions, compactErrors *metrics.Counter
-	hotResident, warmSegments, coldSegments, bytesStored    *metrics.Gauge
+	appended, sealed, bytesDisk                          *metrics.Counter
+	hotResident, warmSegments, coldSegments, bytesStored *metrics.Gauge
 }
 
-// tierSegment is one sealed segment in the warm or cold tier.
+// tierSegment is one sealed segment: where its bytes live, plus the
+// tier index taken from the segment's own footer.
 type tierSegment struct {
-	data       []byte // in-memory mode
-	path       string // file mode
-	bytes      int
-	count      int
-	minTime    int64
-	maxTime    int64
-	sources    []int32 // distinct nodes, ascending — the file-skip index
-	compacting bool    // claimed by the in-flight compaction round
-
-	// Scan pinning (file mode, guarded by Tiered.mu): pins counts live
-	// scanner snapshots referencing this segment's file;
-	// removeDeferred marks a compaction commit that wanted the file
-	// gone while pinned — the last unpin performs the removal.
-	pins           int
-	removeDeferred bool
+	segRef
+	minTime int64
+	maxTime int64
+	sources []int32 // distinct nodes, ascending — the segment-skip index
 }
 
 // overlaps mirrors trace.Segment.Overlaps at the tier index level.
@@ -113,44 +94,35 @@ func (ts *tierSegment) overlaps(minT, maxT int64) bool {
 }
 
 func (ts *tierSegment) hasSource(node int32) bool {
-	for _, n := range ts.sources {
-		if n == node {
-			return true
-		}
-		if n > node {
-			return false
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(ts.sources, node)
+	return ok
 }
 
 // Tiered is a hot/warm/cold trace store. It is safe for concurrent
-// use; one background goroutine runs compaction.
+// use and runs no goroutine of its own.
 type Tiered struct {
 	cfg TieredConfig
 
 	mu     sync.Mutex
 	hot    []trace.Record
-	warm   []*tierSegment
-	cold   []*tierSegment
-	seq    int // segment file name counter
+	segs   []tierSegment // every sealed segment, cold then warm
+	warm   int           // trailing segs in the open tier file
+	seq    int           // tier file name counter
 	stats  TierStats
 	m      *tierMetrics
 	closed bool
 
-	encBuf []byte // seal-path encode scratch (under mu)
+	// The open tier file (file mode); nil until the first seal after a
+	// rotation. logOff is its length: where the next segment goes.
+	logFile *os.File
+	logPath string
+	logOff  int64
 
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	// compactor-goroutine-private scratch (no lock needed).
-	compRecs []trace.Record
-	compBuf  []byte
-	compSeg  trace.Segment
+	encBuf []byte        // seal-path encode scratch (under mu)
+	encSeg trace.Segment // seal-path footer parse (under mu)
 }
 
-// NewTiered creates and starts a tiered store.
+// NewTiered creates a tiered store.
 func NewTiered(cfg TieredConfig) (*Tiered, error) {
 	if cfg.HotCapacity <= 0 {
 		cfg.HotCapacity = 1 << 14
@@ -164,9 +136,6 @@ func NewTiered(cfg TieredConfig) (*Tiered, error) {
 	if cfg.SegmentRecords > cfg.HotCapacity {
 		return nil, fmt.Errorf("storage: SegmentRecords %d exceeds HotCapacity %d", cfg.SegmentRecords, cfg.HotCapacity)
 	}
-	if cfg.CompactBudget < 0 {
-		return nil, errors.New("storage: negative CompactBudget")
-	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("storage: tier directory: %w", err)
@@ -176,31 +145,23 @@ func NewTiered(cfg TieredConfig) (*Tiered, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tiered{
-		cfg:  cfg,
-		seq:  seq,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	t := &Tiered{cfg: cfg, seq: seq}
 	if cfg.Metrics != nil {
 		s := cfg.Metrics.Scope("storage").Scope("tier")
 		t.m = &tierMetrics{
 			appended: s.Counter("appended"), sealed: s.Counter("sealed"),
-			bytesDisk: s.Counter("bytes_disk"), compactions: s.Counter("compactions"),
-			compactErrors: s.Counter("compact_errors"),
-			hotResident:   s.Gauge("hot_resident"), warmSegments: s.Gauge("warm_segments"),
+			bytesDisk:   s.Counter("bytes_disk"),
+			hotResident: s.Gauge("hot_resident"), warmSegments: s.Gauge("warm_segments"),
 			coldSegments: s.Gauge("cold_segments"), bytesStored: s.Gauge("bytes_stored"),
 		}
 	}
-	go t.compactLoop()
 	return t, nil
 }
 
-// nextSegmentSeq returns the first segment number no file in dir uses:
-// a store opened on a predecessor's directory names its segments past
-// the predecessor's, since creating a segment truncates whatever held
-// the name. It does not adopt what it finds.
+// nextSegmentSeq returns the first tier file number no file in dir
+// uses: a store opened on a predecessor's directory names its files
+// past the predecessor's and never appends to one. It does not adopt
+// what it finds.
 func nextSegmentSeq(dir string) (int, error) {
 	if dir == "" {
 		return 0, nil
@@ -211,10 +172,7 @@ func nextSegmentSeq(dir string) (int, error) {
 	}
 	next := 0
 	for _, e := range entries {
-		num, ok := strings.CutPrefix(e.Name(), "warm-")
-		if !ok {
-			num, ok = strings.CutPrefix(e.Name(), "cold-")
-		}
+		num, ok := strings.CutPrefix(e.Name(), "tier-")
 		if num, seg := strings.CutSuffix(num, ".seg"); ok && seg {
 			if n, err := strconv.Atoi(num); err == nil && n >= next {
 				next = n + 1
@@ -246,277 +204,103 @@ func (t *Tiered) Append(rs ...trace.Record) error {
 	return nil
 }
 
-// sealLocked encodes the oldest n hot records as one warm segment.
+// sealLocked encodes the oldest n hot records as one segment and
+// appends it to the open tier file. The records leave the hot window
+// only once the segment is written; after WarmLimit segments the file
+// is closed and its segments turn cold.
 func (t *Tiered) sealLocked(n int) error {
-	if n > len(t.hot) {
-		n = len(t.hot)
-	}
+	n = min(n, len(t.hot))
 	if n == 0 {
 		return nil
 	}
-	run := t.hot[:n]
-	t.encBuf = trace.AppendSegment(t.encBuf[:0], run)
-	seg := &tierSegment{bytes: len(t.encBuf), count: n}
-	seg.minTime, seg.maxTime = run[0].Time, run[0].Time
-	for i := range run {
-		if tm := run[i].Time; tm < seg.minTime {
-			seg.minTime = tm
-		} else if tm > seg.maxTime {
-			seg.maxTime = tm
-		}
-		node := run[i].Node
-		found := false
-		for _, s := range seg.sources {
-			if s == node {
-				found = true
-				break
-			}
-		}
-		if !found {
-			seg.sources = append(seg.sources, node)
-		}
+	t.encBuf = trace.AppendSegment(t.encBuf[:0], t.hot[:n])
+	if _, err := t.encSeg.Parse(t.encBuf); err != nil {
+		return fmt.Errorf("storage: seal: %w", err)
 	}
-	sortInt32(seg.sources)
-	if t.cfg.Dir != "" {
-		seg.path = filepath.Join(t.cfg.Dir, fmt.Sprintf("warm-%06d.seg", t.seq))
-		t.seq++
-		if err := writeSegmentFile(seg.path, t.encBuf); err != nil {
-			return err
-		}
-	} else {
+	seg := tierSegment{
+		segRef:  segRef{size: len(t.encBuf), count: n},
+		minTime: t.encSeg.MinTime(),
+		maxTime: t.encSeg.MaxTime(),
+		sources: make([]int32, len(t.encSeg.Sources())),
+	}
+	for i, s := range t.encSeg.Sources() {
+		seg.sources[i] = s.Node
+	}
+	if t.cfg.Dir == "" {
 		seg.data = append([]byte(nil), t.encBuf...)
+	} else if err := t.appendLocked(&seg.segRef); err != nil {
+		return err
 	}
 	m := copy(t.hot, t.hot[n:])
 	t.hot = t.hot[:m]
-	t.warm = append(t.warm, seg)
+	t.segs = append(t.segs, seg)
 	t.stats.Sealed += uint64(n)
-	t.stats.BytesToDisk += uint64(seg.bytes)
+	t.stats.BytesToDisk += uint64(seg.size)
 	if t.m != nil {
 		t.m.sealed.Add(uint64(n))
-		t.m.bytesDisk.Add(uint64(seg.bytes))
+		t.m.bytesDisk.Add(uint64(seg.size))
 	}
-	if t.eligibleLocked() >= t.cfg.WarmLimit {
-		select {
-		case t.kick <- struct{}{}:
-		default:
+	if t.warm++; t.warm < t.cfg.WarmLimit {
+		return nil
+	}
+	t.warm = 0
+	return t.closeLogLocked()
+}
+
+// appendLocked appends the encoded segment in encBuf to the open tier
+// file, creating the next file after a rotation, and records where it
+// landed in ref. A failed or short write is truncated away, so a tier
+// file never holds a torn segment.
+func (t *Tiered) appendLocked(ref *segRef) error {
+	if t.logFile == nil {
+		path := filepath.Join(t.cfg.Dir, fmt.Sprintf("tier-%06d.seg", t.seq))
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("storage: seal: %w", err)
 		}
+		t.seq++
+		t.logFile, t.logPath, t.logOff = f, path, 0
+	}
+	if _, err := t.logFile.Write(t.encBuf); err != nil {
+		err = fmt.Errorf("storage: seal %s at offset %d: %w", t.logPath, t.logOff, err)
+		if terr := os.Truncate(t.logPath, t.logOff); terr != nil {
+			err = errors.Join(err, fmt.Errorf("storage: torn segment left in %s: %w", t.logPath, terr))
+		}
+		return err
+	}
+	ref.path, ref.off = t.logPath, t.logOff
+	t.logOff += int64(len(t.encBuf))
+	return nil
+}
+
+// closeLogLocked closes the open tier file, if any; the next seal
+// starts a new one.
+func (t *Tiered) closeLogLocked() error {
+	if t.logFile == nil {
+		return nil
+	}
+	err := t.logFile.Close()
+	t.logFile = nil
+	if err != nil {
+		return fmt.Errorf("storage: close %s: %w", t.logPath, err)
 	}
 	return nil
 }
 
-// writeSegmentFile writes one segment to its own file, reporting the
-// torn-write position on failure.
-func writeSegmentFile(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("storage: seal %s: %w", path, err)
-	}
-	n, err := f.Write(data)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("storage: seal %s: segment torn after %d of %d bytes: %w", path, n, len(data), err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: seal %s: %w", path, err)
-	}
-	return nil
-}
-
-// sortInt32 insertion-sorts the (short) per-segment source list.
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// eligibleLocked counts warm segments not claimed by the compactor.
-func (t *Tiered) eligibleLocked() int {
-	n := 0
-	for _, s := range t.warm {
-		if !s.compacting {
-			n++
-		}
-	}
-	return n
-}
-
-// publishLocked refreshes the gauge-backed stats.
+// publishLocked refreshes the gauge-backed stats from counts kept at
+// seal time. Nothing is removed while the store lives, so what it
+// holds in segments is what it sealed.
 func (t *Tiered) publishLocked() {
 	t.stats.HotResident = len(t.hot)
-	t.stats.WarmSegments = len(t.warm)
-	t.stats.ColdSegments = len(t.cold)
-	var bytes int64
-	var recs uint64
-	for _, s := range t.warm {
-		bytes += int64(s.bytes)
-		recs += uint64(s.count)
-	}
-	for _, s := range t.cold {
-		bytes += int64(s.bytes)
-		recs += uint64(s.count)
-	}
-	t.stats.BytesStored = bytes
-	t.stats.RecordsStored = recs
+	t.stats.WarmSegments = t.warm
+	t.stats.ColdSegments = len(t.segs) - t.warm
+	t.stats.RecordsStored = t.stats.Sealed
+	t.stats.BytesStored = int64(t.stats.BytesToDisk)
 	if t.m != nil {
 		t.m.hotResident.Set(int64(len(t.hot)))
-		t.m.warmSegments.Set(int64(len(t.warm)))
-		t.m.coldSegments.Set(int64(len(t.cold)))
-		t.m.bytesStored.Set(bytes)
-	}
-}
-
-// compactLoop is the dedicated compaction goroutine: it waits for the
-// warm tier to age past WarmLimit, then folds rounds until the backlog
-// clears or a round fails. A failed round waits for the next seal's
-// kick: retrying at once would re-read every claimed file in a hot
-// loop while the fault persists.
-func (t *Tiered) compactLoop() {
-	defer close(t.done)
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-t.kick:
-		}
-		for t.compactOnce() {
-			select {
-			case <-t.stop:
-				return
-			default:
-			}
-		}
-	}
-}
-
-// compactOnce folds the oldest WarmLimit warm segments into one cold
-// segment. It claims the segments under the lock, performs the
-// decode/merge/encode I/O outside it under the byte budget, then
-// commits the swap. It reports whether a round ran and committed.
-func (t *Tiered) compactOnce() bool {
-	t.mu.Lock()
-	if t.eligibleLocked() < t.cfg.WarmLimit {
-		t.mu.Unlock()
-		return false
-	}
-	claimed := make([]*tierSegment, t.cfg.WarmLimit)
-	copy(claimed, t.warm[:t.cfg.WarmLimit])
-	for _, s := range claimed {
-		s.compacting = true
-	}
-	t.mu.Unlock()
-
-	// Decode every claimed segment, oldest first, outside the lock.
-	// Claimed segments are immutable: sealing only appends to the warm
-	// tail, and commit below is the only remover.
-	t.compRecs = t.compRecs[:0]
-	var readBytes int
-	fail := func(err error) bool {
-		t.mu.Lock()
-		for _, s := range claimed {
-			s.compacting = false
-		}
-		t.stats.CompactErrors++
-		if t.m != nil {
-			t.m.compactErrors.Inc()
-		}
-		t.mu.Unlock()
-		_ = err // retained in stats; the next kick retries
-		return false
-	}
-	for _, s := range claimed {
-		data := s.data
-		if s.path != "" {
-			var err error
-			data, err = os.ReadFile(s.path)
-			if err != nil {
-				return fail(err)
-			}
-		}
-		if _, err := t.compSeg.Parse(data); err != nil {
-			return fail(fmt.Errorf("compact %s: %w", s.path, err))
-		}
-		var err error
-		t.compRecs, err = t.compSeg.AppendRecords(t.compRecs)
-		if err != nil {
-			return fail(fmt.Errorf("compact %s: %w", s.path, err))
-		}
-		readBytes += len(data)
-		t.throttle(len(data))
-	}
-	t.compBuf = trace.AppendSegment(t.compBuf[:0], t.compRecs)
-	cold := &tierSegment{bytes: len(t.compBuf), count: len(t.compRecs)}
-	cold.minTime, cold.maxTime = claimed[0].minTime, claimed[0].maxTime
-	for _, s := range claimed {
-		if s.minTime < cold.minTime {
-			cold.minTime = s.minTime
-		}
-		if s.maxTime > cold.maxTime {
-			cold.maxTime = s.maxTime
-		}
-		for _, n := range s.sources {
-			if !cold.hasSource(n) {
-				cold.sources = append(cold.sources, n)
-				sortInt32(cold.sources)
-			}
-		}
-	}
-	if t.cfg.Dir != "" {
-		t.mu.Lock()
-		cold.path = filepath.Join(t.cfg.Dir, fmt.Sprintf("cold-%06d.seg", t.seq))
-		t.seq++
-		t.mu.Unlock()
-		if err := writeSegmentFile(cold.path, t.compBuf); err != nil {
-			return fail(err)
-		}
-	} else {
-		cold.data = append([]byte(nil), t.compBuf...)
-	}
-	t.throttle(len(t.compBuf))
-
-	// Commit: the claimed prefix leaves warm, the merged segment joins
-	// the cold tail. Readers hold the same lock, so they see either
-	// the old view or the new one — never a torn mix.
-	t.mu.Lock()
-	t.warm = append(t.warm[:0], t.warm[len(claimed):]...)
-	t.cold = append(t.cold, cold)
-	t.stats.Compactions++
-	t.stats.Compacted += uint64(len(claimed))
-	t.stats.BytesToDisk += uint64(cold.bytes)
-	if t.m != nil {
-		t.m.compactions.Inc()
-		t.m.bytesDisk.Add(uint64(cold.bytes))
-	}
-	for _, s := range claimed {
-		if s.path != "" {
-			if s.pins > 0 {
-				// A scanner snapshot is still reading this file; the
-				// last unpin removes it.
-				s.removeDeferred = true
-			} else {
-				_ = os.Remove(s.path)
-			}
-		}
-	}
-	t.publishLocked()
-	t.mu.Unlock()
-	return true
-}
-
-// throttle sleeps long enough to keep the compactor's I/O under the
-// configured budget.
-func (t *Tiered) throttle(n int) {
-	if t.cfg.CompactBudget <= 0 || n <= 0 {
-		return
-	}
-	d := time.Duration(float64(n) / float64(t.cfg.CompactBudget) * float64(time.Second))
-	t.mu.Lock()
-	t.stats.ThrottleNs += int64(d)
-	t.mu.Unlock()
-	select {
-	case <-time.After(d):
-	case <-t.stop:
+		t.m.warmSegments.Set(int64(t.warm))
+		t.m.coldSegments.Set(int64(len(t.segs) - t.warm))
+		t.m.bytesStored.Set(t.stats.BytesStored)
 	}
 }
 
@@ -542,13 +326,12 @@ func (t *Tiered) Stats() TierStats {
 	return t.stats
 }
 
-// Close flushes the hot window and stops the compactor. Scans remain
-// valid after Close; appends fail.
+// Close flushes the hot window and closes the open tier file. Scans
+// remain valid after Close; appends fail.
 func (t *Tiered) Close() error {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
-		<-t.done
 		return nil
 	}
 	t.closed = true
@@ -557,8 +340,5 @@ func (t *Tiered) Close() error {
 		err = t.sealLocked(t.cfg.SegmentRecords)
 	}
 	t.publishLocked()
-	t.mu.Unlock()
-	close(t.stop)
-	<-t.done
-	return err
+	return errors.Join(err, t.closeLogLocked())
 }

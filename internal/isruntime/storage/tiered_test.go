@@ -1,12 +1,13 @@
 package storage
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/metrics"
@@ -33,29 +34,9 @@ func tierRecs(n, base int) []trace.Record {
 	return out
 }
 
-// waitCompactions polls until the store has completed at least n
-// compaction rounds or the deadline passes.
-func waitCompactions(t *testing.T, ts *Tiered, n uint64) TierStats {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := ts.Stats()
-		if st.Compactions >= n {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("compactor never reached %d rounds: %+v", n, st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestTieredConfigValidation(t *testing.T) {
 	if _, err := NewTiered(TieredConfig{HotCapacity: 8, SegmentRecords: 16}); err == nil {
 		t.Fatal("SegmentRecords > HotCapacity accepted")
-	}
-	if _, err := NewTiered(TieredConfig{CompactBudget: -1}); err == nil {
-		t.Fatal("negative budget accepted")
 	}
 }
 
@@ -76,9 +57,9 @@ func TestTieredFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := waitCompactions(t, ts, 1)
-	if st.ColdSegments == 0 || st.Compacted < 3 {
-		t.Fatalf("no cold tier after %d records: %+v", total, st)
+	st := ts.Stats()
+	if st.ColdSegments == 0 || st.WarmSegments >= 3 {
+		t.Fatalf("no tier file rotation after %d records: %+v", total, st)
 	}
 	if st.HotResident >= 64 {
 		t.Fatalf("hot window never sealed: %+v", st)
@@ -107,7 +88,6 @@ func TestTieredFilteredReads(t *testing.T) {
 	if err := ts.Append(in...); err != nil {
 		t.Fatal(err)
 	}
-	waitCompactions(t, ts, 1)
 
 	got, err := collect(ts.Scan(FilterRange(1000, 1990), ScanOptions{}))
 	if err != nil {
@@ -139,9 +119,28 @@ func TestTieredFilteredReads(t *testing.T) {
 	}
 }
 
-// TestTieredFiles exercises the file-backed mode: warm files appear
-// under Dir, compaction folds them into a cold file and deletes the
-// warm inputs, and the read path decodes from disk.
+// dirFiles reads every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestTieredFiles exercises the file-backed mode: seals append to tier
+// files of WarmLimit segments each, every record is written once, each
+// file is a whole segment stream, and the directory scans back exactly
+// what the store does.
 func TestTieredFiles(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
@@ -156,80 +155,189 @@ func TestTieredFiles(t *testing.T) {
 	if err := ts.Append(in...); err != nil {
 		t.Fatal(err)
 	}
-	st := waitCompactions(t, ts, 1)
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var warm, cold int
-	for _, e := range ents {
-		switch {
-		case strings.HasPrefix(e.Name(), "warm-"):
-			warm++
-		case strings.HasPrefix(e.Name(), "cold-"):
-			cold++
-		default:
-			t.Fatalf("unexpected file %s", e.Name())
-		}
-	}
-	if cold == 0 {
-		t.Fatalf("no cold files after %d compactions", st.Compactions)
-	}
 	final := ts.Stats()
-	if warm != final.WarmSegments || cold != final.ColdSegments {
-		t.Fatalf("disk holds %d warm / %d cold, stats say %d / %d", warm, cold, final.WarmSegments, final.ColdSegments)
+	segs := final.WarmSegments + final.ColdSegments
+	if segs != 19 || final.WarmSegments != 1 { // 18 full segments and a 12-record tail
+		t.Fatalf("final stats %+v", final)
 	}
 
-	// Scans remain valid after Close.
-	got, err := collect(ts.Scan(FilterAll(), ScanOptions{}))
-	if err != nil {
-		t.Fatal(err)
+	files := dirFiles(t, dir)
+	if len(files) != 10 {
+		t.Fatalf("%d tier files for %d segments of 2 per file", len(files), segs)
 	}
-	if len(got) != len(in) {
-		t.Fatalf("file-backed read %d of %d", len(got), len(in))
+	var onDisk, decoded int
+	for name, data := range files {
+		if !strings.HasPrefix(name, "tier-") {
+			t.Fatalf("unexpected file %s", name)
+		}
+		onDisk += len(data)
+		recs, n, err := trace.DecodeSegments(nil, data)
+		if err != nil || n != len(data) {
+			t.Fatalf("%s decodes %d of %d bytes: %v", name, n, len(data), err)
+		}
+		decoded += len(recs)
 	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("file-backed record %d corrupted", i)
-		}
+	var segBytes int
+	for _, s := range ts.segs {
+		segBytes += s.size
 	}
-
-	// Every cold file is a valid standalone segment stream.
-	for _, e := range ents {
-		if !strings.HasPrefix(e.Name(), "cold-") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var seg trace.Segment
-		if _, err := seg.Parse(data); err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-	}
-
 	snap := reg.Snapshot()
+	if final.BytesToDisk != uint64(onDisk) || final.BytesToDisk != uint64(segBytes) ||
+		snap.Value("storage.tier.bytes_disk") != float64(final.BytesToDisk) {
+		t.Fatalf("bytes written once? stats %d, bytes_disk %v, files %d, segments %d",
+			final.BytesToDisk, snap.Value("storage.tier.bytes_disk"), onDisk, segBytes)
+	}
+	if decoded != len(in) {
+		t.Fatalf("files hold %d records, want %d", decoded, len(in))
+	}
 	if snap.Value("storage.tier.appended") != float64(len(in)) {
 		t.Fatalf("appended metric %v", snap.Value("storage.tier.appended"))
 	}
-	if snap.Value("storage.tier.bytes_disk") != float64(final.BytesToDisk) {
-		t.Fatalf("bytes_disk metric %v, stats %d", snap.Value("storage.tier.bytes_disk"), final.BytesToDisk)
+
+	// Scans remain valid after Close, and the directory alone scans
+	// back the same stream.
+	got := drainScan(t, ts.Scan(FilterAll(), ScanOptions{}))
+	recsEqual(t, got, in, "file-backed read")
+	sc, err := ScanDir(dir, FilterAll(), ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if final.BytesToDisk == 0 || final.Compacted == 0 {
-		t.Fatalf("final stats %+v", final)
+	recsEqual(t, drainScan(t, sc), got, "ScanDir against Tiered.Scan")
+}
+
+// TestTieredFilesAppendOnly: a seal only ever appends, so the bytes a
+// tier file held after one seal are a prefix of what it holds after
+// every later one, and no file is removed.
+func TestTieredFilesAppendOnly(t *testing.T) {
+	dir := t.TempDir()
+	ts, err := NewTiered(TieredConfig{HotCapacity: 16, SegmentRecords: 16, WarmLimit: 3, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ts.Close()
+	var before map[string][]byte
+	for i := 0; i < 10; i++ {
+		if err := ts.Append(tierRecs(16, 16*i)...); err != nil { // one seal each
+			t.Fatal(err)
+		}
+		after := dirFiles(t, dir)
+		for name, old := range before {
+			if !bytes.HasPrefix(after[name], old) {
+				t.Fatalf("seal %d rewrote %s: %d bytes, held %d", i, name, len(after[name]), len(old))
+			}
+		}
+		before = after
+	}
+	if len(before) != 4 {
+		t.Fatalf("%d tier files after 10 seals of 3 per file", len(before))
+	}
+}
+
+// TestTieredStatsRunningTotals: the stats that Stats and every Append
+// publish without walking the segments match a from-scratch sum over
+// them across several file rotations, in both modes.
+func TestTieredStatsRunningTotals(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		ts, err := NewTiered(TieredConfig{HotCapacity: 64, SegmentRecords: 16, WarmLimit: 3, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if err := ts.Append(tierRecs(37, 37*i)...); err != nil {
+				t.Fatal(err)
+			}
+			st := ts.Stats()
+			var size int64
+			var recs uint64
+			for _, s := range ts.segs {
+				size += int64(s.size)
+				recs += uint64(s.count)
+			}
+			if st.BytesStored != size || st.RecordsStored != recs || st.Sealed != recs ||
+				st.WarmSegments+st.ColdSegments != len(ts.segs) || st.HotResident != len(ts.hot) {
+				t.Fatalf("dir %q after %d appends: stats %+v, segments hold %d records in %d bytes",
+					dir, i+1, st, recs, size)
+			}
+		}
+		if st := ts.Stats(); st.ColdSegments < 2*3 {
+			t.Fatalf("dir %q: too few rotations to test: %+v", dir, st)
+		}
+		ts.Close()
+	}
+}
+
+// TestTieredFailedSealLeavesNoTornBytes: a seal whose write fails
+// names the file and offset, leaves the tier file as it was, and keeps
+// the records in the hot window, so they seal once the file is
+// writable again.
+func TestTieredFailedSealLeavesNoTornBytes(t *testing.T) {
+	dir := t.TempDir()
+	ts, err := NewTiered(TieredConfig{HotCapacity: 16, SegmentRecords: 16, WarmLimit: 8, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	in := tierRecs(64, 0)
+	if err := ts.Append(in[:16]...); err != nil {
+		t.Fatal(err)
+	}
+	path := ts.logPath
+	fileSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	size, sealed := fileSize(), ts.Stats().Sealed
+
+	// A short write: some bytes of the segment land before the write
+	// fails on the read-only handle swapped in below.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("torn")); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	good := ts.logFile
+	ts.logFile = ro
+	err = ts.Append(in[16:32]...)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d", size)) {
+		t.Fatalf("Append over a failing write = %v, want an error naming %s at offset %d", err, path, size)
+	}
+	if st := ts.Stats(); st.Sealed != sealed || st.HotResident != 16 {
+		t.Fatalf("failed seal moved records: %+v", st)
+	}
+	if got := fileSize(); got != size {
+		t.Fatalf("failed seal left %d bytes in %s, want %d", got, path, size)
+	}
+
+	ts.logFile = good
+	if err := ts.Append(in[32:]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recsEqual(t, drainScan(t, ts.Scan(FilterAll(), ScanOptions{})), in, "after the write recovered")
 }
 
 // TestTieredReopenKeepsPredecessorSegments: a store opened on the
 // directory of an earlier one (a manager restarted on its spill
-// directory) numbers its segments past everything already there, so
-// sealing and compacting never create — and so truncate — a file the
-// predecessor left.
+// directory) numbers its tier files past everything already there, so
+// it never appends to — or truncates — a file the predecessor left,
+// and the directory scans back both stores' records in append order.
 func TestTieredReopenKeepsPredecessorSegments(t *testing.T) {
 	dir := t.TempDir()
 	cfg := TieredConfig{HotCapacity: 32, SegmentRecords: 16, WarmLimit: 2, Dir: dir}
@@ -237,25 +345,14 @@ func TestTieredReopenKeepsPredecessorSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := first.Append(tierRecs(300, 0)...); err != nil {
+	prev := tierRecs(300, 0)
+	if err := first.Append(prev...); err != nil {
 		t.Fatal(err)
 	}
-	waitCompactions(t, first, 1)
 	if err := first.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := map[string][]byte{}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[e.Name()] = data
-	}
+	before := dirFiles(t, dir)
 	if len(before) == 0 {
 		t.Fatal("the first store left no segment files")
 	}
@@ -268,31 +365,55 @@ func TestTieredReopenKeepsPredecessorSegments(t *testing.T) {
 	if err := second.Append(in...); err != nil {
 		t.Fatal(err)
 	}
-	waitCompactions(t, second, 1)
 	if err := second.Close(); err != nil {
 		t.Fatal(err)
 	}
+	after := dirFiles(t, dir)
 	for name, want := range before {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("predecessor segment %s: %v", name, err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("predecessor segment %s rewritten: %d bytes, was %d", name, len(got), len(want))
+		if !bytes.Equal(after[name], want) {
+			t.Fatalf("predecessor segment %s rewritten: %d bytes, was %d", name, len(after[name]), len(want))
 		}
 	}
-	got, err := collect(second.Scan(FilterAll(), ScanOptions{}))
+	if len(after) != 2*len(before) {
+		t.Fatalf("second store wrote %d files, want %d", len(after)-len(before), len(before))
+	}
+	recsEqual(t, drainScan(t, second.Scan(FilterAll(), ScanOptions{})), in, "second store")
+	sc, err := ScanDir(dir, FilterAll(), ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(in) {
-		t.Fatalf("second store reads %d of its %d records", len(got), len(in))
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("second store record %d corrupted", i)
+	recsEqual(t, drainScan(t, sc), append(prev, in...), "both stores' directory")
+}
+
+// TestTieredDirAfterLegacyFiles: a directory holding the cold- and
+// warm- files of a store that compacted, then a restarted store's tier
+// files, scans back in append order.
+func TestTieredDirAfterLegacyFiles(t *testing.T) {
+	dir := t.TempDir()
+	all := tierRecs(400, 0)
+	for _, f := range []struct {
+		name   string
+		lo, hi int
+	}{{"cold-000002.seg", 0, 64}, {"warm-000003.seg", 64, 80}, {"warm-000004.seg", 80, 96}} {
+		if err := os.WriteFile(filepath.Join(dir, f.name), trace.AppendSegment(nil, all[f.lo:f.hi]), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	ts, err := NewTiered(TieredConfig{HotCapacity: 32, SegmentRecords: 16, WarmLimit: 4, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Append(all[96:]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ScanDir(dir, FilterAll(), ScanOptions{Parallel: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recsEqual(t, drainScan(t, sc), all, "legacy files then tier files")
 }
 
 // TestTieredFlushSealsEverything checks Flush drains the hot window so
@@ -331,74 +452,8 @@ func TestTieredAppendAfterClose(t *testing.T) {
 	}
 }
 
-// TestTieredCompactBudget checks the compactor accounts throttle time
-// when a budget is set.
-func TestTieredCompactBudget(t *testing.T) {
-	ts, err := NewTiered(TieredConfig{
-		HotCapacity: 32, SegmentRecords: 16, WarmLimit: 2,
-		CompactBudget: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	if err := ts.Append(tierRecs(200, 0)...); err != nil {
-		t.Fatal(err)
-	}
-	st := waitCompactions(t, ts, 1)
-	if st.ThrottleNs == 0 {
-		t.Fatalf("budgeted compaction never throttled: %+v", st)
-	}
-}
-
-// TestTieredFailedCompactionWaitsForNextSeal: a round that fails (a
-// claimed warm file is gone) is retried by the next seal's kick, not at
-// once — an immediate retry re-reads every claimed file in a hot loop
-// for as long as the fault lasts.
-func TestTieredFailedCompactionWaitsForNextSeal(t *testing.T) {
-	dir := t.TempDir()
-	ts, err := NewTiered(TieredConfig{HotCapacity: 8, SegmentRecords: 8, WarmLimit: 4, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	if err := ts.Append(tierRecs(24, 0)...); err != nil { // 3 warm segments
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "warm-000001.seg")); err != nil {
-		t.Fatal(err)
-	}
-	waitErrors := func(n uint64) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for ts.Stats().CompactErrors < n {
-			if time.Now().After(deadline) {
-				t.Fatalf("compactor never failed %d rounds: %+v", n, ts.Stats())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if err := ts.Append(tierRecs(8, 24)...); err != nil { // the 4th seal kicks a round
-		t.Fatal(err)
-	}
-	waitErrors(1)
-	time.Sleep(50 * time.Millisecond)
-	st := ts.Stats()
-	if st.CompactErrors > 2 || st.Compactions != 0 {
-		t.Fatalf("failed rounds retried without a seal: %+v", st)
-	}
-	if err := ts.Append(tierRecs(8, 32)...); err != nil { // one more seal, one more round
-		t.Fatal(err)
-	}
-	waitErrors(st.CompactErrors + 1)
-	time.Sleep(50 * time.Millisecond)
-	if got := ts.Stats().CompactErrors; got != st.CompactErrors+1 {
-		t.Fatalf("one seal retried %d rounds, want 1", got-st.CompactErrors)
-	}
-}
-
-// TestTieredConcurrent hammers appends and reads while the compactor
-// runs — the -race tier-1 gate for the new store.
+// TestTieredConcurrent hammers appends and reads while seals rotate
+// tier files — the -race tier-1 gate for the store.
 func TestTieredConcurrent(t *testing.T) {
 	ts, err := NewTiered(TieredConfig{HotCapacity: 128, SegmentRecords: 64, WarmLimit: 2})
 	if err != nil {
