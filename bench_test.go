@@ -180,7 +180,7 @@ func BenchmarkISMPipeline(b *testing.B) {
 	var clock event.VirtualClock
 	m := ism.New(ism.Config{Buffering: ism.SISO, Ordered: true}, &clock)
 	defer m.Close()
-	m.Subscribe("null", func(trace.Record) {})
+	m.SubscribeBatch("null", func([]trace.Record) {})
 	batch := make([]trace.Record, 64)
 	for i := range batch {
 		batch[i] = trace.Record{Node: 0, Kind: trace.KindUser, Logical: uint64(i)}
@@ -400,12 +400,11 @@ func (w *writableBuffer) Read(p []byte) (int, error) {
 
 func (w *writableBuffer) Reset() { w.data = w.data[:0]; w.off = 0 }
 
-// --- pooled vs unpooled hot paths ----------------------------------
+// --- pooled hot paths ----------------------------------------------
 
 // recycleConn consumes messages and recycles pooled batches, as the
-// ISM does after copying records into its input stage. Without the
-// recycle the pool would stay empty and the pooled benchmark would
-// degenerate into the unpooled one.
+// ISM does after dispatch. Without the recycle the pool would stay
+// empty and every flush would allocate.
 type recycleConn struct{}
 
 func (recycleConn) Send(m tp.Message) error   { tp.Recycle(&m); return nil }
@@ -413,24 +412,19 @@ func (recycleConn) Recv() (tp.Message, error) { select {} }
 func (recycleConn) Close() error              { return nil }
 
 // BenchmarkCaptureFlush measures the LIS capture path including the
-// flush that fires every `capacity` records, pooled batches against
-// per-flush allocation.
+// pooled flush that fires every `capacity` records.
 func BenchmarkCaptureFlush(b *testing.B) {
-	run := func(b *testing.B, opts ...lis.Option) {
-		l, err := lis.NewBuffered(0, 64, recycleConn{}, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer l.Close()
-		r := trace.Record{Kind: trace.KindUser}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l.Capture(r)
-		}
+	l, err := lis.NewBuffered(0, 64, recycleConn{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("pooled", func(b *testing.B) { run(b) })
-	b.Run("unpooled", func(b *testing.B) { run(b, lis.WithUnpooledBatches()) })
+	defer l.Close()
+	r := trace.Record{Kind: trace.KindUser}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Capture(r)
+	}
 }
 
 // BenchmarkWireEncode measures TP frame encoding: the pooled

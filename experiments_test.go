@@ -194,9 +194,11 @@ func newLiveW3Target(t *testing.T, hot paradyn.Focus, hotWhy paradyn.Why) *liveW
 		last:    map[string]int64{},
 	}
 	t.Cleanup(func() { lt.manager.Close() })
-	lt.manager.Subscribe("w3", func(r trace.Record) {
+	lt.manager.SubscribeBatch("w3", func(rs []trace.Record) {
 		lt.mu.Lock()
-		lt.last[fmt.Sprintf("%d/%d/%d", r.Node, r.Process, r.Tag)] = r.Payload
+		for _, r := range rs {
+			lt.last[fmt.Sprintf("%d/%d/%d", r.Node, r.Process, r.Tag)] = r.Payload
+		}
 		lt.mu.Unlock()
 	})
 	for _, n := range lt.nodes {

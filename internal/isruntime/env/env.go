@@ -72,15 +72,16 @@ func (e *Environment) Attach(t Tool) error {
 		return fmt.Errorf("env: duplicate tool %q", t.Name())
 	}
 	e.tools[t.Name()] = t
-	consume := t.Consume
+	consumed := new(metrics.Counter) // reported nowhere without WithMetrics
 	if e.reg != nil {
-		consumed := e.reg.Scope("env").Scope(t.Name()).Counter("consumed")
-		consume = func(r trace.Record) {
-			consumed.Inc()
+		consumed = e.reg.Scope("env").Scope(t.Name()).Counter("consumed")
+	}
+	e.ism.SubscribeBatch(t.Name(), func(rs []trace.Record) {
+		consumed.Add(uint64(len(rs)))
+		for _, r := range rs {
 			t.Consume(r)
 		}
-	}
-	e.ism.Subscribe(t.Name(), consume)
+	})
 	return nil
 }
 

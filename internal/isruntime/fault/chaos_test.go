@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/metrics"
 	"prism/internal/isruntime/tp"
 	"prism/internal/trace"
@@ -355,62 +354,6 @@ func TestChaosReplayToFlatPeer(t *testing.T) {
 	<-ackDone
 	wgServe.Wait()
 	srv.check(t, 1, batches, recs)
-}
-
-func TestChaosSoakDropPolicyCountedLoss(t *testing.T) {
-	const batches, recs = 3000, 4
-	a, b := tp.PipePolicy(8, flow.DropNewest, nil)
-
-	var mu sync.Mutex
-	delivered := 0
-	recvDone := make(chan struct{})
-	go func() {
-		defer close(recvDone)
-		for {
-			m, err := b.Recv()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			delivered += len(m.Records)
-			mu.Unlock()
-			tp.Recycle(&m)
-		}
-	}()
-
-	for i := 0; i < batches; i++ {
-		rs := make([]trace.Record, recs)
-		for j := range rs {
-			rs[j] = trace.Record{Kind: trace.KindUser, Payload: int64(i*recs + j)}
-		}
-		if err := a.Send(tp.DataMessage(0, rs)); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-	}
-
-	// Loss under a drop policy must be exactly counted: wait for the
-	// consumer to drain, then the books must balance to the record.
-	dc := a.(tp.DropCounter)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		got := delivered
-		mu.Unlock()
-		dropped := int(dc.DroppedMessages()) * recs
-		if got+dropped == batches*recs {
-			if dropped == 0 {
-				t.Fatal("tiny pipe lost nothing; drop path unexercised")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("accounting leak: delivered=%d dropped=%d captured=%d",
-				got, dropped, batches*recs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_ = a.Close()
-	<-recvDone
 }
 
 // TestChaosResendEncodedWindow: a session over a TCP link keeps its

@@ -35,13 +35,15 @@ func TestConcurrentPerSourceFIFO(t *testing.T) {
 	last := map[int32]int64{}
 	counts := map[int32]int{}
 	violations := 0
-	m.Subscribe("fifo", func(r trace.Record) {
+	m.SubscribeBatch("fifo", func(rs []trace.Record) {
 		mu.Lock()
-		if prev, seen := last[r.Node]; seen && r.Payload <= prev {
-			violations++
+		for _, r := range rs {
+			if prev, seen := last[r.Node]; seen && r.Payload <= prev {
+				violations++
+			}
+			last[r.Node] = r.Payload
+			counts[r.Node]++
 		}
-		last[r.Node] = r.Payload
-		counts[r.Node]++
 		mu.Unlock()
 	})
 
@@ -87,9 +89,9 @@ func TestShardedOrderedEquivalence(t *testing.T) {
 		m := New(Config{Buffering: MISO, Ordered: true, Overflow: flow.Block, Shards: shards}, &clock)
 		var mu sync.Mutex
 		var got []trace.Record
-		m.Subscribe("t", func(r trace.Record) {
+		m.SubscribeBatch("t", func(rs []trace.Record) {
 			mu.Lock()
-			got = append(got, r)
+			got = append(got, rs...)
 			mu.Unlock()
 		})
 		const sources, n = 4, 100
@@ -147,7 +149,7 @@ func TestMergePathAllocFree(t *testing.T) {
 		if !inPlace {
 			t.Fatal("in-order batch was copied")
 		}
-		if !ring.TryPush(mergeSlot{tick: seq, recs: out, pooled: true}) {
+		if !ring.TryPush(mergeSlot{tick: seq, recs: out}) {
 			t.Fatal("ring full")
 		}
 		// Merger side: pop, causally merge, dispatch, recycle.

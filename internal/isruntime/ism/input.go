@@ -20,7 +20,7 @@ import (
 // Because queue elements are batches, the loss accounting the ISM
 // exposes stays record-granular: every stage counts dropped and
 // spilled records (not batches) through its OnDrop and spill hooks,
-// which also return pooled slices to the batch pool so a policy drop
+// which also return the slices to the batch pool so a policy drop
 // cannot leak pool capacity.
 type inputStage interface {
 	// push enqueues a batch envelope from the given source node,
@@ -48,16 +48,14 @@ type stageAccounting struct {
 }
 
 // onDropEnv builds the OnDrop hook: count the batch's records as
-// dropped and recycle the pooled slice. extra runs afterwards (the
+// dropped and recycle the slice. extra runs afterwards (the
 // MISO stage uses it to maintain its occupancy hints); settle tells
 // the owning lane the batch left the stage without being popped, so
 // the merger stops waiting for its ingest tick.
 func (a *stageAccounting) onDropEnv(extra func(), settle func(batchEnv)) func(batchEnv) {
 	return func(e batchEnv) {
 		a.droppedRecs.Add(uint64(len(e.recs)))
-		if e.pooled {
-			flow.PutBatch(e.recs)
-		}
+		flow.PutBatch(e.recs)
 		if extra != nil {
 			extra()
 		}
@@ -69,7 +67,7 @@ func (a *stageAccounting) onDropEnv(extra func(), settle func(batchEnv)) func(ba
 
 // spillEnv adapts a storage spill target to batch envelopes: the whole
 // batch is appended as one bulk write, counted per record, and the
-// pooled slice recycled. extra runs after a successful spill; settle
+// slice recycled. extra runs after a successful spill; settle
 // as in onDropEnv.
 func (a *stageAccounting) spillEnv(s flow.Spill, extra func(), settle func(batchEnv)) func(batchEnv) error {
 	if s == nil {
@@ -80,9 +78,7 @@ func (a *stageAccounting) spillEnv(s flow.Spill, extra func(), settle func(batch
 			return err
 		}
 		a.spilledRecs.Add(uint64(len(e.recs)))
-		if e.pooled {
-			flow.PutBatch(e.recs)
-		}
+		flow.PutBatch(e.recs)
 		if extra != nil {
 			extra()
 		}

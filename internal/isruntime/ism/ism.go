@@ -13,6 +13,11 @@
 // dispatch to subscribed tools, and optional spooling to a trace
 // segment stream for off-line use.
 //
+// Data moves in units of one LIS flush. Inject establishes ownership
+// once: from there every batch is pool-owned, each stage that retires
+// one recycles it, and each sink (SubscribeBatch) receives every
+// dispatched batch whole.
+//
 // Ingest is sharded: each shard lane owns an input stage and a
 // trace.Sequencer restoring per-source program order, and hands its
 // ordered sub-stream through a bounded merge lane to one merger
@@ -153,15 +158,15 @@ type Stats struct {
 // batchEnv is the unit flowing through the input stage: one data
 // message's records (a whole LIS flush) plus its arrival timestamp and
 // the global ingest tick the merger orders lanes by. The slice is
-// always pool-owned by the time it enters a stage — pooled injections
-// transfer ownership zero-copy, unpooled ones are copied into a pooled
-// batch — and the merger recycles it after dispatch.
+// pool-owned from Inject on — pooled injections transfer ownership
+// zero-copy, unpooled ones are copied into a pooled batch — and
+// whichever stage retires it (a drop, a spill, the sequencer's repair
+// copy or dispatch) recycles it.
 type batchEnv struct {
 	node    int32
 	recs    []trace.Record
 	arrival int64
 	tick    uint64
-	pooled  bool
 }
 
 // ismCounters is the metric set the manager reports under the "ism"
@@ -172,6 +177,7 @@ type ismCounters struct {
 	outOfOrder   *metrics.Counter
 	controlsSeen *metrics.Counter
 	delivered    *metrics.Counter
+	spoolErrs    *metrics.Counter
 	held         *metrics.Gauge
 	maxHeld      *metrics.Gauge
 	latency      *metrics.Histogram
@@ -189,6 +195,7 @@ func newISMCounters(reg *metrics.Registry) ismCounters {
 		outOfOrder:   s.Counter("out_of_order"),
 		controlsSeen: s.Counter("controls_seen"),
 		delivered:    s.Counter("delivered"),
+		spoolErrs:    s.Counter("spool_errors"),
 		held:         s.Gauge("held"),
 		maxHeld:      s.Gauge("max_held"),
 		latency:      s.Histogram("latency_ns"),
@@ -244,7 +251,7 @@ func maxTick(a *atomic.Uint64, v uint64) {
 
 // ISM is a running instrumentation system manager. Create with New,
 // feed it by serving LIS connections (Serve) or direct injection
-// (Inject), and consume via Subscribe or the spool.
+// (Inject), and consume via SubscribeBatch or the spool.
 type ISM struct {
 	cfg   Config
 	clock event.Clock
@@ -260,18 +267,13 @@ type ISM struct {
 	processed atomic.Uint64
 
 	mu        sync.Mutex
-	subs      []subscriber
+	subs      []func([]trace.Record)
 	spool     *trace.Writer
+	spoolErr  error // first spool write failure; later writes are skipped
 	closed    bool
 	serveWG   sync.WaitGroup
 	lisConns  []tp.Conn
 	flushAcks chan struct{}
-}
-
-type subscriber struct {
-	name  string
-	fn    func(trace.Record)
-	batch func([]trace.Record)
 }
 
 // New creates and starts an ISM. It panics on an invalid overflow
@@ -364,27 +366,17 @@ func (m *ISM) shardFor(node int32) *ismShard {
 // Metrics returns the registry the ISM reports through.
 func (m *ISM) Metrics() *metrics.Registry { return m.ctr.reg }
 
-// Subscribe registers a tool sink; every dispatched record is passed
-// to fn in causal (or arrival) order on the merger goroutine.
-// Subscribers must be registered before data flows for complete
-// streams; late subscribers see only subsequent records.
-func (m *ISM) Subscribe(name string, fn func(trace.Record)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.subs = append(m.subs, subscriber{name: name, fn: fn})
-}
-
-// SubscribeBatch registers a batch-granular tool sink: every dispatched
-// batch is passed to fn as one slice, in dispatch order, on the merger
-// goroutine. The slice is only valid for the duration of the call —
-// the ISM recycles it into the batch pool afterwards — so sinks that
-// keep records must copy. This is the uplink hook of the federated
-// tier: forwarding a leaf's merged output batch-at-a-time keeps the
-// wire path batch-granular end to end.
+// SubscribeBatch registers a tool sink: every dispatched batch is
+// passed to fn as one slice, in causal (or arrival) order, on the
+// merger goroutine. The slice is only valid for the duration of the
+// call — the ISM recycles it into the batch pool afterwards — so sinks
+// that keep records must copy. Sinks must be registered before data
+// flows for complete streams; late ones see only subsequent batches.
+// The name labels the sink for the caller's benefit.
 func (m *ISM) SubscribeBatch(name string, fn func([]trace.Record)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.subs = append(m.subs, subscriber{name: name, batch: fn})
+	m.subs = append(m.subs, fn)
 }
 
 // Serve reads messages from a LIS connection until EOF, feeding the
@@ -488,7 +480,6 @@ func (m *ISM) Inject(msg tp.Message) {
 			node:    msg.Node,
 			arrival: m.clock.Now(),
 			tick:    m.tick.Add(1),
-			pooled:  true,
 		}
 		if msg.Pooled {
 			env.recs = msg.Records
@@ -546,7 +537,7 @@ func (m *ISM) runShard(s *ismShard) {
 func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 	n := uint64(len(env.recs))
 	m.ctr.arrived.Add(n)
-	out, pooled := env.recs, env.pooled
+	out := env.recs
 	if s.seq != nil {
 		// The sensor carried the capture sequence in Logical, and the
 		// merger overwrites Logical on dispatch (a Lamport stamp, or the
@@ -555,10 +546,7 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 		var inPlace bool
 		out, inPlace = s.seq.AddBatch(env.recs, flow.GetBatch)
 		if !inPlace {
-			if env.pooled {
-				flow.PutBatch(env.recs)
-			}
-			pooled = true
+			flow.PutBatch(env.recs)
 		}
 		if o := s.seq.OutOfOrder(); o != s.lastOutOfOrder {
 			m.ctr.outOfOrder.Add(o - s.lastOutOfOrder)
@@ -574,8 +562,8 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 		}
 	}
 	if len(out) > 0 {
-		s.lane.Push(mergeSlot{tick: env.tick, arrival: env.arrival, recs: out, pooled: pooled})
-	} else if pooled {
+		s.lane.Push(mergeSlot{tick: env.tick, arrival: env.arrival, recs: out})
+	} else {
 		flow.PutBatch(out)
 	}
 	// Settle order matters: the frontier must cover the tick before
@@ -589,31 +577,23 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 
 // emitAll hands a dispatched batch to the spool and subscribers. It
 // runs on the merger goroutine — the single dispatch point behind the
-// parallel lanes.
+// parallel lanes. The first spool write failure ends the spool: later
+// batches skip it, and Close returns the error.
 func (m *ISM) emitAll(rs []trace.Record) {
 	if len(rs) == 0 {
 		return
 	}
 	m.mu.Lock()
-	spool := m.spool
 	subs := m.subs
+	if m.spool != nil && m.spoolErr == nil {
+		if err := m.spool.WriteAll(rs); err != nil {
+			m.spoolErr = fmt.Errorf("ism: spool write: %w", err)
+			m.ctr.spoolErrs.Inc()
+		}
+	}
 	m.mu.Unlock()
-	if spool != nil {
-		m.mu.Lock()
-		_ = spool.WriteAll(rs)
-		m.mu.Unlock()
-	}
-	for _, s := range subs {
-		if s.batch != nil {
-			s.batch(rs)
-		}
-	}
-	for _, r := range rs {
-		for _, s := range subs {
-			if s.fn != nil {
-				s.fn(r)
-			}
-		}
+	for _, fn := range subs {
+		fn(rs)
 	}
 	m.ctr.delivered.Add(uint64(len(rs)))
 }
@@ -714,9 +694,9 @@ func (m *ISM) Close() error {
 	// Lanes are done: every slot is in the rings. Stop the merger,
 	// which final-drains them without the frontier rule.
 	m.merge.Close()
-	var err error
 	m.mu.Lock()
-	if m.spool != nil {
+	err := m.spoolErr
+	if m.spool != nil && err == nil {
 		err = m.spool.Flush()
 	}
 	m.mu.Unlock()

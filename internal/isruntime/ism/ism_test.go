@@ -2,6 +2,7 @@ package ism
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -37,9 +38,9 @@ func TestUnorderedPassThrough(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []trace.Record
-	m.Subscribe("t", func(r trace.Record) {
+	m.SubscribeBatch("t", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 	m.Inject(dataMsg(0, seqRec(0, trace.KindUser, 1, 0, 0), seqRec(0, trace.KindUser, 2, 1, 0)))
@@ -62,9 +63,9 @@ func TestOrderedReassemblesCausalOrder(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []trace.Record
-	m.Subscribe("t", func(r trace.Record) {
+	m.SubscribeBatch("t", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 	// Deliver seq 1 before seq 0.
@@ -98,9 +99,9 @@ func TestOrderedMatchesSendRecvAcrossNodes(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []trace.Record
-	m.Subscribe("t", func(r trace.Record) {
+	m.SubscribeBatch("t", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 	// Recv (node 1) arrives before its send (node 0).
@@ -122,8 +123,8 @@ func TestLatencyMeasurement(t *testing.T) {
 	m := New(Config{Buffering: SISO}, &clock)
 	defer m.Close()
 	block := make(chan struct{})
-	m.Subscribe("slow", func(r trace.Record) {
-		if r.Tag == 0 {
+	m.SubscribeBatch("slow", func(rs []trace.Record) {
+		if rs[0].Tag == 0 {
 			<-block // stall the processor on the first record
 		}
 	})
@@ -166,9 +167,9 @@ func TestServeAndBroadcast(t *testing.T) {
 
 	var mu sync.Mutex
 	count := 0
-	m.Subscribe("t", func(trace.Record) {
+	m.SubscribeBatch("t", func(rs []trace.Record) {
 		mu.Lock()
-		count++
+		count += len(rs)
 		mu.Unlock()
 	})
 
@@ -211,9 +212,9 @@ func TestGangFlushOverTP(t *testing.T) {
 
 	var mu sync.Mutex
 	received := 0
-	m.Subscribe("t", func(trace.Record) {
+	m.SubscribeBatch("t", func(rs []trace.Record) {
 		mu.Lock()
-		received++
+		received += len(rs)
 		mu.Unlock()
 	})
 
@@ -290,9 +291,9 @@ func TestCloseIdempotentAndDrains(t *testing.T) {
 	m := New(Config{Buffering: SISO}, &clock)
 	var mu sync.Mutex
 	n := 0
-	m.Subscribe("t", func(trace.Record) {
+	m.SubscribeBatch("t", func(rs []trace.Record) {
 		mu.Lock()
-		n++
+		n += len(rs)
 		mu.Unlock()
 	})
 	for i := 0; i < 100; i++ {
@@ -369,8 +370,8 @@ func TestDrainTerminatesUnderOverflow(t *testing.T) {
 	m := New(Config{Buffering: SISO, InputCapacity: 4}, &clock)
 	defer m.Close()
 	block := make(chan struct{})
-	m.Subscribe("slow", func(r trace.Record) {
-		if r.Tag == 0 {
+	m.SubscribeBatch("slow", func(rs []trace.Record) {
+		if rs[0].Tag == 0 {
 			<-block // stall the processor so the burst overflows
 		}
 	})
@@ -397,12 +398,12 @@ func TestDrainTerminatesUnderOverflow(t *testing.T) {
 	}
 }
 
-// env wraps records as an unpooled batch envelope for white-box stage
-// tests.
+// env wraps records as a pool-owned batch envelope, the only shape
+// that reaches a stage, for white-box stage tests.
 func env(tags ...uint16) batchEnv {
-	rs := make([]trace.Record, len(tags))
-	for i, tag := range tags {
-		rs[i] = trace.Record{Tag: tag}
+	rs := flow.GetBatch(len(tags))
+	for _, tag := range tags {
+		rs = append(rs, trace.Record{Tag: tag})
 	}
 	return batchEnv{recs: rs}
 }
@@ -475,8 +476,8 @@ func TestCloseFlushesOverflowSpill(t *testing.T) {
 		Overflow: flow.SpillToStorage, OverflowSpill: spill,
 	}, &clock)
 	block := make(chan struct{})
-	m.Subscribe("slow", func(r trace.Record) {
-		if r.Tag == 0 {
+	m.SubscribeBatch("slow", func(rs []trace.Record) {
+		if rs[0].Tag == 0 {
 			<-block // stall the processor so the burst demotes
 		}
 	})
@@ -510,9 +511,9 @@ func TestDeferCausalRestampsUplinkSequences(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []trace.Record
-	m.Subscribe("t", func(r trace.Record) {
+	m.SubscribeBatch("t", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 
@@ -556,27 +557,23 @@ func TestDeferCausalRestampsUplinkSequences(t *testing.T) {
 	}
 }
 
-// TestSubscribeBatchSeesDispatchBatches: batch sinks receive each
-// dispatched batch as one slice whose contents match the record-
-// granular subscriber stream.
+// TestSubscribeBatchSeesDispatchBatches: every sink receives each
+// dispatched batch whole, as one slice, in dispatch order.
 func TestSubscribeBatchSeesDispatchBatches(t *testing.T) {
 	var clock event.VirtualClock
 	m := New(Config{Buffering: SISO, Ordered: true}, &clock)
 
 	var mu sync.Mutex
-	var single, batched []trace.Record
-	var calls int
-	m.Subscribe("rec", func(r trace.Record) {
-		mu.Lock()
-		single = append(single, r)
-		mu.Unlock()
-	})
-	m.SubscribeBatch("batch", func(rs []trace.Record) {
-		mu.Lock()
-		batched = append(batched, rs...) // must copy: slice is pool-owned
-		calls++
-		mu.Unlock()
-	})
+	var got [2][]trace.Record
+	var calls [2]int
+	for i, name := range []string{"a", "b"} {
+		m.SubscribeBatch(name, func(rs []trace.Record) {
+			mu.Lock()
+			got[i] = append(got[i], rs...) // must copy: slice is pool-owned
+			calls[i]++
+			mu.Unlock()
+		})
+	}
 
 	m.Inject(dataMsg(1,
 		seqRec(1, trace.KindUser, 0, 0, 0),
@@ -589,15 +586,106 @@ func TestSubscribeBatchSeesDispatchBatches(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if calls != 1 {
-		t.Fatalf("batch sink called %d times, want 1 (one dispatch batch)", calls)
-	}
-	if len(batched) != len(single) {
-		t.Fatalf("batch sink saw %d records, record sink %d", len(batched), len(single))
-	}
-	for i := range single {
-		if batched[i] != single[i] {
-			t.Fatalf("streams diverge at %d: %v vs %v", i, batched[i], single[i])
+	for i := range got {
+		if calls[i] != 1 {
+			t.Fatalf("sink %d called %d times, want 1 (one dispatch batch)", i, calls[i])
 		}
+		if len(got[i]) != 3 {
+			t.Fatalf("sink %d saw %d records, want 3", i, len(got[i]))
+		}
+		for j, r := range got[i] {
+			if r.Tag != uint16(j) {
+				t.Fatalf("sink %d record %d has tag %d", i, j, r.Tag)
+			}
+		}
+	}
+}
+
+// TestInjectUnpooledKeepsCallerSlice: Inject copies an unpooled batch
+// into a pool-owned one, so dispatch — which restamps Logical in place
+// under DeferCausal and recycles every batch it retires — never touches
+// the caller's slice.
+func TestInjectUnpooledKeepsCallerSlice(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ordered", Config{Ordered: true, ResumeSources: true}},
+		{"defer-causal", Config{Ordered: true, DeferCausal: true, ResumeSources: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var clock event.VirtualClock
+			m := New(tc.cfg, &clock)
+			defer m.Close()
+			const n = 64
+			caller := make([]trace.Record, n)
+			for i := range caller {
+				// Capture sequences start past zero (adopted under
+				// ResumeSources), so the restamp's fresh 0.. differs.
+				caller[i] = seqRec(3, trace.KindUser, uint16(i), uint64(100+i), int64(i))
+			}
+			want := slices.Clone(caller)
+			var mu sync.Mutex
+			var got []trace.Record
+			m.SubscribeBatch("t", func(rs []trace.Record) {
+				mu.Lock()
+				got = append(got, rs...)
+				mu.Unlock()
+			})
+			m.Inject(tp.DataMessage(3, caller))
+			m.Drain()
+			// Draw whatever dispatch recycled back out of the pool and
+			// overwrite it: a caller slice that leaked into the pool
+			// shows it.
+			for range 64 {
+				b := flow.GetBatch(n)[:n]
+				for i := range b {
+					b[i] = trace.Record{Tag: 0xffff, Logical: 0xffff}
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(got) != n {
+				t.Fatalf("dispatched %d records, want %d", len(got), n)
+			}
+			if !slices.Equal(caller, want) {
+				t.Fatalf("caller's slice changed: first record %+v, want %+v", caller[0], want[0])
+			}
+		})
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+var errWrite = errors.New("disk gone")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
+
+// TestSpoolWriteErrorIsSticky: the first spool write failure ends the
+// spool. It is counted once, later batches skip the spool, and Close
+// returns the error.
+func TestSpoolWriteErrorIsSticky(t *testing.T) {
+	var clock event.VirtualClock
+	m := New(Config{Spool: failWriter{}}, &clock)
+	// Enough records that the spool's buffered writer must drain many
+	// times over.
+	const batches, per = 64, 1024
+	for b := 0; b < batches; b++ {
+		rs := flow.GetBatch(per)
+		for i := 0; i < per; i++ {
+			rs = append(rs, seqRec(0, trace.KindUser, uint16(i), uint64(b*per+i), int64(i)))
+		}
+		m.Inject(tp.PooledDataMessage(0, rs))
+	}
+	m.Drain()
+	if got := m.Stats().Delivered; got != batches*per {
+		t.Fatalf("delivered %d records, want %d", got, batches*per)
+	}
+	if n := m.Metrics().Snapshot().Value("ism.spool_errors"); n != 1 {
+		t.Fatalf("ism.spool_errors = %v, want 1", n)
+	}
+	if err := m.Close(); !errors.Is(err, errWrite) {
+		t.Fatalf("Close = %v, want %v", err, errWrite)
 	}
 }

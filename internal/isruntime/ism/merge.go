@@ -18,14 +18,13 @@ import (
 // by definition and is never stalled on.
 
 // mergeSlot is one element of a shard's ordered sub-stream: the
-// records one input batch released from the lane's sequencer, keyed by
-// that batch's global ingest tick and carrying its arrival timestamp
-// for the dispatch-latency metric.
+// pool-owned records one input batch released from the lane's
+// sequencer, keyed by that batch's global ingest tick and carrying its
+// arrival timestamp for the dispatch-latency metric.
 type mergeSlot struct {
 	tick    uint64
 	arrival int64
 	recs    []trace.Record
-	pooled  bool
 }
 
 type mergeLane = flow.MergeLane[mergeSlot, *ismShard]
@@ -133,8 +132,6 @@ func (g *merger) dispatch(_ *ismShard, slot *mergeSlot) bool {
 		}
 		g.orderBuf = out[:0]
 	}
-	if slot.pooled {
-		flow.PutBatch(slot.recs)
-	}
+	flow.PutBatch(slot.recs)
 	return true
 }

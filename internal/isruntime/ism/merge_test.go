@@ -102,9 +102,9 @@ func runMergeInput(t *testing.T, shards int, batches []mergeTestBatch) []trace.R
 	}, &clock)
 	var mu sync.Mutex
 	var got []trace.Record
-	m.Subscribe("collect", func(r trace.Record) {
+	m.SubscribeBatch("collect", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 	for _, b := range batches {
@@ -194,7 +194,7 @@ func TestCloseRacingInject(t *testing.T) {
 			Buffering: MISO, Ordered: true, Overflow: flow.Block,
 			Shards: 2, MergeRingCapacity: 2, InputCapacity: 64,
 		}, &clock)
-		m.Subscribe("sink", func(trace.Record) {})
+		m.SubscribeBatch("sink", func([]trace.Record) {})
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for n := 0; n < 4; n++ {
@@ -254,10 +254,12 @@ func newIncarnation(resume bool) *ismIncarnation {
 		Shards:        3,
 		ResumeSources: resume,
 	}, &clock)
-	inc.m.Subscribe("account", func(r trace.Record) {
+	inc.m.SubscribeBatch("account", func(rs []trace.Record) {
 		inc.mu.Lock()
-		inc.seen[r.Payload]++
-		inc.recs = append(inc.recs, r)
+		for _, r := range rs {
+			inc.seen[r.Payload]++
+		}
+		inc.recs = append(inc.recs, rs...)
 		inc.mu.Unlock()
 	})
 	return inc

@@ -28,14 +28,13 @@ import (
 // and spilling policies (WithOverflow) trade that perturbation for
 // data loss or demotion to storage instead.
 type Daemon struct {
-	node     int32
-	conn     tp.Conn
-	pipeCap  int
-	batch    int
-	policy   flow.OverflowPolicy
-	spill    func(trace.Record) error
-	unpooled bool
-	ctr      lisCounters
+	node    int32
+	conn    tp.Conn
+	pipeCap int
+	batch   int
+	policy  flow.OverflowPolicy
+	spill   func(trace.Record) error
+	ctr     lisCounters
 
 	mu     sync.Mutex
 	pipes  map[int32]*flow.Queue[trace.Record]
@@ -67,14 +66,13 @@ func NewDaemon(node int32, conn tp.Conn, pipeCap, batch int, opts ...Option) (*D
 		return nil, fmt.Errorf("lis: invalid overflow policy %v", o.overflow)
 	}
 	d := &Daemon{
-		node:     node,
-		conn:     conn,
-		pipeCap:  pipeCap,
-		batch:    batch,
-		policy:   o.overflow,
-		unpooled: o.unpooled,
-		ctr:      newLISCounters(node, o.registry),
-		pipes:    map[int32]*flow.Queue[trace.Record]{},
+		node:    node,
+		conn:    conn,
+		pipeCap: pipeCap,
+		batch:   batch,
+		policy:  o.overflow,
+		ctr:     newLISCounters(node, o.registry),
+		pipes:   map[int32]*flow.Queue[trace.Record]{},
 	}
 	if o.spill != nil {
 		sp := flow.SpillRecord(o.spill)
@@ -143,19 +141,14 @@ func (d *Daemon) Capture(r trace.Record) {
 // pipe is closed and empty.
 func (d *Daemon) drain(p *flow.Queue[trace.Record]) {
 	defer d.wg.Done()
-	buf := d.newBuf()
+	buf := flow.GetBatch(d.batch)
 	flush := func() {
 		if len(buf) == 0 {
 			return
 		}
 		n := uint64(len(buf))
-		var msg tp.Message
-		if d.unpooled {
-			msg = tp.DataMessage(d.node, buf)
-		} else {
-			msg = tp.PooledDataMessage(d.node, buf)
-		}
-		buf = d.newBuf()
+		msg := tp.PooledDataMessage(d.node, buf)
+		buf = flow.GetBatch(d.batch)
 		if d.conn.Send(msg) == nil {
 			d.ctr.forwarded.Add(n)
 			d.ctr.flushes.Inc()
@@ -165,7 +158,7 @@ func (d *Daemon) drain(p *flow.Queue[trace.Record]) {
 		r, ok := p.PopWait()
 		if !ok {
 			flush()
-			d.recycle(buf)
+			flow.PutBatch(buf)
 			return
 		}
 		buf = append(buf, r)
@@ -178,21 +171,6 @@ func (d *Daemon) drain(p *flow.Queue[trace.Record]) {
 			buf = append(buf, r)
 		}
 		flush()
-	}
-}
-
-// newBuf allocates or recycles an empty forwarding batch.
-func (d *Daemon) newBuf() []trace.Record {
-	if d.unpooled {
-		return make([]trace.Record, 0, d.batch)
-	}
-	return flow.GetBatch(d.batch)
-}
-
-// recycle returns a batch to the pool unless pooling is disabled.
-func (d *Daemon) recycle(batch flow.Batch) {
-	if !d.unpooled {
-		flow.PutBatch(batch)
 	}
 }
 

@@ -83,7 +83,6 @@ type Option func(*options)
 
 type options struct {
 	registry *metrics.Registry
-	unpooled bool
 	pending  int
 	overflow flow.OverflowPolicy
 	spill    flow.Spill
@@ -95,13 +94,6 @@ type options struct {
 // registry.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(o *options) { o.registry = reg }
-}
-
-// WithUnpooledBatches disables the flow batch pool for this LIS, so
-// every flush allocates a fresh record slice — the pre-pooling
-// behaviour, kept for benchmark comparison.
-func WithUnpooledBatches() Option {
-	return func(o *options) { o.unpooled = true }
 }
 
 // WithOverflow selects the overflow policy (and optional spill target)
@@ -176,7 +168,6 @@ type Buffered struct {
 	capacity int
 	conn     tp.Conn
 	onFull   func(*Buffered) // policy hook; nil means flush self (FOF)
-	unpooled bool
 	ctr      lisCounters
 
 	mu      sync.Mutex
@@ -207,10 +198,9 @@ func NewBuffered(node int32, capacity int, conn tp.Conn, opts ...Option) (*Buffe
 		node:     node,
 		capacity: capacity,
 		conn:     conn,
-		unpooled: o.unpooled,
 		ctr:      newLISCounters(node, o.registry),
 	}
-	b.buf = b.newBuf()
+	b.buf = flow.GetBatch(capacity)
 	if o.async {
 		if o.pending < 1 {
 			return nil, errors.New("lis: async pending depth must be >= 1")
@@ -223,7 +213,7 @@ func NewBuffered(node int32, capacity int, conn tp.Conn, opts ...Option) (*Buffe
 				err := sp.Append(batch...)
 				if err == nil {
 					spilled.Add(uint64(len(batch)))
-					b.recycle(batch)
+					flow.PutBatch(batch)
 				}
 				return err
 			}
@@ -235,36 +225,13 @@ func NewBuffered(node int32, capacity int, conn tp.Conn, opts ...Option) (*Buffe
 		dropped := b.ctr.dropped
 		q.OnDrop(func(batch flow.Batch) {
 			dropped.Add(uint64(len(batch)))
-			b.recycle(batch)
+			flow.PutBatch(batch)
 		})
 		b.pending = q
 		b.senderDone = make(chan struct{})
 		go b.sender()
 	}
 	return b, nil
-}
-
-// newBuf allocates or recycles an empty capture buffer.
-func (b *Buffered) newBuf() []trace.Record {
-	if b.unpooled {
-		return make([]trace.Record, 0, b.capacity)
-	}
-	return flow.GetBatch(b.capacity)
-}
-
-// recycle returns a batch to the pool unless pooling is disabled.
-func (b *Buffered) recycle(batch flow.Batch) {
-	if !b.unpooled {
-		flow.PutBatch(batch)
-	}
-}
-
-// msg wraps a batch as a data message, marking pool ownership.
-func (b *Buffered) msg(batch []trace.Record) tp.Message {
-	if b.unpooled {
-		return tp.DataMessage(b.node, batch)
-	}
-	return tp.PooledDataMessage(b.node, batch)
 }
 
 // senderBurst caps how many pending batches one send coalesces, so a
@@ -284,7 +251,7 @@ func (b *Buffered) sender() {
 		if !ok {
 			return
 		}
-		msgs = append(msgs[:0], b.msg(batch))
+		msgs = append(msgs[:0], tp.PooledDataMessage(b.node, batch))
 		total := uint64(len(batch))
 		for len(msgs) < senderBurst {
 			more, ok := b.pending.TryPop()
@@ -292,7 +259,7 @@ func (b *Buffered) sender() {
 				break
 			}
 			total += uint64(len(more))
-			msgs = append(msgs, b.msg(more))
+			msgs = append(msgs, tp.PooledDataMessage(b.node, more))
 		}
 		if tp.SendAll(b.conn, msgs) == nil {
 			b.ctr.forwarded.Add(total)
@@ -354,7 +321,7 @@ func (b *Buffered) Flush() error {
 		return nil
 	}
 	batch := b.buf
-	b.buf = b.newBuf()
+	b.buf = flow.GetBatch(b.capacity)
 	b.ctr.occupancy.Set(0)
 	conn := b.conn
 	b.mu.Unlock()
@@ -365,7 +332,7 @@ func (b *Buffered) Flush() error {
 		return nil
 	}
 	n := uint64(len(batch))
-	err := conn.Send(b.msg(batch))
+	err := conn.Send(tp.PooledDataMessage(b.node, batch))
 	b.ctr.forwarded.Add(n)
 	return err
 }
@@ -433,10 +400,9 @@ func (g *Gang) GangFlushes() uint64 {
 // sent to the ISM immediately ("event forwarding involves only one
 // system call per event", §3.3).
 type Forwarding struct {
-	node     int32
-	conn     tp.Conn
-	unpooled bool
-	ctr      lisCounters
+	node int32
+	conn tp.Conn
+	ctr  lisCounters
 
 	mu      sync.Mutex
 	stopped bool
@@ -452,7 +418,7 @@ func NewForwarding(node int32, conn tp.Conn, opts ...Option) (*Forwarding, error
 		opt(&o)
 	}
 	return &Forwarding{
-		node: node, conn: conn, unpooled: o.unpooled,
+		node: node, conn: conn,
 		ctr: newLISCounters(node, o.registry),
 	}, nil
 }
@@ -471,15 +437,8 @@ func (f *Forwarding) Capture(r trace.Record) {
 	}
 	f.ctr.captured.Inc()
 	f.ctr.forwarded.Inc()
-	var msg tp.Message
-	if f.unpooled {
-		msg = tp.DataMessage(f.node, []trace.Record{r})
-	} else {
-		batch := flow.GetBatch(1)
-		batch = append(batch, r)
-		msg = tp.PooledDataMessage(f.node, batch)
-	}
-	_ = f.conn.Send(msg)
+	batch := append(flow.GetBatch(1), r)
+	_ = f.conn.Send(tp.PooledDataMessage(f.node, batch))
 }
 
 // Flush implements LIS; a forwarding LIS holds nothing back.

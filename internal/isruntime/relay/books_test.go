@@ -2,9 +2,12 @@ package relay
 
 import (
 	"bytes"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/tp"
 	"prism/internal/raceflag"
 	"prism/internal/trace"
@@ -25,7 +28,11 @@ type twoLanes struct {
 func newTwoLanes(t *testing.T) *twoLanes {
 	f := &twoLanes{t: t}
 	f.rel = New(Config{Root: true, Downstreams: 2, Spool: &f.spool})
-	f.rel.Subscribe("times", func(r trace.Record) { f.times = append(f.times, r.Time) })
+	f.rel.SubscribeBatch("times", func(rs []trace.Record) {
+		for _, r := range rs {
+			f.times = append(f.times, r.Time)
+		}
+	})
 	for i := range f.conns {
 		local, remote := tp.Pipe(16)
 		f.conns[i] = local
@@ -146,12 +153,10 @@ func TestRelaySteadyStateAllocs(t *testing.T) {
 	rel.SubscribeBatch("count", func(rs []trace.Record) { delivered += uint64(len(rs)) })
 	lanes := [2]*lane{rel.laneFor(100), rel.laneFor(101)}
 	const batch, sources = 64, 4
+	// admit takes ownership of pool-owned batches, as inject hands them
+	// over; every draw asks for the same capacity, so the pool's slices
+	// fit every draw and the round reuses them rather than allocating.
 	var recs [2][]trace.Record
-	var mark [2][]trace.Record
-	for i := range recs {
-		recs[i] = make([]trace.Record, batch)
-		mark[i] = make([]trace.Record, 1)
-	}
 	var seq int64
 	var base int64
 	var perSource uint64
@@ -159,6 +164,7 @@ func TestRelaySteadyStateAllocs(t *testing.T) {
 		// The lanes' Times alternate record by record; a mark apiece
 		// then releases the tail, so every round ends fully acknowledged.
 		for l := range recs {
+			recs[l] = flow.GetBatch(batch)[:batch]
 			for j := range recs[l] {
 				recs[l][j] = user(int32(l*sources+j%sources), perSource+uint64(j/sources), base+int64(2*j+l))
 			}
@@ -167,12 +173,11 @@ func TestRelaySteadyStateAllocs(t *testing.T) {
 		base += 2 * batch
 		seq++
 		for l, ln := range lanes {
-			rel.admit(ln, seq, recs[l], false)
+			rel.admit(ln, seq, recs[l])
 		}
 		seq++
-		for l, ln := range lanes {
-			mark[l][0] = markRecord(base)
-			rel.admit(ln, seq, mark[l], false)
+		for _, ln := range lanes {
+			rel.admit(ln, seq, append(flow.GetBatch(batch), markRecord(base)))
 		}
 		for rel.ackFrontier(100) != seq || rel.ackFrontier(101) != seq {
 			rel.Drain()
@@ -192,5 +197,60 @@ func TestRelaySteadyStateAllocs(t *testing.T) {
 	}
 	if want := uint64(seq/2) * 2 * batch; delivered != want {
 		t.Fatalf("delivered %d of %d records", delivered, want)
+	}
+}
+
+// TestInjectUnpooledKeepsCallerSlice: inject copies an unpooled batch
+// into a pool-owned one, so the relay never touches the sender's slice
+// — not when admission closes the gap a partition-rejected record
+// leaves (an in-place rewrite), nor when the merger recycles the
+// consumed lane slot.
+func TestInjectUnpooledKeepsCallerSlice(t *testing.T) {
+	rel := New(Config{Root: true, Downstreams: 2})
+	var mu sync.Mutex
+	var got []trace.Record
+	rel.SubscribeBatch("t", func(rs []trace.Record) {
+		mu.Lock()
+		got = append(got, rs...)
+		mu.Unlock()
+	})
+	send := func(node int32, seq int64, rs ...trace.Record) {
+		m := tp.DataMessage(node, rs)
+		m.Arg = seq // the relay admits only session-sequenced batches
+		rel.inject(nil, m)
+	}
+	// Lane 100 claims source 7 and promises nothing below Time 100.
+	send(100, 1, user(7, 0, 1))
+	send(100, 2, markRecord(100))
+	// Lane 101's batch opens with a source-7 record, which it does not
+	// own: the rejected record's slot is closed over in place.
+	const n = 64
+	caller := make([]trace.Record, n)
+	caller[0] = user(7, 1, 2)
+	for i := 1; i < n; i++ {
+		caller[i] = user(8, uint64(i-1), int64(i+2))
+	}
+	want := slices.Clone(caller)
+	send(101, 1, caller...)
+	send(101, 2, markRecord(100))
+	rel.Drain()
+	// Draw whatever the merger recycled back out of the pool and
+	// overwrite it: a sender slice that leaked into the pool shows it.
+	for range 64 {
+		b := flow.GetBatch(n)[:n]
+		for i := range b {
+			b[i] = trace.Record{Tag: 0xffff, Logical: 0xffff}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != n {
+		t.Fatalf("emitted %d records, want %d", len(got), n)
+	}
+	if !slices.Equal(caller, want) {
+		t.Fatalf("sender's slice changed: first record %+v, want %+v", caller[0], want[0])
+	}
+	if err := rel.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -46,9 +46,6 @@ type Config struct {
 	// AckEvery is the receipt-ack cadence handed to the session
 	// receiver; the dispatch-gated acks advance independently of it.
 	AckEvery int
-	// FlushBatch bounds the dispatch buffer in records before it is
-	// flushed to the spool and subscribers. Zero means 512.
-	FlushBatch int
 	// Resume seeds a restarted relay from its own durable output: the
 	// records the previous incarnation emitted (its spool, re-read).
 	// Emission counts, causal-merge state and per-source dedup cursors
@@ -82,22 +79,18 @@ type Stats struct {
 	SessionDups      uint64 // batch-granular replays absorbed by the session layer
 }
 
-// laneSlot is one ordered sub-batch handed from a lane to the merger,
-// which consumes it record by record: pos is its cursor.
+// flushBatch bounds the dispatch buffer in records before it is
+// flushed to the spool and subscribers.
+const flushBatch = 512
+
+// laneSlot is one ordered, pool-owned sub-batch handed from a lane to
+// the merger, which consumes it record by record: pos is its cursor.
 type laneSlot struct {
-	recs   []trace.Record
-	pos    int
-	pooled bool
+	recs []trace.Record
+	pos  int
 }
 
 type mergeLane = flow.MergeLane[laneSlot, *lane]
-
-// heldBatch is a session batch delivered above a contiguity hole,
-// parked until the hole closes.
-type heldBatch struct {
-	recs   []trace.Record
-	pooled bool
-}
 
 // source is one source's relay-wide book. Admission and the merger
 // each reach it through a lookaside of their own (lane.books,
@@ -155,8 +148,8 @@ type lane struct {
 	// serve goroutine; the mutex is uncontended in steady state (one
 	// live connection per downstream).
 	admitMu   sync.Mutex
-	nextBatch int64 // highest contiguously admitted session seq
-	held      map[int64]heldBatch
+	nextBatch int64                    // highest contiguously admitted session seq
+	held      map[int64][]trace.Record // batches parked above a contiguity hole
 	seq       *trace.Sequencer
 	books     trace.SourceTable[laneSource]
 	touched   []*laneSource // the sources the batch in process carried
@@ -185,13 +178,6 @@ func (ln *lane) raiseWatermark(w int64) {
 			return
 		}
 	}
-}
-
-// sink mirrors the ISM subscriber shape: record- or batch-granular.
-type sink struct {
-	name  string
-	fn    func(trace.Record)
-	batch func([]trace.Record)
 }
 
 // Relay is a running relay ISM: it accepts downstream manager sessions
@@ -240,7 +226,7 @@ type Relay struct {
 	killed   atomic.Bool
 
 	mu      sync.Mutex
-	subs    []sink
+	subs    []func([]trace.Record)
 	spool   *trace.Writer
 	conns   []tp.Conn
 	closed  bool
@@ -252,9 +238,6 @@ type Relay struct {
 func New(cfg Config) *Relay {
 	if cfg.LaneRing <= 0 {
 		cfg.LaneRing = 256
-	}
-	if cfg.FlushBatch <= 0 {
-		cfg.FlushBatch = 512
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -333,21 +316,15 @@ func New(cfg Config) *Relay {
 // Metrics returns the registry the relay reports through.
 func (r *Relay) Metrics() *metrics.Registry { return r.reg }
 
-// Subscribe registers a record-granular sink for the merged root
-// stream; fn runs on the merger goroutine in emission order.
-func (r *Relay) Subscribe(name string, fn func(trace.Record)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.subs = append(r.subs, sink{name: name, fn: fn})
-}
-
-// SubscribeBatch registers a batch-granular sink: the slice is only
-// valid for the duration of the call. An Uplink's Push makes a non-root
-// relay's output the next tier's input: relay trees compose.
+// SubscribeBatch registers a sink for the merged stream: fn runs on
+// the merger goroutine with each emitted batch in emission order, and
+// the slice is only valid for the duration of the call. An Uplink's
+// Push makes a non-root relay's output the next tier's input: relay
+// trees compose. The name labels the sink for the caller's benefit.
 func (r *Relay) SubscribeBatch(name string, fn func([]trace.Record)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.subs = append(r.subs, sink{name: name, batch: fn})
+	r.subs = append(r.subs, fn)
 }
 
 // Serve reads messages from a downstream connection until EOF. The
@@ -394,17 +371,19 @@ func (r *Relay) inject(conn tp.Conn, m tp.Message) {
 		tp.Recycle(&m)
 		return
 	}
-	recs, pooled := m.Records, m.Pooled
-	if !pooled {
+	// Every batch past this point is pool-owned: a pooled message hands
+	// its slice over, an unpooled one is copied so the sender keeps its
+	// own.
+	recs := m.Records
+	if !m.Pooled {
 		recs = flow.GetBatch(len(m.Records))[:len(m.Records)]
 		copy(recs, m.Records)
-		pooled = true
 	}
 	ln := r.laneFor(m.Node)
 	ln.connMu.Lock()
 	ln.conn = conn
 	ln.connMu.Unlock()
-	r.admit(ln, m.Arg, recs, pooled)
+	r.admit(ln, m.Arg, recs)
 }
 
 // lookupLane finds an existing lane without creating one.
@@ -429,7 +408,7 @@ func (r *Relay) laneFor(node int32) *lane {
 	}
 	ln := &lane{
 		node: node,
-		held: make(map[int64]heldBatch),
+		held: make(map[int64][]trace.Record),
 		seq:  trace.NewSequencer(),
 	}
 	// A relay can (re)start against downstreams already mid-stream; the
@@ -454,11 +433,9 @@ func (r *Relay) onHello(node int32, acked int64) {
 	ln.admitMu.Lock()
 	if acked > ln.nextBatch {
 		ln.nextBatch = acked
-		for s, hb := range ln.held {
+		for s, recs := range ln.held {
 			if s <= acked {
-				if hb.pooled {
-					flow.PutBatch(hb.recs)
-				}
+				flow.PutBatch(recs)
 				delete(ln.held, s)
 			}
 		}
@@ -489,32 +466,30 @@ func (r *Relay) ackFrontier(node int32) int64 {
 // is dedup, not ordering); the lane parks them until the hole closes
 // so the per-lane stream stays in uplink order — the merge's per-lane
 // FIFO contract.
-func (r *Relay) admit(ln *lane, seq int64, recs []trace.Record, pooled bool) {
+func (r *Relay) admit(ln *lane, seq int64, recs []trace.Record) {
 	ln.admitMu.Lock()
 	if seq <= ln.nextBatch {
 		// Below the admission floor: a replay that raced the receiver's
 		// own dedup window (fresh receiver after restart).
 		ln.admitMu.Unlock()
-		if pooled {
-			flow.PutBatch(recs)
-		}
+		flow.PutBatch(recs)
 		return
 	}
 	if seq != ln.nextBatch+1 {
-		ln.held[seq] = heldBatch{recs: recs, pooled: pooled}
+		ln.held[seq] = recs
 		ln.admitMu.Unlock()
 		return
 	}
-	r.process(ln, seq, recs, pooled)
+	r.process(ln, seq, recs)
 	ln.nextBatch = seq
 	for {
-		hb, ok := ln.held[ln.nextBatch+1]
+		held, ok := ln.held[ln.nextBatch+1]
 		if !ok {
 			break
 		}
 		delete(ln.held, ln.nextBatch+1)
 		ln.nextBatch++
-		r.process(ln, ln.nextBatch, hb.recs, hb.pooled)
+		r.process(ln, ln.nextBatch, held)
 	}
 	ln.admitMu.Unlock()
 }
@@ -522,15 +497,13 @@ func (r *Relay) admit(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 // process runs one contiguously admitted batch: watermark application
 // for marks; ownership check, record-granular dedup, ring hand-off and
 // ack gating for data. Runs with ln.admitMu held.
-func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
+func (r *Relay) process(ln *lane, seq int64, recs []trace.Record) {
 	if isMarkBatch(recs) {
 		w := recs[0].Time
 		ln.ackMu.Lock()
 		ln.pendAcks = append(ln.pendAcks, ackEntry{seq: seq})
 		ln.ackMu.Unlock()
-		if pooled {
-			flow.PutBatch(recs)
-		}
+		flow.PutBatch(recs)
 		ln.raiseWatermark(w)
 		ln.wmGauge.Set(ln.watermark.Load())
 		r.mMarks.Inc()
@@ -593,14 +566,11 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	ln.pendAcks = append(ln.pendAcks, ackEntry{seq: seq, needs: needs})
 	ln.ackMu.Unlock()
 	if !inPlace {
-		if pooled {
-			flow.PutBatch(recs)
-		}
-		pooled = true
+		flow.PutBatch(recs)
 	}
 	if len(out) > 0 {
-		ln.ml.Push(laneSlot{recs: out, pooled: pooled})
-	} else if pooled {
+		ln.ml.Push(laneSlot{recs: out})
+	} else {
 		flow.PutBatch(out)
 	}
 	// The watermark must not advance until the records it covers are in
@@ -670,7 +640,7 @@ func (r *Relay) consume(_ *lane, h *laneSlot) bool {
 	rec := h.recs[h.pos]
 	h.pos++
 	exhausted := h.pos == len(h.recs)
-	if exhausted && h.pooled {
+	if exhausted {
 		flow.PutBatch(h.recs)
 	}
 	if !r.killed.Load() {
@@ -711,7 +681,7 @@ func (r *Relay) dispatch(rec trace.Record) {
 	for i := prev; i < len(r.outBuf); i++ {
 		r.emitBook(&r.outBuf[i]).emitted++
 	}
-	if len(r.outBuf) >= r.cfg.FlushBatch {
+	if len(r.outBuf) >= flushBatch {
 		r.flushOut()
 	}
 }
@@ -749,17 +719,8 @@ func (r *Relay) flushOut() {
 			r.mSpoolErrs.Inc()
 		}
 	}
-	for _, s := range subs {
-		if s.batch != nil {
-			s.batch(r.outBuf)
-		}
-	}
-	for _, rec := range r.outBuf {
-		for _, s := range subs {
-			if s.fn != nil {
-				s.fn(rec)
-			}
-		}
+	for _, fn := range subs {
+		fn(r.outBuf)
 	}
 	r.mDispatch.Add(uint64(len(r.outBuf)))
 	r.outBuf = r.outBuf[:0]

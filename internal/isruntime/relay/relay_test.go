@@ -242,9 +242,9 @@ func TestRelayAdmissionOrderAndGatedAcks(t *testing.T) {
 	rel := New(Config{Root: true, AckEvery: 1})
 	var mu sync.Mutex
 	var got []trace.Record
-	rel.Subscribe("collect", func(r trace.Record) {
+	rel.SubscribeBatch("collect", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 	a, b := tp.Pipe(64)
@@ -392,9 +392,9 @@ func TestRelayMaxStallForcesProgress(t *testing.T) {
 	rel := New(Config{Root: true, MaxStall: 2 * time.Millisecond})
 	var mu sync.Mutex
 	var got []trace.Record
-	rel.Subscribe("collect", func(r trace.Record) {
+	rel.SubscribeBatch("collect", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 	a1, b1 := tp.Pipe(16)
@@ -455,9 +455,9 @@ func TestRelayDrainForStalledTail(t *testing.T) {
 	rel := New(Config{Root: true, Downstreams: 2, AckEvery: 1})
 	var mu sync.Mutex
 	var got []trace.Record
-	rel.Subscribe("collect", func(r trace.Record) {
+	rel.SubscribeBatch("collect", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 	a1, b1 := tp.Pipe(16)
@@ -527,9 +527,9 @@ func TestFederationMergeEquivalence(t *testing.T) {
 	rel := New(Config{Root: true, AckEvery: 1, Downstreams: leaves})
 	var mu sync.Mutex
 	var got []trace.Record
-	rel.Subscribe("collect", func(r trace.Record) {
+	rel.SubscribeBatch("collect", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 
@@ -605,9 +605,9 @@ func TestFederationThreeLevelTree(t *testing.T) {
 	root := New(Config{Root: true, AckEvery: 1, Downstreams: 2})
 	var mu sync.Mutex
 	var got []trace.Record
-	root.Subscribe("collect", func(r trace.Record) {
+	root.SubscribeBatch("collect", func(rs []trace.Record) {
 		mu.Lock()
-		got = append(got, r)
+		got = append(got, rs...)
 		mu.Unlock()
 	})
 

@@ -15,9 +15,9 @@
 //
 // Record batches travel through the flow core's batch pool: a message
 // built with PooledDataMessage marks its record slice pool-owned, and
-// whichever layer finishes with the data (the wire encoder, a policy
-// drop, or the ISM after copying into its input stage) recycles it
-// with flow.PutBatch. After Send returns, the sender must not touch a
+// whichever layer finishes with the data (the wire encoder, a closed
+// pipe, or the manager once the batch is dispatched or dropped)
+// recycles it with flow.PutBatch. After Send returns, the sender must not touch a
 // pooled message's records.
 package tp
 
@@ -28,7 +28,6 @@ import (
 	"sync"
 
 	"prism/internal/isruntime/flow"
-	"prism/internal/isruntime/metrics"
 	"prism/internal/trace"
 )
 
@@ -177,129 +176,42 @@ func SendAll(c Conn, ms []Message) error {
 	return first
 }
 
-// DropCounter is implemented by lossy transports (pipes with a
-// non-blocking overflow policy) that discard messages under pressure.
-type DropCounter interface {
-	DroppedMessages() uint64
-}
-
 // chanConn is the in-process transport: one direction of a Pipe.
 type chanConn struct {
-	send    chan Message
-	recv    chan Message
-	stop    chan struct{}
-	policy  flow.OverflowPolicy
-	spill   func(Message) error
-	dropCtr *metrics.Counter // registry mirror of dropped (may be nil)
-
-	mu      sync.Mutex
-	dropped uint64
+	send chan Message
+	recv chan Message
+	stop chan struct{}
 }
 
 // Pipe returns the two ends of an in-process connection with the given
 // buffering per direction. Buffer 0 gives rendezvous semantics; a
-// positive buffer models a bounded kernel pipe, whose fill-up is the
-// blocking effect of §3.2.3. Equivalent to PipePolicy with flow.Block.
-func Pipe(buffer int) (Conn, Conn) { return PipePolicy(buffer, flow.Block, nil) }
-
-// PipePolicy returns an in-process connection whose Send applies the
-// given overflow policy when the pipe is full: Block waits (classic
-// bounded-pipe backpressure), DropNewest discards the arriving
-// message, DropOldest displaces the queued one, and SpillToStorage
-// hands the displaced message to spill (falling back to dropping it
-// when spill is nil or fails). Dropped messages are counted and
-// reported via the DropCounter interface; with WithConnMetrics they
-// are also mirrored into the registry as tp.pipe_dropped_msgs, so
-// pipe losses show up next to the stream-transport counters.
-func PipePolicy(buffer int, policy flow.OverflowPolicy, spill func(Message) error, opts ...ConnOption) (Conn, Conn) {
-	var o connOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	var dropCtr *metrics.Counter
-	if o.registry != nil {
-		dropCtr = o.registry.Scope("tp").Counter("pipe_dropped_msgs")
-	}
+// positive buffer models a bounded kernel pipe, whose fill-up blocks
+// the sender — the blocking effect of §3.2.3. Overflow policies belong
+// to the stages on either side (the LIS's pending stage, the ISM's
+// input stage), not to the transport.
+func Pipe(buffer int) (Conn, Conn) {
 	ab := make(chan Message, buffer)
 	ba := make(chan Message, buffer)
 	stop := make(chan struct{})
-	a := &chanConn{send: ab, recv: ba, stop: stop, policy: policy, spill: spill, dropCtr: dropCtr}
-	b := &chanConn{send: ba, recv: ab, stop: stop, policy: policy, spill: spill, dropCtr: dropCtr}
-	return a, b
+	return &chanConn{send: ab, recv: ba, stop: stop}, &chanConn{send: ba, recv: ab, stop: stop}
 }
 
-// Send implements Conn.
+// Send implements Conn. A send on a closed pipe returns ErrClosed and
+// recycles the message's pooled records.
 func (c *chanConn) Send(m Message) error {
 	select {
 	case <-c.stop:
-		c.drop(m)
+		Recycle(&m)
 		return ErrClosed
 	default:
 	}
-	if c.policy == flow.Block {
-		select {
-		case c.send <- m:
-			return nil
-		case <-c.stop:
-			c.drop(m)
-			return ErrClosed
-		}
+	select {
+	case c.send <- m:
+		return nil
+	case <-c.stop:
+		Recycle(&m)
+		return ErrClosed
 	}
-	// Lossy policies: never block the producer.
-	for {
-		select {
-		case c.send <- m:
-			return nil
-		default:
-		}
-		if c.policy == flow.DropNewest {
-			c.drop(m)
-			return nil
-		}
-		// DropOldest / SpillToStorage: displace the queued head.
-		select {
-		case old := <-c.send:
-			if c.policy == flow.SpillToStorage && c.spill != nil {
-				if err := c.spill(old); err == nil {
-					Recycle(&old)
-					continue
-				}
-			}
-			c.drop(old)
-		case <-c.stop:
-			c.drop(m)
-			return ErrClosed
-		default:
-			// Nothing queued to displace (unbuffered pipe, or the
-			// consumer raced us): one last send attempt, then give
-			// the message up rather than block a lossy producer.
-			select {
-			case c.send <- m:
-				return nil
-			default:
-				c.drop(m)
-				return nil
-			}
-		}
-	}
-}
-
-// drop counts a lost message and recycles its pooled records.
-func (c *chanConn) drop(m Message) {
-	c.mu.Lock()
-	c.dropped++
-	c.mu.Unlock()
-	if c.dropCtr != nil {
-		c.dropCtr.Inc()
-	}
-	Recycle(&m)
-}
-
-// DroppedMessages implements DropCounter.
-func (c *chanConn) DroppedMessages() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
 }
 
 // Recv implements Conn.

@@ -3,7 +3,6 @@ package tp
 import (
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,12 +11,10 @@ import (
 	"prism/internal/trace"
 )
 
-// TestPipeSendAfterClose pins the send-after-close contract: ErrClosed,
-// the message counted as dropped, and pooled payloads recycled rather
-// than leaked.
+// TestPipeSendAfterClose pins the send-after-close contract: ErrClosed
+// on both ends, with a pooled payload recycled rather than leaked.
 func TestPipeSendAfterClose(t *testing.T) {
 	a, b := Pipe(2)
-	_ = b
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -26,87 +23,9 @@ func TestPipeSendAfterClose(t *testing.T) {
 	if err := a.Send(PooledDataMessage(0, batch)); err != ErrClosed {
 		t.Fatalf("send after close = %v, want ErrClosed", err)
 	}
-	dc, ok := a.(DropCounter)
-	if !ok {
-		t.Fatal("pipe conn should count drops")
-	}
-	if dc.DroppedMessages() != 1 {
-		t.Fatalf("dropped %d", dc.DroppedMessages())
-	}
 	// Both ends fail after either closes.
 	if err := b.Send(DataMessage(0, nil)); err != ErrClosed {
 		t.Fatalf("peer send after close = %v", err)
-	}
-}
-
-func TestPipePolicyDropNewest(t *testing.T) {
-	a, _ := PipePolicy(1, flow.DropNewest, nil)
-	if err := a.Send(DataMessage(1, nil)); err != nil {
-		t.Fatal(err)
-	}
-	// Queue full, no consumer: the arriving message is shed, Send does
-	// not block and does not error.
-	if err := a.Send(DataMessage(2, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if n := a.(DropCounter).DroppedMessages(); n != 1 {
-		t.Fatalf("dropped %d", n)
-	}
-}
-
-func TestPipePolicyDropOldest(t *testing.T) {
-	a, b := PipePolicy(1, flow.DropOldest, nil)
-	_ = a.Send(DataMessage(1, nil))
-	_ = a.Send(DataMessage(2, nil)) // displaces 1
-	got, err := b.Recv()
-	if err != nil || got.Node != 2 {
-		t.Fatalf("recv %+v %v", got, err)
-	}
-	if n := a.(DropCounter).DroppedMessages(); n != 1 {
-		t.Fatalf("dropped %d", n)
-	}
-}
-
-func TestPipePolicySpill(t *testing.T) {
-	var mu sync.Mutex
-	var spilled []Message
-	a, b := PipePolicy(1, flow.SpillToStorage, func(m Message) error {
-		mu.Lock()
-		spilled = append(spilled, m)
-		mu.Unlock()
-		return nil
-	})
-	_ = a.Send(DataMessage(1, nil))
-	_ = a.Send(DataMessage(2, nil)) // spills 1
-	got, err := b.Recv()
-	if err != nil || got.Node != 2 {
-		t.Fatalf("recv %+v %v", got, err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(spilled) != 1 || spilled[0].Node != 1 {
-		t.Fatalf("spilled %+v", spilled)
-	}
-	if n := a.(DropCounter).DroppedMessages(); n != 0 {
-		t.Fatalf("spill counted as drop: %d", n)
-	}
-}
-
-// TestPipePolicyLossyNeverBlocks floods an unbuffered lossy pipe with
-// no consumer: Send must return promptly every time.
-func TestPipePolicyLossyNeverBlocks(t *testing.T) {
-	a, _ := PipePolicy(0, flow.DropOldest, nil)
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 1000; i++ {
-			_ = a.Send(DataMessage(int32(i), nil))
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("lossy send blocked")
 	}
 }
 

@@ -45,7 +45,7 @@ func benchPipelineThroughput(b *testing.B, reg *metrics.Registry, mk func(m *ism
 		Shards:   runtime.GOMAXPROCS(0),
 	}, &clock)
 	var delivered int
-	m.Subscribe("count", func(trace.Record) { delivered++ })
+	m.SubscribeBatch("count", func(rs []trace.Record) { delivered += len(rs) })
 
 	conns, cleanup := mk(m)
 	defer cleanup()
