@@ -22,9 +22,9 @@
 // trace.Sequencer restoring per-source program order, and hands its
 // ordered sub-stream through a bounded merge lane to one merger
 // goroutine (flow.Merger, configured in merge.go) that k-way merges
-// the lanes on their ingest-tick frontiers, applies cross-source
-// causal ordering, and dispatches. There is no lock on the record hot
-// path.
+// the lanes on their ingest-tick frontiers and runs each batch through
+// the dispatch tail the relay shares (flow.Tail): causal ordering,
+// spool, tools. No lock is taken on the record hot path.
 //
 // The input stage is a bounded flow.Queue with a pluggable overflow
 // policy (Config.Overflow); activity is reported through an
@@ -137,15 +137,15 @@ type Config struct {
 // ISM's metrics registry.
 type Stats struct {
 	Arrived       uint64  // records received from LISes
-	Dispatched    uint64  // records delivered to the output buffer
+	Dispatched    uint64  // records dispatched: spooled and handed to the tools
 	OutOfOrder    uint64  // arrivals that had to be held back
 	Held          int     // currently held records
 	MaxHeld       int     // maximum simultaneously held records
 	HoldBackRatio float64 // OutOfOrder / Arrived (Falcon's metric, §3.3.2)
-	MeanLatencyNs float64 // mean arrival->output-buffer latency
+	MeanLatencyNs float64 // mean arrival->dispatch latency
 	MaxLatencyNs  int64
 	ControlsSeen  uint64 // control messages processed
-	// Delivered counts records handed to subscribers.
+	// Delivered is Dispatched, kept under its older name.
 	Delivered uint64
 	// InputDropped counts records lost to input-stage overflow.
 	InputDropped uint64
@@ -176,8 +176,6 @@ type ismCounters struct {
 	dispatched   *metrics.Counter
 	outOfOrder   *metrics.Counter
 	controlsSeen *metrics.Counter
-	delivered    *metrics.Counter
-	spoolErrs    *metrics.Counter
 	held         *metrics.Gauge
 	maxHeld      *metrics.Gauge
 	latency      *metrics.Histogram
@@ -194,12 +192,30 @@ func newISMCounters(reg *metrics.Registry) ismCounters {
 		dispatched:   s.Counter("dispatched"),
 		outOfOrder:   s.Counter("out_of_order"),
 		controlsSeen: s.Counter("controls_seen"),
-		delivered:    s.Counter("delivered"),
-		spoolErrs:    s.Counter("spool_errors"),
 		held:         s.Gauge("held"),
 		maxHeld:      s.Gauge("max_held"),
 		latency:      s.Histogram("latency_ns"),
 		reg:          reg,
+	}
+}
+
+// orderBook is what one ordering stage (a lane's sequencer, the tail's
+// causal merger) last published. The held gauge and the out-of-order
+// counter sum all stages, so each publishes deltas.
+type orderBook struct {
+	held       int
+	outOfOrder uint64
+}
+
+func (b *orderBook) publish(c *ismCounters, h int, o uint64) {
+	if o != b.outOfOrder {
+		c.outOfOrder.Add(o - b.outOfOrder)
+		b.outOfOrder = o
+	}
+	if h != b.held {
+		c.held.Add(int64(h - b.held))
+		b.held = h
+		c.maxHeld.SetMax(c.held.Value())
 	}
 }
 
@@ -213,9 +229,8 @@ type ismShard struct {
 	input inputStage
 	avail chan struct{}
 
-	seq            *trace.Sequencer // nil unless Ordered
-	lastHeld       int              // last held count folded into the gauge
-	lastOutOfOrder uint64           // last out-of-order total folded into the counter
+	seq   *trace.Sequencer // nil unless Ordered
+	order orderBook        // what seq last published
 
 	lane *mergeLane
 
@@ -259,6 +274,7 @@ type ISM struct {
 
 	shards []*ismShard
 	merge  *merger
+	tail   *flow.Tail    // merger goroutine; Subscribe from anywhere
 	tick   atomic.Uint64 // global ingest tick, drawn per batch
 	stop   chan struct{}
 	runWG  sync.WaitGroup
@@ -267,9 +283,6 @@ type ISM struct {
 	processed atomic.Uint64
 
 	mu        sync.Mutex
-	subs      []func([]trace.Record)
-	spool     *trace.Writer
-	spoolErr  error // first spool write failure; later writes are skipped
 	closed    bool
 	serveWG   sync.WaitGroup
 	lisConns  []tp.Conn
@@ -302,6 +315,7 @@ func New(cfg Config, clock event.Clock) *ISM {
 		stop:  make(chan struct{}),
 	}
 	scope := m.ctr.reg.Scope("ism")
+	m.tail = flow.NewTail(cfg.Ordered && !cfg.DeferCausal, cfg.Spool, m.ctr.dispatched, scope.Counter("spool_errors"))
 	m.merge = newMerger(m)
 	m.shards = make([]*ismShard, shards)
 	for i := range m.shards {
@@ -340,9 +354,6 @@ func New(cfg Config, clock event.Clock) *ISM {
 	// attributable from a metrics snapshot alone.
 	scope.Gauge("shards").Set(int64(shards))
 	scope.Gauge("merge_ring_capacity").Set(int64(m.MergeRingCap()))
-	if cfg.Spool != nil {
-		m.spool = trace.NewWriter(cfg.Spool)
-	}
 	m.merge.Start()
 	m.runWG.Add(len(m.shards))
 	for _, s := range m.shards {
@@ -366,17 +377,13 @@ func (m *ISM) shardFor(node int32) *ismShard {
 // Metrics returns the registry the ISM reports through.
 func (m *ISM) Metrics() *metrics.Registry { return m.ctr.reg }
 
-// SubscribeBatch registers a tool sink: every dispatched batch is
-// passed to fn as one slice, in causal (or arrival) order, on the
-// merger goroutine. The slice is only valid for the duration of the
-// call — the ISM recycles it into the batch pool afterwards — so sinks
-// that keep records must copy. Sinks must be registered before data
-// flows for complete streams; late ones see only subsequent batches.
-// The name labels the sink for the caller's benefit.
+// SubscribeBatch registers a tool sink with the dispatch tail: fn gets
+// every batch dispatched from now on whole, in causal (or arrival)
+// order, on the merger goroutine. The ISM recycles the slice after the
+// call, so sinks that keep records must copy. The name labels the sink
+// for the caller's benefit.
 func (m *ISM) SubscribeBatch(name string, fn func([]trace.Record)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.subs = append(m.subs, fn)
+	m.tail.Subscribe(fn)
 }
 
 // Serve reads messages from a LIS connection until EOF, feeding the
@@ -548,18 +555,7 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 		if !inPlace {
 			flow.PutBatch(env.recs)
 		}
-		if o := s.seq.OutOfOrder(); o != s.lastOutOfOrder {
-			m.ctr.outOfOrder.Add(o - s.lastOutOfOrder)
-			s.lastOutOfOrder = o
-		}
-		// The held gauge sums per-lane and merger contributions;
-		// publishing the delta keeps concurrent lanes from clobbering
-		// each other's counts.
-		if h := s.seq.Held(); h != s.lastHeld {
-			m.ctr.held.Add(int64(h - s.lastHeld))
-			s.lastHeld = h
-			m.ctr.maxHeld.SetMax(m.ctr.held.Value())
-		}
+		s.order.publish(&m.ctr, s.seq.Held(), s.seq.OutOfOrder())
 	}
 	if len(out) > 0 {
 		s.lane.Push(mergeSlot{tick: env.tick, arrival: env.arrival, recs: out})
@@ -573,29 +569,6 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 	s.settledBatches.Add(1)
 	m.processed.Add(n)
 	m.merge.Signal()
-}
-
-// emitAll hands a dispatched batch to the spool and subscribers. It
-// runs on the merger goroutine — the single dispatch point behind the
-// parallel lanes. The first spool write failure ends the spool: later
-// batches skip it, and Close returns the error.
-func (m *ISM) emitAll(rs []trace.Record) {
-	if len(rs) == 0 {
-		return
-	}
-	m.mu.Lock()
-	subs := m.subs
-	if m.spool != nil && m.spoolErr == nil {
-		if err := m.spool.WriteAll(rs); err != nil {
-			m.spoolErr = fmt.Errorf("ism: spool write: %w", err)
-			m.ctr.spoolErrs.Inc()
-		}
-	}
-	m.mu.Unlock()
-	for _, fn := range subs {
-		fn(rs)
-	}
-	m.ctr.delivered.Add(uint64(len(rs)))
 }
 
 // ShardCount reports the effective number of ingest lanes.
@@ -617,7 +590,7 @@ func (m *ISM) Stats() Stats {
 		MeanLatencyNs: m.ctr.latency.Mean(),
 		MaxLatencyNs:  m.ctr.latency.Max(),
 		ControlsSeen:  m.ctr.controlsSeen.Value(),
-		Delivered:     m.ctr.delivered.Value(),
+		Delivered:     m.ctr.dispatched.Value(),
 		InputDropped:  m.stageDropped(),
 		InputSpilled:  m.stageSpilled(),
 		MergeStalls:   m.merge.stalls.Value(),
@@ -668,8 +641,9 @@ func (m *ISM) Drain() {
 }
 
 // Close stops the lanes after draining buffered input, lets the merger
-// drain the rings, flushes the spool, and returns. Serve goroutines
-// exit when their connections close (the caller owns the connections).
+// drain the rings, flushes the spool, and returns the first spool
+// failure, if any. Serve goroutines exit when their connections close
+// (the caller owns the connections).
 func (m *ISM) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -694,12 +668,7 @@ func (m *ISM) Close() error {
 	// Lanes are done: every slot is in the rings. Stop the merger,
 	// which final-drains them without the frontier rule.
 	m.merge.Close()
-	m.mu.Lock()
-	err := m.spoolErr
-	if m.spool != nil && err == nil {
-		err = m.spool.Flush()
-	}
-	m.mu.Unlock()
+	err := m.tail.Flush()
 	// Records demoted to spill storage are part of the off-line record:
 	// a spill target with buffered state (a storage.Tiered hot window)
 	// is flushed so shutdown leaves every demoted record durable, not

@@ -689,3 +689,57 @@ func TestSpoolWriteErrorIsSticky(t *testing.T) {
 		t.Fatalf("Close = %v, want %v", err, errWrite)
 	}
 }
+
+// stallWriter blocks every Write until release is closed, and closes
+// stalled at the first.
+type stallWriter struct {
+	once             sync.Once
+	stalled, release chan struct{}
+}
+
+func newStallWriter() *stallWriter {
+	return &stallWriter{stalled: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.stalled) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestStalledSpoolDoesNotBlockControl: a spool write that does not
+// return parks the merger goroutine and nothing else. Control messages
+// and new connections, which take the manager's lock, still go through.
+func TestStalledSpoolDoesNotBlockControl(t *testing.T) {
+	w := newStallWriter()
+	m := New(Config{Spool: w}, nil)
+	const n = 2048 // four sealed segments: more than the spool buffers
+	rs := flow.GetBatch(n)
+	for i := 0; i < n; i++ {
+		rs = append(rs, seqRec(0, trace.KindUser, uint16(i), uint64(i), int64(i)))
+	}
+	m.Inject(tp.PooledDataMessage(0, rs))
+	select {
+	case <-w.stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the spool was never written")
+	}
+	local, remote := tp.Pipe(1)
+	defer local.Close()
+	done := make(chan struct{})
+	go func() {
+		m.Inject(tp.ControlMessage(0, tp.CtlFlushDone, 0))
+		m.Serve(remote)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(500 * time.Millisecond):
+		t.Error("a control message and a new connection waited on a stalled spool write")
+	}
+	close(w.release)
+	<-done
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -10,12 +10,12 @@ import (
 // configuration of flow.Merger. Each shard lane sequences its own
 // sources and pushes program-ordered sub-streams into its merge lane;
 // the core k-way merges the lane heads on their global ingest tick and
-// hands each slot, whole, to dispatch below — one trace.CausalMerger
-// for cross-source send/recv matching and Lamport stamping, then
-// emission. The frontier source is the lane's batch ledger (passed). A
-// lane the merger stalls on always has outstanding batches, so it
-// makes progress; a lane blocked on a full ring has a head in the heap
-// by definition and is never stalled on.
+// hands each slot, whole, to dispatch below, which runs it through the
+// manager's flow.Tail (causal stamp, spool, tools). The frontier source
+// is the lane's batch ledger (passed). A lane the merger stalls on
+// always has outstanding batches, so it makes progress; a lane blocked
+// on a full ring has a head in the heap by definition and is never
+// stalled on.
 
 // mergeSlot is one element of a shard's ordered sub-stream: the
 // pool-owned records one input batch released from the lane's
@@ -34,10 +34,7 @@ type merger struct {
 	*flow.Merger[mergeSlot, *ismShard]
 	m *ISM
 
-	cm             *trace.CausalMerger // nil unless Ordered without DeferCausal
-	orderBuf       []trace.Record      // reusable dispatch buffer
-	lastHeld       int                 // last held count folded into the gauge
-	lastOutOfOrder uint64              // last out-of-order total folded into the counter
+	order orderBook // what the tail's causal merger last published
 
 	// Under Config.DeferCausal (restamp) dispatched records leave with
 	// fresh per-source uplink sequence numbers, counted in uplinkSeq:
@@ -52,12 +49,7 @@ type merger struct {
 
 func newMerger(m *ISM) *merger {
 	s := m.ctr.reg.Scope("ism").Scope("merge")
-	g := &merger{m: m, slots: s.Counter("slots"), stalls: s.Counter("stalls")}
-	if m.cfg.Ordered {
-		if g.restamp = m.cfg.DeferCausal; !g.restamp {
-			g.cm = trace.NewCausalMerger()
-		}
-	}
+	g := &merger{m: m, restamp: m.cfg.Ordered && m.cfg.DeferCausal, slots: s.Counter("slots"), stalls: s.Counter("stalls")}
 	g.Merger = flow.NewMerger(flow.MergeParams[mergeSlot, *ismShard]{
 		RingCap: m.cfg.MergeRingCapacity,
 		Scope:   s,
@@ -88,50 +80,33 @@ func passed(s *ismShard, head *mergeSlot) bool {
 	return s.settledBatches.Load() >= p || s.frontier.Load() >= head.tick
 }
 
-// dispatch consumes one merged slot whole: causal merging (when
-// ordered) and emission. All records in a slot share the arrival
-// batch, so the latency observation and the batch-pool round trip stay
-// per-slot.
+// dispatch consumes one merged slot whole: the deferred-causal restamp
+// (when configured), then the tail. All records in a slot share the
+// arrival batch, so the latency observation and the batch-pool round
+// trip stay per-slot.
 func (g *merger) dispatch(_ *ismShard, slot *mergeSlot) bool {
 	m := g.m
 	g.slots.Inc()
-	if g.cm == nil {
-		if g.restamp {
-			// Deferred causal mode: the record leaves this manager in
-			// program order with a fresh per-source uplink sequence in
-			// Logical — contiguous even when the inbound capture
-			// sequence stream was not (dedup, resume adoption).
-			for i := range slot.recs {
-				rec := &slot.recs[i]
-				next := g.uplinkSeq.Get(trace.SourceKey{Node: rec.Node, Process: rec.Process})
-				rec.Logical = *next
-				*next++
-			}
+	if g.restamp {
+		// Deferred causal mode: the record leaves this manager in
+		// program order with a fresh per-source uplink sequence in
+		// Logical — contiguous even when the inbound capture sequence
+		// stream was not (dedup, resume adoption).
+		for i := range slot.recs {
+			rec := &slot.recs[i]
+			next := g.uplinkSeq.Get(trace.SourceKey{Node: rec.Node, Process: rec.Process})
+			rec.Logical = *next
+			*next++
 		}
-		m.ctr.latency.Observe(m.clock.Now() - slot.arrival)
-		m.ctr.dispatched.Add(uint64(len(slot.recs)))
-		m.emitAll(slot.recs)
-	} else {
-		out := g.cm.AddBatchTo(g.orderBuf[:0], slot.recs)
-		if o := g.cm.OutOfOrder(); o != g.lastOutOfOrder {
-			m.ctr.outOfOrder.Add(o - g.lastOutOfOrder)
-			g.lastOutOfOrder = o
-		}
-		if h := g.cm.Held(); h != g.lastHeld {
-			m.ctr.held.Add(int64(h - g.lastHeld))
-			g.lastHeld = h
-			m.ctr.maxHeld.SetMax(m.ctr.held.Value())
-		}
-		if len(out) > 0 {
-			// Latency is attributed to the arriving batch that caused
-			// dispatch; held records' latency is folded in when
-			// released.
-			m.ctr.latency.Observe(m.clock.Now() - slot.arrival)
-			m.ctr.dispatched.Add(uint64(len(out)))
-			m.emitAll(out)
-		}
-		g.orderBuf = out[:0]
 	}
+	// Latency is attributed to the arriving batch that caused dispatch;
+	// records the causal merger held are folded in when released.
+	now := m.clock.Now()
+	if out := m.tail.Emit(slot.recs); len(out) > 0 {
+		m.ctr.latency.Observe(now - slot.arrival)
+	}
+	held, outOfOrder := m.tail.Holding()
+	g.order.publish(&m.ctr, held, outOfOrder)
 	flow.PutBatch(slot.recs)
 	return true
 }

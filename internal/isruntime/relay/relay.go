@@ -80,7 +80,7 @@ type Stats struct {
 }
 
 // flushBatch bounds the dispatch buffer in records before it is
-// flushed to the spool and subscribers.
+// flushed through the tail.
 const flushBatch = 512
 
 // laneSlot is one ordered, pool-owned sub-batch handed from a lane to
@@ -214,20 +214,16 @@ type Relay struct {
 	mHeld      *metrics.Gauge
 	mUnseq     *metrics.Counter
 	mAcksGated *metrics.Counter
-	mSpoolErrs *metrics.Counter
 
-	// Merger-goroutine state.
-	cm       *trace.CausalMerger // non-nil at the root
-	emit     trace.SourceTable[*source]
-	outBuf   []trace.Record
-	spoolErr error // first spool write failure; freezes the ack gate
+	// Merger-goroutine state; the tail's spool failure freezes acks.
+	tail    *flow.Tail // causal at the root; Subscribe from anywhere
+	emit    trace.SourceTable[*source]
+	pending []trace.Record // merged, not yet through the tail
 
 	frontier atomic.Int64 // merge frontier: no future emission below this Time
 	killed   atomic.Bool
 
 	mu      sync.Mutex
-	subs    []func([]trace.Record)
-	spool   *trace.Writer
 	conns   []tp.Conn
 	closed  bool
 	serveWG sync.WaitGroup
@@ -266,7 +262,7 @@ func New(cfg Config) *Relay {
 	r.mHeld = s.Gauge("held")
 	r.mUnseq = s.Counter("unsequenced_drops")
 	r.mAcksGated = s.Counter("acks_gated")
-	r.mSpoolErrs = s.Counter("spool_errors")
+	r.tail = flow.NewTail(cfg.Root, cfg.Spool, r.mDispatch, s.Counter("spool_errors"))
 	r.merge = flow.NewMerger(flow.MergeParams[laneSlot, *lane]{
 		RingCap:     cfg.LaneRing,
 		MinLanes:    cfg.Downstreams,
@@ -281,9 +277,6 @@ func New(cfg Config) *Relay {
 		Consume: r.consume,
 		OnPark:  r.onPark,
 	})
-	if cfg.Root {
-		r.cm = trace.NewCausalMerger()
-	}
 	// Restore: replay the previous incarnation's emitted output through
 	// the accounting (and, at the root, the causal-merge state) so
 	// at-least-once replays from downstreams dedupe by sequence match.
@@ -295,12 +288,7 @@ func New(cfg Config) *Relay {
 		src := r.emitBook(rec)
 		src.restore++
 		src.emitted++
-		if r.cm != nil {
-			r.cm.Observe(*rec)
-		}
-	}
-	if cfg.Spool != nil {
-		r.spool = trace.NewWriter(cfg.Spool)
+		r.tail.Observe(*rec)
 	}
 	r.recv = fault.NewReceiver(fault.ReceiverConfig{
 		AckEvery:    cfg.AckEvery,
@@ -322,9 +310,7 @@ func (r *Relay) Metrics() *metrics.Registry { return r.reg }
 // Push makes a non-root relay's output the next tier's input: relay
 // trees compose. The name labels the sink for the caller's benefit.
 func (r *Relay) SubscribeBatch(name string, fn func([]trace.Record)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.subs = append(r.subs, fn)
+	r.tail.Subscribe(fn)
 }
 
 // Serve reads messages from a downstream connection until EOF. The
@@ -634,17 +620,21 @@ func passed(ln *lane, head *laneSlot) bool {
 	return ln.watermark.Load() >= head.recs[head.pos].Time
 }
 
-// consume takes the next record off a lane head: the record-granular
-// unit of the k-way merge on the (Time, Node, Process) total order.
+// consume takes the next record off a lane head — the record-granular
+// unit of the k-way merge on the (Time, Node, Process) total order —
+// into the dispatch buffer, which goes through the tail every
+// flushBatch records and at every park.
 func (r *Relay) consume(_ *lane, h *laneSlot) bool {
-	rec := h.recs[h.pos]
+	if !r.killed.Load() {
+		r.pending = append(r.pending, h.recs[h.pos])
+		if len(r.pending) >= flushBatch {
+			r.flushOut()
+		}
+	}
 	h.pos++
 	exhausted := h.pos == len(h.recs)
 	if exhausted {
 		flow.PutBatch(h.recs)
-	}
-	if !r.killed.Load() {
-		r.dispatch(rec)
 	}
 	return exhausted
 }
@@ -665,65 +655,21 @@ func (r *Relay) onPark(blocker *mergeLane, head *laneSlot) {
 	}
 }
 
-// dispatch runs one merged record through the root causal merge or the
-// inner-tier pass-through, and counts emission per source — the
-// currency the ack gate trades in. At the root, a record parked by the
-// causal merger (a receive whose send is still in flight on another
-// lane) stays unemitted and therefore keeps its batch unacked; the
-// downstream's replay window covers it across a relay crash.
-func (r *Relay) dispatch(rec trace.Record) {
-	prev := len(r.outBuf)
-	if r.cm != nil {
-		r.outBuf = r.cm.AddTo(r.outBuf, rec)
-	} else {
-		r.outBuf = append(r.outBuf, rec)
-	}
-	for i := prev; i < len(r.outBuf); i++ {
-		r.emitBook(&r.outBuf[i]).emitted++
-	}
-	if len(r.outBuf) >= flushBatch {
-		r.flushOut()
-	}
-}
-
-// flushOut hands the dispatch buffer to the spool and subscribers, and
-// publishes the causal merge's held count — per flush and per park, not
-// per record. Runs on the merger goroutine; always called before acks
-// advance, so an acked record is visible in the durable output.
+// flushOut runs the dispatch buffer through the tail, counts each
+// released record as emitted for its source — the ack gate's currency —
+// and seals the spool, always before acks can advance (DESIGN.md, "The
+// dispatch tail"). A record the root's causal merger holds (its send is
+// still in flight on another lane) stays unemitted, so its batch stays
+// unacked and in the downstream's replay window.
 func (r *Relay) flushOut() {
-	if r.cm != nil {
-		r.mHeld.Set(int64(r.cm.Held()))
+	out := r.tail.Emit(r.pending)
+	for i := range out {
+		r.emitBook(&out[i]).emitted++
 	}
-	if len(r.outBuf) == 0 {
-		return
-	}
-	r.mu.Lock()
-	spool := r.spool
-	subs := r.subs
-	r.mu.Unlock()
-	if spool != nil && r.spoolErr == nil {
-		// Flush eagerly: acks advance right after this, and an acked
-		// batch's records must already be durable — a crashed relay is
-		// rebuilt from the spool, and anything acked but lost would be
-		// trimmed from the downstream replay window and gone for good.
-		// A failed write ends the spool (a gap would corrupt the cursors
-		// a successor rebuilds from it) and freezes the ack gate.
-		r.mu.Lock()
-		err := spool.WriteAll(r.outBuf)
-		if err == nil {
-			err = spool.Flush()
-		}
-		r.mu.Unlock()
-		if err != nil {
-			r.spoolErr = fmt.Errorf("relay: spool write: %w", err)
-			r.mSpoolErrs.Inc()
-		}
-	}
-	for _, fn := range subs {
-		fn(r.outBuf)
-	}
-	r.mDispatch.Add(uint64(len(r.outBuf)))
-	r.outBuf = r.outBuf[:0]
+	r.pending = r.pending[:0]
+	_ = r.tail.Flush() // a failure is sticky: advanceAcks reads it
+	held, _ := r.tail.Holding()
+	r.mHeld.Set(int64(held))
 }
 
 // satisfied reports whether every record a batch carried has been
@@ -742,7 +688,7 @@ func satisfied(e ackEntry) bool {
 // across the satisfied prefix, and tells the downstream. Runs on the
 // merger goroutine at its park points and during final drain.
 func (r *Relay) advanceAcks() {
-	if r.spoolErr != nil {
+	if r.tail.Err() != nil {
 		return
 	}
 	for _, ml := range r.merge.Lanes() {
@@ -888,11 +834,5 @@ func (r *Relay) Close() error {
 	}
 	r.serveWG.Wait()
 	r.merge.Close()
-	err := r.spoolErr
-	r.mu.Lock()
-	if r.spool != nil && err == nil {
-		err = r.spool.Flush()
-	}
-	r.mu.Unlock()
-	return err
+	return r.tail.Flush()
 }

@@ -1015,3 +1015,66 @@ func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// stallWriter blocks every Write until release is closed, and closes
+// stalled at the first.
+type stallWriter struct {
+	once             sync.Once
+	stalled, release chan struct{}
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.stalled) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestStalledSpoolDoesNotBlockServe: the relay seals its spool at every
+// ack flush, on the merger goroutine. A seal that does not return parks
+// that goroutine and nothing else: a new downstream is still served.
+func TestStalledSpoolDoesNotBlockServe(t *testing.T) {
+	w := &stallWriter{stalled: make(chan struct{}), release: make(chan struct{})}
+	rel := New(Config{Root: true, Spool: w})
+	var locals []tp.Conn
+	serve := func() {
+		local, remote := tp.Pipe(16)
+		locals = append(locals, local)
+		rel.Serve(remote)
+		go func() {
+			for {
+				if _, err := local.Recv(); err != nil {
+					return
+				}
+			}
+		}()
+	}
+	serve()
+	m := tp.DataMessage(100, []trace.Record{user(1, 0, 10)})
+	m.Arg = 1
+	if err := locals[0].Send(m); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-w.stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the spool was never written")
+	}
+	done := make(chan struct{})
+	go func() {
+		serve()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(500 * time.Millisecond):
+		t.Error("Serve waited on a stalled spool write")
+	}
+	close(w.release)
+	<-done
+	for _, c := range locals {
+		_ = c.Close()
+	}
+	if err := rel.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
