@@ -99,12 +99,13 @@ benchdiff:
 # benchpairs is the evidence behind a performance claim: PAIRS
 # alternated runs of bench/run.sh at PARENT (a commit, checked out into
 # a worktree under .bench_build/, or a directory) and in this working
-# tree, summarised per end-to-end metric as medians, quartiles and wins:
+# tree, summarised per end-to-end metric as medians, quartiles and wins
+# (WORKLOAD=all: every workload of BENCHMARK.json in turn):
 #   make benchpairs PARENT=edaa93c WORKLOAD=fed_tree PAIRS=10 SEED=1
 PAIRS ?= 10
 SEED ?= 1
 benchpairs:
-	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make benchpairs PARENT=<sha|dir> WORKLOAD=<workload> [PAIRS=10] [SEED=1]" >&2; exit 2; }
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make benchpairs PARENT=<sha|dir> WORKLOAD=<workload|all> [PAIRS=10] [SEED=1]" >&2; exit 2; }
 	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 fmt:

@@ -138,6 +138,7 @@ type Scanner struct {
 	filter ScanFilter
 	hot    flow.Batch // pre-filtered hot copy; emitted last, nil when absent
 	win    *flow.Reorder[scanResult]
+	bufLen int // largest file-mode segment: each worker's read buffer
 	wg     sync.WaitGroup
 
 	// consumer-side state, single-goroutine by contract.
@@ -166,6 +167,11 @@ func newScanner(refs []segRef, hot flow.Batch, f ScanFilter, opts ScanOptions) *
 		hot:    hot,
 		win:    flow.NewReorder[scanResult](window, len(refs)),
 	}
+	for i := range refs {
+		if refs[i].data == nil {
+			s.bufLen = max(s.bufLen, refs[i].size)
+		}
+	}
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -175,12 +181,14 @@ func newScanner(refs []segRef, hot flow.Batch, f ScanFilter, opts ScanOptions) *
 
 // worker claims segment indexes from the reorder window, decodes them
 // unlocked, and delivers the batches. Decode scratch (segment view,
-// file handle, read buffer) is per-worker and reused across segments.
+// file handle, read buffer) is per-worker and reused across segments;
+// the read buffer is sized once, to the snapshot's largest file-mode
+// segment, so a scan allocates it once per worker whatever its length.
 func (s *Scanner) worker() {
 	defer s.wg.Done()
 	var (
 		seg   trace.Segment
-		fbuf  []byte
+		fbuf  = make([]byte, s.bufLen)
 		f     *os.File
 		fpath string
 	)
@@ -194,7 +202,7 @@ func (s *Scanner) worker() {
 		if !ok {
 			return
 		}
-		batch, err := s.decode(&s.refs[i], &seg, &fbuf, &f, &fpath)
+		batch, err := s.decode(&s.refs[i], &seg, fbuf, &f, &fpath)
 		if !s.win.Put(i, scanResult{batch: batch, err: err}) {
 			flow.PutBatch(batch)
 			return
@@ -202,7 +210,7 @@ func (s *Scanner) worker() {
 	}
 }
 
-func (s *Scanner) decode(ref *segRef, seg *trace.Segment, fbuf *[]byte, f **os.File, fpath *string) (flow.Batch, error) {
+func (s *Scanner) decode(ref *segRef, seg *trace.Segment, fbuf []byte, f **os.File, fpath *string) (flow.Batch, error) {
 	data := ref.data
 	if data == nil {
 		if *f == nil || *fpath != ref.path {
@@ -216,10 +224,7 @@ func (s *Scanner) decode(ref *segRef, seg *trace.Segment, fbuf *[]byte, f **os.F
 			}
 			*f, *fpath = nf, ref.path
 		}
-		if cap(*fbuf) < ref.size {
-			*fbuf = make([]byte, ref.size)
-		}
-		data = (*fbuf)[:ref.size]
+		data = fbuf[:ref.size]
 		if _, err := (*f).ReadAt(data, ref.off); err != nil {
 			return nil, fmt.Errorf("storage: read %s: %w", ref.path, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -329,5 +330,70 @@ func TestScanBatchAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state scan batch costs %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestScanAllocsFlatInSegmentCount pins the read buffer to one per
+// worker per scan. Each segment here is larger than the one before it,
+// so a buffer grown to fit each would be allocated once per segment,
+// over 1 KB apiece. All a file-mode scan may add per segment is its
+// snapshot reference (64 B) and a share of a tier file's open (one per
+// 16 segments here): 256 segments may cost at most 256 B per segment
+// more than 64 do.
+func TestScanAllocsFlatInSegmentCount(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const segRecs = 256
+	scanBytes := func(segs int) uint64 {
+		ts, err := NewTiered(TieredConfig{HotCapacity: segRecs, SegmentRecords: segRecs, WarmLimit: 16, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ts.Close()
+		for s := 0; s < segs; s++ {
+			// The first s payloads alternate 0 and 1<<14, three varint
+			// bytes each, the rest repeat: segment s is about two bytes
+			// longer than segment s-1.
+			rs := tierRecs(segRecs, s*segRecs)
+			for i := 0; i < s && i < segRecs; i++ {
+				rs[i].Payload = int64(i%2) << 14
+			}
+			if err := ts.Append(rs...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ts.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		scan := func() {
+			sc := ts.Scan(FilterAll(), ScanOptions{Parallel: 1})
+			defer sc.Close()
+			for {
+				b, err := sc.Next()
+				if err == io.EOF {
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				flow.PutBatch(b)
+			}
+		}
+		scan() // warm the batch pool
+		best := ^uint64(0)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			scan()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	small, large := scanBytes(64), scanBytes(256)
+	t.Logf("one scan allocates %d B over 64 segments, %d B over 256", small, large)
+	if large > small+(256-64)*256 {
+		t.Fatalf("one scan allocates %d B over 256 segments, %d B over 64: over 256 B per added segment", large, small)
 	}
 }

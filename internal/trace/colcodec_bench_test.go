@@ -92,26 +92,53 @@ func mixBatch(rng *rand.Rand, n int, mix [4]lengthMix) []Record {
 	return rs
 }
 
+// flatFrame is mixBatch with one node throughout: the per-node frame a
+// LIS flushes, whose node column is a single run while process (two
+// ids) and kind runs stay short, about 2 and 1.35 records.
+func flatFrame(rng *rand.Rand, n int, mix [4]lengthMix) []Record {
+	rs := mixBatch(rng, n, mix)
+	for i := range rs {
+		rs[i].Node = 3
+	}
+	return rs
+}
+
+// decodeShapes are the two run shapes the decode yardsticks time: the
+// globally ordered stream a segment holds (node runs of about 1.14
+// records, so about 2.1 runs per record over node, process and kind)
+// and a per-node frame (one node run, about 1.25 runs per record).
+var decodeShapes = [...]struct {
+	name  string
+	batch func(*rand.Rand, int, [4]lengthMix) []Record
+}{
+	{"shuffled", mixBatch},
+	{"flat", flatFrame},
+}
+
 const decodeBenchRecords = 8192
 
 func BenchmarkSegmentDecode(b *testing.B) {
-	rs := mixBatch(rand.New(rand.NewSource(1)), decodeBenchRecords, measuredMix)
-	buf := AppendSegment(nil, rs)
-	var seg Segment
-	dst := make([]Record, 0, len(rs))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(rs) * RecordSize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := seg.Parse(buf)
-		if err == nil {
-			dst, err = seg.AppendRecords(dst[:0])
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range decodeShapes {
+		b.Run("shape="+shape.name, func(b *testing.B) {
+			rs := shape.batch(rand.New(rand.NewSource(1)), decodeBenchRecords, measuredMix)
+			buf := AppendSegment(nil, rs)
+			var seg Segment
+			dst := make([]Record, 0, len(rs))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(rs) * RecordSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, err := seg.Parse(buf)
+				if err == nil {
+					dst, err = seg.AppendRecords(dst[:0])
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(rs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
 	}
-	b.ReportMetric(float64(len(rs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkColumnsDecode times the wire decoder at the frame sizes the
@@ -119,17 +146,50 @@ func BenchmarkSegmentDecode(b *testing.B) {
 // (flat_firehose's), 512 (fed_tree's uplink batch) — and at the
 // segment size.
 func BenchmarkColumnsDecode(b *testing.B) {
-	for _, n := range [...]int{32, 256, 512, decodeBenchRecords} {
-		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
-			rs := mixBatch(rand.New(rand.NewSource(1)), n, measuredMix)
+	for _, shape := range decodeShapes {
+		for _, n := range [...]int{32, 256, 512, decodeBenchRecords} {
+			b.Run(fmt.Sprintf("shape=%s/records=%d", shape.name, n), func(b *testing.B) {
+				rs := shape.batch(rand.New(rand.NewSource(1)), n, measuredMix)
+				var cc ColumnCodec
+				cols := cc.AppendColumns(nil, rs)
+				dst := make([]Record, len(rs))
+				b.ReportAllocs()
+				b.SetBytes(int64(len(rs) * RecordSize))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := DecodeColumns(cols, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rs)), "ns/rec")
+			})
+		}
+	}
+}
+
+// BenchmarkRunsDecode times the node, process and kind columns of one
+// 8192-record segment alone, through the run decoders both entries
+// share.
+func BenchmarkRunsDecode(b *testing.B) {
+	for _, shape := range decodeShapes {
+		b.Run("shape="+shape.name, func(b *testing.B) {
+			rs := shape.batch(rand.New(rand.NewSource(1)), decodeBenchRecords, measuredMix)
+			var off [numColumns]int
 			var cc ColumnCodec
-			cols := cc.AppendColumns(nil, rs)
+			buf := cc.appendColumns(nil, rs, &off)
+			node, proc, kind := buf[off[2]:off[3]], buf[off[3]:off[4]], buf[off[4]:off[5]]
 			dst := make([]Record, len(rs))
 			b.ReportAllocs()
-			b.SetBytes(int64(len(rs) * RecordSize))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := DecodeColumns(cols, dst); err != nil {
+				_, err := decodeRunsCol(node, 2, dst)
+				if err == nil {
+					_, err = decodeRunsCol(proc, 3, dst)
+				}
+				if err == nil {
+					_, err = decodeKindsCol(kind, dst)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -36,80 +36,117 @@ func extremesBatch(rng *rand.Rand, n int) []Record {
 
 // serialDecodeColumns decodes a wire body one column after another,
 // each starting where the last ended, so it needs no column boundaries.
-// It is the reference the differential tests and FuzzColumnsDecode hold
-// DecodeColumns to.
+// It is the reference the differential tests and both decoder fuzzers
+// hold the production decoders to, and shares none of their column
+// loops: every column, run columns included, is a plain loop over one
+// varint at a time.
 func serialDecodeColumns(buf []byte, out []Record) error {
+	// uvarint reads one varint of column ci from the front of buf.
+	uvarint := func(ci int) (uint64, error) {
+		if len(buf) > 0 && buf[0] < 0x80 {
+			u := uint64(buf[0])
+			buf = buf[1:]
+			return u, nil
+		}
+		u, rest, err := uvarintSlow(buf, colNames[ci])
+		buf = rest
+		return u, err
+	}
 	var prev, prevDelta int64
 	for i := range out {
-		var u uint64
-		if len(buf) > 0 && buf[0] < 0x80 {
-			u, buf = uint64(buf[0]), buf[1:]
-		} else {
-			var err error
-			if u, buf, err = uvarintSlow(buf, colNames[0]); err != nil {
-				return err
-			}
+		u, err := uvarint(0)
+		if err != nil {
+			return err
 		}
-		delta := prevDelta + unzigzag(u)
-		v := prev + delta
-		out[i].Time = v
-		prev, prevDelta = v, delta
+		prevDelta += unzigzag(u)
+		prev += prevDelta
+		out[i].Time = prev
 	}
 	prev, prevDelta = 0, 0
 	for i := range out {
-		var u uint64
-		if len(buf) > 0 && buf[0] < 0x80 {
-			u, buf = uint64(buf[0]), buf[1:]
-		} else {
-			var err error
-			if u, buf, err = uvarintSlow(buf, colNames[1]); err != nil {
+		u, err := uvarint(1)
+		if err != nil {
+			return err
+		}
+		prevDelta += unzigzag(u)
+		prev += prevDelta
+		out[i].Logical = uint64(prev)
+	}
+	for _, ci := range [...]int{2, 3} {
+		for i := 0; i < len(out); {
+			runLen, err := uvarint(ci)
+			if err != nil {
 				return err
 			}
+			u, err := uvarint(ci)
+			if err != nil {
+				return err
+			}
+			if runLen == 0 || runLen > uint64(len(out)-i) {
+				return fmt.Errorf("%w: %s run of %d exceeds remaining %d records", ErrBadSegment, colNames[ci], runLen, len(out)-i)
+			}
+			for ; runLen > 0; runLen-- {
+				if ci == 2 {
+					out[i].Node = int32(unzigzag(u))
+				} else {
+					out[i].Process = int32(unzigzag(u))
+				}
+				i++
+			}
 		}
-		delta := prevDelta + unzigzag(u)
-		v := prev + delta
-		out[i].Logical = uint64(v)
-		prev, prevDelta = v, delta
 	}
-	buf, err := decodeRunsCol(buf, 2, out)
+	dictLen, err := uvarint(4)
 	if err != nil {
 		return err
 	}
-	if buf, err = decodeRunsCol(buf, 3, out); err != nil {
-		return err
+	if dictLen > 256 || dictLen > uint64(len(buf)) {
+		return fmt.Errorf("%w: kind dictionary of %d entries in %d bytes", ErrBadSegment, dictLen, len(buf))
 	}
-	if buf, err = decodeKindsCol(buf, out); err != nil {
-		return err
+	dict := buf[:dictLen]
+	buf = buf[dictLen:]
+	for _, k := range dict {
+		if !Kind(k).Valid() {
+			return fmt.Errorf("%w: kind dictionary holds invalid kind %d", ErrBadSegment, k)
+		}
+	}
+	for i := 0; i < len(out); {
+		runLen, err := uvarint(4)
+		if err != nil {
+			return err
+		}
+		if len(buf) == 0 {
+			return fmt.Errorf("%w: kind run missing dictionary index", ErrBadSegment)
+		}
+		idx := buf[0]
+		buf = buf[1:]
+		if runLen == 0 || runLen > uint64(len(out)-i) {
+			return fmt.Errorf("%w: kind run of %d exceeds remaining %d records", ErrBadSegment, runLen, len(out)-i)
+		}
+		if uint64(idx) >= dictLen {
+			return fmt.Errorf("%w: kind dictionary index %d out of %d", ErrBadSegment, idx, dictLen)
+		}
+		for ; runLen > 0; runLen-- {
+			out[i].Kind = Kind(dict[idx])
+			i++
+		}
 	}
 	prev = 0
 	for i := range out {
-		var u uint64
-		if len(buf) > 0 && buf[0] < 0x80 {
-			u, buf = uint64(buf[0]), buf[1:]
-		} else {
-			var err error
-			if u, buf, err = uvarintSlow(buf, colNames[5]); err != nil {
-				return err
-			}
+		u, err := uvarint(5)
+		if err != nil {
+			return err
 		}
-		v := prev + unzigzag(u)
-		out[i].Tag = uint16(v)
-		prev = v
+		prev += unzigzag(u)
+		out[i].Tag = uint16(prev)
 	}
 	prev = 0
 	for i := range out {
-		var u uint64
-		if len(buf) > 0 && buf[0] < 0x80 {
-			u, buf = uint64(buf[0]), buf[1:]
-		} else {
-			var err error
-			if u, buf, err = uvarintSlow(buf, colNames[6]); err != nil {
-				return err
-			}
+		u, err := uvarint(6)
+		if err != nil {
+			return err
 		}
-		v := prev + unzigzag(u)
-		out[i].Payload = v
-		prev = v
+		prev += unzigzag(u)
+		out[i].Payload = prev
 	}
 	if len(buf) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after columns", ErrBadSegment, len(buf))
@@ -230,7 +267,7 @@ func resum(seg []byte) {
 // withColumn returns a copy of the segment in buf with column ci
 // replaced by col, the footer offsets, length and checksum patched so
 // Parse accepts it.
-func withColumn(t *testing.T, buf []byte, ci int, col []byte) []byte {
+func withColumn(t testing.TB, buf []byte, ci int, col []byte) []byte {
 	t.Helper()
 	var seg Segment
 	if _, err := seg.Parse(buf); err != nil {
@@ -472,6 +509,15 @@ func FuzzColumnsDecode(f *testing.F) {
 	for n := 0; n <= 7; n++ {
 		add(mixBatch(rng, n, measuredMix))
 	}
+	for _, ci := range [...]int{2, 3, 4} {
+		for _, e := range runEdges {
+			add(runEdgeBatch(rng, ci, e))
+		}
+	}
+	for _, b := range badRunCols {
+		body, _ := withRunCol(f, b)
+		f.Add(body, uint16(badRunRecords))
+	}
 	f.Fuzz(func(t *testing.T, body []byte, count uint16) {
 		n := int(count) % 600
 		got, want := make([]Record, n), make([]Record, n)
@@ -488,4 +534,179 @@ func FuzzColumnsDecode(f *testing.F) {
 		}
 		recordsEqual(t, "decoded", got, want)
 	})
+}
+
+// runEdge is one layout of a run column: its run lengths, which sum to
+// the record count, and its run values, cycled. Kind columns take each
+// value modulo the number of kinds.
+type runEdge struct {
+	name string
+	runs []int
+	vals []int32
+}
+
+// runEdges are the run layouts at the edges of the run decoders' fill
+// ahead and one-byte fast path.
+var runEdges = []runEdge{
+	{"one run", []int{7}, []int32{2}},
+	{"one record", []int{1}, []int32{2}},
+	{"run ends 3 before the end", []int{5, 3}, []int32{1, 2}},
+	{"run ends 2 before the end", []int{5, 2}, []int32{1, 2}},
+	{"run ends 1 before the end", []int{5, 1}, []int32{1, 2}},
+	{"run equal to the records remaining", []int{2, 6}, []int32{1, 2}},
+	{"runs of one", []int{1, 1, 1, 1, 1, 1, 1}, []int32{1, 2}},
+	{"last runs inside the fill-ahead", []int{1, 2, 1, 1, 2}, []int32{1, 2, 3}},
+	{"run longer than the fill-ahead", []int{1, 9, 1}, []int32{1, 2}},
+	{"two-byte run length", []int{3, 130, 2}, []int32{1, 2}},
+	{"two-byte run length to the end", []int{1, 200}, []int32{1, 2}},
+	{"two-byte values", []int{1, 2, 1, 3, 1}, []int32{64, -65, 1000, -1 << 31, 1<<31 - 1}},
+}
+
+// runEdgeBatch lays out the column of field ci (2 node, 3 process,
+// 4 kind) of a measured-mix batch as e describes.
+func runEdgeBatch(rng *rand.Rand, ci int, e runEdge) []Record {
+	n := 0
+	for _, l := range e.runs {
+		n += l
+	}
+	rs := mixBatch(rng, n, measuredMix)
+	i := 0
+	for r, l := range e.runs {
+		v := e.vals[r%len(e.vals)]
+		for ; l > 0; l-- {
+			switch ci {
+			case 2:
+				rs[i].Node = v
+			case 3:
+				rs[i].Process = v
+			default:
+				rs[i].Kind = Kind(uint32(v) % uint32(numKinds))
+			}
+			i++
+		}
+	}
+	return rs
+}
+
+// badRunCol is a run column that decoders must reject as n records.
+// A short column ends before its records do: a wire body has no
+// column boundaries, so the wire decoder reads on into the next
+// column and may blame any later one.
+type badRunCol struct {
+	name  string
+	ci    int
+	col   []byte
+	short bool
+}
+
+var badRunCols = func() []badRunCol {
+	var out []badRunCol
+	for _, ci := range [...]int{2, 3} {
+		out = append(out,
+			badRunCol{"zero-length first run", ci, []byte{0, 2, 8, 2}, false},
+			badRunCol{"zero-length run", ci, []byte{3, 2, 0, 2, 5, 2}, false},
+			badRunCol{"run over the records", ci, []byte{9, 2}, false},
+			badRunCol{"run over the records remaining", ci, []byte{5, 2, 4, 2}, false},
+			badRunCol{"two-byte run over the records", ci, []byte{0x80, 0x01, 2}, false},
+			badRunCol{"two-byte zero-length run", ci, []byte{0x80, 0x00, 2, 8, 2}, false},
+			badRunCol{"value missing", ci, []byte{8}, true},
+			badRunCol{"two-byte value truncated", ci, []byte{8, 0x80}, true},
+			badRunCol{"runs short", ci, []byte{3, 2, 4, 2}, true},
+		)
+	}
+	u := byte(KindUser)
+	return append(out,
+		badRunCol{"index outside the dictionary", 4, []byte{1, u, 8, 1}, false},
+		badRunCol{"index outside a two-entry dictionary", 4, []byte{2, u, byte(KindSend), 3, 1, 5, 2}, false},
+		badRunCol{"zero-length run", 4, []byte{1, u, 0, 0, 8, 0}, false},
+		badRunCol{"run over the records", 4, []byte{1, u, 9, 0}, false},
+		badRunCol{"run over the records remaining", 4, []byte{1, u, 5, 0, 4, 0}, false},
+		badRunCol{"two-byte run over the records", 4, []byte{1, u, 0x80, 0x01, 0}, false},
+		badRunCol{"invalid kind in the dictionary", 4, []byte{1, byte(numKinds), 8, 0}, false},
+		badRunCol{"index missing", 4, []byte{1, u, 8}, true},
+		badRunCol{"runs short", 4, []byte{1, u, 3, 0, 4, 0}, true},
+	)
+}()
+
+// badRunRecords is the record count every badRunCol is decoded as.
+const badRunRecords = 8
+
+// withRunCol returns the wire body and the segment of a batch of
+// badRunRecords records whose column b.ci is replaced by b.col.
+func withRunCol(tb testing.TB, b badRunCol) (body, seg []byte) {
+	tb.Helper()
+	in := mixBatch(rand.New(rand.NewSource(8)), badRunRecords, measuredMix)
+	var off [numColumns]int
+	var cc ColumnCodec
+	buf := cc.appendColumns(nil, in, &off)
+	end := append(off[1:], len(buf))
+	body = append(append(append([]byte(nil), buf[:off[b.ci]]...), b.col...), buf[end[b.ci]:]...)
+	return body, withColumn(tb, AppendSegment(nil, in), b.ci, b.col)
+}
+
+// TestRunColumnEdges decodes the node, process and kind columns of
+// every run edge, and of every run layout of up to 8 records, through
+// the segment and wire entries and the serial reference; the segment
+// decode's spare capacity must come back untouched. Every malformed
+// run column must be rejected by both entries with ErrBadSegment
+// naming its column.
+func TestRunColumnEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	check := func(what string, in []Record) {
+		t.Helper()
+		decodeBoth(t, what, in)
+		// Decode into a slice whose spare capacity holds sentinels: a
+		// fill past the last record would overwrite them.
+		var seg Segment
+		if _, err := seg.Parse(AppendSegment(nil, in)); err != nil {
+			t.Fatal(err)
+		}
+		sentinel := Record{Node: -7, Process: -7, Kind: KindRecv}
+		dst := make([]Record, len(in)+2*fillAhead)
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		got, err := seg.AppendRecords(dst[:0])
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		recordsEqual(t, what+" into spare capacity", got, in)
+		for i, r := range dst[len(in):] {
+			if r != sentinel {
+				t.Fatalf("%s: spare slot %d past the last record overwritten: %+v", what, i, r)
+			}
+		}
+	}
+	for _, ci := range [...]int{2, 3, 4} {
+		for _, e := range runEdges {
+			check(colNames[ci]+" "+e.name, runEdgeBatch(rng, ci, e))
+		}
+		// Every composition of n records into runs: bit k of mask ends
+		// a run after record k.
+		for n := 1; n <= 8; n++ {
+			for mask := 0; mask < 1<<(n-1); mask++ {
+				var runs []int
+				l := 0
+				for k := 0; k < n; k++ {
+					l++
+					if k == n-1 || mask&(1<<k) != 0 {
+						runs = append(runs, l)
+						l = 0
+					}
+				}
+				e := runEdge{fmt.Sprintf("layout %v", runs), runs, []int32{1, 2}}
+				check(colNames[ci]+" "+e.name, runEdgeBatch(rng, ci, e))
+			}
+		}
+	}
+	for _, b := range badRunCols {
+		what := colNames[b.ci] + " " + b.name
+		body, seg := withRunCol(t, b)
+		blame := colNames[b.ci : b.ci+1]
+		if b.short {
+			blame = colNames[b.ci:]
+		}
+		expectBadColumns(t, what, body, badRunRecords, blame...)
+		expectBadSegment(t, what, seg, colNames[b.ci])
+	}
 }

@@ -9,9 +9,9 @@ import (
 // whatever the input, Parse and the decode paths must return an error
 // or a valid batch — never panic, never run away. Whatever the segment
 // decoder accepts, the wire decoder, which finds the column boundaries
-// itself, must decode to the same records from the same bytes; and a
-// re-encode must round-trip, pinning encoder/decoder agreement on
-// fuzz-discovered shapes.
+// itself, and the serial reference must decode to the same records
+// from the same bytes; and a re-encode must round-trip, pinning
+// encoder/decoder agreement on fuzz-discovered shapes.
 func FuzzSegmentDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1337))
 	empty := AppendSegment(nil, nil)
@@ -33,6 +33,16 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(AppendSegment(nil, mixBatch(rng, 200, measuredMix)))
 	for n := 1; n <= 3; n++ {
 		f.Add(AppendSegment(nil, mixBatch(rng, n, measuredMix)))
+	}
+	// Run columns at the edges of the run decoders, and malformed ones.
+	for _, ci := range [...]int{2, 3, 4} {
+		for _, e := range runEdges {
+			f.Add(AppendSegment(nil, runEdgeBatch(rng, ci, e)))
+		}
+	}
+	for _, b := range badRunCols {
+		_, seg := withRunCol(f, b)
+		f.Add(seg)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -56,13 +66,17 @@ func FuzzSegmentDecode(f *testing.F) {
 			if len(out) != seg.Count() {
 				t.Fatalf("decoded %d records, footer says %d", len(out), seg.Count())
 			}
-			wire := make([]Record, len(out))
-			if err := DecodeColumns(seg.buf[seg.colOff[0]:seg.colOff[numColumns]], wire); err != nil {
+			cols := seg.buf[seg.colOff[0]:seg.colOff[numColumns]]
+			wire, serial := make([]Record, len(out)), make([]Record, len(out))
+			if err := DecodeColumns(cols, wire); err != nil {
 				t.Fatalf("wire decoder rejects columns the segment decoder took: %v", err)
 			}
+			if err := serialDecodeColumns(cols, serial); err != nil {
+				t.Fatalf("serial reference rejects columns the segment decoder took: %v", err)
+			}
 			for i := range out {
-				if wire[i] != out[i] {
-					t.Fatalf("record %d: segment decoder %+v, wire decoder %+v", i, out[i], wire[i])
+				if wire[i] != out[i] || serial[i] != out[i] {
+					t.Fatalf("record %d: segment decoder %+v, wire decoder %+v, reference %+v", i, out[i], wire[i], serial[i])
 				}
 			}
 			if _, err := seg.AppendRange(nil, seg.MinTime(), seg.MaxTime()); err != nil {

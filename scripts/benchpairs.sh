@@ -2,8 +2,9 @@
 # Alternated parent/change pairs of the runtime benchmark: the evidence
 # a performance claim owes (ROADMAP ground rules).
 #
-#   scripts/benchpairs.sh <parent> <workload> [pairs] [seed]
+#   scripts/benchpairs.sh <parent> <workload|all> [pairs] [seed]
 #   make benchpairs PARENT=<sha> WORKLOAD=fed_tree PAIRS=10 SEED=1
+#   make benchpairs PARENT=<sha> WORKLOAD=all PAIRS=5
 #
 # <parent> is a commit, checked out into a git worktree under
 # .bench_build/ (kept for the next call; `git worktree remove` it when
@@ -14,11 +15,12 @@
 # parsed. Prints, per end-to-end metric of BENCHMARK.json, each side's
 # median [q1 .. q3], the change of the median, how many pairs the
 # change won (=n: ties) and the choosing-metrics verdict; exits 1 if any
-# run was incorrect or failed an operation.
+# run was incorrect or failed an operation. Workload `all` runs the
+# pairs of every workload in BENCHMARK.json in turn, one summary each.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,16p' "$0" >&2
+	sed -n '2,19p' "$0" >&2
 	exit 2
 fi
 parent=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
@@ -37,9 +39,7 @@ else
 	fi
 fi
 
-results=$root/.bench_build/pairs-$workload-seed$seed.jsonl
 mkdir -p "$root/.bench_build"
-: >"$results"
 
 # run <side> <dir> <pair>: one benchmark run, its JSON line tagged and kept.
 run() {
@@ -52,18 +52,23 @@ run() {
 	printf '  pair %d %-6s %s\n' "$3" "$1" "$(printf '%s' "$line" | cut -c1-60)" >&2
 }
 
-echo "# workload=$workload seed=$seed seconds=$seconds pairs=$pairs parent=$pdir change=$root" >&2
-for ((i = 1; i <= pairs; i++)); do
-	if ((i % 2)); then
-		run parent "$pdir" "$i"
-		run change "$root" "$i"
-	else
-		run change "$root" "$i"
-		run parent "$pdir" "$i"
-	fi
-done
-
-python3 - "$results" "$workload" <<'EOF'
+# pairs_of <workload>: the workload's pairs, then its summary; fails
+# if any of its runs did.
+pairs_of() {
+	workload=$1
+	results=$root/.bench_build/pairs-$workload-seed$seed.jsonl
+	: >"$results"
+	echo "# workload=$workload seed=$seed seconds=$seconds pairs=$pairs parent=$pdir change=$root" >&2
+	for ((i = 1; i <= pairs; i++)); do
+		if ((i % 2)); then
+			run parent "$pdir" "$i"
+			run change "$root" "$i"
+		else
+			run change "$root" "$i"
+			run parent "$pdir" "$i"
+		fi
+	done
+	python3 - "$results" "$workload" <<'EOF'
 import json, statistics, sys
 
 runs = [json.loads(l) for l in open(sys.argv[1])]
@@ -103,3 +108,14 @@ for m in bench["end_to_end"]:
     print(f"{m['name']:<18}{m['better']:<8}{ptxt:<42}{ctxt:<42}{rel:>+8.1%}  {won:<10}{verdict}")
 sys.exit(1 if bad else 0)
 EOF
+}
+
+if [ "$workload" != all ]; then
+	pairs_of "$workload"
+	exit
+fi
+status=0
+for w in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+	pairs_of "$w" || status=1
+done
+exit $status
