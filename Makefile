@@ -17,7 +17,7 @@ SHA := $(shell git rev-parse --short HEAD)
 CANDIDATE ?= BENCH_$(SHA).json
 THRESHOLD ?= 5
 
-.PHONY: check vet staticcheck build test race bench benchsmoke benchmod benchdiff benchpairs fuzzsmoke fmt
+.PHONY: check vet staticcheck build test race bench benchsmoke benchmod benchdiff benchpairs fuzzsmoke surface fmt
 
 # check is the tier-1 gate: vet, staticcheck (when installed), build,
 # the full test suite under the race detector, a one-iteration
@@ -107,6 +107,11 @@ SEED ?= 1
 benchpairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make benchpairs PARENT=<sha|dir> WORKLOAD=<workload|all> [PAIRS=10] [SEED=1]" >&2; exit 2; }
 	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
+
+# surface prints the numbers every change reports: non-test Go LOC
+# outside bench/, DESIGN.md lines and each cmd/ binary's flag count.
+surface:
+	bash scripts/surface.sh
 
 fmt:
 	gofmt -l -w .

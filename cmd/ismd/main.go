@@ -14,10 +14,8 @@
 //
 //	ismd [-addr 127.0.0.1:7311] [-spool trace.bin] [-miso] [-stats 2s]
 //	     [-overflow drop-oldest|block|drop-newest|spill] [-publish 0]
-//	     [-resilient] [-degraded-after 5s] [-shards 1] [-merge-ring 0]
-//	     [-spill-dir d] [-spill-hot 16384] [-spill-segment 8192]
-//	     [-spill-warm 8]
-//	ismd -relay -downstreams N [-max-stall 0] [-lane-ring 0]
+//	     [-degraded-after 5s] [-shards 1] [-spill-dir d] [-spill-hot 16384]
+//	ismd -relay -downstreams N [-max-stall 0]
 //	     [-resume-spool trace.bin] [-spool trace.bin] [-addr ...]
 //	ismd -uplink relayaddr [-uplink-node 1] [-uplink-batch 512]
 //	     [-uplink-window 0] [-mark-interval 1s] [-addr ...]
@@ -43,18 +41,20 @@
 // With -overflow spill, records displaced from the input stage demote
 // into a tiered columnar store (hot in-memory window, then compressed
 // segments) instead of being dropped; -spill-dir persists the segments
-// by appending each, once, to a tier file of -spill-warm segments.
+// by appending each, once, to a tier file of 8 segments.
 //
 // Data batches on every listener and uplink connection travel as
 // column-encoded frames: the segment codec on the wire, several times
 // smaller than flat record arrays.
 //
-// With -resilient the manager runs the session protocol in front of
-// the input stage: sequenced batches from resilient LIS nodes (see
-// cmd/lisnode -resilient) are acknowledged and deduplicated, so a node
-// that redials and replays after a network fault delivers every batch
-// exactly once. -degraded-after flags nodes whose heartbeats fall
-// silent for longer than the given budget in the periodic stats line.
+// The manager always runs the session protocol in front of the input
+// stage: sequenced batches from resilient LIS nodes (see cmd/lisnode
+// -resilient) are acknowledged and deduplicated, so a node that redials
+// and replays after a network fault delivers every batch exactly once,
+// and plain nodes' unsequenced batches pass through untouched. A
+// restarted manager adopts each node's stream where its replay resumes.
+// -degraded-after flags nodes whose traffic and heartbeats fall silent
+// for longer than the given budget in the periodic stats line.
 package main
 
 import (
@@ -69,7 +69,6 @@ import (
 	"time"
 
 	"prism/internal/isruntime/event"
-	"prism/internal/isruntime/fault"
 	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/ism"
 	"prism/internal/isruntime/metrics"
@@ -83,10 +82,8 @@ import (
 // spillOnlyFlags configure the tiered spill store and mean nothing
 // under any other overflow policy.
 var spillOnlyFlags = map[string]bool{
-	"spill-dir":     true,
-	"spill-hot":     true,
-	"spill-segment": true,
-	"spill-warm":    true,
+	"spill-dir": true,
+	"spill-hot": true,
 }
 
 // validateOverflowFlags rejects spill-tuning flags that were
@@ -116,7 +113,6 @@ func validateOverflowFlags(fs *flag.FlagSet, overflow string) error {
 var relayOnlyFlags = map[string]bool{
 	"downstreams":  true,
 	"max-stall":    true,
-	"lane-ring":    true,
 	"resume-spool": true,
 }
 
@@ -221,7 +217,7 @@ func loadResume(path string, truncate bool) ([]trace.Record, error) {
 
 // runRelay is the -relay mode: a root relay manager merging downstream
 // manager sessions into the single causally ordered root trace.
-func runRelay(addr, spool, resumeSpool string, downstreams, laneRing int, maxStall, statsEvery, degradedAfter time.Duration) {
+func runRelay(addr, spool, resumeSpool string, downstreams int, maxStall, statsEvery, degradedAfter time.Duration) {
 	reg := metrics.NewRegistry()
 	// A restarted relay re-reads its previous spool: emission counts,
 	// causal-merge state and per-source dedup cursors are rebuilt from
@@ -238,7 +234,6 @@ func runRelay(addr, spool, resumeSpool string, downstreams, laneRing int, maxSta
 	cfg := relay.Config{
 		Root:        true,
 		Downstreams: downstreams,
-		LaneRing:    laneRing,
 		MaxStall:    maxStall,
 		Resume:      resume,
 		Metrics:     reg,
@@ -332,17 +327,12 @@ func main() {
 	overflow := flag.String("overflow", "drop-oldest", "input overflow policy: drop-oldest, block, drop-newest or spill")
 	spillDir := flag.String("spill-dir", "", "with -overflow spill, store tiered segments as files under this directory (default in-memory)")
 	spillHot := flag.Int("spill-hot", 1<<14, "tiered spill hot-window capacity in records")
-	spillSegment := flag.Int("spill-segment", 1<<13, "tiered spill records per sealed segment")
-	spillWarm := flag.Int("spill-warm", 8, "tiered spill segments per tier file")
 	publish := flag.Duration("publish", 0, "self-publish runtime metrics into the stream at this interval (0 disables)")
-	resilient := flag.Bool("resilient", false, "run the session protocol (ack, dedup, replay tolerance) in front of the input stage")
-	degradedAfter := flag.Duration("degraded-after", 5*time.Second, "with -resilient, report nodes silent for longer than this as degraded (0 disables)")
+	degradedAfter := flag.Duration("degraded-after", 5*time.Second, "report nodes silent for longer than this as degraded (0 disables)")
 	shards := flag.Int("shards", 1, "ingest shards; sources hash across per-shard orderer lanes that frontier-merge before dispatch")
-	mergeRing := flag.Int("merge-ring", 0, "per-shard merge ring capacity in batches, rounded up to a power of two (0 means the built-in default)")
 	relayMode := flag.Bool("relay", false, "run a root relay manager: merge downstream manager sessions instead of LIS nodes")
 	downstreams := flag.Int("downstreams", 0, "with -relay, expected downstream managers; the merge holds dispatch until all have attached (0 dispatches as lanes appear)")
 	maxStall := flag.Duration("max-stall", 0, "with -relay, bound the merge wait on a lagging lane's watermark before force-dispatching out of order (0 waits forever)")
-	laneRing := flag.Int("lane-ring", 0, "with -relay, per-downstream hand-off ring capacity in batches (0 means the built-in default)")
 	resumeSpool := flag.String("resume-spool", "", "with -relay, rebuild emission and dedup state from this previous spool before serving")
 	uplink := flag.String("uplink", "", "run as a federation downstream: forward this leaf's merged output to the relay at this address")
 	uplinkNode := flag.Int("uplink-node", 1, "with -uplink, this manager's downstream id on the relay (unique per relay)")
@@ -359,34 +349,32 @@ func main() {
 		if *downstreams < 0 || *downstreams > maxDownstreams {
 			log.Fatalf("ismd: -downstreams must be between 0 and %d, got %d", maxDownstreams, *downstreams)
 		}
-		runRelay(*addr, *spool, *resumeSpool, *downstreams, *laneRing, *maxStall, *statsEvery, *degradedAfter)
+		runRelay(*addr, *spool, *resumeSpool, *downstreams, *maxStall, *statsEvery, *degradedAfter)
 		return
 	}
 
-	// Shard and ring misconfiguration fails fast rather than being
-	// silently clamped: a lane per shard is a real goroutine plus a
-	// bounded ring, so an absurd count is a deployment mistake.
+	// Shard misconfiguration fails fast rather than being silently
+	// clamped: a lane per shard is a real goroutine plus a bounded ring,
+	// so an absurd count is a deployment mistake.
 	const maxShards = 256
 	if *shards < 1 || *shards > maxShards {
 		log.Fatalf("ismd: -shards must be between 1 and %d, got %d", maxShards, *shards)
-	}
-	if *mergeRing < 0 || *mergeRing > 1<<20 {
-		log.Fatalf("ismd: -merge-ring must be between 0 and %d, got %d", 1<<20, *mergeRing)
 	}
 	if err := validateOverflowFlags(flag.CommandLine, *overflow); err != nil {
 		log.Fatalf("ismd: %v", err)
 	}
 
 	reg := metrics.NewRegistry()
-	// ResumeSources: a restarted resilient manager is re-served by
-	// sessions replaying only their unacked suffix, so the orderer must
-	// adopt mid-stream sources instead of holding for the prefix that
-	// died with the previous incarnation.
+	// ResumeSources: a restarted manager is re-served by sessions
+	// replaying only their unacked suffix, so the orderer must adopt
+	// mid-stream sources instead of holding for the prefix that died
+	// with the previous incarnation. A node's connection delivers in
+	// order and a LIS numbers each source from 0, so on a first
+	// incarnation adoption changes nothing.
 	cfg := ism.Config{
 		Buffering: ism.SISO, Ordered: true, Metrics: reg,
-		ResumeSources:     *resilient,
-		Shards:            *shards,
-		MergeRingCapacity: *mergeRing,
+		ResumeSources: true,
+		Shards:        *shards,
 		// A federation downstream defers causal stamping to the relay:
 		// the leaf restamps Logical with contiguous per-source uplink
 		// sequences and the root's causal merge assigns Lamport clocks.
@@ -409,11 +397,9 @@ func main() {
 		// appended to tier files.
 		var err error
 		tier, err = storage.NewTiered(storage.TieredConfig{
-			HotCapacity:    *spillHot,
-			SegmentRecords: *spillSegment,
-			WarmLimit:      *spillWarm,
-			Dir:            *spillDir,
-			Metrics:        reg,
+			HotCapacity: *spillHot,
+			Dir:         *spillDir,
+			Metrics:     reg,
 		})
 		if err != nil {
 			log.Fatalf("ismd: %v", err)
@@ -456,12 +442,6 @@ func main() {
 		log.Printf("ismd: uplink to %s as downstream %d (batch=%d mark-interval=%s)",
 			relayAddr, *uplinkNode, *uplinkBatch, *markInterval)
 	}
-	var receiver *fault.Receiver
-	if *resilient {
-		receiver = fault.NewReceiver(fault.ReceiverConfig{
-			AckEvery: 1, Clock: clock, Metrics: reg,
-		})
-	}
 	ln, err := tp.Listen(*addr, tp.WithConnMetrics(reg))
 	if err != nil {
 		log.Fatalf("ismd: %v", err)
@@ -470,8 +450,8 @@ func main() {
 	// The effective topology, post-defaulting and ring rounding — the
 	// same figures the metrics snapshot reports as ism.shards and
 	// ism.merge_ring_capacity.
-	log.Printf("ismd: shards=%d merge-ring=%d overflow=%s ordered=%v resilient=%v",
-		manager.ShardCount(), manager.MergeRingCap(), *overflow, cfg.Ordered, *resilient)
+	log.Printf("ismd: shards=%d merge-ring=%d overflow=%s ordered=%v",
+		manager.ShardCount(), manager.MergeRingCap(), *overflow, cfg.Ordered)
 
 	stopBeacon := make(chan struct{})
 	if up != nil && *markInterval > 0 {
@@ -509,11 +489,7 @@ func main() {
 				return
 			}
 			log.Printf("ismd: LIS connected")
-			if receiver != nil {
-				manager.ServeFiltered(conn, receiver.Filter)
-			} else {
-				manager.Serve(conn)
-			}
+			manager.Serve(conn)
 		}
 	}()
 
@@ -528,8 +504,8 @@ func main() {
 			log.Printf("ismd: arrived=%d dispatched=%d held=%d holdback=%.3f mean-latency=%s",
 				st.Arrived, st.Dispatched, st.Held, st.HoldBackRatio,
 				time.Duration(st.MeanLatencyNs))
-			if receiver != nil && *degradedAfter > 0 {
-				if deg := receiver.Degraded(*degradedAfter); len(deg) > 0 {
+			if *degradedAfter > 0 {
+				if deg := manager.Degraded(*degradedAfter); len(deg) > 0 {
 					log.Printf("ismd: degraded nodes (silent > %s): %v", *degradedAfter, deg)
 				}
 			}
@@ -563,10 +539,6 @@ func main() {
 			st := manager.Stats()
 			fmt.Printf("final: arrived=%d dispatched=%d out-of-order=%d hold-back=%.3f merge-stalls=%d\n",
 				st.Arrived, st.Dispatched, st.OutOfOrder, st.HoldBackRatio, st.MergeStalls)
-			if receiver != nil {
-				fmt.Printf("session: dup-batches=%d gap-batches=%d\n",
-					receiver.TotalDups(), receiver.TotalGaps())
-			}
 			if tier != nil {
 				// ISM.Close already flushed the hot window through the
 				// OverflowSpill Flush hook; Close here closes the tier file.
@@ -578,6 +550,8 @@ func main() {
 					ts.Appended, ts.Sealed, ts.WarmSegments, ts.ColdSegments, ts.BytesToDisk)
 			}
 			snap := reg.Snapshot()
+			fmt.Printf("session: hellos=%g dup-batches=%g gaps-opened=%g\n",
+				snap.Value("session.hellos"), snap.Value("session.dup_batches"), snap.Value("session.gap_batches"))
 			printWireStats(snap)
 			if err := report.RenderMetrics(os.Stdout, "ISM runtime metrics", snap); err != nil {
 				log.Printf("ismd: metrics: %v", err)

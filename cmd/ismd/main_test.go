@@ -22,8 +22,6 @@ func spillFlagSet() *flag.FlagSet {
 	fs.String("overflow", "drop-oldest", "")
 	fs.String("spill-dir", "", "")
 	fs.Int("spill-hot", 1<<14, "")
-	fs.Int("spill-segment", 1<<13, "")
-	fs.Int("spill-warm", 8, "")
 	fs.String("spool", "", "")
 	return fs
 }
@@ -37,7 +35,6 @@ func modeFlagSet() *flag.FlagSet {
 	fs.Bool("relay", false, "")
 	fs.Int("downstreams", 0, "")
 	fs.Duration("max-stall", 0, "")
-	fs.Int("lane-ring", 0, "")
 	fs.String("resume-spool", "", "")
 	fs.String("uplink", "", "")
 	fs.Int("uplink-node", 1, "")
@@ -62,17 +59,16 @@ func TestValidateOverflowFlags(t *testing.T) {
 	}{
 		{name: "defaults", args: nil, overflow: "drop-oldest"},
 		{name: "spill flags with spill policy",
-			args:     []string{"-overflow", "spill", "-spill-dir", "/tmp/x", "-spill-hot", "64", "-spill-warm", "4"},
+			args:     []string{"-overflow", "spill", "-spill-dir", "tier", "-spill-hot", "64"},
 			overflow: "spill"},
 		{name: "spill-dir without spill",
 			args:     []string{"-spill-dir", "/tmp/x"},
 			overflow: "drop-oldest",
 			wantErr:  []string{"-spill-dir", "drop-oldest"}},
 		{name: "every spill flag without spill",
-			args: []string{"-overflow", "block", "-spill-dir", "d", "-spill-hot", "1",
-				"-spill-segment", "2", "-spill-warm", "3"},
+			args:     []string{"-overflow", "block", "-spill-dir", "d", "-spill-hot", "1"},
 			overflow: "block",
-			wantErr:  []string{"-spill-dir", "-spill-hot", "-spill-segment", "-spill-warm"}},
+			wantErr:  []string{"-spill-dir", "-spill-hot"}},
 		{name: "unrelated flags stay legal",
 			args:     []string{"-spool", "out.bin"},
 			overflow: "drop-newest"},
@@ -115,7 +111,7 @@ func TestValidateModeFlags(t *testing.T) {
 		{name: "plain leaf defaults", args: nil},
 		{name: "relay with its own flags",
 			args: []string{"-relay", "-downstreams", "4", "-max-stall", "2s",
-				"-lane-ring", "64", "-resume-spool", "root.bin"}},
+				"-resume-spool", "root.bin"}},
 		{name: "uplink with its own flags",
 			args: []string{"-uplink", "127.0.0.1:7311", "-uplink-node", "3",
 				"-uplink-batch", "256", "-uplink-window", "128", "-mark-interval", "500ms"}},
@@ -139,8 +135,8 @@ func TestValidateModeFlags(t *testing.T) {
 		{name: "unrelated flags stay legal in relay mode",
 			args: []string{"-relay", "-spool", "out.bin"}},
 		{name: "mixed stray flags across both roles",
-			args:    []string{"-lane-ring", "8", "-uplink-batch", "32"},
-			wantErr: []string{"-lane-ring", "needs -relay", "-uplink-batch", "needs -uplink"}},
+			args:    []string{"-resume-spool", "root.bin", "-uplink-batch", "32"},
+			wantErr: []string{"-resume-spool", "needs -relay", "-uplink-batch", "needs -uplink"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

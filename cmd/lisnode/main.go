@@ -23,9 +23,11 @@
 // connection redials with exponential backoff (bounded by
 // -redial-giveup), every data batch is sequenced and retained in a
 // -window-sized replay buffer until the ISM acknowledges it, and
-// reconnects replay the unacked suffix. Run the manager with
-// `ismd -resilient` so replays are deduplicated. Heartbeats let the
-// ISM flag this node degraded when it falls silent.
+// reconnects replay the unacked suffix. Every ismd runs the session
+// protocol, so it acknowledges the batches and deduplicates the
+// replays. Heartbeats let the ISM flag this node degraded when it
+// falls silent. A nonzero -redial-giveup needs a nonzero
+// -redial-backoff: the budget is spent in backoff sleeps.
 //
 // In a federated deployment, lisnodes keep pointing -ism at their
 // leaf manager; it is the leaf that changes role (`ismd -uplink
@@ -62,7 +64,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "give up connecting to the ISM after this long")
 	ioTimeout := flag.Duration("io-timeout", 0, "per-operation read/write deadline on the ISM connection (0 = none)")
-	resilient := flag.Bool("resilient", false, "redial on connection faults and replay unacked batches (pair with ismd -resilient)")
+	resilient := flag.Bool("resilient", false, "redial on connection faults and replay unacked batches")
 	redialBackoff := flag.Duration("redial-backoff", 50*time.Millisecond, "with -resilient, initial reconnect backoff")
 	redialGiveup := flag.Duration("redial-giveup", 30*time.Second, "with -resilient, give up after this much cumulative downtime in one outage (0 = retry forever)")
 	window := flag.Int("window", 256, "with -resilient, unacked batches retained for replay")
@@ -97,7 +99,7 @@ func main() {
 			Metrics:    reg,
 		})
 		if err != nil {
-			log.Fatalf("lisnode: %v", err)
+			log.Fatalf("lisnode: -redial-giveup %v, -redial-backoff %v: %v", *redialGiveup, *redialBackoff, err)
 		}
 		sess = fault.NewSession(int32(*node), redial, fault.SessionConfig{
 			Window: *window, Metrics: reg,

@@ -102,7 +102,6 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	f.root = relay.New(relay.Config{
 		Root:        true,
 		Downstreams: cfg.Leaves,
-		AckEvery:    1,
 		Spool:       &f.spool,
 	})
 	for l := 0; l < cfg.Leaves; l++ {

@@ -43,13 +43,14 @@ func TestSteeringSurvivesMidRunDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recv := fault.NewReceiver(fault.ReceiverConfig{})
+	// ISM.Serve runs the session receiver: it acks the session and
+	// dedupes its replays.
 	serveCh := make(chan tp.Conn, 8)
 	dispatchDone := make(chan struct{})
 	go func() {
 		defer close(dispatchDone)
 		for c := range serveCh {
-			m.ServeFiltered(c, recv.Filter)
+			m.Serve(c)
 		}
 	}()
 
@@ -131,6 +132,9 @@ func TestSteeringSurvivesMidRunDisconnect(t *testing.T) {
 	}
 	if rd.Redials() == 0 {
 		t.Fatal("disconnect never exercised the redial path")
+	}
+	if hellos := m.Metrics().Snapshot().Value("session.hellos"); hellos < 2 {
+		t.Fatalf("session.hellos = %v, want one per connection (at least 2)", hellos)
 	}
 
 	_ = sess.Close()

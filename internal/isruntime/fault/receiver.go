@@ -3,14 +3,14 @@ package fault
 // Receiver: the ISM half of the resilience protocol. It keeps one
 // session entry per LIS node — highest contiguous sequence accepted,
 // the set of batches delivered above a hole, duplicate and gap counts,
-// last time the node was heard from — and is meant to sit in front of
-// the manager's input path (ism.ServeFiltered uses Filter as its
-// message filter). Replayed duplicates are absorbed before they reach
-// the input stage (exactly-once accounting on top of the sender's
-// at-least-once wire behavior), and nodes that fall silent past a
-// deadline are reported degraded rather than silently absent — the
-// evaluation loop needs to know the difference between "no events" and
-// "no instrumentation".
+// last time the node was heard from — and sits in front of both
+// managers' input paths (ism.ISM.Serve and relay.Relay.Serve run every
+// inbound message through Filter). Replayed duplicates are absorbed
+// before they reach the input stage (exactly-once accounting on top of
+// the sender's at-least-once wire behavior), and nodes that fall
+// silent past a deadline are reported degraded rather than silently
+// absent — the evaluation loop needs to know the difference between
+// "no events" and "no instrumentation".
 //
 // Acks are cumulative but strictly contiguous: CtlAck{Arg: high}
 // claims every batch up to and including high, so high only advances
@@ -21,7 +21,9 @@ package fault
 // had been delivered, turning a recoverable drop into silent loss. The
 // sender closes holes by resending its unacked window (on reconnect,
 // on ack stall, or during shutdown drain); the pending set absorbs the
-// re-deliveries of everything that already made it across.
+// re-deliveries of everything that already made it across. Every
+// sequenced batch, fresh or duplicate, is answered with an ack;
+// unsequenced (Arg 0) data is never acked, only timestamped.
 
 import (
 	"sync"
@@ -34,10 +36,6 @@ import (
 
 // ReceiverConfig parameterizes the ISM-side session table.
 type ReceiverConfig struct {
-	// AckEvery is the acknowledgement cadence in accepted batches; 1
-	// (and 0) acks every batch, n acks every n-th. Duplicates are
-	// always re-acked immediately so a replaying sender converges.
-	AckEvery int
 	// Clock supplies arrival timestamps for degradation tracking. Nil
 	// means a real clock anchored at construction.
 	Clock event.Clock
@@ -61,7 +59,6 @@ type nodeSession struct {
 	high      int64              // highest contiguous sequence accepted (acked frontier)
 	maxSeen   int64              // highest sequence ever accepted
 	pending   map[int64]struct{} // accepted above a hole, awaiting the prefix to close
-	sinceAck  int
 	dups      uint64
 	lastHeard int64
 }
@@ -120,9 +117,6 @@ type Receiver struct {
 
 // NewReceiver creates an empty session table.
 func NewReceiver(cfg ReceiverConfig) *Receiver {
-	if cfg.AckEvery <= 0 {
-		cfg.AckEvery = 1
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = event.NewRealClock()
 	}
@@ -236,16 +230,9 @@ func (r *Receiver) Filter(conn tp.Conn, m tp.Message) bool {
 		}
 		ns.pending[seq] = struct{}{}
 	}
-	ns.sinceAck++
-	ackNow := ns.sinceAck >= r.cfg.AckEvery
-	if ackNow {
-		ns.sinceAck = 0
-	}
 	high := ns.high
 	r.mu.Unlock()
-	if ackNow {
-		r.ack(conn, m.Node, r.ackSeq(m.Node, high))
-	}
+	r.ack(conn, m.Node, r.ackSeq(m.Node, high))
 	return false
 }
 

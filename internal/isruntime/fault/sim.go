@@ -107,7 +107,7 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
-	recv := NewReceiver(ReceiverConfig{AckEvery: 1})
+	recv := NewReceiver(ReceiverConfig{})
 
 	seen := make(map[int64]int) // payload id -> times accepted
 	res := SimResult{Captured: cfg.Nodes * cfg.Batches * cfg.BatchRecords}

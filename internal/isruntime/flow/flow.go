@@ -68,15 +68,6 @@ type Spill interface {
 	Append(rs ...trace.Record) error
 }
 
-// SpillRecord adapts a Spill target to a per-record spill function
-// usable with NewQueue.
-func SpillRecord(s Spill) func(trace.Record) error {
-	if s == nil {
-		return nil
-	}
-	return func(r trace.Record) error { return s.Append(r) }
-}
-
 // --- pooled batches -------------------------------------------------
 
 // Batch is a record slice drawn from the shared batch pool. Ownership

@@ -26,6 +26,11 @@
 // the dispatch tail the relay shares (flow.Tail): causal ordering,
 // spool, tools. No lock is taken on the record hot path.
 //
+// Every served connection runs through the session receiver
+// (fault.Receiver) before the input stage, as at the relay: resilient
+// LIS sessions are acked and their replays deduplicated, while plain
+// unsequenced traffic passes untouched.
+//
 // The input stage is a bounded flow.Queue with a pluggable overflow
 // policy (Config.Overflow); activity is reported through an
 // ism-scoped metrics.Registry of which Stats() is a snapshot view.
@@ -39,6 +44,7 @@ import (
 	"time"
 
 	"prism/internal/isruntime/event"
+	"prism/internal/isruntime/fault"
 	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/metrics"
 	"prism/internal/isruntime/tp"
@@ -128,8 +134,11 @@ type Config struct {
 	// sequence zero — required when this manager can (re)start against
 	// LIS nodes already mid-stream (the resilient session replays only
 	// the unacked suffix; the prefix died with the previous
-	// incarnation). Needs an in-order per-source feed, which the
-	// session protocol provides. Ignored unless Ordered.
+	// incarnation). Needs an in-order per-source feed starting at the
+	// source's first unseen record: the session protocol provides it,
+	// and so does any one-connection-per-node transport in order from
+	// sequence zero, on which adoption changes nothing. Ignored unless
+	// Ordered.
 	ResumeSources bool
 }
 
@@ -145,8 +154,6 @@ type Stats struct {
 	MeanLatencyNs float64 // mean arrival->dispatch latency
 	MaxLatencyNs  int64
 	ControlsSeen  uint64 // control messages processed
-	// Delivered is Dispatched, kept under its older name.
-	Delivered uint64
 	// InputDropped counts records lost to input-stage overflow.
 	InputDropped uint64
 	// InputSpilled counts records demoted to OverflowSpill.
@@ -271,6 +278,7 @@ type ISM struct {
 	cfg   Config
 	clock event.Clock
 	ctr   ismCounters
+	recv  *fault.Receiver
 
 	shards []*ismShard
 	merge  *merger
@@ -314,6 +322,7 @@ func New(cfg Config, clock event.Clock) *ISM {
 		ctr:   newISMCounters(cfg.Metrics),
 		stop:  make(chan struct{}),
 	}
+	m.recv = fault.NewReceiver(fault.ReceiverConfig{Clock: clock, Metrics: m.ctr.reg})
 	scope := m.ctr.reg.Scope("ism")
 	m.tail = flow.NewTail(cfg.Ordered && !cfg.DeferCausal, cfg.Spool, m.ctr.dispatched, scope.Counter("spool_errors"))
 	m.merge = newMerger(m)
@@ -389,15 +398,11 @@ func (m *ISM) SubscribeBatch(name string, fn func([]trace.Record)) {
 // Serve reads messages from a LIS connection until EOF, feeding the
 // input stage. It returns immediately; readers run on their own
 // goroutines. The connection is remembered so Broadcast can reach it.
-func (m *ISM) Serve(conn tp.Conn) { m.ServeFiltered(conn, nil) }
-
-// ServeFiltered is Serve with a message filter interposed before the
-// input stage. A filter returning true consumes the message (it never
-// reaches Inject) — the hook the resilience layer uses to run its
-// session protocol (hello/ack/dedup, fault.Receiver.Filter) in front
-// of the manager without the ISM knowing the wire details. A nil
-// filter is plain Serve.
-func (m *ISM) ServeFiltered(conn tp.Conn, filter func(tp.Conn, tp.Message) bool) {
+// The session layer (hello/ack/dedup) is interposed automatically:
+// sequenced batches from a fault.Session are acked on receipt and
+// their replays absorbed, and the session's hellos and heartbeats
+// never reach Inject.
+func (m *ISM) Serve(conn tp.Conn) {
 	m.mu.Lock()
 	m.lisConns = append(m.lisConns, conn)
 	m.mu.Unlock()
@@ -409,12 +414,17 @@ func (m *ISM) ServeFiltered(conn tp.Conn, filter func(tp.Conn, tp.Message) bool)
 			if err != nil {
 				return
 			}
-			if filter != nil && filter(conn, msg) {
+			if m.recv.Filter(conn, msg) {
 				continue
 			}
 			m.Inject(msg)
 		}
 	}()
+}
+
+// Degraded reports LIS nodes not heard from within the silence budget.
+func (m *ISM) Degraded(silence time.Duration) []int32 {
+	return m.recv.Degraded(silence)
 }
 
 // Broadcast sends a control signal to every served LIS connection —
@@ -590,7 +600,6 @@ func (m *ISM) Stats() Stats {
 		MeanLatencyNs: m.ctr.latency.Mean(),
 		MaxLatencyNs:  m.ctr.latency.Max(),
 		ControlsSeen:  m.ctr.controlsSeen.Value(),
-		Delivered:     m.ctr.dispatched.Value(),
 		InputDropped:  m.stageDropped(),
 		InputSpilled:  m.stageSpilled(),
 		MergeStalls:   m.merge.stalls.Value(),

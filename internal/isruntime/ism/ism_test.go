@@ -205,6 +205,35 @@ func TestServeAndBroadcast(t *testing.T) {
 	lisSide.Close()
 }
 
+// TestServeDegraded: every served node's traffic, plain or sequenced,
+// is liveness to the session receiver, and a node silent past the
+// budget is reported degraded against the ISM's clock.
+func TestServeDegraded(t *testing.T) {
+	var clock event.VirtualClock
+	m := New(Config{Buffering: SISO}, &clock)
+	defer m.Close()
+	lisSide, ismSide := tp.Pipe(16)
+	m.Serve(ismSide)
+	if err := lisSide.Send(dataMsg(3, seqRec(3, trace.KindUser, 0, 0, 0))); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for m.Stats().Dispatched < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("served record never dispatched")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if deg := m.Degraded(time.Second); len(deg) != 0 {
+		t.Fatalf("degraded %v right after traffic", deg)
+	}
+	clock.Advance(int64(2 * time.Second))
+	if deg := m.Degraded(time.Second); !slices.Equal(deg, []int32{3}) {
+		t.Fatalf("degraded %v after 2s of silence, want [3]", deg)
+	}
+	_ = lisSide.Close()
+}
+
 func TestGangFlushOverTP(t *testing.T) {
 	var clock event.VirtualClock
 	m := New(Config{Buffering: SISO}, &clock)
@@ -679,8 +708,8 @@ func TestSpoolWriteErrorIsSticky(t *testing.T) {
 		m.Inject(tp.PooledDataMessage(0, rs))
 	}
 	m.Drain()
-	if got := m.Stats().Delivered; got != batches*per {
-		t.Fatalf("delivered %d records, want %d", got, batches*per)
+	if got := m.Stats().Dispatched; got != batches*per {
+		t.Fatalf("dispatched %d records, want %d", got, batches*per)
 	}
 	if n := m.Metrics().Snapshot().Value("ism.spool_errors"); n != 1 {
 		t.Fatalf("ism.spool_errors = %v, want 1", n)

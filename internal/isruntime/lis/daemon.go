@@ -2,7 +2,6 @@ package lis
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -20,20 +19,16 @@ import (
 // (Unix pipes in Paradyn, §3.2.2); a daemon goroutine drains the pipes
 // and forwards samples to the ISM.
 //
-// The pipes are flow.Queue stages, so their overflow discipline is
-// pluggable. Under the default Block policy, when the daemon cannot
-// keep up "the pipes become full and application processes, blocked"
-// (§3.2.3); Capture on a full pipe blocks and the blocked time is
-// accounted per pipe so the bottleneck effect is observable. The lossy
-// and spilling policies (WithOverflow) trade that perturbation for
-// data loss or demotion to storage instead.
+// The pipes are flow.Queue stages under the Block policy: when the
+// daemon cannot keep up "the pipes become full and application
+// processes, blocked" (§3.2.3); Capture on a full pipe blocks and the
+// blocked time is accounted per pipe so the bottleneck effect is
+// observable.
 type Daemon struct {
 	node    int32
 	conn    tp.Conn
 	pipeCap int
 	batch   int
-	policy  flow.OverflowPolicy
-	spill   func(trace.Record) error
 	ctr     lisCounters
 
 	mu     sync.Mutex
@@ -58,34 +53,17 @@ func NewDaemon(node int32, conn tp.Conn, pipeCap, batch int, opts ...Option) (*D
 		return nil, errors.New("lis: batch must be >= 1")
 	}
 	var o options
-	o.overflow = flow.Block
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if !o.overflow.Valid() {
-		return nil, fmt.Errorf("lis: invalid overflow policy %v", o.overflow)
-	}
-	d := &Daemon{
+	return &Daemon{
 		node:    node,
 		conn:    conn,
 		pipeCap: pipeCap,
 		batch:   batch,
-		policy:  o.overflow,
 		ctr:     newLISCounters(node, o.registry),
 		pipes:   map[int32]*flow.Queue[trace.Record]{},
-	}
-	if o.spill != nil {
-		sp := flow.SpillRecord(o.spill)
-		spilled := d.ctr.spilled
-		d.spill = func(r trace.Record) error {
-			err := sp(r)
-			if err == nil {
-				spilled.Inc()
-			}
-			return err
-		}
-	}
-	return d, nil
+	}, nil
 }
 
 // Metrics returns the registry this LIS reports through.
@@ -99,9 +77,9 @@ func (d *Daemon) AttachProcess(process int32) *flow.Queue[trace.Record] {
 	if p, ok := d.pipes[process]; ok {
 		return p
 	}
-	p, err := flow.NewQueue[trace.Record](d.pipeCap, d.policy, d.spill)
+	p, err := flow.NewQueue[trace.Record](d.pipeCap, flow.Block, nil)
 	if err != nil {
-		// Capacity and policy were validated in NewDaemon.
+		// The capacity was validated in NewDaemon.
 		panic(err)
 	}
 	dropped := d.ctr.dropped
@@ -113,11 +91,9 @@ func (d *Daemon) AttachProcess(process int32) *flow.Queue[trace.Record] {
 }
 
 // Capture implements event.Sink: it deposits the record into its
-// process's pipe. Under the Block policy a full pipe blocks the
-// capture (the §3.2.3 effect, accounted in BlockedTime); under lossy
-// policies the overflow discipline decides which record is lost or
-// spilled. Records from processes never attached are dropped and
-// counted.
+// process's pipe. A full pipe blocks the capture (the §3.2.3 effect,
+// accounted in BlockedTime). Records from processes never attached,
+// or captured while paused or after Close, are dropped and counted.
 func (d *Daemon) Capture(r trace.Record) {
 	d.mu.Lock()
 	if d.paused {
@@ -134,7 +110,7 @@ func (d *Daemon) Capture(r trace.Record) {
 	if p.Push(r) {
 		d.ctr.captured.Inc()
 	}
-	// Push failures (overflow or closed pipe) are counted by OnDrop.
+	// A push onto a closed pipe fails and is counted by OnDrop.
 }
 
 // drain forwards records from one pipe in pooled batches until the
@@ -191,8 +167,7 @@ func (d *Daemon) Stats() Stats { return d.ctr.stats() }
 
 // BlockedTime returns the cumulative time application processes spent
 // blocked on full pipes, and how many captures blocked — the direct
-// observable of the daemon-bottleneck effect. Non-Block policies never
-// block, so both values stay zero.
+// observable of the daemon-bottleneck effect.
 func (d *Daemon) BlockedTime() (time.Duration, uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -96,16 +96,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return func(o *options) { o.registry = reg }
 }
 
-// WithOverflow selects the overflow policy (and optional spill target)
-// for the LIS's bounded stages — the Daemon's per-process pipes. The
-// default is flow.Block, the paper's §3.2.3 backpressure behaviour.
-func WithOverflow(policy flow.OverflowPolicy, spill flow.Spill) Option {
-	return func(o *options) {
-		o.overflow = policy
-		o.spill = spill
-	}
-}
-
 // WithAsyncFlush decouples capture from transfer: flushed batches are
 // handed to a bounded pending stage (depth pending) drained by a
 // sender goroutine, and the overflow policy governs what happens when
@@ -170,6 +160,10 @@ type Buffered struct {
 	onFull   func(*Buffered) // policy hook; nil means flush self (FOF)
 	ctr      lisCounters
 
+	// flushMu orders flushes: a batch is cut from the buffer and handed
+	// on under it, so batches reach the wire in the order they were
+	// cut and every source's records stay in capture order.
+	flushMu sync.Mutex
 	mu      sync.Mutex
 	buf     []trace.Record
 	stopped bool
@@ -315,6 +309,8 @@ func (b *Buffered) Len() int {
 // mode the batch is enqueued for the sender goroutine and the overflow
 // policy applies when the pending stage is full.
 func (b *Buffered) Flush() error {
+	b.flushMu.Lock()
+	defer b.flushMu.Unlock()
 	b.mu.Lock()
 	if len(b.buf) == 0 {
 		b.mu.Unlock()

@@ -9,7 +9,6 @@ import (
 	"prism/internal/isruntime/metrics"
 	"prism/internal/isruntime/storage"
 	"prism/internal/isruntime/tp"
-	"prism/internal/trace"
 )
 
 func TestPolicyStringUnknown(t *testing.T) {
@@ -204,86 +203,6 @@ func TestAsyncFlushValidation(t *testing.T) {
 	}
 	if _, err := NewBuffered(0, 4, &collectConn{}, WithAsyncFlush(2, flow.OverflowPolicy(9), nil)); err == nil {
 		t.Fatal("invalid policy accepted")
-	}
-	if _, err := NewDaemon(0, &collectConn{}, 4, 4, WithOverflow(flow.OverflowPolicy(9), nil)); err == nil {
-		t.Fatal("daemon invalid policy accepted")
-	}
-}
-
-// TestDaemonOverflowPolicies runs the daemon's pipes under each lossy
-// policy with a wedged transport: Capture must never block, and the
-// losses must be accounted.
-func TestDaemonOverflowPolicies(t *testing.T) {
-	for _, policy := range []flow.OverflowPolicy{flow.DropNewest, flow.DropOldest} {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
-			conn := &blockableConn{gate: make(chan struct{})}
-			d, err := NewDaemon(0, conn, 2, 2, WithOverflow(policy, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.AttachProcess(0)
-			const n = 50
-			captureDone := make(chan struct{})
-			go func() {
-				for i := 0; i < n; i++ {
-					d.Capture(trace.Record{Process: 0, Kind: trace.KindSample})
-				}
-				close(captureDone)
-			}()
-			select {
-			case <-captureDone:
-			case <-time.After(2 * time.Second):
-				t.Fatalf("%v capture blocked", policy)
-			}
-			close(conn.gate)
-			_ = d.Close()
-			st := d.Stats()
-			if st.Dropped == 0 {
-				t.Fatalf("no drops under wedged conn: %+v", st)
-			}
-			// Both lossy policies conserve records: every capture is
-			// either forwarded or dropped (as the arrival itself under
-			// DropNewest, as a displaced victim under DropOldest).
-			if st.Forwarded+st.Dropped != n {
-				t.Fatalf("records unaccounted: %+v", st)
-			}
-			if blocked, blockers := d.BlockedTime(); blocked != 0 || blockers != 0 {
-				t.Fatalf("lossy policy blocked: %v/%d", blocked, blockers)
-			}
-		})
-	}
-}
-
-// TestDaemonSpillToStorage wires a daemon pipe to a tiered store:
-// displaced records are demoted, not lost.
-func TestDaemonSpillToStorage(t *testing.T) {
-	store, err := storage.NewTiered(storage.TieredConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	conn := &blockableConn{gate: make(chan struct{})}
-	d, err := NewDaemon(0, conn, 2, 2, WithOverflow(flow.SpillToStorage, store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AttachProcess(0)
-	const n = 50
-	for i := 0; i < n; i++ {
-		d.Capture(trace.Record{Process: 0, Kind: trace.KindSample, Tag: uint16(i)})
-	}
-	close(conn.gate)
-	_ = d.Close()
-	st := d.Stats()
-	if st.Spilled == 0 {
-		t.Fatalf("nothing spilled: %+v", st)
-	}
-	if got := store.Stats().Appended; got != st.Spilled {
-		t.Fatalf("store holds %d, daemon spilled %d", got, st.Spilled)
-	}
-	if st.Forwarded+st.Spilled+st.Dropped != n {
-		t.Fatalf("records unaccounted: %+v", st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lis
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -219,6 +220,52 @@ func TestBufferedConcurrentCapture(t *testing.T) {
 	_ = b.Flush()
 	if got := conn.records(); got != writers*each {
 		t.Fatalf("forwarded %d of %d", got, writers*each)
+	}
+}
+
+// yieldConn is a collectConn whose Send yields before it records the
+// message, so concurrent flushes race to the wire.
+type yieldConn struct{ collectConn }
+
+func (c *yieldConn) Send(m tp.Message) error {
+	runtime.Gosched()
+	return c.collectConn.Send(m)
+}
+
+// TestBufferedSendsInCaptureOrder: with several processes capturing
+// into one buffered LIS, each process's records reach the wire in
+// capture order. A manager that adopts a source at its first record
+// (ResumeSources) relies on it: a later flush overtaking an earlier one
+// would make the earlier records look like duplicates.
+func TestBufferedSendsInCaptureOrder(t *testing.T) {
+	conn := &yieldConn{}
+	b, _ := NewBuffered(0, 4, conn)
+	const procs, each = 8, 500
+	var wg sync.WaitGroup
+	for p := 0; p < procs; p++ {
+		wg.Add(1)
+		go func(p int32) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				b.Capture(trace.Record{Process: p, Kind: trace.KindUser, Logical: uint64(i)})
+			}
+		}(int32(p))
+	}
+	wg.Wait()
+	_ = b.Flush()
+	var next [procs]uint64
+	for _, m := range conn.messages() {
+		for _, r := range m.Records {
+			if r.Logical != next[r.Process] {
+				t.Fatalf("process %d: record %d reached the wire when %d was due", r.Process, r.Logical, next[r.Process])
+			}
+			next[r.Process]++
+		}
+	}
+	for p, n := range next {
+		if n != each {
+			t.Fatalf("process %d: %d of %d records forwarded", p, n, each)
+		}
 	}
 }
 

@@ -33,19 +33,11 @@ type Config struct {
 	// connected — correct only when downstreams attach before data
 	// flows.
 	Downstreams int
-	// LaneRing bounds each downstream lane's SPSC hand-off ring to the
-	// merger, in batch slots. A full ring backpressures the lane's
-	// serve goroutine, which backpressures the session sender. Zero
-	// means a generous default.
-	LaneRing int
 	// MaxStall bounds how long the merger waits for a silent lane's
 	// watermark before force-dispatching the minimum head out of order
 	// (counted in Stats.OrderBreaks). Zero means wait forever — strict
 	// ordering, at the mercy of the slowest downstream's marks.
 	MaxStall time.Duration
-	// AckEvery is the receipt-ack cadence handed to the session
-	// receiver; the dispatch-gated acks advance independently of it.
-	AckEvery int
 	// Resume seeds a restarted relay from its own durable output: the
 	// records the previous incarnation emitted (its spool, re-read).
 	// Emission counts, causal-merge state and per-source dedup cursors
@@ -82,6 +74,11 @@ type Stats struct {
 // flushBatch bounds the dispatch buffer in records before it is
 // flushed through the tail.
 const flushBatch = 512
+
+// laneRing bounds each downstream lane's SPSC hand-off ring to the
+// merger, in batch slots. A full ring backpressures the lane's serve
+// goroutine, which backpressures the session sender.
+const laneRing = 256
 
 // laneSlot is one ordered, pool-owned sub-batch handed from a lane to
 // the merger, which consumes it record by record: pos is its cursor.
@@ -232,9 +229,6 @@ type Relay struct {
 // New creates and starts a relay. Resume records, if any, are absorbed
 // before any downstream is served.
 func New(cfg Config) *Relay {
-	if cfg.LaneRing <= 0 {
-		cfg.LaneRing = 256
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -264,7 +258,7 @@ func New(cfg Config) *Relay {
 	r.mAcksGated = s.Counter("acks_gated")
 	r.tail = flow.NewTail(cfg.Root, cfg.Spool, r.mDispatch, s.Counter("spool_errors"))
 	r.merge = flow.NewMerger(flow.MergeParams[laneSlot, *lane]{
-		RingCap:     cfg.LaneRing,
+		RingCap:     laneRing,
 		MinLanes:    cfg.Downstreams,
 		StallBudget: cfg.MaxStall,
 		Forced:      r.mBreaks,
@@ -291,8 +285,7 @@ func New(cfg Config) *Relay {
 		r.tail.Observe(*rec)
 	}
 	r.recv = fault.NewReceiver(fault.ReceiverConfig{
-		AckEvery:    cfg.AckEvery,
-		Clock:       cfg.Clock,
+		Clock:       clock,
 		Metrics:     reg,
 		AckFrontier: r.ackFrontier,
 		OnHello:     r.onHello,

@@ -239,7 +239,7 @@ func TestMarkRecordRoundTrip(t *testing.T) {
 // the ack frontier without emitting anything, and acks never run ahead
 // of dispatch.
 func TestRelayAdmissionOrderAndGatedAcks(t *testing.T) {
-	rel := New(Config{Root: true, AckEvery: 1})
+	rel := New(Config{Root: true})
 	var mu sync.Mutex
 	var got []trace.Record
 	rel.SubscribeBatch("collect", func(rs []trace.Record) {
@@ -452,7 +452,7 @@ func TestRelayMaxStallForcesProgress(t *testing.T) {
 // DrainFor must report the stall instead of hanging, and Close's final
 // drain must still dispatch the held records.
 func TestRelayDrainForStalledTail(t *testing.T) {
-	rel := New(Config{Root: true, Downstreams: 2, AckEvery: 1})
+	rel := New(Config{Root: true, Downstreams: 2})
 	var mu sync.Mutex
 	var got []trace.Record
 	rel.SubscribeBatch("collect", func(rs []trace.Record) {
@@ -524,7 +524,7 @@ func TestFederationMergeEquivalence(t *testing.T) {
 	part := skewPartition(nodes, leaves)
 	finalMark := int64(len(all)) + 2
 
-	rel := New(Config{Root: true, AckEvery: 1, Downstreams: leaves})
+	rel := New(Config{Root: true, Downstreams: leaves})
 	var mu sync.Mutex
 	var got []trace.Record
 	rel.SubscribeBatch("collect", func(rs []trace.Record) {
@@ -602,7 +602,7 @@ func TestFederationThreeLevelTree(t *testing.T) {
 	part := skewPartition(nodes, leaves)
 	finalMark := int64(len(all)) + 2
 
-	root := New(Config{Root: true, AckEvery: 1, Downstreams: 2})
+	root := New(Config{Root: true, Downstreams: 2})
 	var mu sync.Mutex
 	var got []trace.Record
 	root.SubscribeBatch("collect", func(rs []trace.Record) {
@@ -616,7 +616,7 @@ func TestFederationThreeLevelTree(t *testing.T) {
 	for i := range inners {
 		a, b := tp.Pipe(256)
 		root.Serve(b)
-		inners[i] = New(Config{AckEvery: 1, Downstreams: 2}) // non-root: pass-through tier
+		inners[i] = New(Config{Downstreams: 2}) // non-root: pass-through tier
 		innerUps[i] = NewUplink(int32(200+i), a, UplinkConfig{BatchSize: 64, Window: 512})
 		inners[i].SubscribeBatch("uplink", innerUps[i].Push)
 	}
@@ -724,7 +724,7 @@ func TestFederationCrashResumeExactlyOnce(t *testing.T) {
 	newIncarnation := func(resume []trace.Record) *Relay {
 		spool := &bytes.Buffer{}
 		spools = append(spools, spool)
-		rel := New(Config{Root: true, AckEvery: 1, Downstreams: leaves, Resume: resume, Spool: spool})
+		rel := New(Config{Root: true, Downstreams: leaves, Resume: resume, Spool: spool})
 		curMu.Lock()
 		cur = rel
 		curMu.Unlock()
@@ -932,7 +932,7 @@ func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	spool := &failAfter{limit: math.MaxInt}
-	first := New(Config{Root: true, AckEvery: 1, Spool: spool})
+	first := New(Config{Root: true, Spool: spool})
 	setCurrent(first)
 	up := NewUplink(100, rd, UplinkConfig{BatchSize: batch, Window: 512})
 	push := func(recs []trace.Record) { // one session batch per `batch` records
@@ -1002,7 +1002,7 @@ func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
 	// The successor rebuilds from the short spool and the replay window
 	// makes up the rest.
 	var rest bytes.Buffer
-	second := New(Config{Root: true, AckEvery: 1, Resume: kept, Spool: &rest})
+	second := New(Config{Root: true, Resume: kept, Spool: &rest})
 	setCurrent(second)
 	drainAll(t, []*Uplink{up}, "successor")
 	second.Drain()

@@ -46,7 +46,8 @@ type TieredConfig struct {
 	// segment. Zero means 1<<14.
 	HotCapacity int
 	// SegmentRecords is the seal granularity — records per segment.
-	// Zero means 1<<13; it must not exceed HotCapacity.
+	// Zero means 1<<13, or HotCapacity if that is smaller; it must not
+	// exceed HotCapacity.
 	SegmentRecords int
 	// WarmLimit is the number of segments per tier file: after
 	// WarmLimit seals the file is closed and its segments turn cold.
@@ -128,7 +129,7 @@ func NewTiered(cfg TieredConfig) (*Tiered, error) {
 		cfg.HotCapacity = 1 << 14
 	}
 	if cfg.SegmentRecords <= 0 {
-		cfg.SegmentRecords = 1 << 13
+		cfg.SegmentRecords = min(1<<13, cfg.HotCapacity)
 	}
 	if cfg.WarmLimit <= 0 {
 		cfg.WarmLimit = 8

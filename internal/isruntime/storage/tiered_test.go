@@ -38,6 +38,19 @@ func TestTieredConfigValidation(t *testing.T) {
 	if _, err := NewTiered(TieredConfig{HotCapacity: 8, SegmentRecords: 16}); err == nil {
 		t.Fatal("SegmentRecords > HotCapacity accepted")
 	}
+	// A hot window below the default segment size seals whole windows:
+	// the default never exceeds the window it is cut from.
+	ts, err := NewTiered(TieredConfig{HotCapacity: 64})
+	if err != nil {
+		t.Fatalf("default SegmentRecords with a 64-record hot window: %v", err)
+	}
+	defer ts.Close()
+	if err := ts.Append(tierRecs(64, 0)...); err != nil {
+		t.Fatal(err)
+	}
+	if st := ts.Stats(); st.Sealed != 64 {
+		t.Fatalf("sealed %d records, want one 64-record segment", st.Sealed)
+	}
 }
 
 // TestTieredFlow drives records through all three tiers and checks the

@@ -7,8 +7,8 @@ package tp
 // fails retryably. It deliberately does NOT retransmit the failed
 // message — Send may have handed a pooled batch to the wire encoder
 // already — recovery of in-flight data is the session layer's job
-// (internal/isruntime/fault), driven by the OnConnect hook that runs
-// on every fresh connection before traffic resumes.
+// (internal/isruntime/fault), driven by the hook (SetOnConnect) that
+// runs on every fresh connection before traffic resumes.
 
 import (
 	"errors"
@@ -26,14 +26,12 @@ type RedialConfig struct {
 	// Dial establishes one underlying connection. Required.
 	Dial func() (Conn, error)
 	// Backoff is the delay before the second connection attempt of an
-	// outage (the first is immediate). Zero keeps retries back-to-back
-	// (useful for in-process transports and deterministic drivers).
+	// outage (the first is immediate); it doubles with every further
+	// attempt. Zero keeps retries back-to-back (useful for in-process
+	// transports and deterministic drivers).
 	Backoff time.Duration
 	// MaxBackoff caps the exponential growth. Zero means 1s.
 	MaxBackoff time.Duration
-	// Multiplier scales the backoff between attempts. Values <= 1
-	// mean 2.
-	Multiplier float64
 	// Jitter is the fraction of each backoff randomized symmetrically
 	// around its nominal value, in [0,1). Zero disables jitter.
 	Jitter float64
@@ -41,17 +39,11 @@ type RedialConfig struct {
 	// deterministically under a fixed seed.
 	Seed uint64
 	// GiveUp bounds the cumulative downtime of one outage: when an
-	// outage's dial attempts have consumed this budget, the Redial
-	// fails permanently with ErrGiveUp. Zero retries forever.
+	// outage's backoff sleeps have consumed this budget, the Redial
+	// fails permanently with ErrGiveUp. Zero retries forever. Downtime
+	// is counted in nominal sleeps, so a positive GiveUp needs a
+	// positive Backoff.
 	GiveUp time.Duration
-	// MaxAttempts bounds the dial attempts of one outage. Zero is
-	// unlimited.
-	MaxAttempts int
-	// OnConnect runs on every established connection (including the
-	// first) before it carries traffic — the session layer's replay
-	// hook. An error discards the connection and counts as a failed
-	// attempt.
-	OnConnect func(Conn) error
 	// Metrics, when non-nil, reports tp.redials, tp.dial_failures and
 	// tp.redial_giveups through the registry.
 	Metrics *metrics.Registry
@@ -94,13 +86,13 @@ func NewRedial(cfg RedialConfig) (*Redial, error) {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = time.Second
 	}
-	if cfg.Multiplier <= 1 {
-		cfg.Multiplier = 2
+	if cfg.GiveUp > 0 && cfg.Backoff <= 0 {
+		return nil, fmt.Errorf("tp: redial give-up budget %v needs a positive backoff: with none, no downtime is ever counted against it", cfg.GiveUp)
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	r := &Redial{cfg: cfg, jitter: rng.New(cfg.Seed), onConnect: cfg.OnConnect}
+	r := &Redial{cfg: cfg, jitter: rng.New(cfg.Seed)}
 	r.cond.L = &r.mu
 	if cfg.Metrics != nil {
 		s := cfg.Metrics.Scope("tp")
@@ -111,10 +103,10 @@ func NewRedial(cfg RedialConfig) (*Redial, error) {
 	return r, nil
 }
 
-// SetOnConnect installs the hook run on every fresh connection before
-// it carries traffic, replacing any configured one. It must be called
-// before the first operation; the session layer uses it to register
-// replay without owning the RedialConfig.
+// SetOnConnect installs the hook run on every established connection
+// (including the first) before it carries traffic — the session
+// layer's replay hook. An error discards the connection and counts as
+// a failed attempt. It must be called before the first operation.
 func (r *Redial) SetOnConnect(fn func(Conn) error) {
 	r.mu.Lock()
 	r.onConnect = fn
@@ -177,12 +169,12 @@ func (r *Redial) current() (Conn, uint64, error) {
 
 // dialLoop runs one outage's reconnection attempts: immediate first
 // try, then exponential backoff with jitter, bounded by the GiveUp
-// budget and MaxAttempts. Runs without the lock; only one goroutine is
-// in here at a time (single-flight via r.dialing).
+// budget. Runs without the lock; only one goroutine is in here at a
+// time (single-flight via r.dialing).
 func (r *Redial) dialLoop() (Conn, error) {
 	backoff := r.cfg.Backoff
 	var downtime time.Duration
-	for attempt := 1; ; attempt++ {
+	for {
 		c, err := r.cfg.Dial()
 		if err == nil {
 			hook := r.hook()
@@ -197,9 +189,6 @@ func (r *Redial) dialLoop() (Conn, error) {
 		if r.dialFailures != nil {
 			r.dialFailures.Inc()
 		}
-		if r.cfg.MaxAttempts > 0 && attempt >= r.cfg.MaxAttempts {
-			return nil, r.giveUp(fmt.Errorf("%w after %d attempts: %v", ErrGiveUp, attempt, err))
-		}
 		if r.isClosed() {
 			return nil, ErrConnClosed
 		}
@@ -211,13 +200,7 @@ func (r *Redial) dialLoop() (Conn, error) {
 		if sleep > 0 {
 			r.cfg.Sleep(sleep)
 		}
-		if backoff == 0 {
-			backoff = r.cfg.Backoff
-		}
-		backoff = time.Duration(float64(backoff) * r.cfg.Multiplier)
-		if backoff > r.cfg.MaxBackoff {
-			backoff = r.cfg.MaxBackoff
-		}
+		backoff = min(2*backoff, r.cfg.MaxBackoff)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -175,21 +176,47 @@ func TestRedialReconnects(t *testing.T) {
 }
 
 func TestRedialGivesUp(t *testing.T) {
+	dials := 0
 	rd, err := NewRedial(RedialConfig{
-		Dial:        func() (Conn, error) { return nil, errors.New("refused") },
-		MaxAttempts: 3,
-		Sleep:       func(time.Duration) {},
+		Dial: func() (Conn, error) {
+			dials++
+			return nil, errors.New("refused")
+		},
+		Backoff: 10 * time.Millisecond,
+		GiveUp:  50 * time.Millisecond,
+		Sleep:   func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rd.Send(DataMessage(0, nil)); !errors.Is(err, ErrGiveUp) {
-		t.Fatalf("exhausted attempts: %v, want ErrGiveUp", err)
+		t.Fatalf("exhausted budget: %v, want ErrGiveUp", err)
+	}
+	// Nominal sleeps of 10, 20 and 40 ms: the third overruns 50 ms, so
+	// the budget runs out at the third failed dial.
+	if dials != 3 {
+		t.Fatalf("dialed %d times before giving up, want 3", dials)
 	}
 	// Give-up is terminal: later operations fail the same way without
 	// dialing again.
 	if err := rd.Send(DataMessage(0, nil)); !errors.Is(err, ErrGiveUp) {
 		t.Fatalf("post-give-up send: %v, want ErrGiveUp", err)
+	}
+}
+
+// TestRedialRejectsUnboundedGiveUp: downtime is counted in nominal
+// backoff sleeps, so a give-up budget without a backoff would never run
+// out and the Redial would dial back-to-back forever.
+func TestRedialRejectsUnboundedGiveUp(t *testing.T) {
+	_, err := NewRedial(RedialConfig{
+		Dial:   func() (Conn, error) { return nil, errors.New("refused") },
+		GiveUp: time.Second,
+	})
+	if err == nil {
+		t.Fatal("GiveUp with zero Backoff accepted")
+	}
+	if !strings.Contains(err.Error(), "backoff") {
+		t.Fatalf("error %q does not name the backoff", err)
 	}
 }
 

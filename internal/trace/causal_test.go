@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"testing"
 
 	"prism/internal/raceflag"
@@ -808,6 +809,55 @@ func TestSequencerAddBatchInPlace(t *testing.T) {
 	}
 	if s.Held() != 1 || s.OutOfOrder() != 1 || s.Sequenced() != 10 {
 		t.Fatalf("held %d outOfOrder %d sequenced %d", s.Held(), s.OutOfOrder(), s.Sequenced())
+	}
+}
+
+// TestSequencerResumeIdentityFromZero: Resume only decides where an
+// unseen source starts. On input that is in program order per source
+// and starts every source at sequence 0 — what one in-order connection
+// per node delivers from a LIS that numbers each source from 0 — the
+// first record of each source is the one a plain sequencer expects, so
+// a resuming sequencer releases a byte-identical stream. Batches mix
+// sources and cut streams at random points, and some are resent after
+// the fact (a session replay), which both sequencers must drop alike.
+func TestSequencerResumeIdentityFromZero(t *testing.T) {
+	for seed := uint64(1); seed <= 32; seed++ {
+		r := rng.New(seed)
+		const nodes, procs = 4, 3
+		var next [nodes][procs]uint64
+		var batches [][]Record
+		var tick int64
+		for len(batches) < 200 {
+			if len(batches) > 0 && r.Intn(10) == 0 {
+				batches = append(batches, batches[r.Intn(len(batches))])
+				continue
+			}
+			node := r.Intn(nodes)
+			batch := make([]Record, 1+r.Intn(16))
+			for i := range batch {
+				p := r.Intn(procs)
+				tick++
+				batch[i] = Record{Node: int32(node), Process: int32(p), Kind: KindUser,
+					Time: tick, Logical: next[node][p], Payload: tick}
+				next[node][p]++
+			}
+			batches = append(batches, batch)
+		}
+		plain, resumed := NewSequencer(), NewSequencer()
+		resumed.Resume()
+		var fromPlain, fromResumed []Record
+		for _, b := range batches {
+			out, _ := plain.AddBatch(append([]Record(nil), b...), func(n int) []Record { return make([]Record, 0, n) })
+			fromPlain = append(fromPlain, out...)
+			out, _ = resumed.AddBatch(append([]Record(nil), b...), func(n int) []Record { return make([]Record, 0, n) })
+			fromResumed = append(fromResumed, out...)
+		}
+		if int(tick) != len(fromPlain) || plain.Held() != 0 {
+			t.Fatalf("seed %d: plain sequencer released %d of %d records, holds %d", seed, len(fromPlain), tick, plain.Held())
+		}
+		if !bytes.Equal(AppendSegment(nil, fromPlain), AppendSegment(nil, fromResumed)) {
+			t.Fatalf("seed %d: Resume changed the released stream", seed)
+		}
 	}
 }
 

@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Prints the size of the code and configuration surface, the numbers
+# every change reports in CHANGES.md and ROADMAP.md:
+#
+#   bash scripts/surface.sh        (or: make surface)
+#
+# - non-test Go lines outside bench/ (tracked .go files, *_test.go
+#   excluded; untracked new files count once they are added);
+# - DESIGN.md lines;
+# - the flags of each cmd/ binary, counted from its -h output, and
+#   their total.
+# The binaries are built into a temporary directory that is removed on
+# exit.
+set -euo pipefail
+
+cd "$(git rev-parse --show-toplevel)"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+loc=$( { git ls-files -co --exclude-standard -- '*.go' | grep -v '_test\.go$' | grep -v '^bench/' || true; } |
+	while read -r f; do [ -f "$f" ] && cat "$f"; done | wc -l)
+printf '%-28s %6d\n' "go non-test LOC (not bench/)" "$loc"
+printf '%-28s %6d\n' "DESIGN.md lines" "$(wc -l <DESIGN.md)"
+
+total=0
+for dir in cmd/*/; do
+	name=$(basename "$dir")
+	go build -o "$tmp/$name" "./$dir"
+	# -h prints the usage and exits 0 (flag.ExitOnError); each flag is
+	# one line indented by two spaces and starting with '-'.
+	n=$( { "$tmp/$name" -h 2>&1 || true; } | grep -c '^  -' || true)
+	printf '%-28s %6d\n' "flags: $name" "$n"
+	total=$((total + n))
+done
+printf '%-28s %6d\n' "flags: total" "$total"
