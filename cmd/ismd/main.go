@@ -15,28 +15,26 @@
 //	ismd [-addr 127.0.0.1:7311] [-spool trace.bin] [-miso] [-stats 2s]
 //	     [-overflow drop-oldest|block|drop-newest|spill] [-publish 0]
 //	     [-degraded-after 5s] [-shards 1] [-spill-dir d] [-spill-hot 16384]
-//	ismd -relay -downstreams N [-max-stall 0]
-//	     [-resume-spool trace.bin] [-spool trace.bin] [-addr ...]
-//	ismd -uplink relayaddr [-uplink-node 1] [-uplink-batch 512]
-//	     [-uplink-window 0] [-mark-interval 1s] [-addr ...]
+//	ismd leaf -uplink relayaddr [-uplink-node 1] [-uplink-batch 512]
+//	     [-uplink-window 0] [-mark-interval 1s] [the flat flags but -miso]
+//	ismd relay [-downstreams 0] [-max-stall 0] [-resume-spool trace.bin]
+//	     [-addr ...] [-spool ...] [-stats ...] [-degraded-after ...]
 //
-// The last two forms are the federated tier. -relay runs a root relay
-// manager instead of a leaf ISM: downstream managers connect over the
-// session protocol, each gets its own admission lane, and the relay
-// k-way merges the lane streams into one causally ordered root trace,
-// acknowledging a downstream batch only once every record in it has
-// been merged. -downstreams declares the expected fan-in so the merge
-// holds dispatch until every lane has attached; -resume-spool rebuilds
-// a restarted relay's dedup and causal state from its previous spool
-// (point both it and -spool at the same file for an appending
-// crash-restart). -uplink turns a leaf ISM into a federation
-// downstream: its merged output is batched through a replaying session
-// to the relay at the given address, with watermark beacons every
-// -mark-interval. Uplink leaves run SISO with deferred causal
-// stamping — the relay performs the cross-manager causal merge, and
-// SISO injection is what keeps the leaf's dispatch nondecreasing in
-// capture Time, the watermark contract the relay's merge rests on
-// (-miso is rejected).
+// The role word picks the node of the federated tier, and each role
+// defines only the flags it reads. A relay is the root manager:
+// downstream managers connect over the session protocol, each gets its
+// own admission lane, and the relay k-way merges the lanes into one
+// causally ordered root trace, acknowledging a downstream batch only
+// once every record in it has been merged. -downstreams declares the
+// fan-in the merge waits for; -resume-spool rebuilds a restarted
+// relay's dedup and causal state from its previous spool (point it and
+// -spool at the same file for an appending crash-restart). A leaf
+// forwards its merged output through a replaying session to the relay
+// at -uplink, with watermark beacons every -mark-interval. It runs SISO
+// with deferred causal stamping: the relay performs the cross-manager
+// causal merge, and SISO injection keeps the leaf's dispatch
+// nondecreasing in capture Time, the watermark contract the relay's
+// merge rests on.
 //
 // With -overflow spill, records displaced from the input stage demote
 // into a tiered columnar store (hot in-memory window, then compressed
@@ -53,7 +51,7 @@
 // and replays after a network fault delivers every batch exactly once,
 // and plain nodes' unsequenced batches pass through untouched. A
 // restarted manager adopts each node's stream where its replay resumes.
-// -degraded-after flags nodes whose traffic and heartbeats fall silent
+// -degraded-after flags peers whose traffic and heartbeats fall silent
 // for longer than the given budget in the periodic stats line.
 package main
 
@@ -78,6 +76,105 @@ import (
 	"prism/internal/report"
 	"prism/internal/trace"
 )
+
+// settings holds what any role can be told. A role's flag set defines
+// only the fields that role reads; the rest keep their zero values.
+type settings struct {
+	role                 string // "" (flat), "leaf" or "relay"
+	addr, spool          string
+	stats, degradedAfter time.Duration
+	// flat and leaf; -miso is flat only
+	miso               bool
+	overflow, spillDir string
+	spillHot, shards   int
+	publish            time.Duration
+	// leaf
+	uplink                                string
+	uplinkNode, uplinkBatch, uplinkWindow int
+	markInterval                          time.Duration
+	// relay
+	downstreams int
+	maxStall    time.Duration
+	resumeSpool string
+}
+
+// overflowPolicies maps -overflow to the ISM input stage's policy.
+var overflowPolicies = map[string]flow.OverflowPolicy{
+	"drop-oldest": flow.DropOldest,
+	"block":       flow.Block,
+	"drop-newest": flow.DropNewest,
+	"spill":       flow.SpillToStorage,
+}
+
+// parseArgs reads the role word, if any, then that role's flags.
+// handling and out go to the role's flag.FlagSet.
+func parseArgs(args []string, handling flag.ErrorHandling, out io.Writer) (*settings, error) {
+	s := &settings{}
+	if len(args) > 0 && (args[0] == "leaf" || args[0] == "relay") {
+		s.role, args = args[0], args[1:]
+	}
+	fs := flag.NewFlagSet(strings.TrimSpace("ismd "+s.role), handling)
+	fs.SetOutput(out)
+	fs.Usage = func() {
+		fmt.Fprintf(out, "usage: %s [flags]  (roles: ismd, ismd leaf -uplink RELAY, ismd relay)\n", fs.Name())
+		fs.PrintDefaults()
+	}
+	fs.StringVar(&s.addr, "addr", "127.0.0.1:7311", "listen address")
+	fs.StringVar(&s.spool, "spool", "", "spool merged trace to this file")
+	fs.DurationVar(&s.stats, "stats", 2*time.Second, "statistics print interval")
+	fs.DurationVar(&s.degradedAfter, "degraded-after", 5*time.Second, "report peers silent for longer than this as degraded (0 disables)")
+	if s.role == "relay" {
+		fs.IntVar(&s.downstreams, "downstreams", 0, "expected downstream managers; the merge holds dispatch until all have attached (0 dispatches as lanes appear)")
+		fs.DurationVar(&s.maxStall, "max-stall", 0, "bound the merge wait on a lagging lane's watermark before force-dispatching out of order (0 waits forever)")
+		fs.StringVar(&s.resumeSpool, "resume-spool", "", "rebuild emission and dedup state from this previous spool before serving")
+	} else {
+		if s.role == "" {
+			fs.BoolVar(&s.miso, "miso", false, "use MISO input buffering (default SISO)")
+		}
+		fs.StringVar(&s.overflow, "overflow", "drop-oldest", "input overflow policy: drop-oldest, block, drop-newest or spill")
+		fs.StringVar(&s.spillDir, "spill-dir", "", "with -overflow spill, store tiered segments as files under this directory (default in-memory)")
+		fs.IntVar(&s.spillHot, "spill-hot", 1<<14, "tiered spill hot-window capacity in records")
+		fs.DurationVar(&s.publish, "publish", 0, "self-publish runtime metrics into the stream at this interval (0 disables)")
+		fs.IntVar(&s.shards, "shards", 1, "ingest shards; sources hash across per-shard orderer lanes that frontier-merge before dispatch")
+	}
+	if s.role == "leaf" {
+		fs.StringVar(&s.uplink, "uplink", "", "forward this leaf's merged output to the relay at this address (required)")
+		fs.IntVar(&s.uplinkNode, "uplink-node", 1, "this manager's downstream id on the relay (unique per relay)")
+		fs.IntVar(&s.uplinkBatch, "uplink-batch", 512, "records per uplink flush")
+		fs.IntVar(&s.uplinkWindow, "uplink-window", 0, "session replay window in unacked batches (0 means the session default)")
+		fs.DurationVar(&s.markInterval, "mark-interval", time.Second, "watermark beacon cadence")
+	}
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q: the role word (leaf or relay) comes before the flags", fs.Arg(0))
+	}
+	if s.role == "relay" {
+		const maxDownstreams = 4096
+		if s.downstreams < 0 || s.downstreams > maxDownstreams {
+			return nil, fmt.Errorf("-downstreams must be between 0 and %d, got %d", maxDownstreams, s.downstreams)
+		}
+		return s, nil
+	}
+	if s.role == "leaf" && s.uplink == "" {
+		return nil, errors.New("leaf: -uplink is required")
+	}
+	// Shard misconfiguration fails fast rather than being silently
+	// clamped: a lane per shard is a real goroutine plus a bounded ring,
+	// so an absurd count is a deployment mistake.
+	const maxShards = 256
+	if s.shards < 1 || s.shards > maxShards {
+		return nil, fmt.Errorf("-shards must be between 1 and %d, got %d", maxShards, s.shards)
+	}
+	if _, ok := overflowPolicies[s.overflow]; !ok {
+		return nil, fmt.Errorf("unknown overflow policy %q", s.overflow)
+	}
+	if err := validateOverflowFlags(fs, s.overflow); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 // spillOnlyFlags configure the tiered spill store and mean nothing
 // under any other overflow policy.
@@ -108,54 +205,6 @@ func validateOverflowFlags(fs *flag.FlagSet, overflow string) error {
 		strings.Join(stray, ", "), overflow)
 }
 
-// relayOnlyFlags configure the relay merge tier and mean nothing on a
-// leaf ISM.
-var relayOnlyFlags = map[string]bool{
-	"downstreams":  true,
-	"max-stall":    true,
-	"resume-spool": true,
-}
-
-// uplinkOnlyFlags configure the leaf-to-relay uplink session and mean
-// nothing without -uplink.
-var uplinkOnlyFlags = map[string]bool{
-	"uplink-node":   true,
-	"uplink-batch":  true,
-	"uplink-window": true,
-	"mark-interval": true,
-}
-
-// validateModeFlags rejects federation flags that contradict the
-// selected mode: -relay and -uplink are mutually exclusive roles,
-// relay tuning is rejected on leaves, uplink tuning is rejected
-// without an uplink, and -miso is rejected in both federated roles —
-// a relay has no input stage to buffer, and an uplink leaf must
-// dispatch in nondecreasing capture Time, which only SISO staging
-// preserves (MISO's round-robin pop reorders across sources and would
-// let the leaf's watermark overclaim).
-func validateModeFlags(fs *flag.FlagSet, relayMode bool, uplink string) error {
-	if relayMode && uplink != "" {
-		return errors.New("-relay and -uplink are mutually exclusive: a manager is either the federation's merge tier or a downstream of one")
-	}
-	var stray []string
-	fs.Visit(func(f *flag.Flag) {
-		switch {
-		case !relayMode && relayOnlyFlags[f.Name]:
-			stray = append(stray, "-"+f.Name+" (needs -relay)")
-		case uplink == "" && uplinkOnlyFlags[f.Name]:
-			stray = append(stray, "-"+f.Name+" (needs -uplink)")
-		case f.Name == "miso" && relayMode:
-			stray = append(stray, "-miso (a relay has no input stage)")
-		case f.Name == "miso" && uplink != "":
-			stray = append(stray, "-miso (uplink leaves must dispatch in capture-Time order; only SISO staging preserves it)")
-		}
-	})
-	if len(stray) == 0 {
-		return nil
-	}
-	return errors.New(strings.Join(stray, "; "))
-}
-
 // wireStatLines renders the shutdown wire-volume summary from the
 // transport counters: absolute bytes each way and the per-record wire
 // cost actually achieved, the figure that shows whether columnar
@@ -173,12 +222,6 @@ func wireStatLines(snap metrics.Snapshot) []string {
 	line("tx", snap.Value("tp.bytes_tx"), snap.Value("tp.recs_tx"))
 	line("rx", snap.Value("tp.bytes_rx"), snap.Value("tp.recs_rx"))
 	return out
-}
-
-func printWireStats(snap metrics.Snapshot) {
-	for _, l := range wireStatLines(snap) {
-		fmt.Println(l)
-	}
 }
 
 // loadResume reads a relay's previous spool for relay.Config.Resume.
@@ -215,155 +258,65 @@ func loadResume(path string, truncate bool) ([]trace.Record, error) {
 	return recs, nil
 }
 
-// runRelay is the -relay mode: a root relay manager merging downstream
-// manager sessions into the single causally ordered root trace.
-func runRelay(addr, spool, resumeSpool string, downstreams int, maxStall, statsEvery, degradedAfter time.Duration) {
-	reg := metrics.NewRegistry()
-	// A restarted relay re-reads its previous spool: emission counts,
-	// causal-merge state and per-source dedup cursors are rebuilt from
-	// it, so downstream at-least-once replays dedupe record-granularly
-	// instead of duplicating the root trace.
-	var resume []trace.Record
-	if resumeSpool != "" {
-		var err error
-		if resume, err = loadResume(resumeSpool, spool == resumeSpool); err != nil {
-			log.Fatalf("ismd: resume spool: %v", err)
-		}
-		log.Printf("ismd: resuming from %s (%d records)", resumeSpool, len(resume))
-	}
-	cfg := relay.Config{
-		Root:        true,
-		Downstreams: downstreams,
-		MaxStall:    maxStall,
-		Resume:      resume,
-		Metrics:     reg,
-	}
-	var spoolFile *os.File
-	if spool != "" {
-		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if spool == resumeSpool {
-			// Same file as the resume source: the previous incarnation's
-			// output is the prefix of this one's, so append, don't
-			// truncate.
-			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		f, err := os.OpenFile(spool, mode, 0o644)
-		if err != nil {
-			log.Fatalf("ismd: %v", err)
-		}
-		defer f.Close()
-		cfg.Spool = f
-		spoolFile = f
-	}
-	rel := relay.New(cfg)
-	ln, err := tp.Listen(addr, tp.WithConnMetrics(reg))
-	if err != nil {
-		log.Fatalf("ismd: %v", err)
-	}
-	log.Printf("ismd: relay listening on %s (downstreams=%d max-stall=%s)", ln.Addr(), downstreams, maxStall)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			log.Printf("ismd: downstream connected")
-			rel.Serve(conn)
-		}
-	}()
-
-	ticker := time.NewTicker(statsEvery)
-	defer ticker.Stop()
-	interrupt := make(chan os.Signal, 1)
-	signal.Notify(interrupt, os.Interrupt)
-	for {
-		select {
-		case <-ticker.C:
-			st := rel.Stats()
-			log.Printf("ismd: lanes=%d merged=%d held=%d stalls=%d order-breaks=%d marks=%d frontier=%d",
-				st.Lanes, st.Dispatched, st.Held, st.Stalls, st.OrderBreaks, st.Marks, rel.Watermark())
-			if degradedAfter > 0 {
-				if deg := rel.Degraded(degradedAfter); len(deg) > 0 {
-					log.Printf("ismd: degraded downstreams (silent > %s): %v", degradedAfter, deg)
-				}
-			}
-		case <-interrupt:
-			log.Printf("ismd: shutting down")
-			ln.Close()
-			// Bounded drain: an unbounded Drain can never finish when
-			// downstream clocks aren't comparable (one leaf's final mark
-			// trails another leaf's tail) or a downstream died without
-			// sealing. Close's final drain dispatches whatever the
-			// watermark rule still holds, and the unacked batches stay
-			// covered by the downstream replay windows.
-			if !rel.DrainFor(5 * time.Second) {
-				log.Printf("ismd: drain incomplete after 5s (stalled watermarks or silent downstreams); final drain dispatches held records")
-			}
-			if err := rel.Close(); err != nil {
-				log.Printf("ismd: close: %v", err)
-			}
-			st := rel.Stats()
-			fmt.Printf("final: lanes=%d merged=%d resumes=%d stalls=%d order-breaks=%d dup-records=%d partition-rejects=%d marks=%d held=%d session-dups=%d\n",
-				st.Lanes, st.Dispatched, st.Resumes, st.Stalls, st.OrderBreaks,
-				st.DupRecords, st.PartitionRejects, st.Marks, st.Held, st.SessionDups)
-			snap := reg.Snapshot()
-			printWireStats(snap)
-			if err := report.RenderMetrics(os.Stdout, "Relay runtime metrics", snap); err != nil {
-				log.Printf("ismd: metrics: %v", err)
-			}
-			if spoolFile != nil {
-				fmt.Printf("root trace spooled to %s\n", spoolFile.Name())
-			}
-			return
-		}
-	}
+// manager is what the lifecycle needs of an ISM or a relay.
+type manager interface {
+	Serve(tp.Conn)
+	Degraded(silence time.Duration) []int32
+	Metrics() *metrics.Registry
+	Close() error
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:7311", "listen address")
-	spool := flag.String("spool", "", "spool merged trace to this file")
-	miso := flag.Bool("miso", false, "use MISO input buffering (default SISO)")
-	statsEvery := flag.Duration("stats", 2*time.Second, "statistics print interval")
-	overflow := flag.String("overflow", "drop-oldest", "input overflow policy: drop-oldest, block, drop-newest or spill")
-	spillDir := flag.String("spill-dir", "", "with -overflow spill, store tiered segments as files under this directory (default in-memory)")
-	spillHot := flag.Int("spill-hot", 1<<14, "tiered spill hot-window capacity in records")
-	publish := flag.Duration("publish", 0, "self-publish runtime metrics into the stream at this interval (0 disables)")
-	degradedAfter := flag.Duration("degraded-after", 5*time.Second, "report nodes silent for longer than this as degraded (0 disables)")
-	shards := flag.Int("shards", 1, "ingest shards; sources hash across per-shard orderer lanes that frontier-merge before dispatch")
-	relayMode := flag.Bool("relay", false, "run a root relay manager: merge downstream manager sessions instead of LIS nodes")
-	downstreams := flag.Int("downstreams", 0, "with -relay, expected downstream managers; the merge holds dispatch until all have attached (0 dispatches as lanes appear)")
-	maxStall := flag.Duration("max-stall", 0, "with -relay, bound the merge wait on a lagging lane's watermark before force-dispatching out of order (0 waits forever)")
-	resumeSpool := flag.String("resume-spool", "", "with -relay, rebuild emission and dedup state from this previous spool before serving")
-	uplink := flag.String("uplink", "", "run as a federation downstream: forward this leaf's merged output to the relay at this address")
-	uplinkNode := flag.Int("uplink-node", 1, "with -uplink, this manager's downstream id on the relay (unique per relay)")
-	uplinkBatch := flag.Int("uplink-batch", 512, "with -uplink, records per uplink flush")
-	uplinkWindow := flag.Int("uplink-window", 0, "with -uplink, session replay window in unacked batches (0 means the session default)")
-	markInterval := flag.Duration("mark-interval", time.Second, "with -uplink, watermark beacon cadence")
-	flag.Parse()
+// role is one running ismd role as the shared lifecycle drives it: its
+// manager, the lines it reports and its drain. run does the rest.
+type role struct {
+	*settings
+	mgr    manager
+	desc   string // logged with the listen address
+	title  string // the shutdown metrics table's heading
+	spool  *os.File
+	status func() string       // the periodic status line
+	drain  func(out io.Writer) // after the listener closes, before Close
+	final  func(out io.Writer) // the role's lines after Close
+}
 
-	if err := validateModeFlags(flag.CommandLine, *relayMode, *uplink); err != nil {
-		log.Fatalf("ismd: %v", err)
-	}
-	if *relayMode {
-		const maxDownstreams = 4096
-		if *downstreams < 0 || *downstreams > maxDownstreams {
-			log.Fatalf("ismd: -downstreams must be between 0 and %d, got %d", maxDownstreams, *downstreams)
+// newRole builds and starts the manager the settings name: a relay, or
+// an ISM that a leaf uplinks to its relay.
+func newRole(s *settings) (*role, error) {
+	r := &role{settings: s}
+	// A restarted relay re-reads its previous spool, before the spool
+	// reopens: emission counts, causal-merge state and per-source dedup
+	// cursors are rebuilt from it, so downstream at-least-once replays
+	// dedupe record-granularly instead of duplicating the root trace.
+	var resume []trace.Record
+	if s.resumeSpool != "" {
+		var err error
+		if resume, err = loadResume(s.resumeSpool, s.spool == s.resumeSpool); err != nil {
+			return nil, fmt.Errorf("resume spool: %w", err)
 		}
-		runRelay(*addr, *spool, *resumeSpool, *downstreams, *maxStall, *statsEvery, *degradedAfter)
-		return
+		log.Printf("ismd: resuming from %s (%d records)", s.resumeSpool, len(resume))
 	}
+	if s.spool != "" {
+		// A relay resuming from its own spool appends to it: the previous
+		// incarnation's output is the prefix of this one's.
+		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+		if s.spool == s.resumeSpool {
+			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
+		}
+		var err error
+		if r.spool, err = os.OpenFile(s.spool, mode, 0o644); err != nil {
+			return nil, err
+		}
+	}
+	if s.role == "relay" {
+		r.startRelay(resume)
+		return r, nil
+	}
+	return r, r.startISM()
+}
 
-	// Shard misconfiguration fails fast rather than being silently
-	// clamped: a lane per shard is a real goroutine plus a bounded ring,
-	// so an absurd count is a deployment mistake.
-	const maxShards = 256
-	if *shards < 1 || *shards > maxShards {
-		log.Fatalf("ismd: -shards must be between 1 and %d, got %d", maxShards, *shards)
-	}
-	if err := validateOverflowFlags(flag.CommandLine, *overflow); err != nil {
-		log.Fatalf("ismd: %v", err)
-	}
-
+// startISM starts the flat manager or a leaf.
+func (r *role) startISM() error {
+	s := r.settings
 	reg := metrics.NewRegistry()
 	// ResumeSources: a restarted manager is re-served by sessions
 	// replaying only their unacked suffix, so the orderer must adopt
@@ -374,192 +327,242 @@ func main() {
 	cfg := ism.Config{
 		Buffering: ism.SISO, Ordered: true, Metrics: reg,
 		ResumeSources: true,
-		Shards:        *shards,
+		Shards:        s.shards,
+		Overflow:      overflowPolicies[s.overflow],
 		// A federation downstream defers causal stamping to the relay:
 		// the leaf restamps Logical with contiguous per-source uplink
 		// sequences and the root's causal merge assigns Lamport clocks.
-		DeferCausal: *uplink != "",
+		DeferCausal: s.role == "leaf",
 	}
-	if *miso {
+	if s.miso {
 		cfg.Buffering = ism.MISO
 	}
 	var tier *storage.Tiered
-	switch *overflow {
-	case "drop-oldest":
-		cfg.Overflow = flow.DropOldest
-	case "block":
-		cfg.Overflow = flow.Block
-	case "drop-newest":
-		cfg.Overflow = flow.DropNewest
-	case "spill":
+	if cfg.Overflow == flow.SpillToStorage {
 		// Displaced records demote into a tiered columnar store instead
 		// of being lost: hot in-memory window, then sealed segments
 		// appended to tier files.
 		var err error
-		tier, err = storage.NewTiered(storage.TieredConfig{
-			HotCapacity: *spillHot,
-			Dir:         *spillDir,
-			Metrics:     reg,
-		})
+		tier, err = storage.NewTiered(storage.TieredConfig{HotCapacity: s.spillHot, Dir: s.spillDir, Metrics: reg})
 		if err != nil {
-			log.Fatalf("ismd: %v", err)
+			return err
 		}
-		cfg.Overflow = flow.SpillToStorage
 		cfg.OverflowSpill = tier
-	default:
-		log.Fatalf("ismd: unknown overflow policy %q", *overflow)
 	}
-	var spoolFile *os.File
-	if *spool != "" {
-		f, err := os.Create(*spool)
-		if err != nil {
-			log.Fatalf("ismd: %v", err)
-		}
-		defer f.Close()
-		cfg.Spool = f
-		spoolFile = f
+	if r.spool != nil {
+		cfg.Spool = r.spool
 	}
-
 	clock := event.NewRealClock()
-	manager := ism.New(cfg, clock)
+	m := ism.New(cfg, clock)
+
 	var up *relay.Uplink
-	if *uplink != "" {
-		relayAddr := *uplink
+	stopBeacons := make(chan struct{})
+	if s.role == "leaf" {
 		rd, err := tp.NewRedial(tp.RedialConfig{
-			Dial:    func() (tp.Conn, error) { return tp.Dial(relayAddr, tp.WithConnMetrics(reg)) },
+			Dial:    func() (tp.Conn, error) { return tp.Dial(s.uplink, tp.WithConnMetrics(reg)) },
 			Backoff: 50 * time.Millisecond,
 			Metrics: reg,
 		})
 		if err != nil {
-			log.Fatalf("ismd: %v", err)
+			return err
 		}
-		up = relay.NewUplink(int32(*uplinkNode), rd, relay.UplinkConfig{
-			BatchSize: *uplinkBatch,
-			Window:    *uplinkWindow,
-			Metrics:   reg,
+		up = relay.NewUplink(int32(s.uplinkNode), rd, relay.UplinkConfig{
+			BatchSize: s.uplinkBatch, Window: s.uplinkWindow, Metrics: reg,
 		})
-		manager.SubscribeBatch("uplink", up.Push)
+		m.SubscribeBatch("uplink", up.Push)
 		log.Printf("ismd: uplink to %s as downstream %d (batch=%d mark-interval=%s)",
-			relayAddr, *uplinkNode, *uplinkBatch, *markInterval)
+			s.uplink, s.uplinkNode, s.uplinkBatch, s.markInterval)
+		if s.markInterval > 0 {
+			// Watermark beacons let the relay's merge release other lanes'
+			// records past this leaf's quiet periods without waiting for
+			// the next data flush.
+			go func() {
+				t := time.NewTicker(s.markInterval)
+				defer t.Stop()
+				for {
+					select {
+					case <-t.C:
+						up.Beacon()
+					case <-stopBeacons:
+						return
+					}
+				}
+			}()
+		}
 	}
-	ln, err := tp.Listen(*addr, tp.WithConnMetrics(reg))
-	if err != nil {
-		log.Fatalf("ismd: %v", err)
+	// The manager's own metrics flow through the same pipeline as
+	// application data, attributed to synthetic node -1.
+	stopPublish := make(chan struct{})
+	if s.publish > 0 {
+		pub := metrics.NewPublisher(reg, -1, clock, metrics.SinkFunc(func(r trace.Record) {
+			m.Inject(tp.DataMessage(-1, []trace.Record{r}))
+		}))
+		go pub.Run(stopPublish, s.publish)
 	}
-	log.Printf("ismd: %s ISM listening on %s", cfg.Buffering, ln.Addr())
+	r.mgr = m
 	// The effective topology, post-defaulting and ring rounding — the
 	// same figures the metrics snapshot reports as ism.shards and
 	// ism.merge_ring_capacity.
-	log.Printf("ismd: shards=%d merge-ring=%d overflow=%s ordered=%v",
-		manager.ShardCount(), manager.MergeRingCap(), *overflow, cfg.Ordered)
-
-	stopBeacon := make(chan struct{})
-	if up != nil && *markInterval > 0 {
-		// Watermark beacons let the relay's merge release other lanes'
-		// records past this leaf's quiet periods without waiting for the
-		// next data flush.
-		go func() {
-			t := time.NewTicker(*markInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					up.Beacon()
-				case <-stopBeacon:
-					return
-				}
+	r.desc = fmt.Sprintf("%s ISM (shards=%d merge-ring=%d overflow=%s ordered=%v)",
+		cfg.Buffering, m.ShardCount(), m.MergeRingCap(), s.overflow, cfg.Ordered)
+	r.title = "ISM runtime metrics"
+	r.status = func() string {
+		st := m.Stats()
+		return fmt.Sprintf("arrived=%d dispatched=%d held=%d holdback=%.3f mean-latency=%s",
+			st.Arrived, st.Dispatched, st.Held, st.HoldBackRatio, time.Duration(st.MeanLatencyNs))
+	}
+	r.drain = func(out io.Writer) {
+		close(stopPublish)
+		m.Broadcast(tp.CtlShutdown, 0)
+		m.Drain()
+		if up == nil {
+			return
+		}
+		// Seal the uplink: flush the tail, promise the relay nothing
+		// older is coming, and drive the replay window empty — an empty
+		// window means every record is merged at the root, not merely
+		// delivered.
+		close(stopBeacons)
+		up.Flush()
+		up.Beacon()
+		up.Drain(5 * time.Second)
+		fmt.Fprintf(out, "uplink: unacked-batches=%d\n", up.Pending())
+		if err := up.Close(); err != nil {
+			log.Printf("ismd: uplink close: %v", err)
+		}
+	}
+	r.final = func(out io.Writer) {
+		st := m.Stats()
+		fmt.Fprintf(out, "final: arrived=%d dispatched=%d out-of-order=%d hold-back=%.3f merge-stalls=%d\n",
+			st.Arrived, st.Dispatched, st.OutOfOrder, st.HoldBackRatio, st.MergeStalls)
+		if tier != nil {
+			// ISM.Close already flushed the hot window through the
+			// OverflowSpill Flush hook; Close here closes the tier file.
+			if err := tier.Close(); err != nil {
+				log.Printf("ismd: spill tier: %v", err)
 			}
-		}()
+			ts := tier.Stats()
+			fmt.Fprintf(out, "spill tier: appended=%d sealed=%d warm=%d cold=%d disk-bytes=%d\n",
+				ts.Appended, ts.Sealed, ts.WarmSegments, ts.ColdSegments, ts.BytesToDisk)
+		}
+		snap := reg.Snapshot()
+		fmt.Fprintf(out, "session: hellos=%g dup-batches=%g gaps-opened=%g\n",
+			snap.Value("session.hellos"), snap.Value("session.dup_batches"), snap.Value("session.gap_batches"))
 	}
+	return nil
+}
 
-	stopPublish := make(chan struct{})
-	if *publish > 0 {
-		// The manager's own metrics flow through the same pipeline as
-		// application data, attributed to synthetic node -1.
-		pub := metrics.NewPublisher(reg, -1, clock, metrics.SinkFunc(func(r trace.Record) {
-			manager.Inject(tp.DataMessage(-1, []trace.Record{r}))
-		}))
-		go pub.Run(stopPublish, *publish)
+// startRelay starts a root relay merging downstream manager sessions
+// into the single causally ordered root trace.
+func (r *role) startRelay(resume []trace.Record) {
+	s := r.settings
+	cfg := relay.Config{Root: true, Downstreams: s.downstreams, MaxStall: s.maxStall, Resume: resume, Metrics: metrics.NewRegistry()}
+	if r.spool != nil {
+		cfg.Spool = r.spool
 	}
+	rel := relay.New(cfg)
+	r.mgr = rel
+	r.desc = fmt.Sprintf("relay (downstreams=%d max-stall=%s)", s.downstreams, s.maxStall)
+	r.title = "Relay runtime metrics"
+	r.status = func() string {
+		st := rel.Stats()
+		return fmt.Sprintf("lanes=%d merged=%d held=%d stalls=%d order-breaks=%d marks=%d frontier=%d",
+			st.Lanes, st.Dispatched, st.Held, st.Stalls, st.OrderBreaks, st.Marks, rel.Watermark())
+	}
+	r.drain = func(io.Writer) {
+		// Bounded drain: an unbounded Drain can never finish when
+		// downstream clocks aren't comparable (one leaf's final mark
+		// trails another leaf's tail) or a downstream died without
+		// sealing. Close's final drain dispatches whatever the watermark
+		// rule still holds, and the unacked batches stay covered by the
+		// downstream replay windows.
+		if !rel.DrainFor(5 * time.Second) {
+			log.Printf("ismd: drain incomplete after 5s (stalled watermarks or silent downstreams); final drain dispatches held records")
+		}
+	}
+	r.final = func(out io.Writer) {
+		st := rel.Stats()
+		fmt.Fprintf(out, "final: lanes=%d merged=%d resumes=%d stalls=%d order-breaks=%d dup-records=%d partition-rejects=%d marks=%d held=%d session-dups=%d\n",
+			st.Lanes, st.Dispatched, st.Resumes, st.Stalls, st.OrderBreaks,
+			st.DupRecords, st.PartitionRejects, st.Marks, st.Held, st.SessionDups)
+	}
+}
 
+// run is the lifecycle every role shares: accept connections on ln
+// and serve them, log the status line and any degraded peers every
+// -stats, and once stop closes, drain, close the manager and report to
+// out — the final lines, wire summary, registry table and spool line.
+func (r *role) run(ln *tp.Listener, stop <-chan struct{}, out io.Writer) {
+	log.Printf("ismd: %s listening on %s", r.desc, ln.Addr())
+	accepting := make(chan struct{})
 	go func() {
+		defer close(accepting)
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			log.Printf("ismd: LIS connected")
-			manager.Serve(conn)
+			log.Printf("ismd: connection accepted")
+			r.mgr.Serve(conn)
 		}
 	}()
-
-	ticker := time.NewTicker(*statsEvery)
+	ticker := time.NewTicker(r.stats)
 	defer ticker.Stop()
-	interrupt := make(chan os.Signal, 1)
-	signal.Notify(interrupt, os.Interrupt)
 	for {
 		select {
 		case <-ticker.C:
-			st := manager.Stats()
-			log.Printf("ismd: arrived=%d dispatched=%d held=%d holdback=%.3f mean-latency=%s",
-				st.Arrived, st.Dispatched, st.Held, st.HoldBackRatio,
-				time.Duration(st.MeanLatencyNs))
-			if *degradedAfter > 0 {
-				if deg := manager.Degraded(*degradedAfter); len(deg) > 0 {
-					log.Printf("ismd: degraded nodes (silent > %s): %v", *degradedAfter, deg)
+			log.Printf("ismd: %s", r.status())
+			if r.degradedAfter > 0 {
+				if deg := r.mgr.Degraded(r.degradedAfter); len(deg) > 0 {
+					log.Printf("ismd: degraded peers (silent > %s): %v", r.degradedAfter, deg)
 				}
 			}
-		case <-interrupt:
+		case <-stop:
 			log.Printf("ismd: shutting down")
-			close(stopPublish)
-			manager.Broadcast(tp.CtlShutdown, 0)
 			ln.Close()
-			manager.Drain()
-			if up != nil {
-				// Seal the uplink: flush the tail, promise the relay nothing
-				// older is coming, and drive the replay window empty — an
-				// empty window means every record is merged at the root, not
-				// merely delivered.
-				close(stopBeacon)
-				up.Flush()
-				up.Beacon()
-				deadline := time.Now().Add(5 * time.Second)
-				for up.Pending() > 0 && time.Now().Before(deadline) {
-					_ = up.Resend()
-					up.WaitAcked(100 * time.Millisecond)
-				}
-				fmt.Printf("uplink: unacked-batches=%d\n", up.Pending())
-				if err := up.Close(); err != nil {
-					log.Printf("ismd: uplink close: %v", err)
-				}
-			}
-			if err := manager.Close(); err != nil {
+			<-accepting // no Serve races the manager's Close
+			r.drain(out)
+			if err := r.mgr.Close(); err != nil {
 				log.Printf("ismd: close: %v", err)
 			}
-			st := manager.Stats()
-			fmt.Printf("final: arrived=%d dispatched=%d out-of-order=%d hold-back=%.3f merge-stalls=%d\n",
-				st.Arrived, st.Dispatched, st.OutOfOrder, st.HoldBackRatio, st.MergeStalls)
-			if tier != nil {
-				// ISM.Close already flushed the hot window through the
-				// OverflowSpill Flush hook; Close here closes the tier file.
-				if err := tier.Close(); err != nil {
-					log.Printf("ismd: spill tier: %v", err)
-				}
-				ts := tier.Stats()
-				fmt.Printf("spill tier: appended=%d sealed=%d warm=%d cold=%d disk-bytes=%d\n",
-					ts.Appended, ts.Sealed, ts.WarmSegments, ts.ColdSegments, ts.BytesToDisk)
+			r.final(out)
+			snap := r.mgr.Metrics().Snapshot()
+			for _, l := range wireStatLines(snap) {
+				fmt.Fprintln(out, l)
 			}
-			snap := reg.Snapshot()
-			fmt.Printf("session: hellos=%g dup-batches=%g gaps-opened=%g\n",
-				snap.Value("session.hellos"), snap.Value("session.dup_batches"), snap.Value("session.gap_batches"))
-			printWireStats(snap)
-			if err := report.RenderMetrics(os.Stdout, "ISM runtime metrics", snap); err != nil {
+			if err := report.RenderMetrics(out, r.title, snap); err != nil {
 				log.Printf("ismd: metrics: %v", err)
 			}
-			if spoolFile != nil {
-				fmt.Printf("trace spooled to %s\n", spoolFile.Name())
+			if r.spool != nil {
+				if err := r.spool.Close(); err != nil {
+					log.Printf("ismd: spool: %v", err)
+				}
+				fmt.Fprintf(out, "trace spooled to %s\n", r.spool.Name())
 			}
 			return
 		}
 	}
+}
+
+func main() {
+	s, err := parseArgs(os.Args[1:], flag.ExitOnError, os.Stderr)
+	if err != nil {
+		log.Fatalf("ismd: %v", err)
+	}
+	r, err := newRole(s)
+	if err != nil {
+		log.Fatalf("ismd: %v", err)
+	}
+	ln, err := tp.Listen(s.addr, tp.WithConnMetrics(r.mgr.Metrics()))
+	if err != nil {
+		log.Fatalf("ismd: %v", err)
+	}
+	stop := make(chan struct{})
+	interrupt := make(chan os.Signal, 1)
+	signal.Notify(interrupt, os.Interrupt)
+	go func() {
+		<-interrupt
+		close(stop)
+	}()
+	r.run(ln, stop, os.Stdout)
 }

@@ -3,13 +3,18 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"prism/internal/isruntime/ism"
+	"prism/internal/isruntime/lis"
 	"prism/internal/isruntime/metrics"
+	"prism/internal/isruntime/tp"
 	"prism/internal/trace"
 )
 
@@ -22,26 +27,6 @@ func spillFlagSet() *flag.FlagSet {
 	fs.String("overflow", "drop-oldest", "")
 	fs.String("spill-dir", "", "")
 	fs.Int("spill-hot", 1<<14, "")
-	fs.String("spool", "", "")
-	return fs
-}
-
-// modeFlagSet mirrors the federation-related subset of main's flag
-// definitions for validateModeFlags, which likewise only inspects
-// which flags were explicitly set.
-func modeFlagSet() *flag.FlagSet {
-	fs := flag.NewFlagSet("ismd", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	fs.Bool("relay", false, "")
-	fs.Int("downstreams", 0, "")
-	fs.Duration("max-stall", 0, "")
-	fs.String("resume-spool", "", "")
-	fs.String("uplink", "", "")
-	fs.Int("uplink-node", 1, "")
-	fs.Int("uplink-batch", 512, "")
-	fs.Int("uplink-window", 0, "")
-	fs.Duration("mark-interval", 0, "")
-	fs.Bool("miso", false, "")
 	fs.String("spool", "", "")
 	return fs
 }
@@ -98,11 +83,44 @@ func TestValidateOverflowFlags(t *testing.T) {
 	}
 }
 
-// TestValidateModeFlags pins the federation mode contract: -relay and
-// -uplink are mutually exclusive, relay tuning needs -relay, uplink
-// tuning needs -uplink, -miso is rejected in both federated roles, and
-// the error names every offending flag.
+// roleFlags lists the flags each role reads, keyed by role word ("" is
+// the flat manager), with a value each accepts.
+var roleFlags = map[string]map[string]string{
+	"": {
+		"addr": "127.0.0.1:0", "spool": "out.bin", "stats": "1s", "degraded-after": "1s",
+		"miso": "", "overflow": "block", "spill-dir": "d", "spill-hot": "64",
+		"publish": "1s", "shards": "2",
+	},
+	"leaf": {
+		"addr": "127.0.0.1:0", "spool": "out.bin", "stats": "1s", "degraded-after": "1s",
+		"overflow": "block", "spill-dir": "d", "spill-hot": "64", "publish": "1s", "shards": "2",
+		"uplink": "127.0.0.1:7311", "uplink-node": "3", "uplink-batch": "256",
+		"uplink-window": "128", "mark-interval": "500ms",
+	},
+	"relay": {
+		"addr": "127.0.0.1:0", "spool": "out.bin", "stats": "1s", "degraded-after": "1s",
+		"downstreams": "4", "max-stall": "2s", "resume-spool": "root.bin",
+	},
+}
+
+// flagArgs renders one flag with its value; a bool flag takes none.
+func flagArgs(name, value string) []string {
+	if value == "" {
+		return []string{"-" + name}
+	}
+	return []string{"-" + name, value}
+}
+
+// TestValidateModeFlags pins the role contract: each role's flag set
+// accepts every flag the role reads and rejects every other role's
+// flag by name, so a cross-role mistake cannot start a manager that
+// silently ignores it. A leaf needs -uplink, and the role word comes
+// before the flags.
 func TestValidateModeFlags(t *testing.T) {
+	parse := func(args ...string) error {
+		_, err := parseArgs(args, flag.ContinueOnError, io.Discard)
+		return err
+	}
 	cases := []struct {
 		name    string
 		args    []string
@@ -110,43 +128,49 @@ func TestValidateModeFlags(t *testing.T) {
 	}{
 		{name: "plain leaf defaults", args: nil},
 		{name: "relay with its own flags",
-			args: []string{"-relay", "-downstreams", "4", "-max-stall", "2s",
+			args: []string{"relay", "-downstreams", "4", "-max-stall", "2s",
 				"-resume-spool", "root.bin"}},
 		{name: "uplink with its own flags",
-			args: []string{"-uplink", "127.0.0.1:7311", "-uplink-node", "3",
+			args: []string{"leaf", "-uplink", "127.0.0.1:7311", "-uplink-node", "3",
 				"-uplink-batch", "256", "-uplink-window", "128", "-mark-interval", "500ms"}},
 		{name: "relay and uplink together",
-			args:    []string{"-relay", "-uplink", "127.0.0.1:7311"},
-			wantErr: []string{"mutually exclusive"}},
+			args:    []string{"relay", "-uplink", "127.0.0.1:7311"},
+			wantErr: []string{"not defined: -uplink"}},
 		{name: "relay flags without relay",
 			args:    []string{"-downstreams", "4", "-max-stall", "1s"},
-			wantErr: []string{"-downstreams", "-max-stall", "needs -relay"}},
+			wantErr: []string{"not defined: -downstreams"}},
 		{name: "uplink flags without uplink",
-			args:    []string{"-uplink-node", "3", "-mark-interval", "1s", "-uplink-window", "8", "-uplink-batch", "16"},
-			wantErr: []string{"-uplink-node", "-mark-interval", "-uplink-window", "-uplink-batch", "needs -uplink"}},
+			args:    []string{"-uplink-node", "3", "-mark-interval", "1s"},
+			wantErr: []string{"not defined: -uplink-node"}},
 		{name: "miso on a relay",
-			args:    []string{"-relay", "-miso"},
-			wantErr: []string{"-miso", "no input stage"}},
+			args:    []string{"relay", "-miso"},
+			wantErr: []string{"not defined: -miso"}},
 		{name: "miso on an uplink leaf",
-			args:    []string{"-uplink", "127.0.0.1:7311", "-miso"},
-			wantErr: []string{"-miso", "SISO"}},
+			args:    []string{"leaf", "-uplink", "127.0.0.1:7311", "-miso"},
+			wantErr: []string{"not defined: -miso"}},
 		{name: "miso on a plain leaf stays legal",
 			args: []string{"-miso"}},
 		{name: "unrelated flags stay legal in relay mode",
-			args: []string{"-relay", "-spool", "out.bin"}},
+			args: []string{"relay", "-spool", "out.bin"}},
 		{name: "mixed stray flags across both roles",
-			args:    []string{"-resume-spool", "root.bin", "-uplink-batch", "32"},
-			wantErr: []string{"-resume-spool", "needs -relay", "-uplink-batch", "needs -uplink"}},
+			args:    []string{"leaf", "-uplink", "x", "-resume-spool", "root.bin", "-uplink-batch", "32"},
+			wantErr: []string{"not defined: -resume-spool"}},
+		{name: "leaf without uplink",
+			args:    []string{"leaf", "-mark-interval", "1s"},
+			wantErr: []string{"-uplink is required"}},
+		{name: "the old relay switch",
+			args:    []string{"-relay"},
+			wantErr: []string{"not defined: -relay"}},
+		{name: "role word after flags",
+			args:    []string{"-addr", "127.0.0.1:0", "relay"},
+			wantErr: []string{`unexpected argument "relay"`}},
+		{name: "spill flags still need the spill policy on a leaf",
+			args:    []string{"leaf", "-uplink", "x", "-spill-dir", "d"},
+			wantErr: []string{"-spill-dir", "valid only with -overflow spill"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fs := modeFlagSet()
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
-			}
-			relayMode := fs.Lookup("relay").Value.String() == "true"
-			uplink := fs.Lookup("uplink").Value.String()
-			err := validateModeFlags(fs, relayMode, uplink)
+			err := parse(tc.args...)
 			if len(tc.wantErr) == 0 {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -162,6 +186,51 @@ func TestValidateModeFlags(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// Every role against every flag any role reads.
+	all := map[string]string{}
+	for _, flags := range roleFlags {
+		for name, v := range flags {
+			all[name] = v
+		}
+	}
+	for word, own := range roleFlags {
+		label := word
+		if label == "" {
+			label = "flat"
+		}
+		// The smallest command line the role accepts, plus what a spill
+		// flag needs to be legal.
+		base := []string{}
+		if word != "" {
+			base = append(base, word)
+		}
+		if word == "leaf" {
+			base = append(base, "-uplink", "127.0.0.1:7311")
+		}
+		for name, v := range all {
+			_, mine := own[name]
+			verb := "rejects"
+			if mine {
+				verb = "accepts"
+			}
+			t.Run(label+"/"+verb+" -"+name, func(t *testing.T) {
+				args := append(append([]string(nil), base...), flagArgs(name, v)...)
+				if mine && spillOnlyFlags[name] {
+					args = append(args, "-overflow", "spill")
+				}
+				err := parse(args...)
+				switch {
+				case mine && err != nil:
+					t.Fatalf("%v: %v", args, err)
+				case !mine && err == nil:
+					t.Fatalf("%v accepted", args)
+				case !mine && !strings.Contains(err.Error(), "flag provided but not defined: -"+name):
+					t.Fatalf("%v: error %q does not name -%s", args, err, name)
+				}
+			})
+		}
 	}
 }
 
@@ -331,5 +400,170 @@ func TestLoadResume(t *testing.T) {
 				t.Fatalf("spool changed: %d bytes, was %d", len(data), len(c.data))
 			}
 		})
+	}
+}
+
+// runningRole is a role whose lifecycle runs in-process on an
+// ephemeral port, stopped through its stop channel.
+type runningRole struct {
+	*role
+	addr string
+	stop chan struct{}
+	done chan struct{}
+	out  bytes.Buffer
+}
+
+// startRole builds the role that args (an ismd command line without
+// -addr) select and runs its lifecycle on 127.0.0.1:0.
+func startRole(t *testing.T, args ...string) *runningRole {
+	t.Helper()
+	s, err := parseArgs(append(args, "-addr", "127.0.0.1:0"), flag.ContinueOnError, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRole(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := tp.Listen(s.addr, tp.WithConnMetrics(r.mgr.Metrics()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := &runningRole{role: r, addr: ln.Addr(), stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(rr.done)
+		r.run(ln, rr.stop, &rr.out)
+	}()
+	return rr
+}
+
+// shutdown stops the lifecycle as an interrupt would and returns what
+// the role printed.
+func (rr *runningRole) shutdown(t *testing.T) string {
+	t.Helper()
+	close(rr.stop)
+	select {
+	case <-rr.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("lifecycle did not stop")
+	}
+	return rr.out.String()
+}
+
+// sendRecords forwards n records of one source through a plain
+// buffered LIS dialed to addr, each with a unique Payload from first.
+func sendRecords(t *testing.T, addr string, node int32, first, n int) {
+	t.Helper()
+	conn, err := tp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := lis.NewBuffered(node, 64, conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		b.Capture(trace.Record{Node: node, Kind: trace.KindUser, Time: int64(first + i + 1),
+			Logical: uint64(i), Payload: int64(first + i)})
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// spoolPayloads decodes a spool and counts each record's Payload.
+func spoolPayloads(t *testing.T, path string) map[int64]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := trace.DecodeSegments(nil, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]int{}
+	for _, r := range recs {
+		seen[r.Payload]++
+	}
+	return seen
+}
+
+// TestFlatRoleLifecycle runs the flat manager's lifecycle end to end:
+// two plain LIS senders over TCP, a stop, and a spool holding every
+// record the final line reports dispatched.
+func TestFlatRoleLifecycle(t *testing.T) {
+	const perNode = 700
+	spool := filepath.Join(t.TempDir(), "trace.bin")
+	rr := startRole(t, "-spool", spool, "-stats", "1ms")
+	for node := int32(0); node < 2; node++ {
+		sendRecords(t, rr.addr, node, int(node)*perNode, perNode)
+	}
+	m := rr.mgr.(*ism.ISM)
+	waitFor(t, "both senders' records", func() bool { return m.Stats().Arrived == 2*perNode })
+	out := rr.shutdown(t)
+
+	if want := fmt.Sprintf("final: arrived=%d dispatched=%d ", 2*perNode, 2*perNode); !strings.Contains(out, want) {
+		t.Fatalf("output lacks %q:\n%s", want, out)
+	}
+	for _, want := range []string{"session: hellos=0", "wire rx:", "ISM runtime metrics", "trace spooled to " + spool} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
+	}
+	seen := spoolPayloads(t, spool)
+	if len(seen) != 2*perNode {
+		t.Fatalf("spool holds %d distinct records, want %d", len(seen), 2*perNode)
+	}
+	for p, n := range seen {
+		if p < 0 || p >= 2*perNode || n != 1 {
+			t.Fatalf("spool holds payload %d %d times", p, n)
+		}
+	}
+}
+
+// TestLeafRelayLifecycle runs a leaf and a root relay end to end: the
+// leaf's stop seals its uplink to 0 pending, and the relay's root
+// spool holds every record exactly once.
+func TestLeafRelayLifecycle(t *testing.T) {
+	const n = 1500
+	root := filepath.Join(t.TempDir(), "root.bin")
+	rel := startRole(t, "relay", "-spool", root, "-downstreams", "1", "-stats", "1ms")
+	leaf := startRole(t, "leaf", "-uplink", rel.addr, "-uplink-batch", "128", "-mark-interval", "20ms", "-stats", "1ms")
+	sendRecords(t, leaf.addr, 0, 0, n)
+	m := leaf.mgr.(*ism.ISM)
+	waitFor(t, "the leaf to dispatch every record", func() bool { return m.Stats().Dispatched == n })
+
+	out := leaf.shutdown(t)
+	if !strings.Contains(out, "uplink: unacked-batches=0\n") {
+		t.Fatalf("leaf did not seal its uplink:\n%s", out)
+	}
+	out = rel.shutdown(t)
+	if want := fmt.Sprintf("final: lanes=1 merged=%d ", n); !strings.Contains(out, want) {
+		t.Fatalf("relay output lacks %q:\n%s", want, out)
+	}
+	if !strings.Contains(out, "Relay runtime metrics") {
+		t.Fatalf("relay output lacks its metrics table:\n%s", out)
+	}
+	seen := spoolPayloads(t, root)
+	if len(seen) != n {
+		t.Fatalf("root spool holds %d distinct records, want %d", len(seen), n)
+	}
+	for p, c := range seen {
+		if p < 0 || p >= n || c != 1 {
+			t.Fatalf("root spool holds payload %d %d times", p, c)
+		}
 	}
 }

@@ -30,9 +30,9 @@
 // -redial-backoff: the budget is spent in backoff sleeps.
 //
 // In a federated deployment, lisnodes keep pointing -ism at their
-// leaf manager; it is the leaf that changes role (`ismd -uplink
+// leaf manager; it is the leaf that changes role (`ismd leaf -uplink
 // <relay>`), forwarding its merged output up the tree to an
-// `ismd -relay` root. Nodes never talk to the relay directly.
+// `ismd relay` root. Nodes never talk to the relay directly.
 package main
 
 import (
@@ -137,7 +137,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("lisnode: replay: %v", err)
 		}
-		drainSession(sess, *redialGiveup)
+		// Whatever the ISM has not acknowledged goes out again (it dedupes),
+		// bounded by the redial give-up budget.
+		if sess != nil && !sess.Drain(*redialGiveup+5*time.Second) {
+			log.Printf("lisnode: %d batches never acknowledged", sess.Pending())
+		}
 		shuttingDown.Store(true)
 		lst := rs.Stats()
 		fmt.Printf("replay done: records=%d batches=%d sources=%d wall=%s maxlag=%s\n",
@@ -224,7 +228,9 @@ func main() {
 	if err := server.Flush(); err != nil {
 		log.Printf("lisnode: final flush: %v", err)
 	}
-	drainSession(sess, *redialGiveup)
+	if sess != nil && !sess.Drain(*redialGiveup+5*time.Second) {
+		log.Printf("lisnode: %d batches never acknowledged", sess.Pending())
+	}
 	shuttingDown.Store(true)
 	if err := server.Close(); err != nil {
 		log.Printf("lisnode: close: %v", err)
@@ -267,24 +273,5 @@ func heartbeatLoop(sess *fault.Session, interval time.Duration, stop <-chan stru
 		case <-tick.C:
 			_ = sess.Heartbeat()
 		}
-	}
-}
-
-// drainSession resends the resilience replay window before teardown:
-// whatever the ISM has not acknowledged goes out again (it dedupes),
-// bounded by the redial give-up budget. No-op without a session.
-func drainSession(sess *fault.Session, giveup time.Duration) {
-	if sess == nil {
-		return
-	}
-	deadline := time.Now().Add(giveup + 5*time.Second)
-	for sess.Pending() > 0 && time.Now().Before(deadline) {
-		_ = sess.Resend()
-		if sess.WaitAcked(time.Second) {
-			break
-		}
-	}
-	if n := sess.Pending(); n > 0 {
-		log.Printf("lisnode: %d batches never acknowledged", n)
 	}
 }

@@ -240,25 +240,16 @@ func (f *Federation) Drain() error {
 		u.Flush()
 		u.Mark(final)
 	}
+	// Drain only after every final mark is out: the relay's acks are
+	// dispatch-gated, and its merge holds each lane until all lanes'
+	// watermarks pass.
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		pending := 0
-		for _, u := range f.uplinks {
-			pending += u.Pending()
-		}
-		if pending == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: %d uplink batches never acked", pending)
-		}
-		for _, u := range f.uplinks {
-			_ = u.Resend()
-		}
-		for _, u := range f.uplinks {
-			u.WaitAcked(5 * time.Millisecond)
+	for _, u := range f.uplinks {
+		if !u.Drain(time.Until(deadline)) {
+			return fmt.Errorf("cluster: %d uplink batches never acked", u.Pending())
 		}
 	}
+	return nil
 }
 
 // Trace drains the federation and returns the root relay's merged,

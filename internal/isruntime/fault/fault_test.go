@@ -545,3 +545,75 @@ func TestReceiverAckFrontierOverride(t *testing.T) {
 		t.Fatalf("hello reply = %+v, want the adopted gated frontier 7", got)
 	}
 }
+
+// dropFirstData loses the first data frame sent through it, the way a
+// silent network drop that never breaks the connection would.
+type dropFirstData struct {
+	tp.Conn
+	dropped bool
+}
+
+func (c *dropFirstData) Send(m tp.Message) error {
+	if m.Type == tp.MsgData && !c.dropped {
+		c.dropped = true
+		tp.Recycle(&m)
+		return nil
+	}
+	return c.Conn.Send(m)
+}
+
+// TestSessionDrain: Drain resends what the receiver never saw until the
+// window is empty, and gives up at its timeout against a peer that
+// never acks.
+func TestSessionDrain(t *testing.T) {
+	t.Run("first frame dropped", func(t *testing.T) {
+		local, remote := tp.Pipe(64)
+		defer local.Close()
+		r := NewReceiver(ReceiverConfig{})
+		go func() {
+			for {
+				m, err := remote.Recv()
+				if err != nil {
+					return
+				}
+				r.Filter(remote, m)
+			}
+		}()
+		s := NewSession(4, &dropFirstData{Conn: local}, SessionConfig{})
+		go func() {
+			for {
+				if _, err := s.Recv(); err != nil {
+					return
+				}
+			}
+		}()
+		for i := 0; i < 3; i++ {
+			if err := s.Send(tp.DataMessage(4, []trace.Record{{Node: 4, Payload: int64(i)}})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !s.Drain(5 * time.Second) {
+			t.Fatalf("drain gave up with %d batches pending", s.Pending())
+		}
+		if s.Pending() != 0 || r.High(4) != 3 {
+			t.Fatalf("pending=%d receiver high=%d, want 0 and 3", s.Pending(), r.High(4))
+		}
+	})
+	t.Run("peer never acks", func(t *testing.T) {
+		sc := &scriptConn{}
+		s := NewSession(0, sc, SessionConfig{})
+		if err := s.Send(tp.DataMessage(0, []trace.Record{{Payload: 1}})); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if s.Drain(150 * time.Millisecond) {
+			t.Fatal("drain reported an empty window no ack ever covered")
+		}
+		if el := time.Since(start); el < 150*time.Millisecond || el > 2*time.Second {
+			t.Fatalf("drain returned after %s, want its 150ms timeout", el)
+		}
+		if s.Pending() != 1 || len(sc.sent) < 2 {
+			t.Fatalf("pending=%d sends=%d, want the batch kept and resent", s.Pending(), len(sc.sent))
+		}
+	})
+}

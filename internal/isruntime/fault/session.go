@@ -394,3 +394,22 @@ func (s *Session) WaitAcked(timeout time.Duration) bool {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// Drain drives the replay window empty before teardown: it resends the
+// unacked window and waits up to 100 ms for acks, round after round,
+// until the window is empty (true) or the timeout passes (false). A
+// resend recovers batches lost to silent drops and costs only wire
+// bytes for the rest, which the receiver deduplicates. Like WaitAcked,
+// it needs a Recv loop (or Deliver calls) running.
+func (s *Session) Drain(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for s.Pending() > 0 {
+		left := time.Until(deadline)
+		if left <= 0 {
+			return false
+		}
+		_ = s.Resend()
+		s.WaitAcked(min(left, 100*time.Millisecond))
+	}
+	return true
+}

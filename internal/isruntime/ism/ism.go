@@ -127,7 +127,9 @@ type Config struct {
 	// sequencers the same per-source contract the LIS capture sequence
 	// gives this manager, surviving dedup and resume adoption (the
 	// restamped stream is always contiguous even when the input was
-	// not). Ignored unless Ordered.
+	// not). Ignored unless Ordered. New panics on MISO: its round-robin
+	// pop reorders records across sources, so the uplink watermark,
+	// which needs dispatch nondecreasing in capture Time, could overclaim.
 	DeferCausal bool
 	// ResumeSources makes the ordered processor adopt a source's
 	// first-seen capture sequence as its start instead of holding for
@@ -287,9 +289,6 @@ type ISM struct {
 	stop   chan struct{}
 	runWG  sync.WaitGroup
 
-	pushed    atomic.Uint64
-	processed atomic.Uint64
-
 	mu        sync.Mutex
 	closed    bool
 	serveWG   sync.WaitGroup
@@ -298,7 +297,7 @@ type ISM struct {
 }
 
 // New creates and starts an ISM. It panics on an invalid overflow
-// policy (a configuration, not runtime, error).
+// policy or DeferCausal with MISO (configuration, not runtime, errors).
 func New(cfg Config, clock event.Clock) *ISM {
 	if cfg.InputCapacity <= 0 {
 		cfg.InputCapacity = 1 << 16
@@ -308,6 +307,9 @@ func New(cfg Config, clock event.Clock) *ISM {
 	}
 	if !cfg.Overflow.Valid() {
 		panic(fmt.Sprintf("ism: invalid overflow policy %v", cfg.Overflow))
+	}
+	if cfg.Ordered && cfg.DeferCausal && cfg.Buffering == MISO {
+		panic("ism: DeferCausal needs SISO buffering: MISO reorders records across sources")
 	}
 	if clock == nil {
 		clock = event.NewRealClock()
@@ -505,7 +507,6 @@ func (m *ISM) Inject(msg tp.Message) {
 			env.recs = flow.GetBatch(n)[:n]
 			copy(env.recs, msg.Records)
 		}
-		m.pushed.Add(uint64(n))
 		s.input.push(msg.Node, env)
 		s.signal()
 	}
@@ -552,8 +553,7 @@ func (m *ISM) runShard(s *ismShard) {
 // ring parks the lane on the space signal, which backpressures the
 // input stage under its overflow policy.
 func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
-	n := uint64(len(env.recs))
-	m.ctr.arrived.Add(n)
+	m.ctr.arrived.Add(uint64(len(env.recs)))
 	out := env.recs
 	if s.seq != nil {
 		// The sensor carried the capture sequence in Logical, and the
@@ -573,11 +573,10 @@ func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 		flow.PutBatch(out)
 	}
 	// Settle order matters: the frontier must cover the tick before
-	// the batch counts as settled, and processed moves last so the
-	// Drain watermark implies the ring push above is visible.
+	// the batch counts as settled, and the batch settles after its ring
+	// push, so Drain's settled watermark implies the push is visible.
 	maxTick(&s.frontier, env.tick)
 	s.settledBatches.Add(1)
-	m.processed.Add(n)
 	m.merge.Signal()
 }
 
@@ -633,18 +632,21 @@ func (m *ISM) stageSpilled() uint64 {
 // the live stream. Records injected concurrently with Drain may or may
 // not be covered.
 func (m *ISM) Drain() {
-	target := m.pushed.Load()
-	// Records displaced by input-stage overflow are never processed —
-	// whether dropped or spilled to storage, they count against the
-	// target or overload would hang Drain.
-	for m.processed.Load()+m.stageDropped()+m.stageSpilled() < target {
-		for _, s := range m.shards {
+	// Every batch pushed toward a lane settles exactly once, sequenced
+	// or displaced by input-stage overflow (dropped or spilled), so the
+	// lanes' batch ledger alone tells when the input stages are through.
+	target := make([]uint64, len(m.shards))
+	for i, s := range m.shards {
+		target[i] = s.pushedBatches.Load()
+	}
+	for i, s := range m.shards {
+		for s.settledBatches.Load() < target[i] {
 			s.signal()
+			time.Sleep(50 * time.Microsecond)
 		}
-		time.Sleep(50 * time.Microsecond)
 	}
 	// Sequenced records sit in the merge rings until the merger consumes
-	// them; every lane pushes its slot before raising processed, so the
+	// them; every lane pushes its slot before the batch settles, so the
 	// rings' pushed watermark is final once the loop above exits.
 	m.merge.WaitConsumed(time.Time{})
 }

@@ -586,6 +586,31 @@ func TestDeferCausalRestampsUplinkSequences(t *testing.T) {
 	}
 }
 
+// TestDeferCausalRejectsMISO: a leaf that defers causal stamping must
+// dispatch in nondecreasing capture Time, which MISO's round-robin pop
+// across sources breaks, so New refuses the combination as it refuses
+// an invalid overflow policy. MISO stays legal whenever the ISM stamps
+// causally itself.
+func TestDeferCausalRejectsMISO(t *testing.T) {
+	var clock event.VirtualClock
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("New accepted DeferCausal with MISO buffering")
+			}
+		}()
+		New(Config{Buffering: MISO, Ordered: true, DeferCausal: true}, &clock)
+	}()
+	for _, cfg := range []Config{
+		{Buffering: MISO, Ordered: true},
+		{Buffering: SISO, Ordered: true, DeferCausal: true},
+	} {
+		if err := New(cfg, &clock).Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSubscribeBatchSeesDispatchBatches: every sink receives each
 // dispatched batch whole, as one slice, in dispatch order.
 func TestSubscribeBatchSeesDispatchBatches(t *testing.T) {

@@ -811,7 +811,7 @@ func (r *Relay) Kill() error {
 // root causal merge at that point are intentionally NOT emitted or
 // acked — their sends never arrived, and the downstream replay windows
 // redeliver them to the next incarnation. Callers wanting a clean
-// drain quiesce first (final marks + WaitAcked on every uplink).
+// drain quiesce first (final marks, then Drain on every uplink).
 func (r *Relay) Close() error {
 	r.mu.Lock()
 	if r.closed {

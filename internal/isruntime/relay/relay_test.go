@@ -192,10 +192,7 @@ func drainAll(t *testing.T, ups []*Uplink, what string) {
 			t.Fatalf("%s: %d batches never acked", what, pending)
 		}
 		for _, up := range ups {
-			_ = up.Resend()
-		}
-		for _, up := range ups {
-			up.WaitAcked(5 * time.Millisecond)
+			up.Drain(5 * time.Millisecond)
 		}
 	}
 }
@@ -797,8 +794,7 @@ func TestFederationCrashResumeExactlyOnce(t *testing.T) {
 		// the crash must not lose.
 		for round := 0; round < 3; round++ {
 			for _, lf := range cells {
-				_ = lf.up.Resend()
-				lf.up.WaitAcked(10 * time.Millisecond)
+				lf.up.Drain(10 * time.Millisecond)
 			}
 		}
 	}

@@ -238,14 +238,6 @@ func (u *Uplink) Mark(w int64) {
 // Time order, so nothing older can still be in flight behind it).
 func (u *Uplink) Beacon() { u.Mark(0) }
 
-// Heartbeat sends a liveness beacon for the relay's degradation
-// tracking.
-func (u *Uplink) Heartbeat() error { return u.sess.Heartbeat() }
-
-// Resend retransmits the unacked window — the recovery step for
-// batches lost to silent drops that never broke the connection.
-func (u *Uplink) Resend() error { return u.sess.Resend() }
-
 // Pending returns the unacked batches in the replay window.
 func (u *Uplink) Pending() int { return u.sess.Pending() }
 
@@ -257,6 +249,11 @@ func (u *Uplink) WaitAcked(timeout time.Duration) bool {
 	return u.sess.WaitAcked(timeout)
 }
 
+// Drain resends the unacked window until the relay has acked it all
+// (true: with dispatch-gated acks, every forwarded record is merged at
+// the root) or the timeout passes (false); see fault.Session.Drain.
+func (u *Uplink) Drain(timeout time.Duration) bool { return u.sess.Drain(timeout) }
+
 // Err returns the first terminal send failure, if any.
 func (u *Uplink) Err() error {
 	u.mu.Lock()
@@ -266,7 +263,7 @@ func (u *Uplink) Err() error {
 
 // Close closes the underlying connection and waits for the ack loop
 // to exit. Buffered but unflushed records are dropped — callers drain
-// with Flush/Mark/WaitAcked first for an orderly shutdown.
+// with Flush/Mark/Drain first for an orderly shutdown.
 func (u *Uplink) Close() error {
 	err := u.sess.Close()
 	<-u.recvDone

@@ -8,7 +8,9 @@
 #   excluded; untracked new files count once they are added);
 # - DESIGN.md lines;
 # - the flags of each cmd/ binary, counted from its -h output, and
-#   their total.
+#   their total. A binary with roles (ismd: flat, leaf, relay) prints
+#   each role's count and counts the distinct flag names across its
+#   roles toward the total.
 # The binaries are built into a temporary directory that is removed on
 # exit.
 set -euo pipefail
@@ -26,9 +28,22 @@ total=0
 for dir in cmd/*/; do
 	name=$(basename "$dir")
 	go build -o "$tmp/$name" "./$dir"
-	# -h prints the usage and exits 0 (flag.ExitOnError); each flag is
-	# one line indented by two spaces and starting with '-'.
-	n=$( { "$tmp/$name" -h 2>&1 || true; } | grep -c '^  -' || true)
+	roles=("")
+	if [ "$name" = ismd ]; then
+		roles=("" leaf relay)
+	fi
+	: >"$tmp/flags"
+	for role in "${roles[@]}"; do
+		# -h prints the usage and exits 0 (flag.ExitOnError); each flag
+		# is one line indented by two spaces and starting with '-'.
+		{ "$tmp/$name" $role -h 2>&1 || true; } | { grep '^  -' || true; } |
+			awk '{print $1}' >"$tmp/role"
+		if [ ${#roles[@]} -gt 1 ]; then
+			printf '%-28s %6d\n' "flags: $name ${role:-(flat)}" "$(wc -l <"$tmp/role")"
+		fi
+		cat "$tmp/role" >>"$tmp/flags"
+	done
+	n=$(sort -u "$tmp/flags" | wc -l)
 	printf '%-28s %6d\n' "flags: $name" "$n"
 	total=$((total + n))
 done
