@@ -49,8 +49,8 @@ func main() {
 	clock := event.NewRealClock()
 	manager := ism.New(ism.Config{Buffering: ism.SISO, Ordered: true}, clock)
 	environment := env.New(manager)
-	feed := env.NewAnimationFeed("animation", 4096)
-	if err := environment.Attach(feed); err != nil {
+	feed := env.NewAnimationFeed(4096)
+	if err := environment.Attach("animation", feed); err != nil {
 		log.Fatal(err)
 	}
 

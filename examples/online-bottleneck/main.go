@@ -38,11 +38,11 @@ func main() {
 
 	// The automated-analysis tool: flag any node whose smoothed CPU
 	// queue exceeds 8.
-	finder, err := env.NewBottleneckTool("w3-search", map[uint16]float64{metricCPUQueue: 8}, 0.4)
+	finder, err := env.NewBottleneckTool(map[uint16]float64{metricCPUQueue: 8}, 0.4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := environment.Attach(finder); err != nil {
+	if err := environment.Attach("w3-search", finder); err != nil {
 		log.Fatal(err)
 	}
 

@@ -45,8 +45,8 @@ func main() {
 
 	// 2. A statistics tool subscribed through the environment.
 	environment := env.New(manager)
-	statsTool := env.NewStatsTool("stats")
-	if err := environment.Attach(statsTool); err != nil {
+	statsTool := env.NewStatsTool()
+	if err := environment.Attach("stats", statsTool); err != nil {
 		log.Fatal(err)
 	}
 

@@ -52,11 +52,11 @@ func main() {
 	clock := event.NewRealClock()
 	manager := ism.New(parsed.ISMConfig(), clock)
 	environment := env.New(manager)
-	watcher, minHits, err := parsed.BottleneckTool("auto-analysis")
+	watcher, minHits, err := parsed.BottleneckTool()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := environment.Attach(watcher); err != nil {
+	if err := environment.Attach("auto-analysis", watcher); err != nil {
 		log.Fatal(err)
 	}
 

@@ -87,8 +87,8 @@ func TestNetworkedPipeline(t *testing.T) {
 	manager := ism.New(ism.Config{Buffering: ism.MISO, Ordered: true, Spool: nopWriter{&spool}}, clock)
 	defer manager.Close()
 	environment := env.New(manager)
-	statsTool := env.NewStatsTool("stats")
-	if err := environment.Attach(statsTool); err != nil {
+	statsTool := env.NewStatsTool()
+	if err := environment.Attach("stats", statsTool); err != nil {
 		t.Fatal(err)
 	}
 

@@ -44,123 +44,166 @@ type Report struct {
 	SpanNs   int64
 	Nodes    []NodeProfile
 	Messages []MessageStat
-	// start/end retained for the timeline renderer.
+	// Retained for the timeline renderer.
 	startNs, endNs int64
-	records        []trace.Record
+	strokes        []stroke
 }
 
-// Analyze computes a Report from a time-sorted merged trace. Block
-// in/out events define busy intervals per (node, process); send/recv
-// pairs are matched FIFO per (from, to, tag).
+// stroke is one outermost busy block ('#') or one send ('s') or
+// receive ('r', from == to) on a node's timeline, in trace order.
+type stroke struct {
+	node     int32
+	from, to int64
+	sym      byte
+}
+
+type procKey struct {
+	node, proc int32
+}
+
+// Analyzer folds a merged trace into a Report, one batch at a time.
+// The input must be time-sorted across the whole stream: it is checked
+// as trace.Validate checks a slice, with record indices counted from
+// the stream's first record, and the result does not depend on where
+// the stream was cut into batches. Block in/out events define busy
+// intervals per (node, process); send/recv pairs are matched FIFO per
+// (from, to, tag).
+type Analyzer struct {
+	n          int   // records consumed
+	start, end int64 // first and last record times
+	err        error // first structural error; sticky, ends the fold
+	matchErr   error // first receive with no matching send
+
+	profiles map[int32]*NodeProfile
+	depth    map[procKey]int
+	open     map[procKey]int64    // start of the outermost open block
+	pending  map[[3]int32][]int64 // send times per (from, to, tag), FIFO
+	edges    map[[2]int32]*MessageStat
+	strokes  []stroke
+}
+
+// New returns an empty Analyzer.
+func New() *Analyzer {
+	return &Analyzer{profiles: map[int32]*NodeProfile{}, depth: map[procKey]int{}, open: map[procKey]int64{},
+		pending: map[[3]int32][]int64{}, edges: map[[2]int32]*MessageStat{}}
+}
+
+// Analyze computes a Report from a time-sorted merged trace.
 func Analyze(rs []trace.Record) (*Report, error) {
-	if len(rs) == 0 {
-		return nil, errors.New("analyze: empty trace")
-	}
-	if err := trace.Validate(rs); err != nil {
-		return nil, err
-	}
-	start, end := rs[0].Time, rs[0].Time
-	for _, r := range rs {
-		if r.Time < start {
-			start = r.Time
-		}
-		if r.Time > end {
-			end = r.Time
-		}
-	}
-	span := end - start
-	if span == 0 {
-		span = 1
-	}
+	a := New()
+	a.Consume(rs)
+	return a.Report()
+}
 
-	type procKey struct {
-		node, proc int32
-	}
-	profiles := map[int32]*NodeProfile{}
-	prof := func(node int32) *NodeProfile {
-		p := profiles[node]
+// Consume folds the next batch of the stream.
+func (a *Analyzer) Consume(rs []trace.Record) {
+	for i := range rs {
+		r := &rs[i]
+		switch {
+		case a.err != nil:
+			return
+		case !r.Kind.Valid():
+			a.err = fmt.Errorf("trace: record %d has invalid kind %d", a.n, r.Kind)
+			return
+		case r.Time < a.end:
+			a.err = fmt.Errorf("trace: record %d goes back in time (%d < %d)", a.n, r.Time, a.end)
+			return
+		case a.n == 0:
+			a.start = r.Time
+		}
+		a.end = r.Time
+		a.n++
+		p := a.profiles[r.Node]
 		if p == nil {
-			p = &NodeProfile{Node: node}
-			profiles[node] = p
+			p = &NodeProfile{Node: r.Node}
+			a.profiles[r.Node] = p
 		}
-		return p
-	}
-	depth := map[procKey]int{}
-	blockStart := map[procKey]int64{}
-
-	type msgKey struct {
-		from, to int32
-		tag      uint16
-	}
-	pendingSends := map[msgKey][]int64{}
-	msgAgg := map[[2]int32]*MessageStat{}
-	edge := func(from, to int32) *MessageStat {
-		k := [2]int32{from, to}
-		m := msgAgg[k]
-		if m == nil {
-			m = &MessageStat{From: from, To: to}
-			msgAgg[k] = m
-		}
-		return m
-	}
-
-	for _, r := range rs {
-		p := prof(r.Node)
 		p.Events++
 		key := procKey{r.Node, r.Process}
 		switch r.Kind {
 		case trace.KindBlockIn:
-			if depth[key] == 0 {
-				blockStart[key] = r.Time
+			if a.depth[key] == 0 {
+				a.open[key] = r.Time
 			}
-			depth[key]++
-			if depth[key] > p.MaxDepth {
-				p.MaxDepth = depth[key]
-			}
+			a.depth[key]++
+			p.MaxDepth = max(p.MaxDepth, a.depth[key])
 		case trace.KindBlockOut:
-			depth[key]--
-			if depth[key] == 0 {
-				p.BusyNs += r.Time - blockStart[key]
+			a.depth[key]--
+			switch d := a.depth[key]; {
+			case d < 0:
+				a.err = fmt.Errorf("trace: record %d closes unopened block on node %d process %d", a.n-1, r.Node, r.Process)
+			case d == 0:
+				p.BusyNs += r.Time - a.open[key]
+				a.strokes = append(a.strokes, stroke{r.Node, a.open[key], r.Time, '#'})
 			}
 		case trace.KindSend:
 			p.Sends++
-			mk := msgKey{from: r.Node, to: int32(r.Payload), tag: r.Tag}
-			pendingSends[mk] = append(pendingSends[mk], r.Time)
+			a.strokes = append(a.strokes, stroke{r.Node, r.Time, r.Time, 's'})
+			mk := [3]int32{r.Node, int32(r.Payload), int32(r.Tag)}
+			a.pending[mk] = append(a.pending[mk], r.Time)
+			a.edge(r.Node, int32(r.Payload)).Unmatched++
 		case trace.KindRecv:
 			p.Recvs++
-			mk := msgKey{from: int32(r.Payload), to: r.Node, tag: r.Tag}
-			q := pendingSends[mk]
+			a.strokes = append(a.strokes, stroke{r.Node, r.Time, r.Time, 'r'})
+			mk := [3]int32{int32(r.Payload), r.Node, int32(r.Tag)}
+			q := a.pending[mk]
 			if len(q) == 0 {
-				return nil, fmt.Errorf("analyze: receive at t=%d on node %d has no matching send", r.Time, r.Node)
+				if a.matchErr == nil {
+					a.matchErr = fmt.Errorf("analyze: receive at t=%d on node %d has no matching send", r.Time, r.Node)
+				}
+				continue
 			}
-			sendT := q[0]
-			pendingSends[mk] = q[1:]
-			m := edge(mk.from, mk.to)
-			lat := r.Time - sendT
+			a.pending[mk] = q[1:]
+			m := a.edge(mk[0], mk[1])
+			lat := r.Time - q[0]
 			m.Count++
+			m.Unmatched--
 			m.MeanLatNs += (float64(lat) - m.MeanLatNs) / float64(m.Count)
-			if lat > m.MaxLatNs {
-				m.MaxLatNs = lat
-			}
+			m.MaxLatNs = max(m.MaxLatNs, lat)
 		case trace.KindSample:
 			p.Samples++
 		}
 	}
-	// Count unmatched sends on their edges.
-	for mk, q := range pendingSends {
-		if len(q) > 0 {
-			edge(mk.from, mk.to).Unmatched += len(q)
+}
+
+// edge returns the message statistics of one (from, to) edge.
+func (a *Analyzer) edge(from, to int32) *MessageStat {
+	k := [2]int32{from, to}
+	m := a.edges[k]
+	if m == nil {
+		m = &MessageStat{From: from, To: to}
+		a.edges[k] = m
+	}
+	return m
+}
+
+// Report returns the analysis of the stream consumed so far. It does
+// not change the Analyzer, so it may be called again, with or without
+// more batches in between.
+func (a *Analyzer) Report() (*Report, error) {
+	if a.err != nil {
+		return nil, a.err
+	}
+	if a.n == 0 {
+		return nil, errors.New("analyze: empty trace")
+	}
+	for key, d := range a.depth {
+		if d != 0 {
+			return nil, fmt.Errorf("trace: node %d process %d ends with %d unclosed blocks", key.node, key.proc, d)
 		}
 	}
-
-	rep := &Report{SpanNs: end - start, startNs: start, endNs: end,
-		records: append([]trace.Record(nil), rs...)}
-	for _, p := range profiles {
-		p.Busy = float64(p.BusyNs) / float64(span)
-		rep.Nodes = append(rep.Nodes, *p)
+	if a.matchErr != nil {
+		return nil, a.matchErr
+	}
+	span := max(a.end-a.start, 1)
+	rep := &Report{SpanNs: a.end - a.start, startNs: a.start, endNs: a.end, strokes: a.strokes}
+	for _, p := range a.profiles {
+		np := *p
+		np.Busy = float64(p.BusyNs) / float64(span)
+		rep.Nodes = append(rep.Nodes, np)
 	}
 	sort.Slice(rep.Nodes, func(i, j int) bool { return rep.Nodes[i].Node < rep.Nodes[j].Node })
-	for _, m := range msgAgg {
+	for _, m := range a.edges {
 		rep.Messages = append(rep.Messages, *m)
 	}
 	sort.Slice(rep.Messages, func(i, j int) bool {
@@ -232,36 +275,14 @@ func (r *Report) Timeline(buckets int) string {
 	for _, p := range r.Nodes {
 		rows[p.Node] = []byte(strings.Repeat(".", buckets))
 	}
-	type procKey struct {
-		node, proc int32
-	}
-	depth := map[procKey]int{}
-	open := map[procKey]int64{}
-	mark := func(node int32, from, to int64) {
-		row := rows[node]
-		for b := bucketOf(from); b <= bucketOf(to); b++ {
-			if row[b] == '.' {
-				row[b] = '#'
+	// A busy block fills only idle buckets; a send or receive marks its
+	// bucket over anything painted before it.
+	for _, st := range r.strokes {
+		row := rows[st.node]
+		for b := bucketOf(st.from); b <= bucketOf(st.to); b++ {
+			if st.sym != '#' || row[b] == '.' {
+				row[b] = st.sym
 			}
-		}
-	}
-	for _, rec := range r.records {
-		key := procKey{rec.Node, rec.Process}
-		switch rec.Kind {
-		case trace.KindBlockIn:
-			if depth[key] == 0 {
-				open[key] = rec.Time
-			}
-			depth[key]++
-		case trace.KindBlockOut:
-			depth[key]--
-			if depth[key] == 0 {
-				mark(rec.Node, open[key], rec.Time)
-			}
-		case trace.KindSend:
-			rows[rec.Node][bucketOf(rec.Time)] = 's'
-		case trace.KindRecv:
-			rows[rec.Node][bucketOf(rec.Time)] = 'r'
 		}
 	}
 	var nodes []int32

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -201,5 +202,47 @@ func TestSummary(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("summary missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestAnalyzerReportTwice: Report reads the fold without changing it,
+// so a second call does not count pending sends as unmatched again.
+func TestAnalyzerReportTwice(t *testing.T) {
+	a := New()
+	rs := twoNodeTrace()
+	a.Consume(rs[:4]) // the send, without its receive
+	first, err := a.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := a.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) || first.Messages[0].Unmatched != 1 {
+		t.Fatalf("reports differ or miscount: %+v vs %+v", first.Messages, second.Messages)
+	}
+	a.Consume(rs[4:])
+	rep, err := a.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := rep.Messages[0]; m.Count != 1 || m.Unmatched != 0 {
+		t.Fatalf("after the receive: %+v", m)
+	}
+}
+
+// TestAnalyzerBackInTimeAcrossBatches: time order is checked across
+// batch cuts, and the error names the record by its index in the whole
+// stream, as trace.Validate would.
+func TestAnalyzerBackInTimeAcrossBatches(t *testing.T) {
+	rs := []trace.Record{{Kind: trace.KindUser, Time: 5}, {Kind: trace.KindUser, Time: 6}, {Kind: trace.KindUser, Time: 3}}
+	a := New()
+	a.Consume(rs[:2])
+	a.Consume(rs[2:])
+	_, err := a.Report()
+	want := trace.Validate(rs)
+	if err == nil || want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "record 2 ") {
+		t.Fatalf("got %v, want %v", err, want)
 	}
 }

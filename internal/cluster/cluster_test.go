@@ -140,8 +140,8 @@ func TestClusterWithToolsAndAnalyzer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	statsTool := env.NewStatsTool("stats")
-	if err := c.Environment().Attach(statsTool); err != nil {
+	statsTool := env.NewStatsTool()
+	if err := c.Environment().Attach("stats", statsTool); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RunRing(8, 2000); err != nil {

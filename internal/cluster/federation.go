@@ -272,19 +272,8 @@ func (f *Federation) Predict() []trace.Record {
 	all := append([]trace.Record(nil), f.captured...)
 	f.mu.Unlock()
 	trace.SortByTime(all)
-	seq := trace.NewSequencer()
-	cm := trace.NewCausalMerger()
-	out := make([]trace.Record, 0, len(all))
-	var buf []trace.Record
-	for _, r := range all {
-		s := r.Logical
-		r.Logical = 0
-		buf = seq.AddTo(buf[:0], r, s)
-		for _, rr := range buf {
-			out = cm.AddTo(out, rr)
-		}
-	}
-	return out
+	released, _ := trace.NewSequencer().AddBatch(all, func(n int) []trace.Record { return make([]trace.Record, 0, n) })
+	return trace.NewCausalMerger().AddBatchTo(make([]trace.Record, 0, len(all)), released)
 }
 
 // Close tears the federation down.

@@ -35,11 +35,11 @@ func TestSteeringSurvivesMidRunDisconnect(t *testing.T) {
 	m := ism.New(ism.Config{Buffering: ism.SISO}, &clock)
 	defer m.Close()
 	e := New(m)
-	st, err := NewSteeringTool("steer", 7, 80, 20, 0.5, nil, nil)
+	st, err := NewSteeringTool(7, 80, 20, 0.5, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Attach(st); err != nil {
+	if err := e.Attach("steer", st); err != nil {
 		t.Fatal(err)
 	}
 

@@ -6,99 +6,77 @@
 // The Environment wires an ISM to a set of Tools and carries the
 // control-signal traffic between them ("data transfer to the tools is
 // typically accompanied by an exchange of control signals between the
-// ISM and a tool", §2.2.3). Four concrete tools cover the tool classes
-// Malony's taxonomy lists (§2.3): a trace writer (trace-based), a
-// statistics tool (profile-based), a bottleneck searcher (automated),
-// and an animation feed (visualization).
+// ISM and a tool", §2.2.3). The tool classes of Malony's taxonomy
+// (§2.3) are covered by a statistics tool (profile-based), a
+// bottleneck searcher (automated), an animation feed (visualization)
+// and a steering tool; the trace-based class is the ISM's own spool
+// (ism.Config.Spool), which writes the dispatched stream durably.
 package env
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"prism/internal/isruntime/ism"
-	"prism/internal/isruntime/metrics"
 	"prism/internal/trace"
 )
 
-// Tool is an analysis/visualization consumer of instrumentation data.
+// Tool is an analysis/visualization consumer of instrumentation data:
+// a fold over the dispatched stream, one batch at a time.
 type Tool interface {
-	// Name identifies the tool in the environment.
-	Name() string
-	// Consume receives one record in dispatch order. It runs on the
-	// ISM processor goroutine and must be quick; heavyweight tools
-	// should queue internally.
-	Consume(trace.Record)
+	// Consume receives the next batch in dispatch order: batches arrive
+	// one at a time, in the order the ISM dispatched them, and a
+	// tool's result must not depend on where the stream was cut into
+	// batches. It runs on the ISM's dispatch goroutine and must be
+	// quick; heavyweight tools should queue internally. The slice is
+	// valid only during the call.
+	Consume([]trace.Record)
 	// Finish tells the tool no more data will arrive.
 	Finish() error
 }
 
-// Option configures an Environment at construction time.
-type Option func(*Environment)
-
-// WithMetrics counts per-tool consumption through the given registry:
-// each attached tool gets an env.<name>.consumed counter.
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(e *Environment) { e.reg = reg }
-}
-
 // Environment binds tools to an ISM.
 type Environment struct {
-	ism *ism.ISM
-	reg *metrics.Registry
+	ism      *ism.ISM
+	finished atomic.Bool
 
 	mu    sync.Mutex
 	tools map[string]Tool
 }
 
 // New creates an environment around a running ISM.
-func New(m *ism.ISM, opts ...Option) *Environment {
-	e := &Environment{ism: m, tools: map[string]Tool{}}
-	for _, opt := range opts {
-		opt(e)
-	}
-	return e
+func New(m *ism.ISM) *Environment {
+	return &Environment{ism: m, tools: map[string]Tool{}}
 }
 
-// Attach registers a tool and subscribes it to the ISM stream.
-// Attaching two tools with one name is an error.
-func (e *Environment) Attach(t Tool) error {
+// Attach registers a tool under name and subscribes its Consume to the
+// ISM's dispatched batches. Attaching two tools with one name is an
+// error.
+func (e *Environment) Attach(name string, t Tool) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.tools[t.Name()]; dup {
-		return fmt.Errorf("env: duplicate tool %q", t.Name())
+	if _, dup := e.tools[name]; dup {
+		return fmt.Errorf("env: duplicate tool %q", name)
 	}
-	e.tools[t.Name()] = t
-	consumed := new(metrics.Counter) // reported nowhere without WithMetrics
-	if e.reg != nil {
-		consumed = e.reg.Scope("env").Scope(t.Name()).Counter("consumed")
-	}
-	e.ism.SubscribeBatch(t.Name(), func(rs []trace.Record) {
-		consumed.Add(uint64(len(rs)))
-		for _, r := range rs {
-			t.Consume(r)
+	e.tools[name] = t
+	e.ism.SubscribeBatch(name, func(rs []trace.Record) {
+		if !e.finished.Load() {
+			t.Consume(rs)
 		}
 	})
 	return nil
 }
 
-// Tools returns the attached tool names, sorted.
-func (e *Environment) Tools() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	names := make([]string, 0, len(e.tools))
-	for n := range e.tools {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Finish finishes every tool, collecting the first error.
+// Finish stops delivery to every tool, then finishes each one,
+// collecting the first error. Batches the ISM dispatches afterwards
+// reach no tool; one already being delivered when Finish is called may
+// still finish its Consume, which is why AnimationFeed guards its
+// channel itself.
 func (e *Environment) Finish() error {
+	e.finished.Store(true)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var first error
@@ -110,50 +88,9 @@ func (e *Environment) Finish() error {
 	return first
 }
 
-// TraceWriter is a trace-based off-line tool: it spools every record
-// to a binary trace stream (the ParaGraph-feeding path of §3.1).
-type TraceWriter struct {
-	name string
-	mu   sync.Mutex
-	w    *trace.Writer
-	n    int
-}
-
-// NewTraceWriter creates a trace writer tool writing to w.
-func NewTraceWriter(name string, w io.Writer) *TraceWriter {
-	return &TraceWriter{name: name, w: trace.NewWriter(w)}
-}
-
-// Name implements Tool.
-func (t *TraceWriter) Name() string { return t.name }
-
-// Consume implements Tool.
-func (t *TraceWriter) Consume(r trace.Record) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_ = t.w.Write(r)
-	t.n++
-}
-
-// Records returns the number of records written.
-func (t *TraceWriter) Records() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Finish implements Tool.
-func (t *TraceWriter) Finish() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.w.Flush()
-}
-
 // StatsTool is a profile-based tool: per (node, kind) event counts and
 // per-metric sample summaries.
 type StatsTool struct {
-	name string
-
 	mu      sync.Mutex
 	counts  map[statKey]uint64
 	samples map[uint16]*metricAgg
@@ -172,19 +109,20 @@ type metricAgg struct {
 }
 
 // NewStatsTool creates a statistics tool.
-func NewStatsTool(name string) *StatsTool {
-	return &StatsTool{name: name, counts: map[statKey]uint64{}, samples: map[uint16]*metricAgg{}}
+func NewStatsTool() *StatsTool {
+	return &StatsTool{counts: map[statKey]uint64{}, samples: map[uint16]*metricAgg{}}
 }
 
-// Name implements Tool.
-func (t *StatsTool) Name() string { return t.name }
-
 // Consume implements Tool.
-func (t *StatsTool) Consume(r trace.Record) {
+func (t *StatsTool) Consume(rs []trace.Record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.counts[statKey{r.Node, r.Kind}]++
-	if r.Kind == trace.KindSample {
+	for i := range rs {
+		r := &rs[i]
+		t.counts[statKey{r.Node, r.Kind}]++
+		if r.Kind != trace.KindSample {
+			continue
+		}
 		a := t.samples[r.Tag]
 		if a == nil {
 			a = &metricAgg{}
@@ -229,14 +167,12 @@ func (t *StatsTool) Finish() error { return nil }
 // thresholds and records hypotheses ("metric m on node n exceeds its
 // threshold") with simple exponential smoothing.
 type BottleneckTool struct {
-	name      string
 	threshold map[uint16]float64
 	alpha     float64
 
-	mu    sync.Mutex
-	ewma  map[bnKey]float64
-	hits  map[bnKey]uint64
-	total uint64
+	mu   sync.Mutex
+	ewma map[bnKey]float64
+	hits map[bnKey]uint64
 }
 
 type bnKey struct {
@@ -255,7 +191,7 @@ type Hypothesis struct {
 // NewBottleneckTool creates a bottleneck searcher. thresholds maps
 // metric id to the smoothed-value threshold that flags a bottleneck;
 // alpha in (0,1] is the EWMA smoothing weight.
-func NewBottleneckTool(name string, thresholds map[uint16]float64, alpha float64) (*BottleneckTool, error) {
+func NewBottleneckTool(thresholds map[uint16]float64, alpha float64) (*BottleneckTool, error) {
 	if alpha <= 0 || alpha > 1 {
 		return nil, errors.New("env: alpha must be in (0,1]")
 	}
@@ -264,38 +200,37 @@ func NewBottleneckTool(name string, thresholds map[uint16]float64, alpha float64
 		th[k] = v
 	}
 	return &BottleneckTool{
-		name: name, threshold: th, alpha: alpha,
+		threshold: th, alpha: alpha,
 		ewma: map[bnKey]float64{}, hits: map[bnKey]uint64{},
 	}, nil
 }
 
-// Name implements Tool.
-func (t *BottleneckTool) Name() string { return t.name }
-
 // Consume implements Tool.
-func (t *BottleneckTool) Consume(r trace.Record) {
-	if r.Kind != trace.KindSample {
-		return
-	}
-	th, watched := t.threshold[r.Tag]
-	if !watched {
-		return
-	}
+func (t *BottleneckTool) Consume(rs []trace.Record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := bnKey{r.Node, r.Tag}
-	prev, seen := t.ewma[key]
-	v := float64(r.Payload)
-	if !seen {
-		prev = v
-	}
-	s := t.alpha*v + (1-t.alpha)*prev
-	t.ewma[key] = s
-	if s > th {
-		t.hits[key]++
-		t.total++
-	} else {
-		t.hits[key] = 0
+	for i := range rs {
+		r := &rs[i]
+		if r.Kind != trace.KindSample {
+			continue
+		}
+		th, watched := t.threshold[r.Tag]
+		if !watched {
+			continue
+		}
+		key := bnKey{r.Node, r.Tag}
+		prev, seen := t.ewma[key]
+		v := float64(r.Payload)
+		if !seen {
+			prev = v
+		}
+		s := t.alpha*v + (1-t.alpha)*prev
+		t.ewma[key] = s
+		if s > th {
+			t.hits[key]++
+		} else {
+			t.hits[key] = 0
+		}
 	}
 }
 
@@ -327,32 +262,35 @@ func (t *BottleneckTool) Finish() error { return nil }
 // lags — the behaviour of a display that favors liveness over
 // completeness.
 type AnimationFeed struct {
-	name string
-	ch   chan trace.Record
+	ch chan trace.Record
 
 	mu      sync.Mutex
 	dropped uint64
+	closed  bool
 }
 
 // NewAnimationFeed creates a feed with the given channel capacity.
-func NewAnimationFeed(name string, capacity int) *AnimationFeed {
+func NewAnimationFeed(capacity int) *AnimationFeed {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &AnimationFeed{name: name, ch: make(chan trace.Record, capacity)}
+	return &AnimationFeed{ch: make(chan trace.Record, capacity)}
 }
 
-// Name implements Tool.
-func (t *AnimationFeed) Name() string { return t.name }
-
-// Consume implements Tool.
-func (t *AnimationFeed) Consume(r trace.Record) {
-	select {
-	case t.ch <- r:
-	default:
-		t.mu.Lock()
-		t.dropped++
-		t.mu.Unlock()
+// Consume implements Tool. Records that arrive after Finish are
+// dropped uncounted.
+func (t *AnimationFeed) Consume(rs []trace.Record) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
+	for _, r := range rs {
+		select {
+		case t.ch <- r:
+		default:
+			t.dropped++
+		}
 	}
 }
 
@@ -369,6 +307,11 @@ func (t *AnimationFeed) Dropped() uint64 {
 
 // Finish implements Tool; it closes the feed.
 func (t *AnimationFeed) Finish() error {
-	close(t.ch)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.closed {
+		t.closed = true
+		close(t.ch)
+	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package env
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -30,57 +29,61 @@ func inject(m *ism.ISM, rs ...trace.Record) {
 func TestAttachAndDuplicate(t *testing.T) {
 	m := newISM(t)
 	e := New(m)
-	st := NewStatsTool("stats")
-	if err := e.Attach(st); err != nil {
+	if err := e.Attach("stats", NewStatsTool()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Attach(NewStatsTool("stats")); err == nil {
+	if err := e.Attach("stats", NewStatsTool()); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if err := e.Attach(NewStatsTool("other")); err != nil {
+	other := NewStatsTool()
+	if err := e.Attach("other", other); err != nil {
 		t.Fatal(err)
 	}
-	names := e.Tools()
-	if len(names) != 2 || names[0] != "other" || names[1] != "stats" {
-		t.Fatalf("tools %v", names)
+	inject(m, trace.Record{Node: 0, Kind: trace.KindUser})
+	if other.Count(0, trace.KindUser) != 1 {
+		t.Fatal("second tool not subscribed")
 	}
 	if err := e.Finish(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestTraceWriterTool(t *testing.T) {
+// TestFinishStopsDelivery: batches dispatched after Finish reach no
+// tool, so a finished animation feed, whose channel Finish closed, is
+// never sent on again.
+func TestFinishStopsDelivery(t *testing.T) {
 	m := newISM(t)
 	e := New(m)
-	var buf bytes.Buffer
-	tw := NewTraceWriter("trace", &buf)
-	if err := e.Attach(tw); err != nil {
+	feed := NewAnimationFeed(8)
+	st := NewStatsTool()
+	if err := e.Attach("animation", feed); err != nil {
 		t.Fatal(err)
 	}
-	inject(m,
-		trace.Record{Node: 0, Kind: trace.KindUser, Tag: 1},
-		trace.Record{Node: 0, Kind: trace.KindUser, Tag: 2},
-	)
+	if err := e.Attach("stats", st); err != nil {
+		t.Fatal(err)
+	}
+	inject(m, trace.Record{Node: 0, Kind: trace.KindUser, Tag: 1})
 	if err := e.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if tw.Records() != 2 {
-		t.Fatalf("wrote %d", tw.Records())
+	inject(m, trace.Record{Node: 0, Kind: trace.KindUser, Tag: 2})
+	if n := st.Count(0, trace.KindUser); n != 1 {
+		t.Fatalf("stats saw %d records, want the 1 dispatched before Finish", n)
 	}
-	rs, _, err := trace.DecodeSegments(nil, buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	var got []uint16
+	for r := range feed.Frames() {
+		got = append(got, r.Tag)
 	}
-	if len(rs) != 2 || rs[1].Tag != 2 {
-		t.Fatalf("round trip %v", rs)
+	if len(got) != 1 || got[0] != 1 || feed.Dropped() != 0 {
+		t.Fatalf("frames %v, %d dropped", got, feed.Dropped())
 	}
 }
 
 func TestStatsTool(t *testing.T) {
 	m := newISM(t)
 	e := New(m)
-	st := NewStatsTool("stats")
-	if err := e.Attach(st); err != nil {
+	st := NewStatsTool()
+	if err := e.Attach("stats", st); err != nil {
 		t.Fatal(err)
 	}
 	inject(m,
@@ -105,16 +108,16 @@ func TestStatsTool(t *testing.T) {
 }
 
 func TestBottleneckTool(t *testing.T) {
-	if _, err := NewBottleneckTool("b", nil, 0); err == nil {
+	if _, err := NewBottleneckTool(nil, 0); err == nil {
 		t.Fatal("alpha 0 accepted")
 	}
-	bt, err := NewBottleneckTool("bottleneck", map[uint16]float64{1: 50}, 0.5)
+	bt, err := NewBottleneckTool(map[uint16]float64{1: 50}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := newISM(t)
 	e := New(m)
-	if err := e.Attach(bt); err != nil {
+	if err := e.Attach("bottleneck", bt); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 metric 1 persistently high; node 1 low; metric 2 unwatched.
@@ -143,10 +146,8 @@ func TestBottleneckTool(t *testing.T) {
 }
 
 func TestAnimationFeed(t *testing.T) {
-	feed := NewAnimationFeed("anim", 2)
-	feed.Consume(trace.Record{Tag: 1})
-	feed.Consume(trace.Record{Tag: 2})
-	feed.Consume(trace.Record{Tag: 3}) // dropped
+	feed := NewAnimationFeed(2)
+	feed.Consume([]trace.Record{{Tag: 1}, {Tag: 2}, {Tag: 3}}) // the third is dropped
 	if feed.Dropped() != 1 {
 		t.Fatalf("dropped %d", feed.Dropped())
 	}
@@ -160,7 +161,7 @@ func TestAnimationFeed(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("frames %v", got)
 	}
-	if NewAnimationFeed("x", 0) == nil {
+	if NewAnimationFeed(0) == nil {
 		t.Fatal("zero capacity should clamp")
 	}
 }
@@ -171,8 +172,8 @@ func TestEndToEndPipeline(t *testing.T) {
 	m := ism.New(ism.Config{Buffering: ism.MISO, Ordered: true}, &clock)
 	defer m.Close()
 	e := New(m)
-	st := NewStatsTool("stats")
-	if err := e.Attach(st); err != nil {
+	st := NewStatsTool()
+	if err := e.Attach("stats", st); err != nil {
 		t.Fatal(err)
 	}
 

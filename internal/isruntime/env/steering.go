@@ -17,7 +17,6 @@ import (
 // the §2.2.3 control path "to control program execution as dictated by
 // debugging and steering tools".
 type SteeringTool struct {
-	name   string
 	metric uint16
 	high   float64
 	low    float64
@@ -35,7 +34,7 @@ type SteeringTool struct {
 // NewSteeringTool creates a steering tool. onHigh fires when a node's
 // smoothed metric rises above high; onLow fires when an engaged node
 // falls back below low. Either callback may be nil.
-func NewSteeringTool(name string, metric uint16, high, low, alpha float64,
+func NewSteeringTool(metric uint16, high, low, alpha float64,
 	onHigh, onLow func(node int32, smoothed float64)) (*SteeringTool, error) {
 	if high <= low {
 		return nil, errors.New("env: steering needs high > low watermark")
@@ -44,43 +43,48 @@ func NewSteeringTool(name string, metric uint16, high, low, alpha float64,
 		return nil, errors.New("env: alpha must be in (0,1]")
 	}
 	return &SteeringTool{
-		name: name, metric: metric, high: high, low: low, alpha: alpha,
+		metric: metric, high: high, low: low, alpha: alpha,
 		onHigh: onHigh, onLow: onLow,
 		ewma: map[int32]float64{}, seen: map[int32]bool{}, engaged: map[int32]bool{},
 	}, nil
 }
 
-// Name implements Tool.
-func (t *SteeringTool) Name() string { return t.name }
-
-// Consume implements Tool.
-func (t *SteeringTool) Consume(r trace.Record) {
-	if r.Kind != trace.KindSample || r.Tag != t.metric {
-		return
-	}
+// Consume implements Tool. The actuator callbacks run after the batch
+// is folded, outside the tool's lock, in the order their transitions
+// fired.
+func (t *SteeringTool) Consume(rs []trace.Record) {
+	var fired []func()
 	t.mu.Lock()
-	prev := t.ewma[r.Node]
-	if !t.seen[r.Node] {
-		prev = float64(r.Payload)
-		t.seen[r.Node] = true
-	}
-	s := t.alpha*float64(r.Payload) + (1-t.alpha)*prev
-	t.ewma[r.Node] = s
-	var fire func(int32, float64)
-	switch {
-	case !t.engaged[r.Node] && s > t.high:
-		t.engaged[r.Node] = true
+	for i := range rs {
+		r := &rs[i]
+		if r.Kind != trace.KindSample || r.Tag != t.metric {
+			continue
+		}
+		prev := t.ewma[r.Node]
+		if !t.seen[r.Node] {
+			prev = float64(r.Payload)
+			t.seen[r.Node] = true
+		}
+		s := t.alpha*float64(r.Payload) + (1-t.alpha)*prev
+		t.ewma[r.Node] = s
+		var fire func(int32, float64)
+		switch {
+		case !t.engaged[r.Node] && s > t.high:
+			fire = t.onHigh
+		case t.engaged[r.Node] && s < t.low:
+			fire = t.onLow
+		default:
+			continue
+		}
+		t.engaged[r.Node] = !t.engaged[r.Node]
 		t.actions++
-		fire = t.onHigh
-	case t.engaged[r.Node] && s < t.low:
-		t.engaged[r.Node] = false
-		t.actions++
-		fire = t.onLow
+		if node := r.Node; fire != nil {
+			fired = append(fired, func() { fire(node, s) })
+		}
 	}
-	node := r.Node
 	t.mu.Unlock()
-	if fire != nil {
-		fire(node, s)
+	for _, f := range fired {
+		f()
 	}
 }
 

@@ -221,7 +221,7 @@ func (s *Spec) ISMConfig() ism.Config {
 
 // BottleneckTool compiles the threshold section into a configured
 // automated-analysis tool.
-func (s *Spec) BottleneckTool(name string) (*env.BottleneckTool, uint64, error) {
+func (s *Spec) BottleneckTool() (*env.BottleneckTool, uint64, error) {
 	byName := map[string]uint16{}
 	for _, sn := range s.Sensors {
 		byName[sn.Name] = sn.Metric
@@ -236,7 +236,7 @@ func (s *Spec) BottleneckTool(name string) (*env.BottleneckTool, uint64, error) 
 			minHits = th.Hits
 		}
 	}
-	tool, err := env.NewBottleneckTool(name, thresholds, alpha)
+	tool, err := env.NewBottleneckTool(thresholds, alpha)
 	return tool, minHits, err
 }
 

@@ -121,7 +121,7 @@ func TestBottleneckToolCompilation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool, minHits, err := s.BottleneckTool("auto")
+	tool, minHits, err := s.BottleneckTool()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestBottleneckToolCompilation(t *testing.T) {
 	}
 	// Drive metric 1 above its threshold repeatedly.
 	for i := 0; i < 5; i++ {
-		tool.Consume(trace.Record{Node: 0, Kind: trace.KindSample, Tag: 1, Payload: 90})
+		tool.Consume([]trace.Record{{Node: 0, Kind: trace.KindSample, Tag: 1, Payload: 90}})
 	}
 	if len(tool.Hypotheses(minHits)) != 1 {
 		t.Fatal("compiled thresholds not active")
 	}
 	// Metric 2 below threshold stays quiet.
 	for i := 0; i < 5; i++ {
-		tool.Consume(trace.Record{Node: 0, Kind: trace.KindSample, Tag: 2, Payload: 10})
+		tool.Consume([]trace.Record{{Node: 0, Kind: trace.KindSample, Tag: 2, Payload: 10}})
 	}
 	if len(tool.Hypotheses(minHits)) != 1 {
 		t.Fatal("quiet metric flagged")

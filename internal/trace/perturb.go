@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"math"
 	"slices"
 )
 
@@ -35,65 +36,99 @@ type CompensateOptions struct {
 // removed under the given model. The input must be time-sorted; the
 // output is time-sorted. Records are copied, not mutated in place.
 func Compensate(rs []Record, opt CompensateOptions) ([]Record, error) {
-	if opt.PerEventOverheadNs < 0 || opt.MinMessageLatencyNs < 0 {
-		return nil, errors.New("trace: negative compensation parameters")
-	}
-	for i := 1; i < len(rs); i++ {
-		if rs[i].Time < rs[i-1].Time {
-			return nil, errors.New("trace: compensate requires time-sorted input")
-		}
-	}
-	out := make([]Record, 0, len(rs))
-	// Accumulated removed time per process timeline.
-	removed := map[SourceKey]int64{}
-	for _, r := range rs {
-		key := SourceKey{r.Node, r.Process}
-		switch r.Kind {
-		case KindFlush:
-			// The whole stall is IS artifact: remove it from this
-			// timeline's future.
-			removed[key] += r.Payload
-			if !opt.DropFlushRecords {
-				c := r
-				c.Time -= removed[key] - r.Payload // flush starts before its own stall
-				out = append(out, c)
-			}
-		default:
-			c := r
-			c.Time -= removed[key]
-			out = append(out, c)
-			removed[key] += opt.PerEventOverheadNs
-		}
-	}
+	c := NewCompensator(opt)
+	c.out = make([]Record, 0, len(rs))
+	c.Consume(rs)
+	return c.Result()
+}
 
-	// Re-align messages: a receive may now precede its send; push it
-	// (and transitively later events of its timeline) forward.
-	pending := map[msgKey][]int64{} // send times by message key, FIFO
-	shift := map[SourceKey]int64{}  // forward shift per timeline
-	for i := range out {
-		key := SourceKey{out[i].Node, out[i].Process}
-		out[i].Time += shift[key]
-		switch out[i].Kind {
-		case KindSend:
-			mk := msgKey{from: out[i].Node, to: int32(out[i].Payload), tag: out[i].Tag}
-			pending[mk] = append(pending[mk], out[i].Time)
-		case KindRecv:
-			mk := msgKey{from: int32(out[i].Payload), to: out[i].Node, tag: out[i].Tag}
-			q := pending[mk]
-			if len(q) == 0 {
-				return nil, errors.New("trace: receive without matching send during compensation")
+// Compensator is Compensate as a fold over a time-sorted stream
+// consumed batch by batch: the input must be time-sorted across the
+// whole stream, and the result does not depend on where the stream
+// was cut into batches.
+type Compensator struct {
+	opt      CompensateOptions
+	last     int64 // time of the last record consumed, dropped flushes included
+	unsorted bool  // the stream went back in time; ends the fold
+	matchErr error // first receive with no matching send
+
+	// offset per timeline: the forward shifts of re-aligned receives
+	// less the overhead removed so far.
+	offset  map[SourceKey]int64
+	pending map[msgKey][]int64 // compensated send times, FIFO
+	out     []Record
+}
+
+// NewCompensator returns an empty Compensator. Invalid options are
+// reported by Result.
+func NewCompensator(opt CompensateOptions) *Compensator {
+	return &Compensator{opt: opt, last: math.MinInt64,
+		offset: map[SourceKey]int64{}, pending: map[msgKey][]int64{}}
+}
+
+// Consume folds the next batch of the stream. Each record loses the
+// overhead accumulated on its timeline; a receive that would then
+// precede its matching send is pushed forward, and so is the rest of
+// its timeline.
+func (c *Compensator) Consume(rs []Record) {
+	for _, r := range rs {
+		if c.unsorted {
+			return
+		}
+		if r.Time < c.last {
+			c.unsorted = true
+			return
+		}
+		c.last = r.Time
+		key := SourceKey{r.Node, r.Process}
+		r.Time += c.offset[key]
+		if r.Kind == KindFlush {
+			// The whole stall is IS artifact: remove it from this
+			// timeline's future. The flush starts before its own stall.
+			c.offset[key] -= r.Payload
+			if c.opt.DropFlushRecords {
+				continue
 			}
-			sendT := q[0]
-			pending[mk] = q[1:]
-			if earliest := sendT + opt.MinMessageLatencyNs; out[i].Time < earliest {
-				delta := earliest - out[i].Time
-				out[i].Time = earliest
-				shift[key] += delta
+		} else {
+			c.offset[key] -= c.opt.PerEventOverheadNs
+		}
+		switch r.Kind {
+		case KindSend:
+			mk := sendKey(&r)
+			c.pending[mk] = append(c.pending[mk], r.Time)
+		case KindRecv:
+			mk := recvKey(&r)
+			q := c.pending[mk]
+			if len(q) == 0 {
+				if c.matchErr == nil {
+					c.matchErr = errors.New("trace: receive without matching send during compensation")
+				}
+				break
+			}
+			c.pending[mk] = q[1:]
+			if earliest := q[0] + c.opt.MinMessageLatencyNs; r.Time < earliest {
+				c.offset[key] += earliest - r.Time
+				r.Time = earliest
 			}
 		}
+		c.out = append(c.out, r)
 	}
-	slices.SortStableFunc(out, compareByTime)
-	return out, nil
+}
+
+// Result returns the compensated stream consumed so far, time-sorted.
+// The slice is the Compensator's own and is re-sorted in place by the
+// next Result.
+func (c *Compensator) Result() ([]Record, error) {
+	switch {
+	case c.opt.PerEventOverheadNs < 0 || c.opt.MinMessageLatencyNs < 0:
+		return nil, errors.New("trace: negative compensation parameters")
+	case c.unsorted:
+		return nil, errors.New("trace: compensate requires time-sorted input")
+	case c.matchErr != nil:
+		return nil, c.matchErr
+	}
+	slices.SortStableFunc(c.out, compareByTime)
+	return c.out, nil
 }
 
 // OverheadReport quantifies IS perturbation present in a trace.

@@ -162,3 +162,15 @@ func TestCompensateRoundTripInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestCompensatorUnsortedAfterDroppedFlush: the time-order check covers
+// every record consumed, so a stream that opens with flush markers the
+// output drops, then goes back in time, is still rejected.
+func TestCompensatorUnsortedAfterDroppedFlush(t *testing.T) {
+	c := NewCompensator(CompensateOptions{DropFlushRecords: true})
+	c.Consume([]Record{{Kind: KindFlush, Time: 10, Payload: 5}, {Kind: KindFlush, Time: 12, Payload: 5}})
+	c.Consume([]Record{{Kind: KindUser, Time: 3}})
+	if _, err := c.Result(); err == nil {
+		t.Fatal("unsorted input accepted")
+	}
+}
