@@ -67,7 +67,7 @@ func NewDaemon(node int32, conn tp.Conn, pipeCap, batch int, opts ...Option) (*D
 }
 
 // Metrics returns the registry this LIS reports through.
-func (d *Daemon) Metrics() *metrics.Registry { return d.ctr.reg }
+func (d *Daemon) Metrics() *metrics.Registry { return d.ctr.scope.Registry() }
 
 // AttachProcess creates (or returns) the pipe for an application
 // process and starts its drainer. Call before the process emits.

@@ -17,7 +17,11 @@
 // the flow batch pool (no per-flush allocation), bounded stages apply
 // flow.OverflowPolicy uniformly, and every activity counter lives in a
 // metrics.Registry (lis.node<N>.captured, .forwarded, .flushes,
-// .dropped), of which the legacy Stats() snapshot is a thin view.
+// .dropped, .spilled), of which the legacy Stats() snapshot is a thin
+// view. A buffered LIS counts captured records per flush, not per
+// record, and exports its fill as the read-time gauge
+// lis.node<N>.occupancy, so capturing a record costs one lock and no
+// metric write.
 package lis
 
 import (
@@ -58,12 +62,16 @@ func (p Policy) String() string {
 }
 
 // Stats summarizes a LIS's activity. It is a point-in-time view over
-// the LIS's metrics registry.
+// the LIS's metrics registry. A captured record is forwarded, dropped,
+// spilled, still buffered or pending in an async sender, so a closed
+// LIS has Captured = Forwarded + Dropped + Spilled, except that Dropped
+// also counts the records refused while paused or closed, which were
+// never captured.
 type Stats struct {
 	Captured  uint64 // records accepted from sensors
 	Forwarded uint64 // records sent to the ISM
 	Flushes   uint64 // flush operations performed
-	Dropped   uint64 // records dropped (capture disabled or overflow policy)
+	Dropped   uint64 // records dropped (capture disabled, overflow policy or failed send)
 	Spilled   uint64 // records demoted to the spill target (SpillToStorage)
 }
 
@@ -120,8 +128,7 @@ type lisCounters struct {
 	flushes   *metrics.Counter
 	dropped   *metrics.Counter
 	spilled   *metrics.Counter
-	occupancy *metrics.Gauge
-	reg       *metrics.Registry
+	scope     metrics.Scope
 }
 
 func newLISCounters(node int32, reg *metrics.Registry) lisCounters {
@@ -135,9 +142,18 @@ func newLISCounters(node int32, reg *metrics.Registry) lisCounters {
 		flushes:   s.Counter("flushes"),
 		dropped:   s.Counter("dropped"),
 		spilled:   s.Counter("spilled"),
-		occupancy: s.Gauge("occupancy"),
-		reg:       reg,
+		scope:     s,
 	}
+}
+
+// sent accounts n records handed to the connection: forwarded when the
+// send succeeded, dropped when it failed.
+func (c lisCounters) sent(n uint64, err error) {
+	if err != nil {
+		c.dropped.Add(n)
+		return
+	}
+	c.forwarded.Add(n)
 }
 
 func (c lisCounters) stats() Stats {
@@ -164,6 +180,9 @@ type Buffered struct {
 	// on under it, so batches reach the wire in the order they were
 	// cut and every source's records stay in capture order.
 	flushMu sync.Mutex
+	// mu guards the buffer; ctr.captured counts the records of every
+	// batch cut from it and is advanced under mu, so captured plus
+	// len(buf) read under mu is the exact capture count.
 	mu      sync.Mutex
 	buf     []trace.Record
 	stopped bool
@@ -195,6 +214,7 @@ func NewBuffered(node int32, capacity int, conn tp.Conn, opts ...Option) (*Buffe
 		ctr:      newLISCounters(node, o.registry),
 	}
 	b.buf = flow.GetBatch(capacity)
+	b.ctr.scope.GaugeFunc("occupancy", func() int64 { return int64(b.Len()) })
 	if o.async {
 		if o.pending < 1 {
 			return nil, errors.New("lis: async pending depth must be >= 1")
@@ -234,12 +254,14 @@ const senderBurst = 32
 
 // sender drains pending batches to the connection (async mode). When a
 // backlog has built up behind a slow connection, the queued batches are
-// coalesced into a single tp.SendAll — one writev on a TCP transport —
-// instead of paying a flush round-trip per batch. The conn takes
-// ownership of every pooled batch.
+// coalesced into a single SendBatch — one writev on a TCP transport —
+// instead of paying a flush round-trip per batch; a conn without
+// SendBatch gets one Send per batch. The conn takes ownership of every
+// pooled batch.
 func (b *Buffered) sender() {
 	defer close(b.senderDone)
 	msgs := make([]tp.Message, 0, senderBurst)
+	bs, batching := b.conn.(tp.BatchSender)
 	for {
 		batch, ok := b.pending.PopWait()
 		if !ok {
@@ -255,8 +277,13 @@ func (b *Buffered) sender() {
 			total += uint64(len(more))
 			msgs = append(msgs, tp.PooledDataMessage(b.node, more))
 		}
-		if tp.SendAll(b.conn, msgs) == nil {
-			b.ctr.forwarded.Add(total)
+		if batching && len(msgs) > 1 {
+			b.ctr.sent(total, bs.SendBatch(msgs))
+			continue
+		}
+		for _, m := range msgs {
+			n := uint64(len(m.Records))
+			b.ctr.sent(n, b.conn.Send(m))
 		}
 	}
 }
@@ -268,11 +295,12 @@ func (b *Buffered) Node() int32 { return b.node }
 func (b *Buffered) Capacity() int { return b.capacity }
 
 // Metrics returns the registry this LIS reports through.
-func (b *Buffered) Metrics() *metrics.Registry { return b.ctr.reg }
+func (b *Buffered) Metrics() *metrics.Registry { return b.ctr.scope.Registry() }
 
 // Capture implements event.Sink. When the buffer reaches capacity the
 // policy hook runs: plain FOF flushes this buffer; under a Gang the
-// coordinator flushes every member (FAOF).
+// coordinator flushes every member (FAOF). A record costs one lock and
+// no metric write: Flush counts the batch it cuts.
 func (b *Buffered) Capture(r trace.Record) {
 	b.mu.Lock()
 	if b.stopped {
@@ -283,9 +311,7 @@ func (b *Buffered) Capture(r trace.Record) {
 	b.buf = append(b.buf, r)
 	full := len(b.buf) >= b.capacity
 	onFull := b.onFull
-	b.ctr.occupancy.Set(int64(len(b.buf)))
 	b.mu.Unlock()
-	b.ctr.captured.Inc()
 
 	if !full {
 		return
@@ -307,7 +333,8 @@ func (b *Buffered) Len() int {
 // Flush sends the buffered records to the ISM as one data message.
 // An empty buffer is a no-op (and not counted as a flush). In async
 // mode the batch is enqueued for the sender goroutine and the overflow
-// policy applies when the pending stage is full.
+// policy applies when the pending stage is full. The records of a
+// failed send are counted as dropped.
 func (b *Buffered) Flush() error {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
@@ -318,7 +345,7 @@ func (b *Buffered) Flush() error {
 	}
 	batch := b.buf
 	b.buf = flow.GetBatch(b.capacity)
-	b.ctr.occupancy.Set(0)
+	b.ctr.captured.Add(uint64(len(batch)))
 	conn := b.conn
 	b.mu.Unlock()
 	b.ctr.flushes.Inc()
@@ -329,12 +356,19 @@ func (b *Buffered) Flush() error {
 	}
 	n := uint64(len(batch))
 	err := conn.Send(tp.PooledDataMessage(b.node, batch))
-	b.ctr.forwarded.Add(n)
+	b.ctr.sent(n, err)
 	return err
 }
 
-// Stats implements LIS.
-func (b *Buffered) Stats() Stats { return b.ctr.stats() }
+// Stats implements LIS. Captured includes the records still in the
+// buffer.
+func (b *Buffered) Stats() Stats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st := b.ctr.stats()
+	st.Captured += uint64(len(b.buf))
+	return st
+}
 
 // Close flushes remaining records and marks the LIS stopped. The
 // connection is left open for the caller to close (it may be shared).
@@ -420,7 +454,7 @@ func NewForwarding(node int32, conn tp.Conn, opts ...Option) (*Forwarding, error
 }
 
 // Metrics returns the registry this LIS reports through.
-func (f *Forwarding) Metrics() *metrics.Registry { return f.ctr.reg }
+func (f *Forwarding) Metrics() *metrics.Registry { return f.ctr.scope.Registry() }
 
 // Capture implements event.Sink.
 func (f *Forwarding) Capture(r trace.Record) {

@@ -186,12 +186,13 @@ func (s Snapshot) Value(name string) float64 {
 // Registry holds named metrics. Handles returned by Counter, Gauge and
 // Histogram are get-or-create and stable: components look them up once
 // and update them atomically on the hot path with no further registry
-// involvement.
+// involvement. A GaugeFunc costs its owner nothing between snapshots.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	gaugeFuncs map[string][]func() int64
 }
 
 // NewRegistry creates an empty registry.
@@ -200,6 +201,7 @@ func NewRegistry() *Registry {
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
+		gaugeFuncs: map[string][]func() int64{},
 	}
 }
 
@@ -239,15 +241,38 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// GaugeFunc registers a gauge read at snapshot time: Snapshot calls f
+// and exports its result under name. Registrations under one name sum,
+// as components sharing a counter do, so several buffers of one node
+// report one occupancy. f runs outside the registry lock and may take
+// its owner's locks; a name is either a Gauge or a GaugeFunc, not both.
+func (r *Registry) GaugeFunc(name string, f func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gaugeFuncs[name] = append(r.gaugeFuncs[name], f)
+}
+
 // Scope returns a view of the registry that prefixes every metric name
 // with prefix + ".". Scopes nest: reg.Scope("lis").Scope("node3")
 // names metrics lis.node3.<name>.
 func (r *Registry) Scope(prefix string) Scope { return Scope{r: r, prefix: prefix} }
 
-// Snapshot exports every metric, sorted by name.
+// Snapshot exports every metric, sorted by name. GaugeFuncs are
+// evaluated after every stored value has been read, so a buffer's
+// occupancy is never older than the counter its flushes feed: records
+// moved from the buffer to the counter in between are not counted
+// twice.
 func (r *Registry) Snapshot() Snapshot {
+	type gaugeFunc struct {
+		name string
+		fs   []func() int64
+	}
 	r.mu.Lock()
-	out := make(Snapshot, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
+	out := make(Snapshot, 0, len(r.counters)+len(r.gauges)+len(r.histograms)+len(r.gaugeFuncs))
+	funcs := make([]gaugeFunc, 0, len(r.gaugeFuncs))
+	for name, fs := range r.gaugeFuncs {
+		funcs = append(funcs, gaugeFunc{name, fs})
+	}
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Kind: KindCounter, Value: float64(c.Value())})
 	}
@@ -261,6 +286,13 @@ func (r *Registry) Snapshot() Snapshot {
 		})
 	}
 	r.mu.Unlock()
+	for _, g := range funcs {
+		var v int64
+		for _, f := range g.fs {
+			v += f()
+		}
+		out = append(out, Metric{Name: g.name, Kind: KindGauge, Value: float64(v)})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -276,6 +308,9 @@ func (s Scope) Counter(name string) *Counter { return s.r.Counter(s.prefix + "."
 
 // Gauge returns the scoped gauge <prefix>.<name>.
 func (s Scope) Gauge(name string) *Gauge { return s.r.Gauge(s.prefix + "." + name) }
+
+// GaugeFunc registers the scoped read-time gauge <prefix>.<name>.
+func (s Scope) GaugeFunc(name string, f func() int64) { s.r.GaugeFunc(s.prefix+"."+name, f) }
 
 // Histogram returns the scoped histogram <prefix>.<name>.
 func (s Scope) Histogram(name string) *Histogram { return s.r.Histogram(s.prefix + "." + name) }

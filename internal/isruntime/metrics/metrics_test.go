@@ -115,6 +115,42 @@ func TestScopesAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestGaugeFunc checks that a read-time gauge is evaluated by each
+// Snapshot (not at registration), that registrations under one name
+// sum, and that a func may call back into its own registry.
+func TestGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	var a, b int64
+	lis := r.Scope("lis.node0")
+	lis.GaugeFunc("occupancy", func() int64 { return a })
+	lis.GaugeFunc("occupancy", func() int64 { return b })
+	r.GaugeFunc("reentrant", func() int64 {
+		r.Counter("reads").Inc()
+		return int64(r.Counter("reads").Value())
+	})
+	a, b = 3, 4
+	snap := r.Snapshot()
+	m, ok := snap.Get("lis.node0.occupancy")
+	if !ok || m.Kind != KindGauge || m.Value != 7 {
+		t.Fatalf("summed gauge func %+v (found %v), want gauge 7", m, ok)
+	}
+	a = 10
+	if v := r.Snapshot().Value("lis.node0.occupancy"); v != 14 {
+		t.Fatalf("second snapshot %g, want 14: the func must be read per snapshot", v)
+	}
+	if v := snap.Value("reentrant"); v != 1 {
+		t.Fatalf("reentrant gauge %g, want 1", v)
+	}
+	if v := r.Snapshot().Value("reads"); v != 2 {
+		t.Fatalf("reentrant func ran %g times by the third snapshot's counter read, want 2", v)
+	}
+	for i := 1; i < len(snap); i++ {
+		if snap[i-1].Name >= snap[i].Name {
+			t.Fatalf("snapshot unsorted at %d", i)
+		}
+	}
+}
+
 type fakeClock int64
 
 func (c *fakeClock) Now() int64 { *c++; return int64(*c) }

@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"prism/internal/trace"
 )
 
 // --- classification -------------------------------------------------
@@ -98,6 +101,74 @@ func TestStreamConnRecvClassification(t *testing.T) {
 	_ = sc.Close()
 	if _, err := sc.Recv(); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("recv on closed conn: %v, want ErrConnClosed", err)
+	}
+}
+
+// TestStreamConnStickyWriteFailure checks that a stream conn's first
+// write failure fails every later send. SendBatch's writev bypasses
+// bufio's sticky error, so a later send used to succeed after a
+// timed-out partial write and append whole frames behind the torn one;
+// the peer then failed with a columnar body checksum mismatch.
+func TestStreamConnStickyWriteFailure(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- nc
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := <-accepted
+	if peer == nil {
+		t.Fatal("accept failed")
+	}
+	defer peer.Close()
+	c := NewStreamConn(nc, WithWriteTimeout(20*time.Millisecond))
+	defer c.Close()
+	bs := c.(BatchSender)
+
+	rng := rand.New(rand.NewSource(1))
+	batch := func() []Message {
+		ms := make([]Message, 4)
+		for i := range ms {
+			rs := make([]trace.Record, 1024)
+			for j := range rs {
+				rs[j] = trace.Record{Node: int32(i), Kind: trace.KindUser,
+					Time: int64(j), Logical: uint64(j), Payload: rng.Int63()}
+			}
+			ms[i] = DataMessage(int32(i), rs)
+		}
+		return ms
+	}
+	// The peer does not read yet: the socket buffers fill (a few MB on
+	// loopback) and a writev times out part way.
+	var first error
+	for i := 0; i < 1000 && first == nil; i++ {
+		first = bs.SendBatch(batch())
+	}
+	if !errors.Is(first, ErrTimeout) {
+		t.Fatalf("stalled peer: SendBatch = %v, want ErrTimeout", first)
+	}
+	// The peer drains the backlog, so the socket would take more bytes;
+	// the stream must still refuse them behind the torn frame.
+	go func() { _, _ = io.Copy(io.Discard, peer) }()
+	time.Sleep(50 * time.Millisecond)
+	small := []Message{DataMessage(0, recs(1)), DataMessage(1, recs(1))}
+	if err := bs.SendBatch(small); err != first {
+		t.Fatalf("SendBatch after a write failure = %v, want %v", err, first)
+	}
+	if err := c.Send(DataMessage(0, recs(1))); err != first {
+		t.Fatalf("Send after a write failure = %v, want %v", err, first)
 	}
 }
 

@@ -85,6 +85,12 @@ type streamConn struct {
 	wmu   sync.Mutex
 	w     *bufio.Writer
 	codec trace.ColumnCodec // columnar encode scratch, under wmu
+	// werr is the first write failure, under wmu. A failed write may
+	// have put part of a frame on the wire, so the stream cannot carry
+	// another frame: every later Send and SendBatch fails with werr.
+	// bufio.Writer keeps its own error sticky, but SendBatch's writev
+	// bypasses it.
+	werr error
 
 	closeOnce sync.Once
 	closeErr  error
@@ -126,14 +132,32 @@ func (c *streamConn) appendWireLocked(buf []byte, m *Message) ([]byte, int, erro
 	return out, len(m.Records), err
 }
 
+// failLocked accounts a failed send and returns its classified error;
+// a write failure (write true) also becomes the conn's sticky werr.
+func (c *streamConn) failLocked(err error, write bool) error {
+	err = Classify(err)
+	if write && c.werr == nil {
+		c.werr = err
+	}
+	if c.m != nil {
+		c.m.sendErrors.Inc()
+	}
+	return err
+}
+
 // Send implements Conn. Each message is flushed immediately: the IS
 // trades throughput for the bounded dispatch latency that on-line
 // tools require. Failures are classified (Classify) so callers can
 // errors.Is against ErrConnClosed / ErrTimeout and decide whether a
-// redial can cure them.
+// redial can cure them; after a write failure every later send fails
+// with it.
 func (c *streamConn) Send(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.werr != nil {
+		Recycle(&m)
+		return c.failLocked(c.werr, false)
+	}
 	if c.opts.writeTimeout > 0 {
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.opts.writeTimeout))
 	}
@@ -141,7 +165,8 @@ func (c *streamConn) Send(m Message) error {
 	buf, recs, err := c.appendWireLocked(eb.b[:0], &m)
 	eb.b = buf[:0]
 	n := len(buf)
-	if err == nil {
+	encoded := err == nil
+	if encoded {
 		if _, err = c.w.Write(buf); err == nil {
 			err = c.w.Flush()
 		}
@@ -149,10 +174,7 @@ func (c *streamConn) Send(m Message) error {
 	encodePool.Put(eb)
 	Recycle(&m)
 	if err != nil {
-		if c.m != nil {
-			c.m.sendErrors.Inc()
-		}
-		return Classify(err)
+		return c.failLocked(err, encoded)
 	}
 	if c.m != nil {
 		c.m.msgsSent.Inc()
@@ -184,6 +206,12 @@ func (c *streamConn) SendBatch(ms []Message) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.werr != nil {
+		for i := range ms {
+			Recycle(&ms[i])
+		}
+		return c.failLocked(c.werr, false)
+	}
 	if c.opts.writeTimeout > 0 {
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.opts.writeTimeout))
 	}
@@ -209,17 +237,15 @@ func (c *streamConn) SendBatch(ms []Message) error {
 	for i := range ms {
 		Recycle(&ms[i])
 	}
-	if err == nil {
+	encoded := err == nil
+	if encoded {
 		if tc, ok := c.nc.(*net.TCPConn); ok {
-			// Pending buffered bytes (residue of a partial earlier
-			// failure) must precede the batch in stream order.
-			if err = c.w.Flush(); err == nil {
-				// WriteTo consumes its vector in place, so hand it a
-				// copy of the slice header and keep bf.bufs intact for
-				// reuse.
-				vec := bf.bufs
-				_, err = vec.WriteTo(tc)
-			}
+			// The bufio writer is empty here: Send flushes it, and a
+			// failed flush is sticky. WriteTo consumes its vector in
+			// place, so hand it a copy of the slice header and keep
+			// bf.bufs intact for reuse.
+			vec := bf.bufs
+			_, err = vec.WriteTo(tc)
 		} else {
 			for _, b := range bf.bufs {
 				if _, err = c.w.Write(b); err != nil {
@@ -238,10 +264,7 @@ func (c *streamConn) SendBatch(ms []Message) error {
 	bf.bufs = bf.bufs[:0]
 	batchFramesPool.Put(bf)
 	if err != nil {
-		if c.m != nil {
-			c.m.sendErrors.Inc()
-		}
-		return Classify(err)
+		return c.failLocked(err, encoded)
 	}
 	if c.m != nil {
 		c.m.msgsSent.Add(uint64(sent))

@@ -167,6 +167,28 @@ func BenchmarkColumnsDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkColumnsEncode times the wire encoder on the shapes and
+// sizes BenchmarkColumnsDecode decodes, into one reused buffer and
+// codec as a stream conn encodes its frames.
+func BenchmarkColumnsEncode(b *testing.B) {
+	for _, shape := range decodeShapes {
+		for _, n := range [...]int{32, 256, 512, decodeBenchRecords} {
+			b.Run(fmt.Sprintf("shape=%s/records=%d", shape.name, n), func(b *testing.B) {
+				rs := shape.batch(rand.New(rand.NewSource(1)), n, measuredMix)
+				var cc ColumnCodec
+				buf := cc.AppendColumns(nil, rs)
+				b.ReportAllocs()
+				b.SetBytes(int64(len(rs) * RecordSize))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = cc.AppendColumns(buf[:0], rs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rs)), "ns/rec")
+			})
+		}
+	}
+}
+
 // BenchmarkRunsDecode times the node, process and kind columns of one
 // 8192-record segment alone, through the run decoders both entries
 // share.
