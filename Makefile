@@ -23,7 +23,7 @@ THRESHOLD ?= 5
 # the full test suite under the race detector, a one-iteration
 # compile-and-run pass over every benchmark so a broken benchmark
 # cannot sit undetected until the next `make bench`, the bench/ module's
-# own vet and tests, and a short fuzz of the columnar segment decoder.
+# own vet and tests, and a short fuzz of the columnar codec.
 # Run it before every commit.
 check: vet staticcheck build race benchsmoke benchmod fuzzsmoke
 
@@ -75,17 +75,19 @@ benchsmoke:
 benchmod:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# fuzzsmoke gives the decoder fuzz targets a short budget: enough to
-# catch a decode regression on the corpus plus fresh mutations, cheap
-# enough to sit inside the tier-1 gate. Both ends of the columnar
-# codec's life are covered: segment files, wire bodies against the
-# serial reference decoder, and the wire's frame stream (control, flat
-# and columnar frames back to back). Minimising a new input gets 100
-# runs instead of Go's default 60 s, which would eat the whole budget.
+# fuzzsmoke gives the codec fuzz targets a short budget: enough to
+# catch a regression on the corpus plus fresh mutations, cheap enough
+# to sit inside the tier-1 gate. Both ends of the columnar codec's life
+# are covered: segment files, wire bodies against the serial reference
+# decoder, arbitrary records against the serial reference encoder, and
+# the wire's frame stream (control, flat and columnar frames back to
+# back). Minimising a new input gets 100 runs instead of Go's default
+# 60 s, which would eat the whole budget.
 FUZZFLAGS = -run=NONE -fuzztime=10s -fuzzminimizetime=100x
 fuzzsmoke:
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzSegmentDecode$$' ./internal/trace
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzColumnsDecode$$' ./internal/trace
+	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzColumnsEncode$$' ./internal/trace
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzReadMessage$$' ./internal/isruntime/tp
 
 # benchdiff compares two benchmark documents recorded on the same host

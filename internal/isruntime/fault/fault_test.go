@@ -489,11 +489,13 @@ func TestSimulateDeterministicReplay(t *testing.T) {
 }
 
 // TestReceiverAckFrontierOverride: with an AckFrontier hook installed,
-// every ack on the wire (fresh-data cadence, duplicate re-ack, hello
-// reply) carries the hook's value while receipt bookkeeping — dedup,
-// frontier, hole tracking — still runs on the receipt sequence. The
-// OnHello hook must fire before the hello's ack so an adoption-seeded
-// frontier is already visible to the first override call.
+// every ack on the wire (fresh data, duplicate re-ack, hello reply)
+// carries the hook's value while receipt bookkeeping — dedup,
+// frontier, hole tracking — still runs on the receipt sequence. A
+// fresh batch is acked only when the hook's value is past the last ack
+// sent to the node, by Filter or by SendAck. The OnHello hook must fire
+// before the hello's ack so an adoption-seeded frontier is already
+// visible to the first override call.
 func TestReceiverAckFrontierOverride(t *testing.T) {
 	gated := map[int32]int64{3: 0}
 	var hellos []int64
@@ -543,6 +545,28 @@ func TestReceiverAckFrontierOverride(t *testing.T) {
 	}
 	if got := ack.sent[len(ack.sent)-1]; got.Control != tp.CtlAck || got.Arg != 7 {
 		t.Fatalf("hello reply = %+v, want the adopted gated frontier 7", got)
+	}
+	// Fresh batches re-ack nothing the node was already sent; a gated
+	// advance whose owner's send was lost rides the next fresh batch,
+	// and one sent through SendAck does not.
+	acks := func() int { return len(ack.sent) }
+	before := acks()
+	r.Filter(ack, mk(8))
+	if acks() != before {
+		t.Fatalf("fresh batch re-acked the unmoved frontier: %+v", ack.sent[before:])
+	}
+	gated[3] = 8
+	r.Filter(ack, mk(9))
+	if acks() != before+1 || ack.sent[before].Arg != 8 {
+		t.Fatalf("fresh batch after a lost advance sent %+v, want one ack of 8", ack.sent[before:])
+	}
+	gated[3] = 9
+	if !r.SendAck(ack, 3, 9) {
+		t.Fatal("SendAck failed")
+	}
+	r.Filter(ack, mk(10))
+	if acks() != before+2 {
+		t.Fatalf("fresh batch repeated SendAck's ack: %+v", ack.sent[before:])
 	}
 }
 

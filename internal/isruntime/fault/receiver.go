@@ -22,8 +22,12 @@ package fault
 // sender closes holes by resending its unacked window (on reconnect,
 // on ack stall, or during shutdown drain); the pending set absorbs the
 // re-deliveries of everything that already made it across. Every
-// sequenced batch, fresh or duplicate, is answered with an ack;
-// unsequenced (Arg 0) data is never acked, only timestamped.
+// hello and duplicate is answered with an ack, and so is every fresh
+// sequenced batch unless an AckFrontier overrides the acked value:
+// then a fresh batch is acked only when that frontier has moved past
+// the last ack sent to its node, by Filter or by the frontier's owner
+// through SendAck. Unsequenced (Arg 0) data is never acked, only
+// timestamped.
 
 import (
 	"sync"
@@ -50,7 +54,9 @@ type ReceiverConfig struct {
 	// AckFrontier, when non-nil, overrides the sequence every ack
 	// carries: instead of the receipt frontier, acknowledgements report
 	// this caller-supplied value — a dispatch-gated frontier that only
-	// advances once delivered batches have actually been consumed.
+	// advances once delivered batches have actually been consumed. Its
+	// owner sends each advance itself, through SendAck, so a fresh
+	// batch is acked only when the frontier is past the last ack sent.
 	AckFrontier func(node int32) int64
 }
 
@@ -61,6 +67,7 @@ type nodeSession struct {
 	pending   map[int64]struct{} // accepted above a hole, awaiting the prefix to close
 	dups      uint64
 	lastHeard int64
+	acked     int64 // highest ack sent to the node, by Filter or SendAck
 }
 
 // missing is the number of open holes: batches in (high, maxSeen]
@@ -232,7 +239,19 @@ func (r *Receiver) Filter(conn tp.Conn, m tp.Message) bool {
 	}
 	high := ns.high
 	r.mu.Unlock()
-	r.ack(conn, m.Node, r.ackSeq(m.Node, high))
+	if r.cfg.AckFrontier == nil {
+		r.ack(conn, m.Node, high)
+		return false
+	}
+	// The frontier's owner sent every advance already; ack only one it
+	// has not.
+	v := r.cfg.AckFrontier(m.Node)
+	r.mu.Lock()
+	moved := v > ns.acked
+	r.mu.Unlock()
+	if moved {
+		r.ack(conn, m.Node, v)
+	}
 	return false
 }
 
@@ -248,14 +267,26 @@ func (r *Receiver) ackSeq(node int32, high int64) int64 {
 
 // ack sends a cumulative acknowledgement, ignoring transport errors.
 func (r *Receiver) ack(conn tp.Conn, node int32, high int64) {
-	if conn == nil {
-		return
+	if r.SendAck(conn, node, high) && r.mAcks != nil {
+		r.mAcks.Inc()
 	}
-	if err := conn.Send(tp.ControlMessage(node, tp.CtlAck, high)); err == nil {
-		if r.mAcks != nil {
-			r.mAcks.Inc()
-		}
+}
+
+// SendAck sends a cumulative acknowledgement of high to node on conn
+// and, when the send succeeds, records it as the node's last ack, so
+// that Filter does not repeat it for a fresh batch. An AckFrontier
+// owner sends its frontier's advances through it. It reports whether
+// the ack was sent.
+func (r *Receiver) SendAck(conn tp.Conn, node int32, high int64) bool {
+	if conn == nil || conn.Send(tp.ControlMessage(node, tp.CtlAck, high)) != nil {
+		return false
 	}
+	r.mu.Lock()
+	if ns := r.nodeLocked(node); high > ns.acked {
+		ns.acked = high
+	}
+	r.mu.Unlock()
+	return true
 }
 
 // High returns the highest contiguously accepted (i.e. acked)

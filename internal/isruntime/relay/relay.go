@@ -703,10 +703,8 @@ func (r *Relay) advanceAcks() {
 		ln.connMu.Lock()
 		c := ln.conn
 		ln.connMu.Unlock()
-		if c != nil {
-			if err := c.Send(tp.ControlMessage(ln.node, tp.CtlAck, v)); err == nil {
-				r.mAcksGated.Inc()
-			}
+		if r.recv.SendAck(c, ln.node, v) {
+			r.mAcksGated.Inc()
 		}
 	}
 }

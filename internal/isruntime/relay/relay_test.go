@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"prism/internal/isruntime/fault"
 	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/ism"
+	"prism/internal/isruntime/metrics"
 	"prism/internal/isruntime/tp"
 	"prism/internal/trace"
 )
@@ -128,7 +130,9 @@ type fedLeaf struct {
 	up *Uplink
 }
 
-func newFedLeaf(node int32, conn tp.Conn, batch int) *fedLeaf {
+// newFedLeaf builds a leaf whose uplink sends as node, in batches of
+// batch records, and reports to reg when it is non-nil.
+func newFedLeaf(node int32, conn tp.Conn, batch int, reg *metrics.Registry) *fedLeaf {
 	var clock event.VirtualClock
 	m := ism.New(ism.Config{
 		Buffering:   ism.SISO,
@@ -137,7 +141,7 @@ func newFedLeaf(node int32, conn tp.Conn, batch int) *fedLeaf {
 		Shards:      2,
 		Overflow:    flow.Block,
 	}, &clock)
-	up := NewUplink(node, conn, UplinkConfig{BatchSize: batch, Window: 512})
+	up := NewUplink(node, conn, UplinkConfig{BatchSize: batch, Window: 512, Metrics: reg})
 	m.SubscribeBatch("uplink", up.Push)
 	return &fedLeaf{m: m, up: up}
 }
@@ -535,7 +539,7 @@ func TestFederationMergeEquivalence(t *testing.T) {
 	for i := range cells {
 		a, b := tp.Pipe(256)
 		rel.Serve(b)
-		cells[i] = newFedLeaf(int32(100+i), a, 64)
+		cells[i] = newFedLeaf(int32(100+i), a, 64, nil)
 		ups[i] = cells[i].up
 	}
 	var wg sync.WaitGroup
@@ -586,6 +590,97 @@ func TestFederationMergeEquivalence(t *testing.T) {
 	}
 }
 
+// TestFederationAcksPerBatch counts the acks a root relay sends over a
+// loopback TCP two-leaf federation: the receiver's session acks and the
+// relay's dispatch-gated ones. Only advanceAcks and hellos move the
+// gated frontier, and both send it, so a fresh batch that moved nothing
+// is not acked again: about one ack per advance, and no more advances
+// than uplink batches.
+func TestFederationAcksPerBatch(t *testing.T) {
+	const (
+		nodes  = 4
+		events = 6000
+		leaves = 2
+	)
+	all := genExecution(nodes, events, 11)
+	finalMark := int64(len(all)) + 2
+	rel := New(Config{Root: true, Downstreams: leaves})
+	ln, err := tp.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			rel.Serve(c)
+		}
+	}()
+	reg := metrics.NewRegistry()
+	cells := make([]*fedLeaf, leaves)
+	ups := make([]*Uplink, leaves)
+	for i := range cells {
+		c, err := tp.Dial(ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[i] = newFedLeaf(int32(100+i), c, 64, reg)
+		ups[i] = cells[i].up
+	}
+	var wg sync.WaitGroup
+	for i, lf := range cells {
+		var sub []trace.Record
+		for _, r := range all {
+			if int(r.Node)%leaves == i {
+				sub = append(sub, r)
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lf.feed(sub, 256)
+			lf.finish(finalMark)
+		}()
+	}
+	wg.Wait()
+	// Let every batch be merged and acked before any drain, whose
+	// resends are duplicates and always acked.
+	for _, up := range ups {
+		if !up.WaitAcked(10 * time.Second) {
+			t.Fatalf("%d batches never acked", up.Pending())
+		}
+	}
+	var batches uint64
+	for i := range cells {
+		batches += reg.Counter(fmt.Sprintf("session.node%d.batches_sent", 100+i)).Value()
+	}
+	rm := rel.Metrics()
+	sent, gated := rm.Counter("session.acks_sent").Value(), rm.Counter("ism.relay.acks_gated").Value()
+	hellos, dups := rm.Counter("session.hellos").Value(), rm.Counter("session.dup_batches").Value()
+	t.Logf("%d uplink batches: %d session acks (%d hellos, %d dups), %d gated acks", batches, sent, hellos, dups, gated)
+	if batches == 0 || gated == 0 {
+		t.Fatalf("%d batches, %d gated acks: the federation did not run", batches, gated)
+	}
+	// A session ack of a fresh batch must carry a frontier value no ack
+	// has carried, and only gated advances and hellos make new values.
+	if sent > gated+hellos+dups {
+		t.Fatalf("%d session acks against %d gated advances (%d hellos, %d dups): fresh batches re-acked an unmoved frontier",
+			sent, gated, hellos, dups)
+	}
+	if gated > batches {
+		t.Fatalf("%d gated acks for %d uplink batches", gated, batches)
+	}
+	for _, lf := range cells {
+		lf.close(t)
+	}
+	if err := rel.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFederationThreeLevelTree proves the tiers compose: leaves feed
 // two inner (non-root) relays whose pass-through output feeds the
 // root, and the root trace is still byte-identical to the flat model.
@@ -621,7 +716,7 @@ func TestFederationThreeLevelTree(t *testing.T) {
 	for i := range cells {
 		a, b := tp.Pipe(256)
 		inners[i/2].Serve(b)
-		cells[i] = newFedLeaf(int32(100+i), a, 64)
+		cells[i] = newFedLeaf(int32(100+i), a, 64, nil)
 	}
 	var wg sync.WaitGroup
 	for i := range cells {
@@ -752,7 +847,7 @@ func TestFederationCrashResumeExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells[i] = newFedLeaf(int32(100+i), rd, 32)
+		cells[i] = newFedLeaf(int32(100+i), rd, 32, nil)
 	}
 
 	subs := make([][]trace.Record, leaves)

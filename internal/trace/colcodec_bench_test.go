@@ -141,50 +141,132 @@ func BenchmarkSegmentDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnsDecode times the wire decoder at the frame sizes the
-// runtime benchmark sends — 32 records (flat_paced's LIS flush), 256
-// (flat_firehose's), 512 (fed_tree's uplink batch) — and at the
-// segment size.
-func BenchmarkColumnsDecode(b *testing.B) {
+// freshBatches and freshRecords set how many distinct seeded batches
+// a codec yardstick cycles through: at least freshBatches, and enough
+// to hold freshRecords records. The runtime never codes the same batch
+// twice, and a loop over few batches lets the branch predictor learn
+// their run ends and varint lengths: the branchy encoder cost 31–35
+// ns/rec on one 256-record batch repeated and 56–71 on fresh ones, and
+// 64 batches of 32 records (2 048 records) still read about a third
+// cheaper than 512. Each shape keeps one repeat=1 case at 256 records,
+// so the gap stays visible.
+const (
+	freshBatches = 64
+	freshRecords = 1 << 14
+)
+
+// codecSizes are the frame sizes the runtime benchmark sends — 32
+// records (flat_paced's LIS flush), 256 (flat_firehose's), 512
+// (fed_tree's uplink batch) — and the segment size.
+var codecSizes = [...]int{32, 256, 512, decodeBenchRecords}
+
+// codecCase is one codec yardstick: count distinct batches of n
+// records of one shape, drawn from seed 1.
+type codecCase struct {
+	name     string
+	batch    func(*rand.Rand, int, [4]lengthMix) []Record
+	n, count int
+}
+
+// codecCases lists every shape at every size on fresh batches, and the
+// repeat=1 case of each shape.
+func codecCases() []codecCase {
+	var cs []codecCase
 	for _, shape := range decodeShapes {
-		for _, n := range [...]int{32, 256, 512, decodeBenchRecords} {
-			b.Run(fmt.Sprintf("shape=%s/records=%d", shape.name, n), func(b *testing.B) {
-				rs := shape.batch(rand.New(rand.NewSource(1)), n, measuredMix)
-				var cc ColumnCodec
-				cols := cc.AppendColumns(nil, rs)
-				dst := make([]Record, len(rs))
-				b.ReportAllocs()
-				b.SetBytes(int64(len(rs) * RecordSize))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := DecodeColumns(cols, dst); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rs)), "ns/rec")
-			})
+		for _, n := range codecSizes {
+			cs = append(cs, codecCase{fmt.Sprintf("shape=%s/records=%d", shape.name, n), shape.batch, n, max(freshBatches, freshRecords/n)})
 		}
+		cs = append(cs, codecCase{fmt.Sprintf("shape=%s/records=256/repeat=1", shape.name), shape.batch, 256, 1})
+	}
+	return cs
+}
+
+func (c codecCase) batches() [][]Record {
+	rng := rand.New(rand.NewSource(1))
+	bs := make([][]Record, c.count)
+	for i := range bs {
+		bs[i] = c.batch(rng, c.n, measuredMix)
+	}
+	return bs
+}
+
+// BenchmarkColumnsDecode times the wire decoder at codecSizes, one op
+// decoding the next of the case's batches.
+func BenchmarkColumnsDecode(b *testing.B) {
+	for _, c := range codecCases() {
+		b.Run(c.name, func(b *testing.B) {
+			var cc ColumnCodec
+			var bodies [][]byte
+			for _, rs := range c.batches() {
+				bodies = append(bodies, cc.AppendColumns(nil, rs))
+			}
+			dst := make([]Record, c.n)
+			b.ReportAllocs()
+			b.SetBytes(int64(c.n * RecordSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeColumns(bodies[i%len(bodies)], dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/rec")
+		})
 	}
 }
 
-// BenchmarkColumnsEncode times the wire encoder on the shapes and
-// sizes BenchmarkColumnsDecode decodes, into one reused buffer and
-// codec as a stream conn encodes its frames.
+// BenchmarkColumnsEncode times the wire encoder on the cases
+// BenchmarkColumnsDecode decodes, into one reused buffer and codec as a
+// stream conn encodes its frames.
 func BenchmarkColumnsEncode(b *testing.B) {
+	for _, c := range codecCases() {
+		b.Run(c.name, func(b *testing.B) {
+			bs := c.batches()
+			var cc ColumnCodec
+			buf := cc.AppendColumns(nil, bs[0])
+			b.ReportAllocs()
+			b.SetBytes(int64(c.n * RecordSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = cc.AppendColumns(buf[:0], bs[i%len(bs)])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/rec")
+		})
+	}
+}
+
+// BenchmarkColumnEncode times each column's encoder alone on 256-record
+// batches of both shapes, fresh and repeated: the per-column table in
+// the colcodec.go header.
+func BenchmarkColumnEncode(b *testing.B) {
+	var cc ColumnCodec
+	cols := [numColumns]func(b []byte, rs []Record) int{
+		func(b []byte, rs []Record) int { return putTimeCol(b, 0, rs) },
+		func(b []byte, rs []Record) int { return putLogicalCol(b, 0, rs) },
+		func(b []byte, rs []Record) int { return putIDCol(b, 0, rs, 2) },
+		func(b []byte, rs []Record) int { return putIDCol(b, 0, rs, 3) },
+		func(b []byte, rs []Record) int {
+			p, kinds := putKindCol(b, 0, rs, cc.kinds)
+			cc.kinds = kinds
+			return p
+		},
+		func(b []byte, rs []Record) int { return putTagCol(b, 0, rs) },
+		func(b []byte, rs []Record) int { return putPayloadCol(b, 0, rs) },
+	}
 	for _, shape := range decodeShapes {
-		for _, n := range [...]int{32, 256, 512, decodeBenchRecords} {
-			b.Run(fmt.Sprintf("shape=%s/records=%d", shape.name, n), func(b *testing.B) {
-				rs := shape.batch(rand.New(rand.NewSource(1)), n, measuredMix)
-				var cc ColumnCodec
-				buf := cc.AppendColumns(nil, rs)
-				b.ReportAllocs()
-				b.SetBytes(int64(len(rs) * RecordSize))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					buf = cc.AppendColumns(buf[:0], rs)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rs)), "ns/rec")
-			})
+		for ci, put := range cols {
+			for _, count := range [...]int{freshBatches, 1} {
+				c := codecCase{"", shape.batch, 256, count}
+				b.Run(fmt.Sprintf("shape=%s/col=%s/batches=%d", shape.name, colNames[ci], count), func(b *testing.B) {
+					bs := c.batches()
+					buf := make([]byte, MaxColumnsSize(c.n))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						put(buf, bs[i%len(bs)])
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/rec")
+				})
+			}
 		}
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"prism/internal/raceflag"
 )
 
 // extremesBatch builds records from int64/uint64/int32 extremes, so
@@ -152,6 +154,94 @@ func serialDecodeColumns(buf []byte, out []Record) error {
 		return fmt.Errorf("%w: %d trailing bytes after columns", ErrBadSegment, len(buf))
 	}
 	return nil
+}
+
+// serialAppendColumns is the reference the production encoder is held
+// to byte for byte: the plain per-column loops, one appendUvarint per
+// varint, with a branch on every run's end and every varint's length.
+// It records in off where each column starts, as appendColumns does.
+func serialAppendColumns(dst []byte, rs []Record, off *[numColumns]int) []byte {
+	uvarint := func(u uint64) {
+		if u < 0x80 {
+			dst = append(dst, byte(u))
+			return
+		}
+		dst = binary.AppendUvarint(dst, u)
+	}
+	off[0] = len(dst)
+	var prev, prevDelta int64
+	for i := range rs {
+		v := rs[i].Time
+		delta := v - prev
+		uvarint(zigzag(delta - prevDelta))
+		prev, prevDelta = v, delta
+	}
+	off[1] = len(dst)
+	prev, prevDelta = 0, 0
+	for i := range rs {
+		v := int64(rs[i].Logical)
+		delta := v - prev
+		uvarint(zigzag(delta - prevDelta))
+		prev, prevDelta = v, delta
+	}
+	for _, ci := range [...]int{2, 3} {
+		off[ci] = len(dst)
+		field := func(i int) int32 {
+			if ci == 2 {
+				return rs[i].Node
+			}
+			return rs[i].Process
+		}
+		for i := 0; i < len(rs); {
+			v := field(i)
+			j := i + 1
+			for j < len(rs) && field(j) == v {
+				j++
+			}
+			uvarint(uint64(j - i))
+			uvarint(zigzag(int64(v)))
+			i = j
+		}
+	}
+	off[4] = len(dst)
+	var idx [256]int16
+	for i := range idx {
+		idx[i] = -1
+	}
+	var dict []byte
+	for i := range rs {
+		if k := byte(rs[i].Kind); idx[k] < 0 {
+			idx[k] = int16(len(dict))
+			dict = append(dict, k)
+		}
+	}
+	uvarint(uint64(len(dict)))
+	dst = append(dst, dict...)
+	for i := 0; i < len(rs); {
+		k := rs[i].Kind
+		j := i + 1
+		for j < len(rs) && rs[j].Kind == k {
+			j++
+		}
+		uvarint(uint64(j - i))
+		dst = append(dst, byte(idx[byte(k)]))
+		i = j
+	}
+	off[5] = len(dst)
+	prev = 0
+	for i := range rs {
+		v := int64(rs[i].Tag)
+		uvarint(zigzag(v - prev))
+		prev = v
+	}
+	off[6] = len(dst)
+	prev = 0
+	for i := range rs {
+		v := rs[i].Payload
+		uvarint(zigzag(v - prev))
+		prev = v
+	}
+	return dst
 }
 
 // decodeBoth decodes in through a segment, through its wire column
@@ -533,6 +623,235 @@ func FuzzColumnsDecode(f *testing.F) {
 			return
 		}
 		recordsEqual(t, "decoded", got, want)
+	})
+}
+
+// encodeMatches encodes in behind dst with the production encoder and
+// the serial reference, failing unless both return the same bytes, dst
+// included, and record the same column starts.
+func encodeMatches(t testing.TB, what string, dst []byte, in []Record) {
+	t.Helper()
+	var off, refOff [numColumns]int
+	want := serialAppendColumns(append([]byte(nil), dst...), in, &refOff)
+	var cc ColumnCodec
+	got := cc.appendColumns(dst, in, &off)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: encoding differs from the reference\n got  %x\n want %x", what, got, want)
+	}
+	if off != refOff {
+		t.Fatalf("%s: column starts %v, reference %v", what, off, refOff)
+	}
+}
+
+// TestColumnsEncodeMatchesReference holds the column encoder to the
+// serial reference byte for byte: both measured shapes, wrapping
+// extremes, every run edge on the node, process and kind columns, run
+// lengths and run values on either side of the one-byte pair, empty and
+// one-record batches, and output appended behind a prefix into a dst
+// that must grow.
+func TestColumnsEncodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for iter := 0; iter < 20; iter++ {
+		n := 1 + rng.Intn(3000)
+		encodeMatches(t, "mix one-byte", nil, mixBatch(rng, n, oneByteMix))
+		encodeMatches(t, "mix measured", nil, mixBatch(rng, n, measuredMix))
+		encodeMatches(t, "flat", nil, flatFrame(rng, n, measuredMix))
+		encodeMatches(t, "extremes", nil, extremesBatch(rng, n))
+		encodeMatches(t, "random", nil, randomBatch(rng, n))
+	}
+	for _, ci := range [...]int{2, 3, 4} {
+		for _, e := range runEdges {
+			encodeMatches(t, colNames[ci]+" "+e.name, nil, runEdgeBatch(rng, ci, e))
+		}
+		for _, l := range [...]int{127, 128, 129, 16383, 16384} {
+			for _, runs := range [][]int{{l}, {1, l}, {l, 1}, {2, l, 3}} {
+				e := runEdge{fmt.Sprintf("runs %v", runs), runs, []int32{1, 2, 3}}
+				encodeMatches(t, colNames[ci]+" "+e.name, nil, runEdgeBatch(rng, ci, e))
+			}
+		}
+	}
+	// Zigzag forms 63, 64, 127 and 128: the last one-byte values and the
+	// first two-byte ones.
+	for _, ci := range [...]int{2, 3} {
+		for _, v := range [...]int32{-32, 32, -64, 64} {
+			e := runEdge{fmt.Sprintf("value %d", v), []int{1, 3, 1, 2}, []int32{v, 0, v}}
+			encodeMatches(t, colNames[ci]+" "+e.name, nil, runEdgeBatch(rng, ci, e))
+		}
+	}
+	encodeMatches(t, "varint length edges", nil, varintEdgeBatch())
+	for n := 0; n <= 1; n++ {
+		encodeMatches(t, fmt.Sprintf("%d records", n), nil, mixBatch(rng, n, measuredMix))
+		encodeMatches(t, fmt.Sprintf("%d extreme records", n), nil, extremesBatch(rng, n))
+	}
+	in := mixBatch(rng, 300, measuredMix)
+	prefix := []byte("prefix")
+	encodeMatches(t, "behind a prefix", append(make([]byte, 0, 1<<16), prefix...), in)
+	encodeMatches(t, "into a full dst", append(make([]byte, 0, len(prefix)), prefix...), in)
+	encodeMatches(t, "into a dst of the bound", append(make([]byte, 0, len(prefix)+MaxColumnsSize(len(in))), prefix...), in)
+}
+
+// varintEdgeBatch builds records whose time, logical and payload
+// columns hold every zigzag value on either side of a varint length
+// step, 1<<(7k) - 1 and 1<<(7k) for k = 1..9, and whose tag column
+// holds those below 1<<17, each column in its own order.
+func varintEdgeBatch() []Record {
+	var edges []uint64
+	for k := 1; k <= 9; k++ {
+		edges = append(edges, 1<<(7*k)-1, 1<<(7*k))
+	}
+	edges = append(edges, math.MaxUint64)
+	var tagEdges []uint64
+	for _, u := range edges {
+		if u < 1<<17 {
+			tagEdges = append(tagEdges, u)
+		}
+	}
+	rs := make([]Record, 3*len(edges))
+	var tm, tmDelta, lg, lgDelta, tag, payload int64
+	for i := range rs {
+		tmDelta += unzigzag(edges[i%len(edges)])
+		tm += tmDelta
+		lgDelta += unzigzag(edges[(i/2)%len(edges)])
+		lg += lgDelta
+		// An edge and its neighbour u^1 have the same length and
+		// opposite signs: one of them keeps the tag in range.
+		u := tagEdges[(i/3)%len(tagEdges)]
+		if d := unzigzag(u); tag+d < 0 || tag+d > math.MaxUint16 {
+			u ^= 1
+		}
+		tag += unzigzag(u)
+		payload += unzigzag(edges[len(edges)-1-i%len(edges)])
+		rs[i] = Record{Time: tm, Logical: uint64(lg), Tag: uint16(tag), Payload: payload}
+	}
+	return rs
+}
+
+// worstBatch builds n records that reach the size bound's per-record
+// worst case in every column: 10-byte time, logical and payload
+// varints, singleton node and process runs of 5-byte values, singleton
+// kind runs, 3-byte tag deltas and as large a kind dictionary as n
+// allows. Kinds past the defined set are not decodable, but the
+// encoder takes them.
+func worstBatch(n int) []Record {
+	rs := make([]Record, n)
+	var tm, tmDelta int64
+	for i := range rs {
+		// A delta-of-delta, and a payload delta, of MinInt64 every
+		// record: its zigzag form is all ones.
+		tmDelta += math.MinInt64
+		tm += tmDelta
+		r := Record{Node: math.MinInt32, Process: math.MaxInt32, Kind: Kind(i % 256), Time: tm, Logical: uint64(tm)}
+		if i%2 == 0 {
+			r.Node, r.Process, r.Tag, r.Payload = r.Process, r.Node, math.MaxUint16, math.MinInt64
+		}
+		rs[i] = r
+	}
+	return rs
+}
+
+// TestMaxColumnsSizeBound checks that the encoder stays within
+// MaxColumnsSize, the limit at which a receiver rejects a frame, on
+// worst-case records, with room for the wideStoreSlack bytes its last
+// store may write past the end, and that a dst with MaxColumnsSize
+// spare capacity is written in place, not regrown.
+func TestMaxColumnsSizeBound(t *testing.T) {
+	for _, n := range [...]int{1, 32, 256, 8192} {
+		in := worstBatch(n)
+		dict := min(n, 256)
+		want := 47*n + dict + len(binary.AppendUvarint(nil, uint64(dict)))
+		var cc ColumnCodec
+		got := cc.AppendColumns(nil, in)
+		if len(got) != want {
+			t.Fatalf("n=%d: %d bytes, want the worst case %d", n, len(got), want)
+		}
+		if max := MaxColumnsSize(n); len(got)+wideStoreSlack > max {
+			t.Fatalf("n=%d: %d bytes and %d of slack exceed MaxColumnsSize %d", n, len(got), wideStoreSlack, max)
+		}
+		encodeMatches(t, fmt.Sprintf("worst n=%d", n), nil, in)
+		dst := make([]byte, 5, 5+MaxColumnsSize(n))
+		if out := cc.AppendColumns(dst, in); &out[0] != &dst[0] {
+			t.Fatalf("n=%d: encoder regrew a dst with MaxColumnsSize spare", n)
+		}
+	}
+}
+
+// TestColumnsEncodeAllocs pins the steady state: once its dictionary
+// scratch and the output have grown, an encode allocates nothing.
+func TestColumnsEncodeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	in := flatFrame(rand.New(rand.NewSource(2)), 256, measuredMix)
+	var cc ColumnCodec
+	buf := cc.AppendColumns(nil, in)
+	if allocs := testing.AllocsPerRun(100, func() { buf = cc.AppendColumns(buf[:0], in) }); allocs != 0 {
+		t.Fatalf("steady-state encode allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// fuzzRecords turns arbitrary bytes into records, one per 9-byte chunk:
+// a control byte and a little-endian word x. Control bits 0–3 keep the
+// previous record's node, process, kind and tag, so runs of any length
+// occur; the top four bits shift x right by 0–60, so deltas and values
+// of every varint length occur. Each chunk's record repeats stretch
+// more times when control bit 3 is set.
+func fuzzRecords(data []byte, stretch uint8) []Record {
+	var rs []Record
+	var r Record
+	for ; len(data) >= 9 && len(rs) < 1<<15; data = data[9:] {
+		c, x := data[0], binary.LittleEndian.Uint64(data[1:])
+		v := int64(x) >> (c >> 4 * 4)
+		if c&1 == 0 {
+			r.Node = int32(v)
+		}
+		if c&2 == 0 {
+			r.Process = int32(v >> 3)
+		}
+		if c&4 == 0 {
+			r.Kind = Kind(x >> 56)
+		}
+		if c&8 == 0 {
+			r.Tag = uint16(x >> 8)
+		}
+		r.Time += v
+		r.Logical += uint64(v >> 1)
+		r.Payload ^= v
+		reps := 1
+		if c&8 != 0 {
+			reps += int(stretch)
+		}
+		for ; reps > 0; reps-- {
+			rs = append(rs, r)
+		}
+	}
+	return rs
+}
+
+// FuzzColumnsEncode holds the column encoder to the serial reference
+// on arbitrary records, and checks that records of valid kinds decode
+// back to themselves.
+func FuzzColumnsEncode(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0x0f, 1, 2, 3, 4, 5, 6, 7, 8}, 3), uint8(200))
+	f.Add(bytes.Repeat([]byte{0xf8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, 4), uint8(127))
+	rng := rand.New(rand.NewSource(39))
+	seed := make([]byte, 9*64)
+	rng.Read(seed)
+	f.Add(seed, uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, stretch uint8) {
+		in := fuzzRecords(data, stretch)
+		encodeMatches(t, "fuzzed", nil, in)
+		for _, r := range in {
+			if !r.Kind.Valid() {
+				return
+			}
+		}
+		var cc ColumnCodec
+		out := make([]Record, len(in))
+		if err := DecodeColumns(cc.AppendColumns(nil, in), out); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		recordsEqual(t, "round trip", out, in)
 	})
 }
 
