@@ -1,29 +1,15 @@
 GO ?= go
-BENCH ?= .
-BENCHCOUNT ?= 5
-BENCHTIME ?= 1s
-# GOMAXPROCS sweep for the multi-core scaling benchmarks: the pipeline
-# and ISM ingest paths are the ones the sharded merge is supposed to
-# scale, so `make bench` re-runs them at each of these proc counts.
-BENCHCPUS ?= 1,2,4,8
-SWEEPBENCH ?= PipelineThroughput|ISMPipeline|RelayFanIn
 # staticcheck version the CI workflow pins; keep the local install in
 # sync with `go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)`.
 STATICCHECK_VERSION ?= 2025.1
-SHA := $(shell git rev-parse --short HEAD)
-# benchdiff inputs: baseline file (no default: name the document to
-# compare against), candidate file, and the ns/op regression percentage
-# that fails the diff.
-CANDIDATE ?= BENCH_$(SHA).json
-THRESHOLD ?= 5
 
-.PHONY: check vet staticcheck build test race bench benchsmoke benchmod benchdiff benchpairs fuzzsmoke surface fmt
+.PHONY: check vet staticcheck build test race benchsmoke benchmod benchpairs fuzzsmoke surface fmt
 
 # check is the tier-1 gate: vet, staticcheck (when installed), build,
 # the full test suite under the race detector, a one-iteration
 # compile-and-run pass over every benchmark so a broken benchmark
-# cannot sit undetected until the next `make bench`, the bench/ module's
-# own vet and tests, and a short fuzz of the columnar codec.
+# cannot sit undetected, the bench/ module's own vet and tests, and a
+# short fuzz of the columnar codec.
 # Run it before every commit.
 check: vet staticcheck build race benchsmoke benchmod fuzzsmoke
 
@@ -50,23 +36,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench records a baseline: -count runs of every benchmark, aggregated
-# into BENCH_<sha>.json (ns/op min/mean/max, allocs/op, and the
-# GOMAXPROCS/NumCPU context that makes speedups interpretable). The
-# file is a local artifact for `make benchdiff`, not committed.
-# Narrow with e.g. `make bench BENCH=FactorialVista BENCHCOUNT=3`.
-bench:
-	$(GO) test -run XXX -timeout 0 -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) ./... | tee bench.out
-	$(GO) test -run XXX -timeout 0 -bench '$(SWEEPBENCH)' -benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) -cpu $(BENCHCPUS) . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -sha $(SHA) < bench.out > BENCH_$(SHA).json
-	@rm -f bench.out
-	@echo wrote BENCH_$(SHA).json
-
 # benchsmoke runs every benchmark exactly once — no timing fidelity,
-# just proof that each one still compiles, runs, and terminates.
+# just proof that each one still compiles, runs, and terminates — then
+# the pipeline, ISM ingest and relay fan-in benchmarks once more at
+# GOMAXPROCS=4, so their lanes and merger run on more than one P.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-	$(GO) test -run=NONE -bench='$(SWEEPBENCH)' -benchtime=1x -cpu 4 .
+	$(GO) test -run=NONE -bench='PipelineThroughput|ISMPipeline|RelayFanIn' -benchtime=1x -cpu 4 .
 
 # benchmod vets and tests the runtime benchmark under bench/. It is a
 # module of its own (root `go build ./...` does not see it) that
@@ -89,14 +65,6 @@ fuzzsmoke:
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzColumnsDecode$$' ./internal/trace
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzColumnsEncode$$' ./internal/trace
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzReadMessage$$' ./internal/isruntime/tp
-
-# benchdiff compares two benchmark documents recorded on the same host
-# shape (benchjson refuses a num_cpu or GOMAXPROCS mismatch) and fails
-# on ns/op regressions past THRESHOLD percent:
-#   make benchdiff BASELINE=BENCH_old.json CANDIDATE=BENCH_new.json
-benchdiff:
-	@test -n "$(BASELINE)" || { echo "usage: make benchdiff BASELINE=<old.json> [CANDIDATE=BENCH_$(SHA).json] [THRESHOLD=5]" >&2; exit 2; }
-	$(GO) run ./cmd/benchjson -compare -threshold $(THRESHOLD) $(BASELINE) $(CANDIDATE)
 
 # benchpairs is the evidence behind a performance claim: PAIRS
 # alternated runs of bench/run.sh at PARENT (a commit, checked out into

@@ -8,7 +8,9 @@
 // The manager reports through a runtime metrics registry; -publish
 // periodically re-injects those metrics into the managed stream as
 // trace records (the IS instrumenting itself), and shutdown prints the
-// full registry snapshot.
+// full registry snapshot. Published samples carry Process -1 and node
+// -1, or -1 - N on a leaf with -uplink-node N, so leaves publishing
+// into one relay stay distinct sources there.
 //
 // Usage:
 //
@@ -391,11 +393,17 @@ func (r *role) startISM() error {
 		}
 	}
 	// The manager's own metrics flow through the same pipeline as
-	// application data, attributed to synthetic node -1.
+	// application data, attributed to a synthetic node: -1, or
+	// -1 - uplinkNode on a leaf, as the relay admits a source through
+	// one lane only and -uplink-node is unique per relay.
 	stopPublish := make(chan struct{})
 	if s.publish > 0 {
-		pub := metrics.NewPublisher(reg, -1, clock, metrics.SinkFunc(func(r trace.Record) {
-			m.Inject(tp.DataMessage(-1, []trace.Record{r}))
+		node := int32(-1)
+		if s.role == "leaf" {
+			node = -1 - int32(s.uplinkNode)
+		}
+		pub := metrics.NewPublisher(reg, node, clock, metrics.SinkFunc(func(r trace.Record) {
+			m.Inject(tp.DataMessage(node, []trace.Record{r}))
 		}))
 		go pub.Run(stopPublish, s.publish)
 	}

@@ -14,6 +14,7 @@ import (
 	"prism/internal/isruntime/ism"
 	"prism/internal/isruntime/lis"
 	"prism/internal/isruntime/metrics"
+	"prism/internal/isruntime/relay"
 	"prism/internal/isruntime/tp"
 	"prism/internal/trace"
 )
@@ -483,8 +484,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// spoolPayloads decodes a spool and counts each record's Payload.
-func spoolPayloads(t *testing.T, path string) map[int64]int {
+// spoolRecords decodes a spool.
+func spoolRecords(t *testing.T, path string) []trace.Record {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -494,8 +495,14 @@ func spoolPayloads(t *testing.T, path string) map[int64]int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return recs
+}
+
+// spoolPayloads decodes a spool and counts each record's Payload.
+func spoolPayloads(t *testing.T, path string) map[int64]int {
+	t.Helper()
 	seen := map[int64]int{}
-	for _, r := range recs {
+	for _, r := range spoolRecords(t, path) {
 		seen[r.Payload]++
 	}
 	return seen
@@ -564,6 +571,49 @@ func TestLeafRelayLifecycle(t *testing.T) {
 	for p, c := range seen {
 		if p < 0 || p >= n || c != 1 {
 			t.Fatalf("root spool holds payload %d %d times", p, c)
+		}
+	}
+}
+
+// TestLeavesPublishIntoOneRelay runs two self-publishing leaves into
+// one relay: each leaf publishes its registry under its own node id,
+// so the relay admits both metric streams, rejects no record, and the
+// root spool holds samples from both leaves. The leaves' clocks are
+// independent, so the tail a leaf publishes after the other leaf's
+// final mark never passes the watermark rule; -max-stall forces it
+// through instead of leaving both drains to run out their 5 s.
+func TestLeavesPublishIntoOneRelay(t *testing.T) {
+	const n = 300
+	root := filepath.Join(t.TempDir(), "root.bin")
+	rel := startRole(t, "relay", "-spool", root, "-downstreams", "2", "-max-stall", "20ms", "-stats", "1ms")
+	var leaves []*runningRole
+	for i := 0; i < 2; i++ {
+		leaf := startRole(t, "leaf", "-uplink", rel.addr, "-uplink-node", fmt.Sprint(i+1),
+			"-uplink-batch", "64", "-mark-interval", "20ms", "-publish", "5ms", "-stats", "1ms")
+		leaves = append(leaves, leaf)
+		sendRecords(t, leaf.addr, int32(i), i*n, n)
+	}
+	for _, leaf := range leaves {
+		m := leaf.mgr.(*ism.ISM)
+		waitFor(t, "a leaf to dispatch its records and a published sample", func() bool { return m.Stats().Dispatched > n })
+	}
+	for _, leaf := range leaves {
+		leaf.shutdown(t)
+	}
+	rel.shutdown(t)
+	if st := rel.mgr.(*relay.Relay).Stats(); st.PartitionRejects != 0 {
+		t.Fatalf("relay rejected %d records: two leaves published under one source", st.PartitionRejects)
+	}
+	samples := map[int32]int{}
+	for _, r := range spoolRecords(t, root) {
+		if r.Kind == trace.KindSample {
+			samples[r.Node]++
+		}
+	}
+	// A leaf with -uplink-node N publishes as node -1 - N.
+	for _, id := range []int32{-2, -3} {
+		if samples[id] == 0 {
+			t.Fatalf("root spool holds no samples from node %d; samples by node: %v", id, samples)
 		}
 	}
 }

@@ -97,15 +97,7 @@ func TestNetworkedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			manager.Serve(conn)
-		}
-	}()
+	go serveAll(ln, manager.Serve)
 
 	const perNode = 200
 	run := func(node int32, mk func(tp.Conn) (lis.LIS, error)) {

@@ -39,6 +39,7 @@ package ism
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -291,8 +292,7 @@ type ISM struct {
 
 	mu        sync.Mutex
 	closed    bool
-	serveWG   sync.WaitGroup
-	lisConns  []tp.Conn
+	lisConns  []tp.Conn // served connections whose reader still runs
 	flushAcks chan struct{}
 }
 
@@ -399,18 +399,23 @@ func (m *ISM) SubscribeBatch(name string, fn func([]trace.Record)) {
 
 // Serve reads messages from a LIS connection until EOF, feeding the
 // input stage. It returns immediately; readers run on their own
-// goroutines. The connection is remembered so Broadcast can reach it.
-// The session layer (hello/ack/dedup) is interposed automatically:
-// sequenced batches from a fault.Session are acked on receipt and
-// their replays absorbed, and the session's hellos and heartbeats
-// never reach Inject.
+// goroutines. Broadcast and GangFlush reach the connection until its
+// reader exits, which closes and forgets it. The session layer
+// (hello/ack/dedup) is interposed automatically: sequenced batches
+// from a fault.Session are acked on receipt and their replays
+// absorbed, and the session's hellos and heartbeats never reach
+// Inject.
 func (m *ISM) Serve(conn tp.Conn) {
 	m.mu.Lock()
 	m.lisConns = append(m.lisConns, conn)
 	m.mu.Unlock()
-	m.serveWG.Add(1)
 	go func() {
-		defer m.serveWG.Done()
+		defer func() {
+			m.mu.Lock()
+			m.lisConns = slices.DeleteFunc(m.lisConns, func(c tp.Conn) bool { return c == conn })
+			m.mu.Unlock()
+			_ = conn.Close()
+		}()
 		for {
 			msg, err := conn.Recv()
 			if err != nil {

@@ -303,6 +303,54 @@ func TestGangFlushTimeout(t *testing.T) {
 	}
 }
 
+// TestGangFlushForgetsClosedConn pins that a served connection whose
+// reader has exited no longer counts toward GangFlush: three LISes
+// behind control loops, one closes, and the sweep returns the two live
+// acknowledgements without waiting out its timeout.
+func TestGangFlushForgetsClosedConn(t *testing.T) {
+	var clock event.VirtualClock
+	m := New(Config{Buffering: SISO}, &clock)
+	defer m.Close()
+	var peers []tp.Conn
+	for i := 0; i < 3; i++ {
+		lisSide, ismSide := tp.Pipe(32)
+		m.Serve(ismSide)
+		peers = append(peers, lisSide)
+		b, err := lis.NewBuffered(int32(i), 32, lisSide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = lis.ControlLoop(lisSide, b) }()
+	}
+	defer func() {
+		for _, c := range peers[1:] {
+			c.Close()
+		}
+	}()
+	peers[0].Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		m.mu.Lock()
+		n := len(m.lisConns)
+		m.mu.Unlock()
+		if n == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ISM still holds %d connections after one peer closed, want 2", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	const timeout = 5 * time.Second
+	start := time.Now()
+	if acks := m.GangFlush(timeout); acks != 2 {
+		t.Fatalf("acks %d, want 2", acks)
+	}
+	if took := time.Since(start); took > timeout/5 {
+		t.Fatalf("GangFlush took %s of its %s timeout", took, timeout)
+	}
+}
+
 func TestControlCounted(t *testing.T) {
 	var clock event.VirtualClock
 	m := New(Config{Buffering: SISO}, &clock)

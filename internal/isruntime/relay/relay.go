@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,7 +222,7 @@ type Relay struct {
 	killed   atomic.Bool
 
 	mu      sync.Mutex
-	conns   []tp.Conn
+	conns   []tp.Conn // served connections whose reader still runs
 	closed  bool
 	serveWG sync.WaitGroup
 }
@@ -307,7 +308,9 @@ func (r *Relay) SubscribeBatch(name string, fn func([]trace.Record)) {
 }
 
 // Serve reads messages from a downstream connection until EOF. The
-// session layer (hello/ack/dedup) is interposed automatically.
+// session layer (hello/ack/dedup) is interposed automatically. Once
+// the reader exits the connection is closed and forgotten, so a
+// downstream that redials adds no dead connection.
 func (r *Relay) Serve(conn tp.Conn) {
 	r.mu.Lock()
 	if r.closed {
@@ -315,10 +318,16 @@ func (r *Relay) Serve(conn tp.Conn) {
 		return
 	}
 	r.conns = append(r.conns, conn)
-	r.mu.Unlock()
 	r.serveWG.Add(1)
+	r.mu.Unlock()
 	go func() {
-		defer r.serveWG.Done()
+		defer func() {
+			r.mu.Lock()
+			r.conns = slices.DeleteFunc(r.conns, func(c tp.Conn) bool { return c == conn })
+			r.mu.Unlock()
+			_ = conn.Close()
+			r.serveWG.Done()
+		}()
 		for {
 			m, err := conn.Recv()
 			if err != nil {

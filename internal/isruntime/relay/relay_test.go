@@ -386,6 +386,40 @@ func TestRelayPartitionRejects(t *testing.T) {
 	}
 }
 
+// TestRelayForgetsClosedConn: a downstream connection whose reader
+// exits is forgotten, and Close still closes every live one.
+func TestRelayForgetsClosedConn(t *testing.T) {
+	rel := New(Config{Root: true})
+	var peers []tp.Conn
+	for i := 0; i < 3; i++ {
+		a, b := tp.Pipe(16)
+		rel.Serve(b)
+		peers = append(peers, a)
+	}
+	peers[0].Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rel.mu.Lock()
+		n := len(rel.conns)
+		rel.mu.Unlock()
+		if n == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("relay still holds %d connections after one peer closed, want 2", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := rel.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range peers[1:] {
+		if _, err := c.Recv(); err == nil {
+			t.Fatalf("live peer %d still open after Close", i+1)
+		}
+	}
+}
+
 // TestRelayMaxStallForcesProgress: a lane that goes silent without a
 // watermark stalls the merge; MaxStall bounds the damage by forcing
 // the minimum head through, counted as an order break.
