@@ -57,13 +57,15 @@ benchmod:
 # are covered: segment files, wire bodies against the serial reference
 # decoder, arbitrary records against the serial reference encoder, and
 # the wire's frame stream (control, flat and columnar frames back to
-# back). Minimising a new input gets 100 runs instead of Go's default
+# back); so is the causal merger's message table, against a Go map.
+# Minimising a new input gets 100 runs instead of Go's default
 # 60 s, which would eat the whole budget.
 FUZZFLAGS = -run=NONE -fuzztime=10s -fuzzminimizetime=100x
 fuzzsmoke:
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzSegmentDecode$$' ./internal/trace
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzColumnsDecode$$' ./internal/trace
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzColumnsEncode$$' ./internal/trace
+	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzMsgTable$$' ./internal/trace
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzReadMessage$$' ./internal/isruntime/tp
 
 # benchpairs is the evidence behind a performance claim: PAIRS

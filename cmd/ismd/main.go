@@ -15,6 +15,7 @@
 // Usage:
 //
 //	ismd [-addr 127.0.0.1:7311] [-spool trace.bin] [-miso] [-stats 2s]
+//	     [-debug-addr host:port]
 //	     [-overflow drop-oldest|block|drop-newest|spill] [-publish 0]
 //	     [-degraded-after 5s] [-shards 1] [-spill-dir d] [-spill-hot 16384]
 //	ismd leaf -uplink relayaddr [-uplink-node 1] [-uplink-batch 512]
@@ -55,6 +56,10 @@
 // restarted manager adopts each node's stream where its replay resumes.
 // -degraded-after flags peers whose traffic and heartbeats fall silent
 // for longer than the given budget in the periodic stats line.
+//
+// Every role takes -debug-addr (off by default): an HTTP endpoint that
+// serves net/http/pprof under /debug/pprof/ and the live metrics
+// registry as JSON at /debug/metrics, closed on shutdown.
 package main
 
 import (
@@ -68,6 +73,7 @@ import (
 	"strings"
 	"time"
 
+	"prism/internal/isruntime/debugsrv"
 	"prism/internal/isruntime/event"
 	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/ism"
@@ -84,6 +90,7 @@ import (
 type settings struct {
 	role                 string // "" (flat), "leaf" or "relay"
 	addr, spool          string
+	debugAddr            string
 	stats, degradedAfter time.Duration
 	// flat and leaf; -miso is flat only
 	miso               bool
@@ -125,6 +132,7 @@ func parseArgs(args []string, handling flag.ErrorHandling, out io.Writer) (*sett
 	fs.StringVar(&s.spool, "spool", "", "spool merged trace to this file")
 	fs.DurationVar(&s.stats, "stats", 2*time.Second, "statistics print interval")
 	fs.DurationVar(&s.degradedAfter, "degraded-after", 5*time.Second, "report peers silent for longer than this as degraded (0 disables)")
+	fs.StringVar(&s.debugAddr, "debug-addr", "", "serve pprof under /debug/pprof/ and the metrics snapshot at /debug/metrics on this address (off when empty)")
 	if s.role == "relay" {
 		fs.IntVar(&s.downstreams, "downstreams", 0, "expected downstream managers; the merge holds dispatch until all have attached (0 dispatches as lanes appear)")
 		fs.DurationVar(&s.maxStall, "max-stall", 0, "bound the merge wait on a lagging lane's watermark before force-dispatching out of order (0 waits forever)")
@@ -276,6 +284,7 @@ type role struct {
 	desc   string // logged with the listen address
 	title  string // the shutdown metrics table's heading
 	spool  *os.File
+	debug  *debugsrv.Server    // with -debug-addr; closed on shutdown
 	status func() string       // the periodic status line
 	drain  func(out io.Writer) // after the listener closes, before Close
 	final  func(out io.Writer) // the role's lines after Close
@@ -311,9 +320,17 @@ func newRole(s *settings) (*role, error) {
 	}
 	if s.role == "relay" {
 		r.startRelay(resume)
-		return r, nil
+	} else if err := r.startISM(); err != nil {
+		return nil, err
 	}
-	return r, r.startISM()
+	if s.debugAddr != "" {
+		var err error
+		if r.debug, err = debugsrv.Start(s.debugAddr, r.mgr.Metrics()); err != nil {
+			return nil, fmt.Errorf("-debug-addr: %w", err)
+		}
+		log.Printf("ismd: debug endpoint on http://%s/debug/", r.debug.Addr())
+	}
+	return r, nil
 }
 
 // startISM starts the flat manager or a leaf.
@@ -546,6 +563,9 @@ func (r *role) run(ln *tp.Listener, stop <-chan struct{}, out io.Writer) {
 					log.Printf("ismd: spool: %v", err)
 				}
 				fmt.Fprintf(out, "trace spooled to %s\n", r.spool.Name())
+			}
+			if r.debug != nil {
+				r.debug.Close()
 			}
 			return
 		}

@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -88,18 +92,18 @@ func TestValidateOverflowFlags(t *testing.T) {
 // the flat manager), with a value each accepts.
 var roleFlags = map[string]map[string]string{
 	"": {
-		"addr": "127.0.0.1:0", "spool": "out.bin", "stats": "1s", "degraded-after": "1s",
+		"addr": "127.0.0.1:0", "spool": "out.bin", "stats": "1s", "degraded-after": "1s", "debug-addr": "127.0.0.1:0",
 		"miso": "", "overflow": "block", "spill-dir": "d", "spill-hot": "64",
 		"publish": "1s", "shards": "2",
 	},
 	"leaf": {
-		"addr": "127.0.0.1:0", "spool": "out.bin", "stats": "1s", "degraded-after": "1s",
+		"addr": "127.0.0.1:0", "spool": "out.bin", "stats": "1s", "degraded-after": "1s", "debug-addr": "127.0.0.1:0",
 		"overflow": "block", "spill-dir": "d", "spill-hot": "64", "publish": "1s", "shards": "2",
 		"uplink": "127.0.0.1:7311", "uplink-node": "3", "uplink-batch": "256",
 		"uplink-window": "128", "mark-interval": "500ms",
 	},
 	"relay": {
-		"addr": "127.0.0.1:0", "spool": "out.bin", "stats": "1s", "degraded-after": "1s",
+		"addr": "127.0.0.1:0", "spool": "out.bin", "stats": "1s", "degraded-after": "1s", "debug-addr": "127.0.0.1:0",
 		"downstreams": "4", "max-stall": "2s", "resume-spool": "root.bin",
 	},
 }
@@ -614,6 +618,59 @@ func TestLeavesPublishIntoOneRelay(t *testing.T) {
 	for _, id := range []int32{-2, -3} {
 		if samples[id] == 0 {
 			t.Fatalf("root spool holds no samples from node %d; samples by node: %v", id, samples)
+		}
+	}
+}
+
+// TestDebugAddr: every role started with -debug-addr serves the pprof
+// index and a metrics snapshot that names metrics of the catalogue
+// (testdata/metric_names.golden), and takes the endpoint down on
+// shutdown.
+func TestDebugAddr(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "metric_names.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalogued := map[string]bool{}
+	for _, name := range strings.Fields(string(golden)) {
+		catalogued[name] = true
+	}
+	dbg := []string{"-debug-addr", "127.0.0.1:0", "-stats", "1ms"}
+	rel := startRole(t, append([]string{"relay", "-downstreams", "1"}, dbg...)...)
+	leaf := startRole(t, append([]string{"leaf", "-uplink", rel.addr, "-mark-interval", "20ms"}, dbg...)...)
+	flat := startRole(t, dbg...)
+	sendRecords(t, leaf.addr, 0, 0, 100)
+	sendRecords(t, flat.addr, 0, 0, 100)
+	for _, rr := range []*runningRole{flat, leaf, rel} {
+		base := "http://" + rr.debug.Addr() + "/debug/"
+		resp, err := http.Get(base + "pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /debug/pprof/ answered %s", rr.desc, resp.Status)
+		}
+		resp, err = http.Get(base + "metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap []struct{ Name string }
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: /debug/metrics: %v", rr.desc, err)
+		}
+		if !slices.ContainsFunc(snap, func(m struct{ Name string }) bool { return catalogued[m.Name] }) {
+			t.Fatalf("%s: /debug/metrics names no catalogued metric: %v", rr.desc, snap)
+		}
+	}
+	for _, rr := range []*runningRole{flat, leaf, rel} {
+		addr := rr.debug.Addr()
+		rr.shutdown(t)
+		if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			c.Close()
+			t.Fatalf("%s: the debug endpoint outlived shutdown", rr.desc)
 		}
 	}
 }

@@ -11,6 +11,7 @@
 //	        [-resilient] [-redial-backoff 50ms] [-redial-giveup 30s]
 //	        [-window 256] [-heartbeat 1s]
 //	        [-replay <spool|segfile|segdir>] [-speed 1]
+//	        [-debug-addr host:port]
 //
 // With -replay the synthetic workload is skipped entirely: the named
 // capture (a spool or other columnar segment file, or a Tiered
@@ -29,6 +30,10 @@
 // falls silent. A nonzero -redial-giveup needs a nonzero
 // -redial-backoff: the budget is spent in backoff sleeps.
 //
+// -debug-addr (off by default) serves net/http/pprof under
+// /debug/pprof/ and the node's live metrics registry as JSON at
+// /debug/metrics while the node runs.
+//
 // In a federated deployment, lisnodes keep pointing -ism at their
 // leaf manager; it is the leaf that changes role (`ismd leaf -uplink
 // <relay>`), forwarding its merged output up the tree to an
@@ -44,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"prism/internal/isruntime/debugsrv"
 	"prism/internal/isruntime/event"
 	"prism/internal/isruntime/fault"
 	"prism/internal/isruntime/lis"
@@ -71,6 +77,7 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", time.Second, "with -resilient, liveness beacon interval (0 disables)")
 	replayPath := flag.String("replay", "", "replay a captured trace (spool or segment file, or tier segment directory) instead of running the synthetic workload")
 	speed := flag.Float64("speed", 1, "with -replay, timing scale: 1 = original pacing, 2 = twice as fast, 0 = max-speed firehose")
+	debugAddr := flag.String("debug-addr", "", "serve pprof under /debug/pprof/ and the metrics snapshot at /debug/metrics on this address (off when empty)")
 	flag.Parse()
 
 	if err := validateSpeed(*speed); err != nil {
@@ -78,6 +85,14 @@ func main() {
 	}
 
 	reg := metrics.NewRegistry()
+	if *debugAddr != "" {
+		dbg, err := debugsrv.Start(*debugAddr, reg)
+		if err != nil {
+			log.Fatalf("lisnode: -debug-addr: %v", err)
+		}
+		defer dbg.Close()
+		log.Printf("lisnode: debug endpoint on http://%s/debug/", dbg.Addr())
+	}
 	connOpts := []tp.ConnOption{tp.WithConnMetrics(reg)}
 	if *ioTimeout > 0 {
 		connOpts = append(connOpts,

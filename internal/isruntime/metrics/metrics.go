@@ -142,6 +142,10 @@ const (
 	KindHistogram
 )
 
+// MarshalText renders the kind by name, so a snapshot encodes as JSON
+// with "counter", "gauge" and "histogram" kinds.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // String returns the kind name.
 func (k Kind) String() string {
 	switch k {

@@ -258,9 +258,9 @@ func (s *Sequencer) add(dst []Record, st *seqSource, rec *Record, seq uint64) []
 // it (program order must survive the wait). The matching send releases
 // the receive and drains the queue, recursively unblocking any chains.
 // Release order is deterministic — it depends only on the input
-// sequence, never on map iteration order or on what the source
-// lookaside happens to hold — which is what makes sharded-vs-single-
-// orderer runs byte-comparable.
+// sequence, never on the message table's seed or layout (it is never
+// iterated) or on what the source lookaside happens to hold — which is
+// what makes sharded-vs-single-orderer runs byte-comparable.
 //
 // A record touches only its own source's state, plus — a send or a
 // receive — its message's entry in the one message table; the only
@@ -269,8 +269,8 @@ func (s *Sequencer) add(dst []Record, st *seqSource, rec *Record, seq uint64) []
 type CausalMerger struct {
 	clock      uint64
 	sources    SourceTable[mergeSource]
-	msgs       map[msgKey]*msgState // messages with an unmatched send or a waiting receive
-	freeMsgs   []*msgState          // retired entries, reused so matching allocates nothing
+	msgs       msgTable    // messages with an unmatched send or a waiting receive
+	freeMsgs   []*msgState // retired entries, reused so matching allocates nothing
 	heldCount  int
 	maxHeld    int
 	dispatched uint64
@@ -332,7 +332,13 @@ func (q *pendRing) pop() *Record {
 // NewCausalMerger returns an empty CausalMerger whose Lamport clock
 // starts at 1.
 func NewCausalMerger() *CausalMerger {
-	return &CausalMerger{msgs: map[msgKey]*msgState{}}
+	return newCausalMerger(randomSeed(), msgTableSlots)
+}
+
+// newCausalMerger returns an empty merger whose message table has the
+// given seed and initial slot count.
+func newCausalMerger(seed [2]uint64, slots int) *CausalMerger {
+	return &CausalMerger{msgs: newMsgTable(seed, slots)}
 }
 
 // Held returns the number of records currently held back waiting for a
@@ -363,28 +369,31 @@ func (m *CausalMerger) hold() {
 
 // msg returns mk's table entry, entering one when the message has none.
 func (m *CausalMerger) msg(mk msgKey) *msgState {
-	if e := m.msgs[mk]; e != nil {
-		return e
+	i, e := m.msgs.find(mk)
+	if e == nil {
+		e = m.enter(i, mk)
 	}
-	return m.enter(mk)
+	return e
 }
 
-// enter gives mk, which has no entry, a recycled or fresh one.
-func (m *CausalMerger) enter(mk msgKey) *msgState {
+// enter gives mk, which has no entry, a recycled or fresh one in slot
+// i, where find left it. The table may grow: i is stale afterwards.
+func (m *CausalMerger) enter(i int, mk msgKey) *msgState {
 	var e *msgState
 	if n := len(m.freeMsgs); n > 0 {
 		e, m.freeMsgs = m.freeMsgs[n-1], m.freeMsgs[:n-1]
 	} else {
 		e = new(msgState)
 	}
-	m.msgs[mk] = e
+	m.msgs.insert(i, mk, e)
 	return e
 }
 
-// retire removes mk's entry once nothing is left to match against it.
-func (m *CausalMerger) retire(mk msgKey, e *msgState) {
+// retire removes the entry in slot i once nothing is left to match
+// against it.
+func (m *CausalMerger) retire(i int, e *msgState) {
 	if e.sends == 0 && len(e.waiting) == 0 {
-		delete(m.msgs, mk)
+		m.msgs.del(i)
 		m.freeMsgs = append(m.freeMsgs, e)
 	}
 }
@@ -409,10 +418,9 @@ func (m *CausalMerger) Observe(rec Record) {
 	case KindRecv:
 		// A causally valid trace never emits a receive before its send,
 		// so the guard only matters for hand-built inputs.
-		mk := recvKey(&rec)
-		if e := m.msgs[mk]; e != nil && e.sends > 0 {
+		if i, e := m.msgs.find(recvKey(&rec)); e != nil && e.sends > 0 {
 			e.sends--
-			m.retire(mk, e)
+			m.retire(i, e)
 		}
 	}
 }
@@ -421,7 +429,7 @@ func (m *CausalMerger) Observe(rec Record) {
 // and appends every record that became dispatchable — stamped with
 // Lamport timestamps, in causal order — to dst.
 func (m *CausalMerger) AddTo(dst []Record, rec Record) []Record {
-	return m.add(dst, m.sources.Get(SourceKey{rec.Node, rec.Process}), &rec)
+	return m.AddBatchTo(dst, []Record{rec})
 }
 
 // AddBatchTo is AddTo over recs in order, without the per-call copy of
@@ -429,24 +437,22 @@ func (m *CausalMerger) AddTo(dst []Record, rec Record) []Record {
 func (m *CausalMerger) AddBatchTo(dst []Record, recs []Record) []Record {
 	for i := range recs {
 		r := &recs[i]
-		dst = m.add(dst, m.sources.Get(SourceKey{r.Node, r.Process}), r)
-	}
-	return dst
-}
-
-func (m *CausalMerger) add(dst []Record, src *mergeSource, rec *Record) []Record {
-	if src.stalled {
-		// A receive from this source is parked; program order forces
-		// everything behind it to wait too.
-		src.pend.push(rec)
-		m.hold()
-		m.outOfOrder++
-		return dst
-	}
-	n := len(dst)
-	dst = m.offer(dst, src, rec)
-	if len(dst) == n {
-		m.outOfOrder++
+		src := m.sources.Get(SourceKey{r.Node, r.Process})
+		switch {
+		case src.stalled:
+			// A receive from this source is parked; program order forces
+			// everything behind it to wait too.
+			src.pend.push(r)
+			m.hold()
+			m.outOfOrder++
+		case !r.Kind.matched():
+			dst = m.stamp(dst, r)
+		default:
+			n := len(dst)
+			if dst = m.offer(dst, src, r); len(dst) == n {
+				m.outOfOrder++
+			}
+		}
 	}
 	return dst
 }
@@ -454,10 +460,10 @@ func (m *CausalMerger) add(dst []Record, src *mergeSource, rec *Record) []Record
 func (m *CausalMerger) offer(dst []Record, src *mergeSource, rec *Record) []Record {
 	if rec.Kind == KindRecv {
 		mk := recvKey(rec)
-		e := m.msgs[mk]
+		i, e := m.msgs.find(mk)
 		if e == nil || e.sends == 0 {
 			if e == nil {
-				e = m.enter(mk)
+				e = m.enter(i, mk)
 			}
 			e.waiting = append(e.waiting, parkedRecv{rec: *rec, src: src})
 			src.stalled = true
@@ -465,21 +471,34 @@ func (m *CausalMerger) offer(dst []Record, src *mergeSource, rec *Record) []Reco
 			return dst
 		}
 		e.sends--
-		m.retire(mk, e)
+		m.retire(i, e)
 	}
 	return m.release(dst, rec)
 }
 
-func (m *CausalMerger) release(dst []Record, rec *Record) []Record {
+// stamp dispatches rec: it appends it to dst under the next Lamport
+// time. A record that is neither send nor receive needs nothing else,
+// so AddBatchTo and the drain below stamp it without the offer and
+// release calls.
+func (m *CausalMerger) stamp(dst []Record, rec *Record) []Record {
 	m.clock++
+	m.dispatched++
 	dst = append(dst, *rec)
 	dst[len(dst)-1].Logical = m.clock
-	m.dispatched++
+	return dst
+}
+
+func (m *CausalMerger) release(dst []Record, rec *Record) []Record {
+	dst = m.stamp(dst, rec)
 	if rec.Kind != KindSend {
 		return dst
 	}
 	mk := sendKey(rec)
-	e := m.msg(mk)
+	i, e := m.msgs.find(mk)
+	if e == nil {
+		m.enter(i, mk).sends++
+		return dst
+	}
 	if len(e.waiting) == 0 {
 		e.sends++
 		return dst
@@ -488,7 +507,7 @@ func (m *CausalMerger) release(dst []Record, rec *Record) []Record {
 	// successors queued behind it.
 	w := e.waiting[0]
 	e.waiting = e.waiting[:copy(e.waiting, e.waiting[1:])]
-	m.retire(mk, e)
+	m.retire(i, e)
 	m.heldCount--
 	dst = m.release(dst, &w.rec)
 	w.src.stalled = false
@@ -496,34 +515,40 @@ func (m *CausalMerger) release(dst []Record, rec *Record) []Record {
 		m.heldCount--
 		// May re-park (another receive with a missing send) — the loop
 		// condition stops the drain and the remainder stays queued. Only
-		// add pushes onto a ring, never a release, so the popped slot
-		// stays valid throughout the offer.
-		dst = m.offer(dst, w.src, w.src.pend.pop())
+		// AddBatchTo pushes onto a ring, never a release, so the popped
+		// slot stays valid throughout the offer.
+		if rec := w.src.pend.pop(); rec.Kind.matched() {
+			dst = m.offer(dst, w.src, rec)
+		} else {
+			dst = m.stamp(dst, rec)
+		}
 	}
 	return dst
 }
 
+// matched reports whether records of kind k are one half of a message,
+// matched by the merger across sources.
+func (k Kind) matched() bool { return k == KindSend || k == KindRecv }
+
 // CheckCausal verifies that a dispatched stream is causally
-// consistent: logical timestamps strictly increase, per-source
-// sequence respects program order, and no receive precedes its send.
+// consistent: logical timestamps strictly increase and no receive
+// precedes its send. The send/receive books are a merger's, kept by
+// Observe.
 func CheckCausal(rs []Record) error {
 	var lastLogical uint64
-	sends := map[msgKey]int{}
-	for i, r := range rs {
+	m := NewCausalMerger()
+	for i := range rs {
+		r := &rs[i]
 		if r.Logical <= lastLogical {
 			return fmt.Errorf("trace: record %d logical %d not increasing", i, r.Logical)
 		}
 		lastLogical = r.Logical
-		switch r.Kind {
-		case KindSend:
-			sends[sendKey(&r)]++
-		case KindRecv:
-			mk := recvKey(&r)
-			if sends[mk] == 0 {
+		if r.Kind == KindRecv {
+			if _, e := m.msgs.find(recvKey(r)); e == nil || e.sends == 0 {
 				return fmt.Errorf("trace: record %d receive before matching send", i)
 			}
-			sends[mk]--
 		}
+		m.Observe(*r)
 	}
 	return nil
 }

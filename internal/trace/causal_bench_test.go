@@ -9,7 +9,7 @@ import (
 // Leaf benchmarks of the two ordering stages, fed flush by flush the
 // way a manager feeds them (and the way the runtime benchmark's probes
 // do): one op is one 256-record LIS flush through the stage's batch
-// entry. Three arrival shapes each:
+// entry. Three arrival shapes each, and a fourth for the merger:
 //
 //   - in-order: one source, nothing to repair or match — the floor.
 //   - interleaved-16-sources: the generated block in global order, cut
@@ -21,6 +21,10 @@ import (
 //     the merger sees them in fill order, where a receive often arrives
 //     a flush ahead of its send and stalls its source (the firehose
 //     shape: four records in five parked at some point).
+//   - many-in-flight (merger only): interleaved, but a receive follows
+//     its send by up to 65 536 records, so the message table holds
+//     about 2 800 unmatched sends (3 400 at most): its probe runs and
+//     its cache footprint show.
 
 const (
 	benchFlush    = 256
@@ -30,15 +34,15 @@ const (
 	benchPairSkew = 256
 )
 
-// orderingBlock generates benchNodes×benchPerNode records over 16
-// sources: every node owns an equal share, one record in ten is a send
-// whose receive follows within benchPairSkew records on another node,
-// and Logical carries the per-source capture sequence. perSource is the
-// block's record count per source — the shift that makes the next cycle
-// of the block the sources' next sequences.
-func orderingBlock() (block []Record, perSource map[SourceKey]uint64) {
+// orderingBlock generates benchNodes×perNode records over 16 sources:
+// every node owns an equal share, one record in ten is a send whose
+// receive follows within skew records on another node, and Logical
+// carries the per-source capture sequence. perSource is the block's
+// record count per source — the shift that makes the next cycle of the
+// block the sources' next sequences.
+func orderingBlock(perNode, skew int) (block []Record, perSource map[SourceKey]uint64) {
 	st := rng.New(15)
-	block = make([]Record, benchNodes*benchPerNode)
+	block = make([]Record, benchNodes*perNode)
 	for i := range block {
 		block[i].Node = int32(i % benchNodes)
 	}
@@ -53,12 +57,12 @@ func orderingBlock() (block []Record, perSource map[SourceKey]uint64) {
 		if recv, ok := reserved[i]; ok {
 			r.Kind, r.Tag, r.Payload = KindRecv, recv.Tag, recv.Payload
 		} else if st.Intn(9) == 0 {
-			j := i + 1 + st.Intn(benchPairSkew)
+			j := i + 1 + st.Intn(skew)
 			taken := func(j int) bool { _, ok := reserved[j]; return ok }
 			for j < len(block) && (block[j].Node == r.Node || taken(j)) {
 				j++
 			}
-			if j < len(block) && j <= i+benchPairSkew {
+			if j < len(block) && j <= i+skew {
 				r.Kind, r.Tag, r.Payload = KindSend, uint16(i), int64(block[j].Node)
 				reserved[j] = Record{Kind: KindRecv, Tag: r.Tag, Payload: int64(r.Node)}
 			}
@@ -107,7 +111,7 @@ type orderingShape struct {
 // each node's held-heavy flushes in swapped pairs (the sequencer's
 // kind of disorder) instead of fill order (the merger's).
 func orderingShapes(swapPairs bool) []*orderingShape {
-	block, perSource := orderingBlock()
+	block, perSource := orderingBlock(benchPerNode, benchPairSkew)
 	one := make([]Record, len(block))
 	for i := range one {
 		one[i] = Record{Kind: KindUser, Time: int64(i), Logical: uint64(i)}
@@ -171,7 +175,9 @@ func BenchmarkSequencer(b *testing.B) {
 }
 
 func BenchmarkCausalMerger(b *testing.B) {
-	for _, sh := range orderingShapes(false) {
+	block, perSource := orderingBlock(32*benchPerNode, 256*benchPairSkew)
+	many := &orderingShape{name: "many-in-flight", flushes: cut(block), perSource: perSource}
+	for _, sh := range append(orderingShapes(false), many) {
 		m := NewCausalMerger()
 		out := make([]Record, 0, 16*benchFlush)
 		b.Run(sh.name, func(b *testing.B) {

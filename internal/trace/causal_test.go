@@ -958,12 +958,57 @@ func TestCausalMergerMessageTableBounded(t *testing.T) {
 		for _, r := range out {
 			restored.Observe(r)
 		}
-		if len(m.msgs) > inFlight || len(restored.msgs) > inFlight {
+		if m.msgs.n > inFlight || restored.msgs.n > inFlight {
 			t.Fatalf("after %d pairs the table holds %d entries (%d rebuilt by Observe), %d in flight",
-				i, len(m.msgs), len(restored.msgs), inFlight)
+				i, m.msgs.n, restored.msgs.n, inFlight)
 		}
 	}
-	if m.Dispatched() != 2*pairs || m.Held() != 0 || len(m.msgs) != 0 || len(m.freeMsgs) > inFlight+1 {
-		t.Fatalf("dispatched %d held %d table %d free %d", m.Dispatched(), m.Held(), len(m.msgs), len(m.freeMsgs))
+	if m.Dispatched() != 2*pairs || m.Held() != 0 || m.msgs.n != 0 || len(m.freeMsgs) > inFlight+1 {
+		t.Fatalf("dispatched %d held %d table %d free %d", m.Dispatched(), m.Held(), m.msgs.n, len(m.freeMsgs))
+	}
+}
+
+// TestCausalMergerSeedIndependent: release order is a function of the
+// input alone, never of the message table's seed or layout. The
+// reference test's streams, put in program order by a Sequencer, go
+// through mergers under two random seeds, two fixed ones and one whose
+// table starts at its minimum size and grows mid-stream; every merger
+// emits the same bytes and ends with the same counters.
+func TestCausalMergerSeedIndependent(t *testing.T) {
+	for seed := uint64(0); seed < 64; seed++ {
+		st := rng.New(seed)
+		in, _ := diffStream(st)
+		var ordered []Record
+		s := NewSequencer()
+		for _, r := range in {
+			ordered = s.AddTo(ordered, r, r.Logical)
+		}
+		mergers := []*CausalMerger{
+			NewCausalMerger(), NewCausalMerger(),
+			newCausalMerger([2]uint64{}, msgTableSlots),
+			newCausalMerger([2]uint64{^uint64(0), 0x9e3779b97f4a7c15}, msgTableSlots),
+			newCausalMerger(randomSeed(), msgTableMinSlots),
+		}
+		outs := make([][]Record, len(mergers))
+		for rest := ordered; len(rest) > 0; {
+			chunk := rest[:1+st.Intn(min(48, len(rest)))]
+			rest = rest[len(chunk):]
+			for i, m := range mergers {
+				outs[i] = m.AddBatchTo(outs[i], chunk)
+			}
+		}
+		want, first := AppendSegment(nil, outs[0]), mergers[0]
+		for i, m := range mergers[1:] {
+			if !bytes.Equal(AppendSegment(nil, outs[i+1]), want) {
+				t.Fatalf("seed %d: merger %d emitted %d records unlike merger 0's %d", seed, i+1, len(outs[i+1]), len(outs[0]))
+			}
+			if m.Held() != first.Held() || m.OutOfOrder() != first.OutOfOrder() || m.MaxHeld() != first.MaxHeld() {
+				t.Fatalf("seed %d: merger %d held %d, out of order %d, max held %d; merger 0: %d, %d, %d", seed, i+1,
+					m.Held(), m.OutOfOrder(), m.MaxHeld(), first.Held(), first.OutOfOrder(), first.MaxHeld())
+			}
+		}
+		if grown := mergers[len(mergers)-1]; len(grown.msgs.slots) == msgTableMinSlots {
+			t.Fatalf("seed %d: the minimum-size table never grew", seed)
+		}
 	}
 }
