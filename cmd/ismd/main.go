@@ -33,11 +33,13 @@
 // relay's dedup and causal state from its previous spool (point it and
 // -spool at the same file for an appending crash-restart). A leaf
 // forwards its merged output through a replaying session to the relay
-// at -uplink, with watermark beacons every -mark-interval. It runs SISO
-// with deferred causal stamping: the relay performs the cross-manager
-// causal merge, and SISO injection keeps the leaf's dispatch
-// nondecreasing in capture Time, the watermark contract the relay's
-// merge rests on.
+// at -uplink, with watermark beacons every -mark-interval, and on
+// shutdown seals it (relay.Uplink.Seal: a final mark at +∞ after the
+// last batch), so its lane stops gating the relay's merge; stop the
+// leaves before the relay. It runs SISO with deferred causal stamping:
+// the relay performs the cross-manager causal merge, and SISO
+// injection keeps the leaf's dispatch nondecreasing in capture Time,
+// the watermark contract the relay's merge rests on.
 //
 // With -overflow spill, records displaced from the input stage demote
 // into a tiered columnar store (hot in-memory window, then compressed
@@ -277,7 +279,8 @@ type manager interface {
 }
 
 // role is one running ismd role as the shared lifecycle drives it: its
-// manager, the lines it reports and its drain. run does the rest.
+// manager, the lines it reports and what it does on stop. run does the
+// rest.
 type role struct {
 	*settings
 	mgr    manager
@@ -286,8 +289,8 @@ type role struct {
 	spool  *os.File
 	debug  *debugsrv.Server    // with -debug-addr; closed on shutdown
 	status func() string       // the periodic status line
-	drain  func(out io.Writer) // after the listener closes, before Close
-	final  func(out io.Writer) // the role's lines after Close
+	halt   func()              // after the listener closes, before Close; nil at a relay
+	final  func(out io.Writer) // after Close: a leaf's seal, then the role's lines
 }
 
 // newRole builds and starts the manager the settings name: a relay, or
@@ -436,27 +439,25 @@ func (r *role) startISM() error {
 		return fmt.Sprintf("arrived=%d dispatched=%d held=%d holdback=%.3f mean-latency=%s",
 			st.Arrived, st.Dispatched, st.Held, st.HoldBackRatio, time.Duration(st.MeanLatencyNs))
 	}
-	r.drain = func(out io.Writer) {
+	r.halt = func() {
 		close(stopPublish)
 		m.Broadcast(tp.CtlShutdown, 0)
-		m.Drain()
-		if up == nil {
-			return
-		}
-		// Seal the uplink: flush the tail, promise the relay nothing
-		// older is coming, and drive the replay window empty — an empty
-		// window means every record is merged at the root, not merely
-		// delivered.
-		close(stopBeacons)
-		up.Flush()
-		up.Beacon()
-		up.Drain(5 * time.Second)
-		fmt.Fprintf(out, "uplink: unacked-batches=%d\n", up.Pending())
-		if err := up.Close(); err != nil {
-			log.Printf("ismd: uplink close: %v", err)
-		}
 	}
 	r.final = func(out io.Writer) {
+		if up != nil {
+			// Seal after Close, whose final dispatch pushed the last
+			// records, and drive the replay window empty: an empty window
+			// means every record is merged at the root, not merely
+			// delivered. The bound is for a relay that is gone — the
+			// redial never gives up, and no seal answers for it.
+			close(stopBeacons)
+			up.Seal()
+			up.Drain(5 * time.Second)
+			fmt.Fprintf(out, "uplink: unacked-batches=%d\n", up.Pending())
+			if err := up.Close(); err != nil {
+				log.Printf("ismd: uplink close: %v", err)
+			}
+		}
 		st := m.Stats()
 		fmt.Fprintf(out, "final: arrived=%d dispatched=%d out-of-order=%d hold-back=%.3f merge-stalls=%d\n",
 			st.Arrived, st.Dispatched, st.OutOfOrder, st.HoldBackRatio, st.MergeStalls)
@@ -494,28 +495,17 @@ func (r *role) startRelay(resume []trace.Record) {
 		return fmt.Sprintf("lanes=%d merged=%d held=%d stalls=%d order-breaks=%d marks=%d frontier=%d",
 			st.Lanes, st.Dispatched, st.Held, st.Stalls, st.OrderBreaks, st.Marks, rel.Watermark())
 	}
-	r.drain = func(io.Writer) {
-		// Bounded drain: an unbounded Drain can never finish when
-		// downstream clocks aren't comparable (one leaf's final mark
-		// trails another leaf's tail) or a downstream died without
-		// sealing. Close's final drain dispatches whatever the watermark
-		// rule still holds, and the unacked batches stay covered by the
-		// downstream replay windows.
-		if !rel.DrainFor(5 * time.Second) {
-			log.Printf("ismd: drain incomplete after 5s (stalled watermarks or silent downstreams); final drain dispatches held records")
-		}
-	}
 	r.final = func(out io.Writer) {
 		st := rel.Stats()
-		fmt.Fprintf(out, "final: lanes=%d merged=%d resumes=%d stalls=%d order-breaks=%d dup-records=%d partition-rejects=%d marks=%d held=%d session-dups=%d\n",
+		fmt.Fprintf(out, "final: lanes=%d merged=%d resumes=%d stalls=%d order-breaks=%d dup-records=%d partition-rejects=%d marks=%d held=%d session-dups=%d sealed=%d\n",
 			st.Lanes, st.Dispatched, st.Resumes, st.Stalls, st.OrderBreaks,
-			st.DupRecords, st.PartitionRejects, st.Marks, st.Held, st.SessionDups)
+			st.DupRecords, st.PartitionRejects, st.Marks, st.Held, st.SessionDups, st.Sealed)
 	}
 }
 
 // run is the lifecycle every role shares: accept connections on ln
 // and serve them, log the status line and any degraded peers every
-// -stats, and once stop closes, drain, close the manager and report to
+// -stats, and once stop closes, halt, close the manager and report to
 // out — the final lines, wire summary, registry table and spool line.
 func (r *role) run(ln *tp.Listener, stop <-chan struct{}, out io.Writer) {
 	log.Printf("ismd: %s listening on %s", r.desc, ln.Addr())
@@ -546,7 +536,9 @@ func (r *role) run(ln *tp.Listener, stop <-chan struct{}, out io.Writer) {
 			log.Printf("ismd: shutting down")
 			ln.Close()
 			<-accepting // no Serve races the manager's Close
-			r.drain(out)
+			if r.halt != nil {
+				r.halt()
+			}
 			if err := r.mgr.Close(); err != nil {
 				log.Printf("ismd: close: %v", err)
 			}

@@ -583,13 +583,14 @@ func TestLeafRelayLifecycle(t *testing.T) {
 // one relay: each leaf publishes its registry under its own node id,
 // so the relay admits both metric streams, rejects no record, and the
 // root spool holds samples from both leaves. The leaves' clocks are
-// independent, so the tail a leaf publishes after the other leaf's
-// final mark never passes the watermark rule; -max-stall forces it
-// through instead of leaving both drains to run out their 5 s.
+// independent, and the second leaf publishes past the first leaf's
+// last record; the first leaf's seal lets that tail through the
+// watermark rule, so both uplinks end with nothing unacked and the
+// relay with no order break, with no -max-stall to force it.
 func TestLeavesPublishIntoOneRelay(t *testing.T) {
 	const n = 300
 	root := filepath.Join(t.TempDir(), "root.bin")
-	rel := startRole(t, "relay", "-spool", root, "-downstreams", "2", "-max-stall", "20ms", "-stats", "1ms")
+	rel := startRole(t, "relay", "-spool", root, "-downstreams", "2", "-stats", "1ms")
 	var leaves []*runningRole
 	for i := 0; i < 2; i++ {
 		leaf := startRole(t, "leaf", "-uplink", rel.addr, "-uplink-node", fmt.Sprint(i+1),
@@ -601,10 +602,17 @@ func TestLeavesPublishIntoOneRelay(t *testing.T) {
 		m := leaf.mgr.(*ism.ISM)
 		waitFor(t, "a leaf to dispatch its records and a published sample", func() bool { return m.Stats().Dispatched > n })
 	}
-	for _, leaf := range leaves {
-		leaf.shutdown(t)
+	for i, leaf := range leaves {
+		if out := leaf.shutdown(t); !strings.Contains(out, "uplink: unacked-batches=0\n") {
+			t.Fatalf("leaf %d did not drain its sealed uplink:\n%s", i+1, out)
+		}
 	}
-	rel.shutdown(t)
+	out := rel.shutdown(t)
+	for _, want := range []string{" order-breaks=0 ", " sealed=2\n"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("relay output lacks %q:\n%s", want, out)
+		}
+	}
 	if st := rel.mgr.(*relay.Relay).Stats(); st.PartitionRejects != 0 {
 		t.Fatalf("relay rejected %d records: two leaves published under one source", st.PartitionRejects)
 	}

@@ -202,16 +202,15 @@ func (f *Federation) RunRing(rounds int, workNs int64) error {
 }
 
 // Drain flushes every LIS, waits for each leaf to dispatch its full
-// share of the capture, seals every uplink with a final watermark past
-// the clock, and blocks until the root relay has acknowledged
-// everything — which, with dispatch-gated acks, means every captured
-// record is merged and durable in the root spool.
+// share of the capture, Seals every uplink, and blocks until the root
+// relay has acknowledged everything — which, with dispatch-gated acks,
+// means every captured record is merged and durable in the root spool.
 //
 // The dispatch wait is load-bearing: the leaf link is asynchronous, so
 // ISM.Drain alone can return before captured records have even arrived
-// at the leaf, and an uplink sealed at that moment sends its final
-// mark ahead of data the mark claims to cover — the watermark
-// overclaims and the tail of the capture is left unflushed. The tee
+// at the leaf, and an uplink sealed at that moment ends its stream
+// ahead of data still on its way — the tail of the capture would
+// follow the seal, after the lane stopped gating the merge. The tee
 // gives the model exact per-leaf record counts to wait against.
 func (f *Federation) Drain() error {
 	for _, s := range f.servers {
@@ -235,12 +234,10 @@ func (f *Federation) Drain() error {
 			m.Drain()
 		}
 	}
-	final := f.clock.Now() + 1
 	for _, u := range f.uplinks {
-		u.Flush()
-		u.Mark(final)
+		u.Seal()
 	}
-	// Drain only after every final mark is out: the relay's acks are
+	// Drain only after every seal is out: the relay's acks are
 	// dispatch-gated, and its merge holds each lane until all lanes'
 	// watermarks pass.
 	deadline := time.Now().Add(10 * time.Second)

@@ -81,7 +81,7 @@ func TestRelayKillAbandonsRestOfSlot(t *testing.T) {
 	f.await("lane 101's mark", func(st Stats) bool { return st.Marks == 1 })
 	f.send(0, 1, user(1, 0, 10), user(1, 1, 20), user(1, 2, 30), user(1, 3, 40))
 	f.await("the covered record", func(st Stats) bool { return st.Dispatched >= 1 })
-	f.rel.DrainFor(20 * time.Millisecond)
+	f.rel.merge.WaitQuiet(time.Now().Add(20 * time.Millisecond))
 	if st := f.rel.Stats(); st.Dispatched != 1 {
 		t.Fatalf("dispatched %d records past a headless lane's watermark, want 1", st.Dispatched)
 	}

@@ -70,6 +70,7 @@ type Stats struct {
 	Marks            uint64 // watermark records consumed
 	Held             int    // records parked in the cross-manager causal merge
 	SessionDups      uint64 // batch-granular replays absorbed by the session layer
+	Sealed           int    // lanes whose downstream sealed: watermark at +∞
 }
 
 // flushBatch bounds the dispatch buffer in records before it is
@@ -760,23 +761,11 @@ func (r *Relay) Watermark() int64 { return r.frontier.Load() }
 // Drain blocks until every record admitted so far has been merged,
 // flushed and acked. It needs the downstream watermarks to have
 // released everything admitted — a merge stalled waiting for a silent
-// lane does not drain (send final marks, or bound the wait with
-// MaxStall). End-to-end tests prefer Uplink.WaitAcked, which adds the
-// wire to the guarantee.
+// lane does not drain (downstreams Seal their uplinks, or MaxStall
+// bounds the wait). End-to-end tests prefer Uplink.WaitAcked, which
+// adds the wire to the guarantee.
 func (r *Relay) Drain() {
 	r.merge.WaitQuiet(time.Time{})
-}
-
-// DrainFor is Drain with a deadline: it reports whether the relay went
-// quiet within d. A false return means the watermark rule is still
-// holding admitted records — typically because downstream clocks are
-// not comparable, so one leaf's final mark trails another leaf's tail,
-// or because a downstream went silent without sealing. The caller
-// decides what a stalled drain means; Close's final drain will still
-// dispatch everything held, and anything left unacked stays covered by
-// the downstream replay windows.
-func (r *Relay) DrainFor(d time.Duration) bool {
-	return r.merge.WaitQuiet(time.Now().Add(d))
 }
 
 // Stats returns a snapshot of relay activity.
@@ -792,6 +781,11 @@ func (r *Relay) Stats() Stats {
 		Marks:            r.mMarks.Value(),
 		Held:             int(r.mHeld.Value()),
 		SessionDups:      r.recv.TotalDups(),
+	}
+	for _, ml := range r.merge.Lanes() {
+		if ml.State.watermark.Load() == math.MaxInt64 {
+			st.Sealed++
+		}
 	}
 	return st
 }
@@ -817,8 +811,10 @@ func (r *Relay) Kill() error {
 // the incarnation, if any, is returned. Records still parked in the
 // root causal merge at that point are intentionally NOT emitted or
 // acked — their sends never arrived, and the downstream replay windows
-// redeliver them to the next incarnation. Callers wanting a clean
-// drain quiesce first (final marks, then Drain on every uplink).
+// redeliver them to the next incarnation. A clean shutdown stops the
+// downstreams first, each one Sealing and then Draining its uplink, so
+// the final drain finds nothing; what an unsealed lane's watermark
+// still holds, it dispatches rule-free.
 func (r *Relay) Close() error {
 	r.mu.Lock()
 	if r.closed {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -158,13 +159,11 @@ func (lf *fedLeaf) feed(recs []trace.Record, beaconEvery int) {
 	}
 }
 
-// finish drains the leaf and seals its lane with a final mark at (or
-// beyond) the global maximum Time so the leaf never stalls the merge
-// again.
-func (lf *fedLeaf) finish(finalMark int64) {
+// finish drains the leaf and seals its uplink, so the leaf never
+// stalls the merge again.
+func (lf *fedLeaf) finish() {
 	lf.m.Drain()
-	lf.up.Flush()
-	lf.up.Mark(finalMark)
+	lf.up.Seal()
 }
 
 func (lf *fedLeaf) close(t *testing.T) {
@@ -480,69 +479,97 @@ func TestRelayMaxStallForcesProgress(t *testing.T) {
 	}
 }
 
-// TestRelayDrainForStalledTail reproduces the deployed two-leaf
-// shutdown hazard: leaf clocks are independent, so one lane's final
-// mark can trail another lane's tail records. An unbounded Drain can
-// never finish there (the watermark rule holds the tail forever);
-// DrainFor must report the stall instead of hanging, and Close's final
-// drain must still dispatch the held records.
-func TestRelayDrainForStalledTail(t *testing.T) {
-	rel := New(Config{Root: true, Downstreams: 2})
-	var mu sync.Mutex
-	var got []trace.Record
-	rel.SubscribeBatch("collect", func(rs []trace.Record) {
-		mu.Lock()
-		got = append(got, rs...)
-		mu.Unlock()
-	})
-	a1, b1 := tp.Pipe(16)
-	a2, b2 := tp.Pipe(16)
-	rel.Serve(b1)
-	rel.Serve(b2)
-	for _, c := range []tp.Conn{a1, a2} {
-		go func(c tp.Conn) { // drain acks so the pipes never back up
-			for {
-				if _, err := c.Recv(); err != nil {
-					return
-				}
-			}
-		}(c)
+// The tail a lagging lane holds: lane 100 sends three records at
+// 100–102 and marks 103, while lane 101, whose clock runs behind, marks
+// 50 and has nothing more to send. The watermark rule holds the tail.
+func holdTail(f *twoLanes) {
+	f.send(0, 1, user(1, 0, 100), user(1, 1, 101), user(1, 2, 102))
+	f.send(0, 2, markRecord(103))
+	f.send(1, 1, markRecord(50))
+	f.await("both marks", func(st Stats) bool { return st.Marks == 2 })
+	if st := f.rel.Stats(); st.Dispatched != 0 || st.Sealed != 0 {
+		f.t.Fatalf("stats = %+v before any seal, want nothing dispatched or sealed", st)
 	}
-	send := func(c tp.Conn, node int32, seq int64, rs ...trace.Record) {
-		m := tp.DataMessage(node, rs)
-		m.Arg = seq
-		if err := c.Send(m); err != nil {
-			t.Fatal(err)
-		}
+}
+
+// TestRelaySealReleasesTrailingTail: once the lagging lane seals, its
+// +∞ watermark passes every candidate, so Drain returns with the other
+// lane's tail dispatched in order and no order break.
+func TestRelaySealReleasesTrailingTail(t *testing.T) {
+	f := newTwoLanes(t)
+	holdTail(f)
+	f.send(1, 2, markRecord(math.MaxInt64))
+	drained := make(chan struct{})
+	go func() {
+		f.rel.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Drain did not return after the lagging lane sealed: %+v", f.rel.Stats())
 	}
-	// Lane 100: three tail records stamped past lane 101's final mark,
-	// sealed with its own final mark.
-	send(a1, 100, 1,
-		trace.Record{Node: 1, Kind: trace.KindUser, Time: 100, Logical: 0},
-		trace.Record{Node: 1, Kind: trace.KindUser, Time: 101, Logical: 1},
-		trace.Record{Node: 1, Kind: trace.KindUser, Time: 102, Logical: 2})
-	send(a1, 100, 2, markRecord(103))
-	// Lane 101 seals with a final mark BELOW the other lane's tail —
-	// its clock simply runs behind, and it has nothing more to send.
-	send(a2, 101, 1, markRecord(50))
-	deadline := time.Now().Add(5 * time.Second)
-	for rel.Stats().Marks != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("marks = %d, want 2", rel.Stats().Marks)
-		}
-		time.Sleep(time.Millisecond)
+	if st := f.rel.Stats(); st.Dispatched != 3 || st.OrderBreaks != 0 || st.Sealed != 1 {
+		t.Fatalf("stats = %+v, want 3 dispatched, no order break, 1 sealed lane", st)
 	}
-	if rel.DrainFor(100 * time.Millisecond) {
-		t.Fatal("DrainFor reported quiet while the watermark rule held the tail")
-	}
-	if err := rel.Close(); err != nil {
+	if err := f.rel.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 3 {
-		t.Fatalf("final drain dispatched %d records, want 3", len(got))
+	if !slices.Equal(f.times, []int64{100, 101, 102}) {
+		t.Fatalf("dispatched times %v, want [100 101 102]", f.times)
 	}
+}
+
+// TestRelayCloseDispatchesUnsealedTail: a lagging lane that never seals
+// holds the tail for good, so the merge never goes quiet; Close's final
+// drain still dispatches the held records, and no lane counts as sealed.
+func TestRelayCloseDispatchesUnsealedTail(t *testing.T) {
+	f := newTwoLanes(t)
+	holdTail(f)
+	if f.rel.merge.WaitQuiet(time.Now().Add(100 * time.Millisecond)) {
+		t.Fatal("the merge went quiet while the watermark rule held the tail")
+	}
+	if err := f.rel.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.rel.Stats(); st.Dispatched != 3 || st.Sealed != 0 {
+		t.Fatalf("stats = %+v, want the 3 held records dispatched and no sealed lane", st)
+	}
+	if !slices.Equal(f.times, []int64{100, 101, 102}) {
+		t.Fatalf("final drain dispatched times %v, want [100 101 102]", f.times)
+	}
+}
+
+// TestUplinkSealIsFinal: a seal is the uplink's last mark. Beacon, Mark
+// and a second Seal after it put nothing on the wire.
+func TestUplinkSealIsFinal(t *testing.T) {
+	local, remote := tp.Pipe(16)
+	go func() { // swallow the batches, never ack
+		for {
+			if _, err := remote.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	reg := metrics.NewRegistry()
+	up := NewUplink(100, local, UplinkConfig{BatchSize: 64, Metrics: reg})
+	up.Push([]trace.Record{user(1, 0, 10), user(1, 1, 20)})
+	up.Seal()
+	marks := reg.Counter("uplink.marks")
+	pending := up.Pending()
+	if marks.Value() != 1 || pending != 2 {
+		t.Fatalf("after Seal: %d marks, %d pending batches; want 1 and 2 (data, seal)", marks.Value(), pending)
+	}
+	up.Beacon()
+	up.Mark(1 << 40)
+	up.Seal()
+	if marks.Value() != 1 || up.Pending() != pending {
+		t.Fatalf("after the seal: %d marks, %d pending batches; want 1 and %d", marks.Value(), up.Pending(), pending)
+	}
+	if err := up.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = remote.Close()
 }
 
 // TestFederationMergeEquivalence is the acceptance property: a 2-level
@@ -557,7 +584,6 @@ func TestFederationMergeEquivalence(t *testing.T) {
 	)
 	all := genExecution(nodes, events, 7)
 	part := skewPartition(nodes, leaves)
-	finalMark := int64(len(all)) + 2
 
 	rel := New(Config{Root: true, Downstreams: leaves})
 	var mu sync.Mutex
@@ -588,7 +614,7 @@ func TestFederationMergeEquivalence(t *testing.T) {
 		go func(lf *fedLeaf, sub []trace.Record) {
 			defer wg.Done()
 			lf.feed(sub, 512)
-			lf.finish(finalMark)
+			lf.finish()
 		}(cells[i], sub)
 	}
 	wg.Wait()
@@ -637,7 +663,6 @@ func TestFederationAcksPerBatch(t *testing.T) {
 		leaves = 2
 	)
 	all := genExecution(nodes, events, 11)
-	finalMark := int64(len(all)) + 2
 	rel := New(Config{Root: true, Downstreams: leaves})
 	ln, err := tp.Listen("127.0.0.1:0")
 	if err != nil {
@@ -676,7 +701,7 @@ func TestFederationAcksPerBatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			lf.feed(sub, 256)
-			lf.finish(finalMark)
+			lf.finish()
 		}()
 	}
 	wg.Wait()
@@ -726,7 +751,6 @@ func TestFederationThreeLevelTree(t *testing.T) {
 	)
 	all := genExecution(nodes, events, 11)
 	part := skewPartition(nodes, leaves)
-	finalMark := int64(len(all)) + 2
 
 	root := New(Config{Root: true, Downstreams: 2})
 	var mu sync.Mutex
@@ -764,7 +788,7 @@ func TestFederationThreeLevelTree(t *testing.T) {
 		go func(lf *fedLeaf, sub []trace.Record) {
 			defer wg.Done()
 			lf.feed(sub, 256)
-			lf.finish(finalMark)
+			lf.finish()
 		}(cells[i], sub)
 	}
 	wg.Wait()
@@ -773,13 +797,17 @@ func TestFederationThreeLevelTree(t *testing.T) {
 		leafUps[i] = lf.up
 	}
 	drainAll(t, leafUps, "leaves")
-	// The inner tiers have emitted everything their leaves sent; seal
-	// both inner lanes at the root before draining either — the root
-	// merge cannot release one inner's tail past the other's silence.
+	// The inner tiers have emitted everything their leaves sent, and
+	// every leaf lane is sealed, so each inner frontier is +∞: its own
+	// seal, forwarded as a mark. Seal both inner lanes at the root before
+	// draining either — the root merge cannot release one inner's tail
+	// past the other's silence.
 	for i, in := range inners {
 		in.Drain()
-		innerUps[i].Flush()
-		innerUps[i].Mark(finalMark)
+		if w := in.Watermark(); w != math.MaxInt64 {
+			t.Fatalf("inner relay %d: watermark %d after its leaves sealed, want +∞", i, w)
+		}
+		innerUps[i].Mark(in.Watermark())
 	}
 	drainAll(t, innerUps, "inners")
 
@@ -826,7 +854,6 @@ func TestFederationCrashResumeExactlyOnce(t *testing.T) {
 	)
 	all := genExecution(nodes, events, 23)
 	part := skewPartition(nodes, leaves)
-	finalMark := int64(len(all)) + 2
 
 	spools := make([]*bytes.Buffer, 0, phases)
 	var curMu sync.Mutex
@@ -902,7 +929,7 @@ func TestFederationCrashResumeExactlyOnce(t *testing.T) {
 				defer wg.Done()
 				lf.feed(chunk, 128)
 				if last {
-					lf.finish(finalMark)
+					lf.finish()
 				} else {
 					lf.m.Drain()
 					lf.up.Flush()
@@ -1029,7 +1056,6 @@ func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
 	const batch = 16
 	all := genExecution(4, 600, 31)
 	want := predictRoot(all)
-	finalMark := int64(len(all)) + 2
 
 	var mu sync.Mutex
 	var cur *Relay
@@ -1083,7 +1109,7 @@ func TestRelaySpoolFailureFreezesAcks(t *testing.T) {
 	// most compact way the relay could spool it.
 	spool.fillAfter(len(trace.AppendSegment(nil, all[early:])) / 2)
 	push(all[early:])
-	up.Mark(finalMark)
+	up.Seal()
 	deadline := time.Now().Add(10 * time.Second)
 	for first.Stats().Dispatched < uint64(len(want)) {
 		if time.Now().After(deadline) {

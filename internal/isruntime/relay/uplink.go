@@ -38,6 +38,7 @@
 package relay
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -210,10 +211,8 @@ func (u *Uplink) Flush() {
 // to at least w (clamped up to the highest Time already pushed, and
 // kept monotone). The mark is a sequenced single-record data batch, so
 // it can never overtake the data it covers. Send marks on a beacon
-// cadence and once after the final Flush at shutdown — a lane whose
-// watermark lags only stalls the relay's merge up to its MaxStall
-// budget, but a drained tree needs the final marks to release the last
-// records deterministically.
+// cadence, and end the stream with Seal: a lane whose watermark lags
+// stalls the relay's merge up to its MaxStall budget.
 func (u *Uplink) Mark(w int64) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -237,6 +236,13 @@ func (u *Uplink) Mark(w int64) {
 // the safe live watermark (the manager dispatches in nondecreasing
 // Time order, so nothing older can still be in flight behind it).
 func (u *Uplink) Beacon() { u.Mark(0) }
+
+// Seal ends the stream: it flushes and marks the lane at +∞, a promise
+// that nothing follows, so the lane never holds the relay's merge
+// again. The seal is sequenced after the last batch and acked like
+// data; any later Mark, Beacon or Seal is a no-op. Push nothing after
+// it.
+func (u *Uplink) Seal() { u.Mark(math.MaxInt64) }
 
 // Pending returns the unacked batches in the replay window.
 func (u *Uplink) Pending() int { return u.sess.Pending() }
@@ -262,8 +268,8 @@ func (u *Uplink) Err() error {
 }
 
 // Close closes the underlying connection and waits for the ack loop
-// to exit. Buffered but unflushed records are dropped — callers drain
-// with Flush/Mark/Drain first for an orderly shutdown.
+// to exit. Buffered but unflushed records are dropped — callers Seal
+// and Drain first for an orderly shutdown.
 func (u *Uplink) Close() error {
 	err := u.sess.Close()
 	<-u.recvDone
