@@ -57,7 +57,9 @@ benchmod:
 # are covered: segment files, wire bodies against the serial reference
 # decoder, arbitrary records against the serial reference encoder, and
 # the wire's frame stream (control, flat and columnar frames back to
-# back); so is the causal merger's message table, against a Go map.
+# back); so is the causal merger's message table, against a Go map,
+# and the session protocol's two ends, against a model of the replay
+# window and the receiver's dedup and ack frontier.
 # Minimising a new input gets 100 runs instead of Go's default
 # 60 s, which would eat the whole budget.
 FUZZFLAGS = -run=NONE -fuzztime=10s -fuzzminimizetime=100x
@@ -67,6 +69,7 @@ fuzzsmoke:
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzColumnsEncode$$' ./internal/trace
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzMsgTable$$' ./internal/trace
 	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzReadMessage$$' ./internal/isruntime/tp
+	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzSessionProtocol$$' ./internal/isruntime/fault
 
 # benchpairs is the evidence behind a performance claim: PAIRS
 # alternated runs of bench/run.sh at PARENT (a commit, checked out into

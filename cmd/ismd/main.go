@@ -51,13 +51,15 @@
 // smaller than flat record arrays.
 //
 // The manager always runs the session protocol in front of the input
-// stage: sequenced batches from resilient LIS nodes (see cmd/lisnode
-// -resilient) are acknowledged and deduplicated, so a node that redials
-// and replays after a network fault delivers every batch exactly once,
-// and plain nodes' unsequenced batches pass through untouched. A
-// restarted manager adopts each node's stream where its replay resumes.
-// -degraded-after flags peers whose traffic and heartbeats fall silent
-// for longer than the given budget in the periodic stats line.
+// stage: sequenced batches from LIS nodes (every cmd/lisnode) are
+// acknowledged and deduplicated, so a node that redials and replays
+// after a network fault delivers every batch exactly once, and
+// unsequenced batches from session-less senders pass through
+// untouched. On shutdown the manager broadcasts CtlShutdown, which
+// ends each lisnode's run. A restarted manager adopts each node's
+// stream where its replay resumes. -degraded-after flags peers whose
+// traffic and heartbeats fall silent for longer than the given budget
+// in the periodic stats line.
 //
 // Every role takes -debug-addr (off by default): an HTTP endpoint that
 // serves net/http/pprof under /debug/pprof/ and the live metrics

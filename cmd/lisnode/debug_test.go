@@ -12,12 +12,10 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"prism/internal/isruntime/tp"
 )
 
-// TestMain runs the command itself when TestDebugAddr starts the test
-// binary as a lisnode, with the command line in LISNODE_ARGS.
+// TestMain runs the command itself when a test starts the test binary
+// as a lisnode, with the command line in LISNODE_ARGS.
 func TestMain(m *testing.M) {
 	if args, ok := os.LookupEnv("LISNODE_ARGS"); ok {
 		os.Args = append([]string{"lisnode"}, strings.Fields(args)...)
@@ -27,10 +25,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestDebugAddr runs a lisnode with -debug-addr against a listener
-// that drains its traffic: while it runs, the pprof index answers and
-// the metrics snapshot names metrics of the catalogue
-// (testdata/metric_names.golden); once it exits, nothing listens.
+// TestDebugAddr runs a lisnode with -debug-addr against a manager
+// (one that acks its session, so the node's drain ends at once): while
+// it runs, the pprof index answers and the metrics snapshot names
+// metrics of the catalogue (testdata/metric_names.golden); once it
+// exits, nothing listens.
 func TestDebugAddr(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "metric_names.golden"))
 	if err != nil {
@@ -40,26 +39,9 @@ func TestDebugAddr(t *testing.T) {
 	for _, name := range strings.Fields(string(golden)) {
 		catalogued[name] = true
 	}
-	ln, err := tp.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			if _, err := conn.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-
+	m := startISM(t)
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "LISNODE_ARGS=-ism "+ln.Addr()+
+	cmd.Env = append(os.Environ(), "LISNODE_ARGS=-ism "+m.addr+
 		" -node 0 -procs 1 -rate 2000 -duration 2s -debug-addr 127.0.0.1:0")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

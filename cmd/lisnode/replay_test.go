@@ -2,7 +2,7 @@ package main
 
 // Replay round-trip property: capture an ordered spool from a live
 // pipeline run, replay it through the real -replay wire path
-// (replaySession → buffered LIS → tp pipe → ISM), and the fresh ISM's
+// (buffered LIS → tp pipe → ISM), and the fresh ISM's
 // merged ordered trace must be byte-identical to the original — at
 // original timing and at -speed 0 firehose alike. This is what makes
 // captured traffic a *deterministic* benchmark input rather than
@@ -17,6 +17,7 @@ import (
 	"prism/internal/isruntime/event"
 	"prism/internal/isruntime/flow"
 	"prism/internal/isruntime/ism"
+	"prism/internal/isruntime/lis"
 	"prism/internal/isruntime/tp"
 	"prism/internal/trace"
 )
@@ -153,8 +154,11 @@ func testReplayRoundTrip(t *testing.T, speed float64) {
 	m := orderedISM(&replayed)
 	lisSide, ismSide := tp.Pipe(64)
 	m.Serve(ismSide)
-	rs := newReplaySession(lisSide, 64, nil)
-	st, err := runReplay(rs, captured, speed, nil)
+	srv, err := lis.NewBuffered(0, 64, lisSide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := runReplay(srv, 64, captured, speed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,37 +205,36 @@ func TestReplayRoundTripFirehose(t *testing.T) { testReplayRoundTrip(t, 0) }
 // speed this stays fast.
 func TestReplayRoundTripPaced(t *testing.T) { testReplayRoundTrip(t, 0.5) }
 
-// TestReplaySessionControlFlush checks the group LIS surface the
-// ControlLoop drives: Flush and Close cover every per-node LIS the
-// replay created.
-func TestReplaySessionControlFlush(t *testing.T) {
+// TestReplayIsOneWireNode checks that a replay of several nodes'
+// records travels as the one wire node its session speaks for: each
+// node's run is one data message under the LIS's node, and every
+// record keeps the node it was captured on.
+func TestReplayIsOneWireNode(t *testing.T) {
 	lisSide, ismSide := tp.Pipe(64)
 	defer lisSide.Close()
-	rs := newReplaySession(lisSide, 8, nil)
-	for node := int32(0); node < 3; node++ {
-		rs.Capture(trace.Record{Node: node, Kind: trace.KindUser})
-	}
-	if got := rs.Stats().Captured; got != 3 {
-		t.Fatalf("Captured = %d, want 3", got)
-	}
-	if err := rs.Flush(); err != nil {
+	srv, err := lis.NewBuffered(7, 8, lisSide)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	var recs []trace.Record
+	for node := int32(0); node < 3; node++ {
+		recs = append(recs, trace.Record{Node: node, Kind: trace.KindUser})
+	}
+	if _, err := runReplay(srv, 8, recs, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for node := int32(0); node < 3; node++ {
 		msg, err := ismSide.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg.Type != tp.MsgData || len(msg.Records) != 1 {
-			t.Fatalf("message %d = %+v", i, msg)
+		if msg.Type != tp.MsgData || msg.Node != 7 || len(msg.Records) != 1 || msg.Records[0].Node != node {
+			t.Fatalf("message %d = %+v, want node %d's record under wire node 7", node, msg, node)
 		}
 		tp.Recycle(&msg)
 	}
-	if err := rs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rs.Stats().Forwarded; got != 3 {
-		t.Fatalf("Forwarded = %d, want 3", got)
+	if st := srv.Stats(); st.Captured != 3 || st.Forwarded != 3 {
+		t.Fatalf("Stats = %+v, want 3 captured and forwarded", st)
 	}
 }
 
@@ -254,9 +257,12 @@ func TestReplayPreservesWallPacing(t *testing.T) {
 			tp.Recycle(&msg)
 		}
 	}()
-	rs := newReplaySession(lisSide, 16, nil)
+	srv, err := lis.NewBuffered(0, 16, lisSide)
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	st, err := runReplay(rs, recs, 4, nil)
+	st, err := runReplay(srv, 16, recs, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -640,4 +640,22 @@ func TestSessionDrain(t *testing.T) {
 			t.Fatalf("pending=%d sends=%d, want the batch kept and resent", s.Pending(), len(sc.sent))
 		}
 	})
+	t.Run("transport gave up", func(t *testing.T) {
+		sc := &scriptConn{}
+		s := NewSession(0, sc, SessionConfig{})
+		if err := s.Send(tp.DataMessage(0, []trace.Record{{Payload: 1}})); err != nil {
+			t.Fatal(err)
+		}
+		sc.fail = tp.ErrGiveUp
+		start := time.Now()
+		if s.Drain(5 * time.Second) {
+			t.Fatal("drain reported an empty window no ack ever covered")
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("drain over a transport that gave up returned after %s", el)
+		}
+		if s.Pending() != 1 {
+			t.Fatalf("pending=%d, want the batch kept", s.Pending())
+		}
+	})
 }

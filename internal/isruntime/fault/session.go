@@ -22,6 +22,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -63,8 +64,10 @@ type Session struct {
 	mu      sync.Mutex
 	nextSeq int64
 	acked   int64
-	low     int64 // no window entry has a sequence below this
-	window  map[int64]windowBatch
+	// window is a FIFO of the unacked batches, oldest first. It holds
+	// the sequences [nextSeq-len(window), nextSeq): sends append, and
+	// acks and demotion drop the front.
+	window  []windowBatch
 	codec   trace.ColumnCodec
 	scratch []byte // encode staging so window copies are exact-sized
 	spilled uint64
@@ -144,8 +147,6 @@ func NewSession(node int32, conn tp.Conn, cfg SessionConfig) *Session {
 		conn:    conn,
 		cfg:     cfg,
 		nextSeq: 1,
-		low:     1,
-		window:  make(map[int64]windowBatch),
 	}
 	if cfg.Metrics != nil {
 		sc := cfg.Metrics.Scope("session").Scope("node" + strconv.Itoa(int(node)))
@@ -186,10 +187,10 @@ func (s *Session) Send(m tp.Message) error {
 	} else {
 		wb.recs = append(make([]trace.Record, 0, len(m.Records)), m.Records...)
 	}
-	s.window[seq] = wb
-	for len(s.window) > s.cfg.Window {
+	if len(s.window) == s.cfg.Window {
 		s.demoteOldestLocked()
 	}
+	s.window = append(s.window, wb)
 	s.mu.Unlock()
 	if s.mSent != nil {
 		s.mSent.Inc()
@@ -214,24 +215,11 @@ func (s *Session) Send(m tp.Message) error {
 	return err
 }
 
-// demoteOldestLocked moves the lowest-sequence window entry to the
-// spill path. Called with s.mu held. Sequences are monotonic and
-// removal only ever happens at the low end (cumulative acks, this
-// demotion), so the low watermark finds the oldest entry in amortized
-// constant time instead of scanning the map.
+// demoteOldestLocked moves the oldest window entry to the spill path.
+// Called with s.mu held and the window not empty.
 func (s *Session) demoteOldestLocked() {
-	for s.low < s.nextSeq {
-		if _, ok := s.window[s.low]; ok {
-			break
-		}
-		s.low++
-	}
-	if _, ok := s.window[s.low]; !ok {
-		return
-	}
-	wb := s.window[s.low]
-	delete(s.window, s.low)
-	s.low++
+	wb := s.window[0]
+	s.dropLocked(1)
 	if s.cfg.Spill != nil {
 		if rs, err := wb.records(); err == nil && s.cfg.Spill.Append(rs...) == nil {
 			s.spilled++
@@ -253,41 +241,35 @@ func (s *Session) demoteOldestLocked() {
 // mutated, so replay does not race the window bookkeeping.
 func (s *Session) onConnect(raw tp.Conn) error {
 	s.mu.Lock()
-	acked, pending := s.acked, s.unackedLocked()
+	acked := s.acked
+	first, pending := s.unackedLocked()
 	s.mu.Unlock()
 
 	hello := tp.ControlMessage(s.node, tp.CtlHello, acked)
 	if err := raw.Send(hello); err != nil {
 		return err
 	}
-	return s.replayAll(raw, pending)
+	return s.replayAll(raw, first, pending)
 }
 
-// seqBatch is one window entry with its sequence number.
-type seqBatch struct {
-	seq int64
-	wb  windowBatch
+// dropLocked removes the n oldest window entries, zeroing them so the
+// backing array no longer pins their batches. Called with s.mu held.
+func (s *Session) dropLocked(n int) {
+	clear(s.window[:n])
+	s.window = s.window[n:]
 }
 
-// unackedLocked returns the replay window in sequence order. Called
-// with s.mu held. Every entry lies in [low, nextSeq): sends add at the
-// top, acks and demotion remove at the bottom, and acks never pass
-// nextSeq-1.
-func (s *Session) unackedLocked() []seqBatch {
-	out := make([]seqBatch, 0, len(s.window))
-	for seq := s.low; seq < s.nextSeq; seq++ {
-		if wb, ok := s.window[seq]; ok {
-			out = append(out, seqBatch{seq, wb})
-		}
-	}
-	return out
+// unackedLocked copies the replay window out in sequence order, with
+// the sequence of its first entry. Called with s.mu held.
+func (s *Session) unackedLocked() (int64, []windowBatch) {
+	return s.nextSeq - int64(len(s.window)), slices.Clone(s.window)
 }
 
-// replayAll retransmits pending on conn in order, stopping at the first
-// failure.
-func (s *Session) replayAll(conn tp.Conn, pending []seqBatch) error {
-	for _, p := range pending {
-		if err := s.replay(conn, p.seq, p.wb); err != nil {
+// replayAll retransmits pending, whose first entry is sequence first,
+// on conn in order, stopping at the first failure.
+func (s *Session) replayAll(conn tp.Conn, first int64, pending []windowBatch) error {
+	for i, wb := range pending {
+		if err := s.replay(conn, first+int64(i), wb); err != nil {
 			return err
 		}
 	}
@@ -309,10 +291,8 @@ func (s *Session) Deliver(m tp.Message) bool {
 	if ack := min(m.Arg, s.nextSeq-1); ack > s.acked {
 		s.acked = ack
 	}
-	for s.low <= s.acked {
-		delete(s.window, s.low)
-		s.low++
-	}
+	low := s.nextSeq - int64(len(s.window))
+	s.dropLocked(int(max(0, s.acked-low+1)))
 	s.mu.Unlock()
 	return true
 }
@@ -346,9 +326,9 @@ func (s *Session) Heartbeat() error {
 // broke the connection (and so never triggered the reconnect replay).
 func (s *Session) Resend() error {
 	s.mu.Lock()
-	pending := s.unackedLocked()
+	first, pending := s.unackedLocked()
 	s.mu.Unlock()
-	return s.replayAll(s.conn, pending)
+	return s.replayAll(s.conn, first, pending)
 }
 
 // Pending returns the number of unacked batches in the replay window.
@@ -395,21 +375,22 @@ func (s *Session) WaitAcked(timeout time.Duration) bool {
 	}
 }
 
-// Drain drives the replay window empty before teardown: it resends the
-// unacked window and waits up to 100 ms for acks, round after round,
-// until the window is empty (true) or the timeout passes (false). A
-// resend recovers batches lost to silent drops and costs only wire
-// bytes for the rest, which the receiver deduplicates. Like WaitAcked,
-// it needs a Recv loop (or Deliver calls) running.
+// Drain drives the replay window empty before teardown: it waits up to
+// 100 ms for acks and resends what is still unacked, round after round,
+// until the window is empty (true), or the timeout passes or the
+// transport fails for good (false): a connection that gave up acks
+// nothing more. Every round that finds the window unacked resends it,
+// the last one too, so even a Drain shorter than one wait does. Batches just sent are usually acked within the first
+// wait, so only a window the acks stall on goes out again; a resend
+// recovers batches lost to silent drops and costs only wire bytes for
+// the rest, which the receiver deduplicates. Like WaitAcked, it needs a
+// Recv loop (or Deliver calls) running.
 func (s *Session) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	for s.Pending() > 0 {
-		left := time.Until(deadline)
-		if left <= 0 {
+	for !s.WaitAcked(min(time.Until(deadline), 100*time.Millisecond)) {
+		if err := s.Resend(); err != nil && !tp.Retryable(err) || time.Until(deadline) <= 0 {
 			return false
 		}
-		_ = s.Resend()
-		s.WaitAcked(min(left, 100*time.Millisecond))
 	}
 	return true
 }

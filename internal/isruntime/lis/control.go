@@ -1,9 +1,7 @@
 package lis
 
 import (
-	"errors"
 	"io"
-	"net"
 
 	"prism/internal/isruntime/tp"
 )
@@ -35,18 +33,10 @@ type Pauser interface {
 func ControlLoop(conn tp.Conn, server LIS) error {
 	for {
 		msg, err := conn.Recv()
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			// Control traffic is sporadic: a connection-level read
-			// deadline firing on an idle wait is not a failure. The
-			// typed check catches classified stream errors, the
-			// net.Error one raw transports without classification.
-			var ne net.Error
-			if errors.Is(err, tp.ErrTimeout) || (errors.As(err, &ne) && ne.Timeout()) {
-				continue
-			}
 			return err
 		}
 		if msg.Type != tp.MsgControl {

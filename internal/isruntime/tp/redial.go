@@ -23,7 +23,9 @@ import (
 
 // RedialConfig parameterizes a reconnecting connection.
 type RedialConfig struct {
-	// Dial establishes one underlying connection. Required.
+	// Dial establishes one underlying connection. Required. An error
+	// that wraps ErrGiveUp ends the outage at once, as a spent GiveUp
+	// budget does: the dialer knows the peer is not coming back.
 	Dial func() (Conn, error)
 	// Backoff is the delay before the second connection attempt of an
 	// outage (the first is immediate); it doubles with every further
@@ -176,6 +178,9 @@ func (r *Redial) dialLoop() (Conn, error) {
 	var downtime time.Duration
 	for {
 		c, err := r.cfg.Dial()
+		if errors.Is(err, ErrGiveUp) {
+			return nil, r.giveUp(err)
+		}
 		if err == nil {
 			hook := r.hook()
 			if hook == nil {

@@ -93,7 +93,10 @@ func TestStreamConnRecvClassification(t *testing.T) {
 	// A read deadline firing surfaces as ErrTimeout.
 	c1, c2 := net.Pipe()
 	defer c2.Close()
-	sc := NewStreamConn(c1, WithReadTimeout(5*time.Millisecond))
+	if err := c1.SetReadDeadline(time.Now().Add(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	sc := NewStreamConn(c1)
 	if _, err := sc.Recv(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("idle deadline: %v, want ErrTimeout", err)
 	}
@@ -272,6 +275,29 @@ func TestRedialGivesUp(t *testing.T) {
 	// dialing again.
 	if err := rd.Send(DataMessage(0, nil)); !errors.Is(err, ErrGiveUp) {
 		t.Fatalf("post-give-up send: %v, want ErrGiveUp", err)
+	}
+}
+
+// TestRedialDialGivesUp: a Dial that reports ErrGiveUp ends the outage
+// at its first attempt, with no backoff sleep and no budget to spend.
+func TestRedialDialGivesUp(t *testing.T) {
+	dials, sleeps := 0, 0
+	rd, err := NewRedial(RedialConfig{
+		Dial: func() (Conn, error) {
+			dials++
+			return nil, fmt.Errorf("%w: the peer has shut down", ErrGiveUp)
+		},
+		Backoff: 10 * time.Millisecond,
+		Sleep:   func(time.Duration) { sleeps++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.Recv(); !errors.Is(err, ErrGiveUp) {
+		t.Fatalf("Recv: %v, want ErrGiveUp", err)
+	}
+	if dials != 1 || sleeps != 0 {
+		t.Fatalf("dialed %d times and slept %d, want 1 and 0", dials, sleeps)
 	}
 }
 

@@ -15,16 +15,8 @@ import (
 type ConnOption func(*connOptions)
 
 type connOptions struct {
-	readTimeout  time.Duration
 	writeTimeout time.Duration
 	registry     *metrics.Registry
-}
-
-// WithReadTimeout bounds each Recv: a peer that stops sending for
-// longer than d causes Recv to fail with a timeout error instead of
-// wedging the reader forever.
-func WithReadTimeout(d time.Duration) ConnOption {
-	return func(o *connOptions) { o.readTimeout = d }
 }
 
 // WithWriteTimeout bounds each Send: a peer that stops draining causes
@@ -279,9 +271,6 @@ func (c *streamConn) SendBatch(ms []Message) error {
 func (c *streamConn) Recv() (Message, error) {
 	if !c.recvState.CompareAndSwap(0, 1) && c.recvState.Load() == 2 {
 		return Message{}, Classify(net.ErrClosed)
-	}
-	if c.opts.readTimeout > 0 {
-		_ = c.nc.SetReadDeadline(time.Now().Add(c.opts.readTimeout))
 	}
 	m, n, err := readMessage(c.r)
 	if err != nil {

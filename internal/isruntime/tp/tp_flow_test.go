@@ -71,49 +71,6 @@ func TestDialTimeout(t *testing.T) {
 	}
 }
 
-// TestReadTimeout wedges a connection: with WithReadTimeout set, Recv
-// must fail with a timeout instead of hanging forever.
-func TestReadTimeout(t *testing.T) {
-	ln, err := Listen("127.0.0.1:0", WithReadTimeout(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		accepted <- conn
-	}()
-	client, err := Dial(ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	server := <-accepted
-	defer server.Close()
-
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := server.Recv() // client sends nothing
-		errCh <- err
-	}()
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Fatal("Recv succeeded on silent peer")
-		}
-		ne, ok := err.(net.Error)
-		if ok && !ne.Timeout() {
-			t.Fatalf("not a timeout: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Recv ignored read timeout")
-	}
-}
-
 // TestConnMetrics checks the transport's registry counters across a
 // round trip.
 func TestConnMetrics(t *testing.T) {
