@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -150,6 +152,57 @@ func TestSessionSequencesAndTrims(t *testing.T) {
 	// Non-session traffic passes through Deliver.
 	if s.Deliver(tp.ControlMessage(3, tp.CtlFlush, 0)) {
 		t.Fatal("flush control must not be consumed")
+	}
+}
+
+// yieldConn records the sequence number of every message it is handed.
+// It yields the processor before recording, so a sender that stamps a
+// sequence and then writes it lets other senders in between.
+type yieldConn struct {
+	mu   sync.Mutex
+	args []int64
+}
+
+func (c *yieldConn) Send(m tp.Message) error {
+	runtime.Gosched()
+	c.mu.Lock()
+	c.args = append(c.args, m.Arg)
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *yieldConn) Recv() (tp.Message, error) { return tp.Message{}, io.EOF }
+func (c *yieldConn) Close() error              { return nil }
+
+// TestSessionConcurrentSendOrder sends from several goroutines at once:
+// the conn must see every sequence number once, in increasing order,
+// or a receiver counts the later ones as a gap.
+func TestSessionConcurrentSendOrder(t *testing.T) {
+	const senders, each = 8, 200
+	c := &yieldConn{}
+	s := NewSession(1, c, SessionConfig{Window: senders * each})
+	rs := []trace.Record{{Node: 1, Kind: trace.KindUser}}
+	var wg sync.WaitGroup
+	for range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				if err := s.Send(tp.DataMessage(1, rs)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(c.args) != senders*each {
+		t.Fatalf("conn saw %d messages, want %d", len(c.args), senders*each)
+	}
+	for i, arg := range c.args {
+		if arg != int64(i+1) {
+			t.Fatalf("message %d on the wire has sequence %d, want %d", i, arg, i+1)
+		}
 	}
 }
 

@@ -49,8 +49,8 @@ type SessionConfig struct {
 
 // Session is a tp.Conn wrapper implementing the sender side of the
 // sequencing/replay protocol. Wrap it around a *tp.Redial (its
-// OnConnect hook is claimed automatically) or any Conn. One goroutine
-// may call Send and another Recv, matching the usual LIS arrangement.
+// OnConnect hook is claimed automatically) or any Conn. Any number of
+// goroutines may call Send, and another Recv.
 type Session struct {
 	node int32
 	conn tp.Conn
@@ -60,6 +60,12 @@ type Session struct {
 	mReplayed *metrics.Counter
 	mSpilled  *metrics.Counter
 	mLost     *metrics.Counter
+
+	// sendMu orders data sends: Send holds it from stamping a sequence
+	// to handing the batch to conn, so concurrent senders reach the
+	// wire in sequence order. It is not mu, so Deliver's acks never
+	// wait on a write.
+	sendMu sync.Mutex
 
 	mu      sync.Mutex
 	nextSeq int64
@@ -165,13 +171,16 @@ func NewSession(node int32, conn tp.Conn, cfg SessionConfig) *Session {
 // sequence number and retained in the replay window, encoded or copied,
 // before transmission; a retryable transport failure is therefore
 // absorbed (the batch replays on reconnect) and Send reports success.
-// Control messages pass through unsequenced. A terminal failure
+// Control messages pass through unsequenced. Concurrent Sends are
+// written in the order they are stamped. A terminal failure
 // (ErrGiveUp, unclassified) demotes the whole window to the spill path
 // and surfaces the error.
 func (s *Session) Send(m tp.Message) error {
 	if m.Type != tp.MsgData {
 		return s.conn.Send(m)
 	}
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
 	s.mu.Lock()
 	seq := s.nextSeq
 	s.nextSeq++

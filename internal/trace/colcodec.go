@@ -27,6 +27,47 @@ package trace
 // terminator bytes and running the node, process and kind run loops.
 // Both entries share those run loops (decodeRunsCol, decodeKindsCol).
 //
+// The decoder's inner loop (varintCols.fast) is shaped for the about
+// 13 registers the compiler allocates: four cursors into one buf
+// instead of four column slices, two running deltas, and the loop's
+// index and bounds. A record's fields are its deltas added to the
+// previous record's, read back from out rather than carried, and a
+// stretch of records bounded once by the column ends replaces a
+// per-record counter. A varint longer than four bytes, the first record
+// and a column's last few records leave the loop for binary.Uvarint,
+// one record at a time. The loop still spills: loaded words, the
+// cursors, one running delta and the tag stores' addresses go through
+// the stack, and its bounds are reloaded from it. Per record on the
+// 4-byte path (go tool objdump, Go 1.24, amd64), and per run of the id
+// loop (decodeRunsCol):
+//
+//	                       before                after
+//	varint record    289 instr, 112 stack    170 instr, 28 stack
+//	id run            61 instr,   4 stack     49 instr,  1 stack
+//
+// Decode ns/rec, fresh / one batch repeated where both were timed
+// (BenchmarkColumnsDecode, BenchmarkSegmentDecode and the two column
+// yardsticks; the minimum of 5 runs on a shared 2-vCPU x86-64 host):
+//
+//	                        before        after
+//	wire shuffled 32        31.7          27.3
+//	wire shuffled 256       24.6 / 30.6   17.8 / 16.6
+//	wire shuffled 512       27.3          17.8
+//	wire shuffled 8192      28.5          17.9
+//	wire flat 32            30.6          29.7
+//	wire flat 256           25.7 / 27.4   16.8 / 16.5
+//	wire flat 512           23.6          18.7
+//	wire flat 8192          24.5          18.6
+//	segment shuffled        25.6 / 23.0   17.6 / 16.3
+//	segment flat            23.6 / 22.7   17.0 / 17.9
+//	varint cols shuffled    17.8 / 16.9   10.2 /  9.3
+//	varint cols flat        15.5 / 15.6   12.0 /  9.8
+//	run cols shuffled        8.6 /  7.9    6.8 /  6.1
+//	run cols flat            5.8 /  5.6    6.0 /  5.0
+//
+// A 32-record frame gains least: its first record and its last few
+// take the out-of-line path, and its stretches are short.
+//
 // Measured varint lengths in 8192-record segments of the runtime
 // benchmark's seed-1 stream (1 / 2 / 3 bytes):
 //
@@ -466,98 +507,143 @@ func decodeColumnsAt(buf []byte, off *[numColumns + 1]int, out []Record) error {
 // decodeVarintCols decodes the time, logical, tag and payload fields of
 // len(out) records from those columns of buf, column ci spanning
 // buf[off[ci]:off[ci+1]], and requires each to be consumed exactly. The
-// four columns are decoded together, one record at a time, with a
-// cursor per column.
+// four columns are decoded together, one record at a time, each by a
+// cursor into buf: stretches of records whose varints fit in 4 bytes
+// go through fast, and the first record, and each one a longer varint
+// or a column's end stops a stretch at, through binary.Uvarint out of
+// line.
 func decodeVarintCols(buf []byte, off *[numColumns + 1]int, out []Record) error {
-	tc, lc := buf[off[0]:off[1]], buf[off[1]:off[2]]
-	gc, pc := buf[off[5]:off[6]], buf[off[6]:off[7]]
-	var (
-		pt, pl, pg, pp int // cursors into tc, lc, gc, pc
-		prevT, deltaT  int64
-		prevL, deltaL  int64
-		prevG, prevP   int64
-		fast           int // records left that may load 4 bytes in every column
-	)
-	for i := range out {
-		if fast == 0 {
-			// A fast record advances each cursor by at most 4 bytes, so
-			// this many records load 4 bytes without passing any
-			// column's end.
-			fast = min(len(tc)-pt, len(lc)-pl, len(gc)-pg, len(pc)-pp) >> 2
+	c := varintCols{pt: off[0], pl: off[1], pg: off[5], pp: off[6]}
+	et, el, eg, ep := off[1], off[2], off[6], off[7]
+	var prev Record // the record before out[i]; zero before the first
+	for i := 0; i < len(out); i++ {
+		// A fast record advances each cursor by at most 4 bytes, so a
+		// stretch of records out[i:end] loads 4 bytes in every column
+		// without passing any column's end. A stretch decoded to its
+		// end is followed by the next one; an empty stretch, or one cut
+		// short by a longer varint, leaves out[i] to binary.Uvarint.
+		for i > 0 && i < len(out) {
+			end := min(len(out), i+min(et-c.pt, el-c.pl, eg-c.pg, ep-c.pp)>>2)
+			n := c.fast(buf, out[i-1:end])
+			i += n
+			if n == 0 || i < end {
+				break
+			}
 		}
-		// A clear high bit ends a varint: each mask is non-zero when its
-		// varint ends within the 4-byte word, and all are zero when no
-		// word was loaded.
-		var mt, ml, mg, mp, wt, wl, wg, wp uint32
-		if fast > 0 {
-			wt = binary.LittleEndian.Uint32(tc[pt:])
-			wl = binary.LittleEndian.Uint32(lc[pl:])
-			wg = binary.LittleEndian.Uint32(gc[pg:])
-			wp = binary.LittleEndian.Uint32(pc[pp:])
-			mt, ml = ^wt&0x80808080, ^wl&0x80808080
-			mg, mp = ^wg&0x80808080, ^wp&0x80808080
+		if i == len(out) {
+			break
 		}
+		if i > 0 {
+			prev = out[i-1]
+		}
+		// A varint longer than four bytes, or one near a column's end:
+		// this record takes binary.Uvarint in every column.
 		var ut, ul, ug, up uint64
-		if mt != 0 && ml != 0 && mg != 0 && mp != 0 {
-			var n int
-			ut, n = varint4(wt, mt)
-			pt += n
-			ul, n = varint4(wl, ml)
-			pl += n
-			ug, n = varint4(wg, mg)
-			pg += n
-			up, n = varint4(wp, mp)
-			pp += n
-			fast--
-		} else {
-			// A varint longer than four bytes, or one near a column's
-			// end: this record takes binary.Uvarint in every column.
-			fast = 0
-			var err error
-			if ut, pt, err = uvarintAt(tc, pt, 0, i); err != nil {
-				return err
-			}
-			if ul, pl, err = uvarintAt(lc, pl, 1, i); err != nil {
-				return err
-			}
-			if ug, pg, err = uvarintAt(gc, pg, 5, i); err != nil {
-				return err
-			}
-			if up, pp, err = uvarintAt(pc, pp, 6, i); err != nil {
-				return err
-			}
+		var err error
+		if ut, c.pt, err = uvarintAt(buf[:et], c.pt, 0, i); err != nil {
+			return err
 		}
-		deltaT += unzigzag(ut)
-		prevT += deltaT
-		deltaL += unzigzag(ul)
-		prevL += deltaL
-		prevG += unzigzag(ug)
-		prevP += unzigzag(up)
+		if ul, c.pl, err = uvarintAt(buf[:el], c.pl, 1, i); err != nil {
+			return err
+		}
+		if ug, c.pg, err = uvarintAt(buf[:eg], c.pg, 5, i); err != nil {
+			return err
+		}
+		if up, c.pp, err = uvarintAt(buf[:ep], c.pp, 6, i); err != nil {
+			return err
+		}
+		c.deltaT += unzigzag(ut)
+		c.deltaL += unzigzag(ul)
 		r := &out[i]
-		r.Time, r.Logical, r.Tag, r.Payload = prevT, uint64(prevL), uint16(prevG), prevP
+		r.Time = prev.Time + c.deltaT
+		r.Logical = prev.Logical + uint64(c.deltaL)
+		r.Tag = prev.Tag + uint16(unzigzag(ug))
+		r.Payload = prev.Payload + unzigzag(up)
 	}
 	switch {
-	case pt != len(tc):
-		return trailing(len(tc)-pt, 0)
-	case pl != len(lc):
-		return trailing(len(lc)-pl, 1)
-	case pg != len(gc):
-		return trailing(len(gc)-pg, 5)
-	case pp != len(pc):
-		return trailing(len(pc)-pp, 6)
+	case c.pt != et:
+		return trailing(et-c.pt, 0)
+	case c.pl != el:
+		return trailing(el-c.pl, 1)
+	case c.pg != eg:
+		return trailing(eg-c.pg, 5)
+	case c.pp != ep:
+		return trailing(ep-c.pp, 6)
 	}
 	return nil
 }
 
-// varint4 decodes the varint at the front of the little-endian word w,
-// where m = ^w & 0x80808080 is non-zero: the lowest set bit of m is the
-// high bit of the varint's last byte. It keeps the bytes up to that
-// one and gathers their 7-bit groups.
-func varint4(w, m uint32) (uint64, int) {
-	w &= m ^ (m - 1)
-	u := w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000 | w>>3&0xfe00000
-	return uint64(u), bits.TrailingZeros32(m)>>3 + 1
+// varintCols is decodeVarintCols's state between records: a cursor
+// into buf per column and the running deltas of the time and logical
+// columns (delta-of-delta coded).
+type varintCols struct {
+	pt, pl, pg, pp int
+	deltaT, deltaL int64
 }
+
+// fast decodes records into o[1:] while every column's varint ends
+// within the 4 bytes at its cursor, and returns how many it decoded;
+// the caller sizes o so that no load passes a column's end. o[0] is
+// the record before them. Each record's fields are its deltas added to
+// the previous record's, read back from o rather than carried: the
+// loop's other values (four cursors, two running deltas, its index and
+// the bases and bounds of buf and o) already outnumber the registers
+// the compiler allocates, and each value carried in a register past
+// that goes to the stack and back every record.
+func (c *varintCols) fast(buf []byte, o []Record) int {
+	pt, pl, pg, pp := c.pt, c.pl, c.pg, c.pp
+	deltaT, deltaL := c.deltaT, c.deltaL
+	k := 1
+	for ; k < len(o); k++ {
+		wt := word(buf, pt)
+		wl := word(buf, pl)
+		wg := word(buf, pg)
+		wp := word(buf, pp)
+		// A clear high bit ends a varint: each mask is non-zero when
+		// its varint ends within the 4-byte word.
+		mt, ml := ^wt&0x80808080, ^wl&0x80808080
+		mg, mp := ^wg&0x80808080, ^wp&0x80808080
+		if mt == 0 || ml == 0 || mg == 0 || mp == 0 {
+			break
+		}
+		p, r := &o[k-1], &o[k]
+		deltaT += varint4(wt, mt)
+		r.Time = p.Time + deltaT
+		pt += varintLen(mt)
+		deltaL += varint4(wl, ml)
+		r.Logical = p.Logical + uint64(deltaL)
+		pl += varintLen(ml)
+		r.Tag = p.Tag + uint16(varint4(wg, mg))
+		pg += varintLen(mg)
+		r.Payload = p.Payload + varint4(wp, mp)
+		pp += varintLen(mp)
+	}
+	c.pt, c.pl, c.pg, c.pp = pt, pl, pg, pp
+	c.deltaT, c.deltaL = deltaT, deltaL
+	return k - 1
+}
+
+// varint4 decodes the zigzag varint at the front of the little-endian
+// word w, where m = ^w & 0x80808080 is non-zero: the lowest set bit of
+// m is the high bit of the varint's last byte. x keeps the bytes below
+// that bit without their continuation bits, 7-bit groups b0..b3 from
+// the low byte up, which two adds join. x + x&0x007f007f doubles b0 and
+// b2, so y = 2·P0 + 2^17·P1 with P0 = b0 + b1<<7 and P1 = b2 + b3<<7,
+// and y + 3·(y&0x7fff) = 8·(P0 + P1<<14) is eight times the varint.
+// Shifted by four it is the zigzag magnitude; the sign is b0's low bit.
+func varint4(w, m uint32) int64 {
+	x := w & (m - 1) & 0x7f7f7f7f
+	y := x + x&0x007f007f
+	return int64((y+3*(y&0x7fff))>>4) ^ -int64(w&1)
+}
+
+// word loads the 4 bytes at buf[p:]. The full slice expression spares
+// the pointer adjustment a slice that might be empty needs.
+func word(buf []byte, p int) uint32 { return binary.LittleEndian.Uint32(buf[p : p+4 : p+4]) }
+
+// varintLen is the length of the varint varint4 decodes from a word
+// with mask m.
+func varintLen(m uint32) int { return bits.TrailingZeros32(m)>>3 + 1 }
 
 // uvarintAt reads the varint at col[p:] for record i of column ci,
 // returning it and the cursor past it.
@@ -583,7 +669,8 @@ func decodeRunsCol(col []byte, ci int, out []Record) ([]byte, error) {
 		var runLen uint64
 		var v int32
 		if p+1 < len(col) && col[p]|col[p+1] < 0x80 {
-			runLen, v = uint64(col[p]), int32(unzigzag(uint64(col[p+1])))
+			b := col[p+1]
+			runLen, v = uint64(col[p]), int32(b>>1)^-int32(b&1)
 			p += 2
 			// A zero runLen wraps round: one compare rejects it too.
 			if runLen-1 >= uint64(n-i) {
@@ -598,7 +685,7 @@ func decodeRunsCol(col []byte, ci int, out []Record) ([]byte, error) {
 		}
 		j := i
 		if i+fillAhead <= n {
-			w := out[i : i+fillAhead]
+			w := out[i : i+fillAhead : i+fillAhead]
 			if ci == 2 {
 				w[0].Node, w[1].Node, w[2].Node, w[3].Node = v, v, v, v
 			} else {
@@ -626,7 +713,11 @@ func decodeRunsCol(col []byte, ci int, out []Record) ([]byte, error) {
 // at (header). Four covers 15 in 16 process runs and nearly every node
 // and kind run of a time-ordered multi-source stream; a decode that
 // fails leaves out unspecified anyway. The fills are written out four
-// wide: a loop over them, or eight slots, measured slower.
+// wide: a loop over them, or eight slots, measured slower. The id
+// loop's window is a full slice expression, which spares it the
+// pointer adjustment a slice that might be empty needs; the kind loop's
+// byte stores take their address from that adjustment, and cost more
+// without it.
 const fillAhead = 4
 
 // rleRun decodes one (runLength, value) pair whose varints are not

@@ -117,28 +117,115 @@ var decodeShapes = [...]struct {
 
 const decodeBenchRecords = 8192
 
-func BenchmarkSegmentDecode(b *testing.B) {
+// segmentBatches is how many distinct seeded 8192-record segments a
+// segment yardstick cycles through, as a scan meets fresh segments;
+// each shape also keeps a repeat=1 case, one segment decoded over and
+// over, so the gap a learnt branch predictor makes stays visible
+// (freshBatches).
+const segmentBatches = 16
+
+// segmentCases runs fn as one sub-benchmark per shape on
+// segmentBatches fresh segments' records, drawn from seed 1, and one
+// on the first of them alone (repeat=1). One op decodes the next.
+func segmentCases(b *testing.B, fn func(b *testing.B, rss [][]Record)) {
 	for _, shape := range decodeShapes {
-		b.Run("shape="+shape.name, func(b *testing.B) {
-			rs := shape.batch(rand.New(rand.NewSource(1)), decodeBenchRecords, measuredMix)
-			buf := AppendSegment(nil, rs)
-			var seg Segment
-			dst := make([]Record, 0, len(rs))
-			b.ReportAllocs()
-			b.SetBytes(int64(len(rs) * RecordSize))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, err := seg.Parse(buf)
-				if err == nil {
-					dst, err = seg.AppendRecords(dst[:0])
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(rs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
+		rng := rand.New(rand.NewSource(1))
+		rss := make([][]Record, segmentBatches)
+		for i := range rss {
+			rss[i] = shape.batch(rng, decodeBenchRecords, measuredMix)
+		}
+		b.Run("shape="+shape.name, func(b *testing.B) { fn(b, rss) })
+		b.Run("shape="+shape.name+"/repeat=1", func(b *testing.B) { fn(b, rss[:1]) })
 	}
+}
+
+// BenchmarkSegmentDecode times Parse + AppendRecords, one op one
+// segment.
+func BenchmarkSegmentDecode(b *testing.B) {
+	segmentCases(b, func(b *testing.B, rss [][]Record) {
+		bufs := make([][]byte, len(rss))
+		for i, rs := range rss {
+			bufs[i] = AppendSegment(nil, rs)
+		}
+		var seg Segment
+		dst := make([]Record, 0, decodeBenchRecords)
+		b.ReportAllocs()
+		b.SetBytes(decodeBenchRecords * RecordSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, err := seg.Parse(bufs[i%len(bufs)])
+			if err == nil {
+				dst, err = seg.AppendRecords(dst[:0])
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(decodeBenchRecords*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/decodeBenchRecords, "ns/rec")
+	})
+}
+
+// segmentColumns is one segment's column bytes and their offsets, as
+// decodeColumnsAt takes them.
+type segmentColumns struct {
+	buf []byte
+	off [numColumns + 1]int
+}
+
+func encodeColumns(rss [][]Record) []segmentColumns {
+	var cc ColumnCodec
+	cols := make([]segmentColumns, len(rss))
+	for i, rs := range rss {
+		var off [numColumns]int
+		cols[i].buf = cc.appendColumns(nil, rs, &off)
+		copy(cols[i].off[:], off[:])
+		cols[i].off[numColumns] = len(cols[i].buf)
+	}
+	return cols
+}
+
+// BenchmarkVarintColsDecode times the time, logical, tag and payload
+// columns of a segment alone, through decodeVarintCols.
+func BenchmarkVarintColsDecode(b *testing.B) {
+	segmentCases(b, func(b *testing.B, rss [][]Record) {
+		cols := encodeColumns(rss)
+		dst := make([]Record, decodeBenchRecords)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := &cols[i%len(cols)]
+			if err := decodeVarintCols(c.buf, &c.off, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/decodeBenchRecords, "ns/rec")
+	})
+}
+
+// BenchmarkRunsDecode times the node, process and kind columns of a
+// segment alone, through the run decoders both entries share.
+func BenchmarkRunsDecode(b *testing.B) {
+	segmentCases(b, func(b *testing.B, rss [][]Record) {
+		cols := encodeColumns(rss)
+		dst := make([]Record, decodeBenchRecords)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := &cols[i%len(cols)]
+			_, err := decodeRunsCol(c.buf[c.off[2]:c.off[3]], 2, dst)
+			if err == nil {
+				_, err = decodeRunsCol(c.buf[c.off[3]:c.off[4]], 3, dst)
+			}
+			if err == nil {
+				_, err = decodeKindsCol(c.buf[c.off[4]:c.off[5]], dst)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/decodeBenchRecords, "ns/rec")
+	})
 }
 
 // freshBatches and freshRecords set how many distinct seeded batches
@@ -268,36 +355,5 @@ func BenchmarkColumnEncode(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkRunsDecode times the node, process and kind columns of one
-// 8192-record segment alone, through the run decoders both entries
-// share.
-func BenchmarkRunsDecode(b *testing.B) {
-	for _, shape := range decodeShapes {
-		b.Run("shape="+shape.name, func(b *testing.B) {
-			rs := shape.batch(rand.New(rand.NewSource(1)), decodeBenchRecords, measuredMix)
-			var off [numColumns]int
-			var cc ColumnCodec
-			buf := cc.appendColumns(nil, rs, &off)
-			node, proc, kind := buf[off[2]:off[3]], buf[off[3]:off[4]], buf[off[4]:off[5]]
-			dst := make([]Record, len(rs))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, err := decodeRunsCol(node, 2, dst)
-				if err == nil {
-					_, err = decodeRunsCol(proc, 3, dst)
-				}
-				if err == nil {
-					_, err = decodeKindsCol(kind, dst)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rs)), "ns/rec")
-		})
 	}
 }

@@ -1029,3 +1029,186 @@ func TestRunColumnEdges(t *testing.T) {
 		expectBadSegment(t, what, seg, colNames[b.ci])
 	}
 }
+
+// varintOfLen returns the canonical varint of the smallest value that
+// takes n bytes, 1 ≤ n ≤ 10.
+func varintOfLen(n int) []byte {
+	return binary.AppendUvarint(nil, uint64(1)<<(7*(n-1)))
+}
+
+// boundaryCase is one edit of a varint column of a 64-record body.
+type boundaryCase struct {
+	what string
+	edit func(varints [][]byte) [][]byte // the column's varints, one piece each
+	err  string                          // the segment decode's error; "" for none
+}
+
+// boundaryCases lists the edits TestVarintColsBoundary makes to column
+// ci of n records: the record that ends a fast stretch, at each
+// distance from the column's end; a varint too long for the 4-byte path
+// mid-column, with short records after it; and a column cut short
+// inside its last varint, or one or two bytes long.
+func boundaryCases(ci, n int) []boundaryCase {
+	var cs []boundaryCase
+	for l := 1; l <= 10; l++ {
+		for d := 0; d <= 7; d++ {
+			cs = append(cs, boundaryCase{
+				what: fmt.Sprintf("%d-byte varint %d bytes before the end", l, d),
+				edit: func(v [][]byte) [][]byte {
+					v[n-1-d] = varintOfLen(l)
+					for r := n - d; r < n; r++ {
+						v[r] = []byte{0}
+					}
+					return v
+				},
+			})
+		}
+	}
+	for l := 5; l <= 10; l++ {
+		cs = append(cs, boundaryCase{
+			what: fmt.Sprintf("%d-byte varint mid-column", l),
+			edit: func(v [][]byte) [][]byte {
+				v[n/2] = varintOfLen(l)
+				for r := n/2 + 1; r < n/2+9; r++ {
+					v[r] = []byte{byte(r % 3)}
+				}
+				return v
+			},
+		})
+	}
+	for l := 2; l <= 10; l++ {
+		cs = append(cs, boundaryCase{
+			what: fmt.Sprintf("%d-byte varint truncated at the end", l),
+			edit: func(v [][]byte) [][]byte {
+				v[n-1] = varintOfLen(l)[:l-1]
+				return v
+			},
+			err: fmt.Sprintf("%v: truncated or overlong varint in %s column at record %d", ErrBadSegment, colNames[ci], n-1),
+		})
+	}
+	return append(cs,
+		boundaryCase{
+			what: "truncated",
+			edit: func(v [][]byte) [][]byte {
+				last := v[n-1]
+				v[n-1] = last[:len(last)-1]
+				return v
+			},
+			err: fmt.Sprintf("%v: truncated or overlong varint in %s column at record %d", ErrBadSegment, colNames[ci], n-1),
+		},
+		boundaryCase{
+			what: "trailing",
+			edit: func(v [][]byte) [][]byte { return append(v, []byte{0}) },
+			err:  fmt.Sprintf("%v: 1 trailing bytes in %s column", ErrBadSegment, colNames[ci]),
+		},
+		boundaryCase{
+			what: "trailing continuation",
+			edit: func(v [][]byte) [][]byte { return append(v, []byte{0x80, 0x80}) },
+			err:  fmt.Sprintf("%v: 2 trailing bytes in %s column", ErrBadSegment, colNames[ci]),
+		},
+	)
+}
+
+// TestVarintColsBoundary pins where decodeVarintCols hands a record
+// from the 4-byte path to binary.Uvarint and back, in each varint
+// column: every edit goes through a segment and through DecodeColumns,
+// both of which must decode what the serial reference decodes, or fail
+// with the case's error. A wire body has no column offsets, so a short
+// or long column before the last one re-reads as other columns: the
+// wire decoder and the reference must still agree, and a rejection must
+// name that column or a later one. The payload column ends where the
+// body does, so it fails on the wire with the segment's error.
+func TestVarintColsBoundary(t *testing.T) {
+	const n = 64
+	// Every varint column of the base holds a 1-byte varint and then
+	// 4-byte ones, so the column a case edits alone sets where a stretch
+	// must stop, and a load past its end would meet the next column's
+	// terminator.
+	baseVarints := func() [][]byte {
+		v := [][]byte{{2}}
+		for len(v) < n {
+			v = append(v, varintOfLen(4))
+		}
+		return v
+	}
+	base := AppendSegment(nil, mixBatch(rand.New(rand.NewSource(46)), n, measuredMix))
+	for _, ci := range [...]int{0, 1, 5, 6} {
+		base = withColumn(t, base, ci, bytes.Join(baseVarints(), nil))
+	}
+	for _, ci := range [...]int{0, 1, 5, 6} {
+		for _, c := range boundaryCases(ci, n) {
+			what := colNames[ci] + " " + c.what
+			buf := withColumn(t, base, ci, bytes.Join(c.edit(baseVarints()), nil))
+			var s Segment
+			if _, err := s.Parse(buf); err != nil {
+				t.Fatalf("%s: parse: %v", what, err)
+			}
+			body := buf[s.colOff[0]:s.colOff[numColumns]]
+			want := make([]Record, n)
+			refErr := serialDecodeColumns(body, want)
+			segGot, segErr := s.AppendRecords(nil)
+			wire := make([]Record, n)
+			wireErr := DecodeColumns(body, wire)
+			if c.err == "" {
+				if refErr != nil || segErr != nil || wireErr != nil {
+					t.Fatalf("%s: errors: serial %v, segment %v, wire %v", what, refErr, segErr, wireErr)
+				}
+				recordsEqual(t, what+" segment", segGot, want)
+				recordsEqual(t, what+" wire", wire, want)
+				continue
+			}
+			if segErr == nil || segErr.Error() != c.err {
+				t.Fatalf("%s: segment decode error %v, want %q", what, segErr, c.err)
+			}
+			if (wireErr == nil) != (refErr == nil) {
+				t.Fatalf("%s: wire decode error %v, serial decode error %v", what, wireErr, refErr)
+			}
+			switch {
+			case ci == 6 && (wireErr == nil || wireErr.Error() != c.err):
+				t.Fatalf("%s: wire decode error %v, want %q", what, wireErr, c.err)
+			case wireErr == nil:
+				recordsEqual(t, what+" wire", wire, want)
+			case !errors.Is(wireErr, ErrBadSegment):
+				t.Fatalf("%s: wire decode error %v, want ErrBadSegment", what, wireErr)
+			default:
+				named := false
+				for _, name := range colNames[ci:] {
+					named = named || strings.Contains(wireErr.Error(), name)
+				}
+				if !named {
+					t.Fatalf("%s: wire decode error %q names none of %q", what, wireErr, colNames[ci:])
+				}
+			}
+		}
+	}
+}
+
+// TestColumnsDecodeAllocs pins both decoder entries at zero allocations
+// per decode.
+func TestColumnsDecodeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	in := mixBatch(rand.New(rand.NewSource(2)), 256, measuredMix)
+	var cc ColumnCodec
+	var off [numColumns]int
+	body := cc.appendColumns(nil, in, &off)
+	var offs [numColumns + 1]int
+	copy(offs[:], off[:])
+	offs[numColumns] = len(body)
+	dst := make([]Record, len(in))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := DecodeColumns(body, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DecodeColumns allocates %.1f per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := decodeColumnsAt(body, &offs, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decodeColumnsAt allocates %.1f per run, want 0", allocs)
+	}
+}

@@ -13,9 +13,29 @@
 #   roles toward the total.
 # The binaries are built into a temporary directory that is removed on
 # exit.
+#
+# It fails first if a tracked (or staged) file is over 1 MB or is an
+# ELF binary: build output that `git add -A` picked up.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
+
+bad=0
+while IFS= read -r -d '' f; do
+	[ -f "$f" ] || continue
+	if [ "$(wc -c <"$f")" -gt 1048576 ]; then
+		echo "surface: $f is tracked and over 1 MB" >&2
+		bad=1
+	fi
+	if [ "$(head -c 4 "$f")" = $'\x7fELF' ]; then
+		echo "surface: $f is tracked and an ELF binary" >&2
+		bad=1
+	fi
+done < <(git ls-files -z)
+if [ "$bad" -ne 0 ]; then
+	exit 1
+fi
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
