@@ -56,10 +56,15 @@
 // after a network fault delivers every batch exactly once, and
 // unsequenced batches from session-less senders pass through
 // untouched. On shutdown the manager broadcasts CtlShutdown, which
-// ends each lisnode's run. A restarted manager adopts each node's
-// stream where its replay resumes. -degraded-after flags peers whose
-// traffic and heartbeats fall silent for longer than the given budget
-// in the periodic stats line.
+// ends each lisnode's run, and closes only once every node has
+// flushed, drained its replay window and hung up: a stream ends when
+// its sender hangs up, so every record the manager acked is
+// dispatched. A restarted manager adopts each node's stream where its
+// replay resumes. -degraded-after flags peers whose traffic and
+// heartbeats fall silent for longer than the given budget in the
+// periodic stats line, and it is the one shutdown timer: it bounds the
+// wait for nodes to hang up, and a leaf's wait for its relay to ack,
+// when a peer is gone without a word.
 //
 // Every role takes -debug-addr (off by default): an HTTP endpoint that
 // serves net/http/pprof under /debug/pprof/ and the live metrics
@@ -135,7 +140,7 @@ func parseArgs(args []string, handling flag.ErrorHandling, out io.Writer) (*sett
 	fs.StringVar(&s.addr, "addr", "127.0.0.1:7311", "listen address")
 	fs.StringVar(&s.spool, "spool", "", "spool merged trace to this file")
 	fs.DurationVar(&s.stats, "stats", 2*time.Second, "statistics print interval")
-	fs.DurationVar(&s.degradedAfter, "degraded-after", 5*time.Second, "report peers silent for longer than this as degraded (0 disables)")
+	fs.DurationVar(&s.degradedAfter, "degraded-after", 5*time.Second, "report peers silent for longer than this as degraded, and wait no longer for them at shutdown (0 disables both)")
 	fs.StringVar(&s.debugAddr, "debug-addr", "", "serve pprof under /debug/pprof/ and the metrics snapshot at /debug/metrics on this address (off when empty)")
 	if s.role == "relay" {
 		fs.IntVar(&s.downstreams, "downstreams", 0, "expected downstream managers; the merge holds dispatch until all have attached (0 dispatches as lanes appear)")
@@ -443,18 +448,25 @@ func (r *role) startISM() error {
 	}
 	r.halt = func() {
 		close(stopPublish)
+		// Each node ends its run, flushes, drains its replay window and
+		// hangs up; closing before that would ack its last flush and drop
+		// it with the byte stream. The bound is for a node that is gone
+		// without a word.
 		m.Broadcast(tp.CtlShutdown, 0)
+		if !m.WaitHangup(s.degradedAfter) {
+			log.Printf("ismd: nodes still connected after %s; closing their connections", s.degradedAfter)
+		}
 	}
 	r.final = func(out io.Writer) {
 		if up != nil {
 			// Seal after Close, whose final dispatch pushed the last
 			// records, and drive the replay window empty: an empty window
 			// means every record is merged at the root, not merely
-			// delivered. The bound is for a relay that is gone — the
-			// redial never gives up, and no seal answers for it.
+			// delivered. The bound is -degraded-after, for a relay that is
+			// gone without a word: the redial never gives up.
 			close(stopBeacons)
 			up.Seal()
-			up.Drain(5 * time.Second)
+			up.Drain(s.degradedAfter)
 			fmt.Fprintf(out, "uplink: unacked-batches=%d\n", up.Pending())
 			if err := up.Close(); err != nil {
 				log.Printf("ismd: uplink close: %v", err)

@@ -12,9 +12,11 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"prism/internal/isruntime/fault"
 	"prism/internal/isruntime/ism"
 	"prism/internal/isruntime/lis"
 	"prism/internal/isruntime/metrics"
@@ -456,7 +458,8 @@ func (rr *runningRole) shutdown(t *testing.T) string {
 }
 
 // sendRecords forwards n records of one source through a plain
-// buffered LIS dialed to addr, each with a unique Payload from first.
+// buffered LIS dialed to addr, each with a unique Payload from first,
+// and hangs up.
 func sendRecords(t *testing.T, addr string, node int32, first, n int) {
 	t.Helper()
 	conn, err := tp.Dial(addr)
@@ -472,6 +475,9 @@ func sendRecords(t *testing.T, addr string, node int32, first, n int) {
 			Logical: uint64(i), Payload: int64(first + i)})
 	}
 	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -540,6 +546,106 @@ func TestFlatRoleLifecycle(t *testing.T) {
 	}
 	for p, n := range seen {
 		if p < 0 || p >= 2*perNode || n != 1 {
+			t.Fatalf("spool holds payload %d %d times", p, n)
+		}
+	}
+}
+
+// endOnShutdown is a node's LIS as lis.ControlLoop drives it, as in
+// cmd/lisnode: the manager's CtlShutdown ends the workload instead of
+// closing the LIS under it.
+type endOnShutdown struct {
+	lis.LIS
+	end func()
+}
+
+func (e endOnShutdown) Close() error { e.end(); return nil }
+
+// TestOrderlyStopKeepsAckedRecords stops the flat role under a node
+// that speaks the session as cmd/lisnode does: a fault.Session over a
+// tp.Redial, capturing until the manager's CtlShutdown ends its run,
+// then flushing, draining its replay window and hanging up. The
+// manager waits for that hang-up before it closes, so the final flush
+// is dispatched, not acked and dropped: arrived equals what the node
+// forwarded, the spool holds each record once, and nothing is left
+// unacked.
+func TestOrderlyStopKeepsAckedRecords(t *testing.T) {
+	spool := filepath.Join(t.TempDir(), "trace.bin")
+	rr := startRole(t, "-spool", spool)
+	rd, err := tp.NewRedial(tp.RedialConfig{
+		Dial:    func() (tp.Conn, error) { return tp.Dial(rr.addr) },
+		Backoff: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := fault.NewSession(0, rd, fault.SessionConfig{})
+	if err := sess.Heartbeat(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := lis.NewBuffered(0, 16, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := make(chan struct{})
+	var once sync.Once
+	go func() {
+		_ = lis.ControlLoop(sess, endOnShutdown{b, func() { once.Do(func() { close(end) }) }})
+		for { // the acks that trim the replay window while it drains
+			m, err := sess.Recv()
+			if err != nil {
+				return
+			}
+			tp.Recycle(&m)
+		}
+	}()
+	capture := func(seq int) {
+		b.Capture(trace.Record{Node: 0, Kind: trace.KindUser, Time: int64(seq + 1),
+			Logical: uint64(seq), Payload: int64(seq)})
+	}
+	ended := func() bool {
+		select {
+		case <-end:
+			return true
+		default:
+			return false
+		}
+	}
+	done := make(chan struct{})
+	var drained bool
+	go func() {
+		defer close(done)
+		seq := 0
+		for ; !ended(); seq++ {
+			capture(seq)
+			time.Sleep(100 * time.Microsecond)
+		}
+		capture(seq) // the workload's last event, captured as the shutdown lands
+		_ = b.Close()
+		drained = sess.Drain(10 * time.Second)
+		_ = sess.Close()
+	}()
+	m := rr.mgr.(*ism.ISM)
+	waitFor(t, "the node's first flushes", func() bool { return m.Stats().Arrived >= 64 })
+	out := rr.shutdown(t)
+	<-done
+
+	fwd := b.Stats().Forwarded
+	if st := b.Stats(); st.Dropped != 0 || st.Captured != fwd {
+		t.Fatalf("the node captured %d, forwarded %d and dropped %d records", st.Captured, fwd, st.Dropped)
+	}
+	if !drained || sess.Pending() != 0 {
+		t.Fatalf("the node's drain ended with %d batches unacked", sess.Pending())
+	}
+	if want := fmt.Sprintf("final: arrived=%d dispatched=%d ", fwd, fwd); !strings.Contains(out, want) {
+		t.Fatalf("the node forwarded %d records; output lacks %q:\n%s", fwd, want, out)
+	}
+	seen := spoolPayloads(t, spool)
+	if len(seen) != int(fwd) {
+		t.Fatalf("spool holds %d distinct records, the node forwarded %d", len(seen), fwd)
+	}
+	for p, n := range seen {
+		if p < 0 || p >= int64(fwd) || n != 1 {
 			t.Fatalf("spool holds payload %d %d times", p, n)
 		}
 	}

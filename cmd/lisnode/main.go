@@ -32,7 +32,8 @@
 // The run ends at -duration, at the end of the capture, or at the
 // manager's shutdown, whichever comes first. The node then stops its
 // workload, flushes its LIS, waits for the ISM to acknowledge every
-// batch and reports.
+// batch, hangs up and reports; a manager that is shutting down closes
+// once its nodes have hung up.
 //
 // -debug-addr (off by default) serves net/http/pprof under
 // /debug/pprof/ and the node's live metrics registry as JSON at
@@ -343,8 +344,9 @@ func run(s *settings, sess *fault.Session, server lis.LIS, feed func(stop <-chan
 	if !sess.Drain(s.redialGiveup + 5*time.Second) {
 		log.Printf("lisnode: %d batches never acknowledged", sess.Pending())
 	}
-	// Closing the session ends the reader; a redial in progress may
-	// hold it up to -dial-timeout, so it is not awaited.
+	// Closing the session hangs up, which a stopping manager waits for,
+	// and ends the reader; a redial in progress may hold it up to
+	// -dial-timeout, so it is not awaited.
 	ending.Store(true)
 	_ = sess.Close()
 

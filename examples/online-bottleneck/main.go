@@ -126,7 +126,6 @@ func main() {
 		fmt.Printf("daemon %d: forwarded %d samples, %d captures blocked for %s total\n",
 			n, st.Forwarded, count, blocked)
 	}
-	manager.Drain()
 	if err := manager.Close(); err != nil {
 		log.Fatal(err)
 	}

@@ -19,8 +19,6 @@ package cluster
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"time"
 
 	"prism/internal/isruntime/env"
 	"prism/internal/isruntime/event"
@@ -85,7 +83,6 @@ type Cluster struct {
 	spool   bytes.Buffer
 	servers []lis.LIS
 	gang    *lis.Gang
-	conns   []tp.Conn
 	sensors [][]*event.Sensor
 	closed  bool
 }
@@ -111,7 +108,6 @@ func New(cfg Config) (*Cluster, error) {
 		// throughput knob, not a correctness one.
 		local, remote := tp.Pipe(256)
 		c.manager.Serve(remote)
-		c.conns = append(c.conns, local, remote)
 		var server lis.LIS
 		switch cfg.Policy {
 		case Forwarding:
@@ -201,49 +197,19 @@ func (c *Cluster) RunRing(rounds int, workNs int64) error {
 	return nil
 }
 
-// Drain flushes all LIS buffers and blocks until every captured record
-// has been dispatched by the ISM.
-func (c *Cluster) Drain() error {
-	var captured uint64
-	for _, s := range c.servers {
-		if err := s.Flush(); err != nil {
-			return err
-		}
-	}
-	for _, procs := range c.sensors {
-		for _, s := range procs {
-			captured += s.Captured()
-		}
-	}
-	deadline := time.After(10 * time.Second)
-	for c.manager.Stats().Dispatched < captured {
-		select {
-		case <-deadline:
-			return fmt.Errorf("cluster: dispatched %d of %d records",
-				c.manager.Stats().Dispatched, captured)
-		default:
-			time.Sleep(200 * time.Microsecond)
-			c.manager.Drain()
-		}
-	}
-	return nil
-}
-
-// Trace drains the system and returns the merged, causally ordered
-// trace the ISM spooled.
+// Trace shuts the cluster down and returns the merged, causally
+// ordered trace the ISM spooled.
 func (c *Cluster) Trace() ([]trace.Record, error) {
-	if err := c.Drain(); err != nil {
+	if err := c.Close(); err != nil {
 		return nil, err
 	}
-	if err := c.manager.Close(); err != nil {
-		return nil, err
-	}
-	c.closed = true
 	recs, _, err := trace.DecodeSegments(nil, c.spool.Bytes())
 	return recs, err
 }
 
-// Close tears the cluster down. Safe after Trace.
+// Close tears the cluster down: the LISes close, their final flushes
+// landing on the pipes, and then the manager, which dispatches
+// everything the pipes still hold. Safe after Trace.
 func (c *Cluster) Close() error {
 	var first error
 	for _, s := range c.servers {
@@ -251,14 +217,9 @@ func (c *Cluster) Close() error {
 			first = err
 		}
 	}
-	if !c.closed {
-		if err := c.manager.Close(); err != nil && first == nil {
-			first = err
-		}
-		c.closed = true
+	if err := c.manager.Close(); err != nil && first == nil {
+		first = err
 	}
-	for _, conn := range c.conns {
-		conn.Close()
-	}
+	c.closed = true
 	return first
 }

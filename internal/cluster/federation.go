@@ -54,7 +54,6 @@ type Federation struct {
 	leaves  []*ism.ISM
 	uplinks []*relay.Uplink
 	servers []lis.LIS
-	conns   []tp.Conn
 	sensors [][]*event.Sensor
 
 	mu       sync.Mutex
@@ -114,7 +113,6 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 		f.leaves = append(f.leaves, leaf)
 		up, down := tp.Pipe(256)
 		f.root.Serve(down)
-		f.conns = append(f.conns, up, down)
 		u := relay.NewUplink(int32(1000+l), up, relay.UplinkConfig{BatchSize: 128})
 		leaf.SubscribeBatch("uplink", u.Push)
 		f.uplinks = append(f.uplinks, u)
@@ -123,7 +121,6 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 		// the capture in capture (= Time) order.
 		local, remote := tp.Pipe(256)
 		leaf.Serve(remote)
-		f.conns = append(f.conns, local, remote)
 		for i := 0; i < cfg.NodesPerLeaf; i++ {
 			n := l*cfg.NodesPerLeaf + i
 			b, err := lis.NewForwarding(int32(n), local)
@@ -201,59 +198,33 @@ func (f *Federation) RunRing(rounds int, workNs int64) error {
 	return nil
 }
 
-// Drain flushes every LIS, waits for each leaf to dispatch its full
-// share of the capture, Seals every uplink, and blocks until the root
-// relay has acknowledged everything — which, with dispatch-gated acks,
-// means every captured record is merged and durable in the root spool.
-//
-// The dispatch wait is load-bearing: the leaf link is asynchronous, so
-// ISM.Drain alone can return before captured records have even arrived
-// at the leaf, and an uplink sealed at that moment ends its stream
-// ahead of data still on its way — the tail of the capture would
-// follow the seal, after the lane stopped gating the merge. The tee
-// gives the model exact per-leaf record counts to wait against.
-func (f *Federation) Drain() error {
+// Trace stops the federation and returns the root relay's merged,
+// causally ordered trace. An output ends when its inputs end: the LISes
+// close, then each leaf, whose Close dispatches everything its link
+// still holds and pushes the last records into its uplink; only then
+// does each uplink Seal, so no record can follow a seal. The drain
+// waits on every seal: the relay's acks are dispatch-gated, and its
+// merge holds each lane until all lanes' watermarks pass, so an empty
+// replay window means every captured record is merged and durable in
+// the root spool. Its bound is for a root that never acks.
+func (f *Federation) Trace() ([]trace.Record, error) {
 	for _, s := range f.servers {
-		if err := s.Flush(); err != nil {
-			return err
+		if err := s.Close(); err != nil {
+			return nil, err
 		}
 	}
-	f.mu.Lock()
-	perLeaf := make([]uint64, f.cfg.Leaves)
-	for _, r := range f.captured {
-		perLeaf[int(r.Node)/f.cfg.NodesPerLeaf]++
-	}
-	f.mu.Unlock()
-	waitUntil := time.Now().Add(10 * time.Second)
-	for l, m := range f.leaves {
-		for m.Stats().Dispatched < perLeaf[l] {
-			if time.Now().After(waitUntil) {
-				return fmt.Errorf("cluster: leaf %d dispatched %d of %d captured records",
-					l, m.Stats().Dispatched, perLeaf[l])
-			}
-			m.Drain()
+	for _, m := range f.leaves {
+		if err := m.Close(); err != nil {
+			return nil, err
 		}
 	}
 	for _, u := range f.uplinks {
 		u.Seal()
 	}
-	// Drain only after every seal is out: the relay's acks are
-	// dispatch-gated, and its merge holds each lane until all lanes'
-	// watermarks pass.
-	deadline := time.Now().Add(10 * time.Second)
 	for _, u := range f.uplinks {
-		if !u.Drain(time.Until(deadline)) {
-			return fmt.Errorf("cluster: %d uplink batches never acked", u.Pending())
+		if !u.Drain(10 * time.Second) {
+			return nil, fmt.Errorf("cluster: %d uplink batches never acked", u.Pending())
 		}
-	}
-	return nil
-}
-
-// Trace drains the federation and returns the root relay's merged,
-// causally ordered trace.
-func (f *Federation) Trace() ([]trace.Record, error) {
-	if err := f.Drain(); err != nil {
-		return nil, err
 	}
 	recs, _, err := trace.DecodeSegments(nil, f.spool.Bytes())
 	return recs, err
@@ -295,9 +266,6 @@ func (f *Federation) Close() error {
 	}
 	if err := f.root.Close(); err != nil && first == nil {
 		first = err
-	}
-	for _, c := range f.conns {
-		c.Close()
 	}
 	return first
 }

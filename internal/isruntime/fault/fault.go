@@ -249,13 +249,6 @@ func (in *Injector) Trace() []Event {
 	return out
 }
 
-// Injected returns how many faults of the given kind have fired.
-func (in *Injector) Injected(k Kind) uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.counts[k]
-}
-
 // Total returns the total number of injected faults.
 func (in *Injector) Total() uint64 {
 	in.mu.Lock()

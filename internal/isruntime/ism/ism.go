@@ -31,6 +31,15 @@
 // LIS sessions are acked and their replays deduplicated, while plain
 // unsequenced traffic passes untouched.
 //
+// Serve and Close keep the relay's contract: a stream ends when its
+// sender hangs up. Close refuses new connections, closes the served
+// ones and waits for their readers, which inject whatever the
+// connection still holds, and only then closes the input stages; so a
+// record a sender queued before Close is dispatched, never acked and
+// dropped. A byte stream loses what its kernel buffers hold when the
+// manager closes it, so an orderly stop over TCP broadcasts
+// CtlShutdown and waits for the LISes to hang up (WaitHangup) first.
+//
 // The input stage is a bounded flow.Queue with a pluggable overflow
 // policy (Config.Overflow); activity is reported through an
 // ism-scoped metrics.Registry of which Stats() is a snapshot view.
@@ -292,7 +301,8 @@ type ISM struct {
 
 	mu        sync.Mutex
 	closed    bool
-	lisConns  []tp.Conn // served connections whose reader still runs
+	lisConns  []tp.Conn      // served connections whose reader still runs
+	serveWG   sync.WaitGroup // one per reader
 	flushAcks chan struct{}
 }
 
@@ -404,10 +414,15 @@ func (m *ISM) SubscribeBatch(name string, fn func([]trace.Record)) {
 // (hello/ack/dedup) is interposed automatically: sequenced batches
 // from a fault.Session are acked on receipt and their replays
 // absorbed, and the session's hellos and heartbeats never reach
-// Inject.
+// Inject. After Close, Serve refuses the connection and reads nothing.
 func (m *ISM) Serve(conn tp.Conn) {
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
 	m.lisConns = append(m.lisConns, conn)
+	m.serveWG.Add(1)
 	m.mu.Unlock()
 	go func() {
 		defer func() {
@@ -415,6 +430,7 @@ func (m *ISM) Serve(conn tp.Conn) {
 			m.lisConns = slices.DeleteFunc(m.lisConns, func(c tp.Conn) bool { return c == conn })
 			m.mu.Unlock()
 			_ = conn.Close()
+			m.serveWG.Done()
 		}()
 		for {
 			msg, err := conn.Recv()
@@ -656,10 +672,12 @@ func (m *ISM) Drain() {
 	m.merge.WaitConsumed(time.Time{})
 }
 
-// Close stops the lanes after draining buffered input, lets the merger
-// drain the rings, flushes the spool, and returns the first spool
-// failure, if any. Serve goroutines exit when their connections close
-// (the caller owns the connections).
+// Close closes every served connection and waits for its reader to
+// inject what the connection still holds (a tp.Pipe reader drains its
+// queue before EOF), then stops the lanes after draining buffered
+// input, lets the merger drain the rings, flushes the spool, and
+// returns the first spool failure, if any. Serve refuses connections
+// from here on.
 func (m *ISM) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -667,7 +685,12 @@ func (m *ISM) Close() error {
 		return nil
 	}
 	m.closed = true
+	conns := append([]tp.Conn(nil), m.lisConns...)
 	m.mu.Unlock()
+	for _, c := range conns {
+		_ = c.Close()
+	}
+	m.serveWG.Wait()
 	// The input stages must close BEFORE the lanes stop: an Inject racing
 	// Close has already raised its lane's pushed count, and if its stage
 	// push landed after that lane's final drain the batch would never
@@ -695,4 +718,25 @@ func (m *ISM) Close() error {
 		}
 	}
 	return err
+}
+
+// WaitHangup waits until every served peer has hung up, each reader
+// having injected what its connection held, or until timeout passes,
+// and reports whether all did. After a CtlShutdown broadcast it is the
+// wait on LISes that drain and hang up; the timeout covers one that is
+// gone without a word. No Serve may race it: stop accepting first.
+func (m *ISM) WaitHangup(timeout time.Duration) bool {
+	done := make(chan struct{})
+	go func() { // after a timeout, Close ends it: it closes the connections
+		m.serveWG.Wait()
+		close(done)
+	}()
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-done:
+		return true
+	case <-t.C:
+		return false
+	}
 }

@@ -389,6 +389,64 @@ func TestCloseIdempotentAndDrains(t *testing.T) {
 	}
 }
 
+// TestCloseDrainsServedPipes: a stream ends when its sender hangs up.
+// Every batch a sender queued on a served pipe before hanging up is
+// dispatched, though Close follows Serve at once, and a connection
+// served after Close is refused with its queue unread.
+func TestCloseDrainsServedPipes(t *testing.T) {
+	const batches, per = 512, 4
+	m := New(Config{Buffering: SISO, Ordered: true}, nil)
+	lisSide, ismSide := tp.Pipe(batches)
+	for b := 0; b < batches; b++ {
+		rs := flow.GetBatch(per)
+		for i := 0; i < per; i++ {
+			seq := uint64(b*per + i)
+			rs = append(rs, seqRec(0, trace.KindUser, 0, seq, int64(seq)))
+		}
+		if err := lisSide.Send(tp.PooledDataMessage(0, rs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lisSide.Close()
+	m.Serve(ismSide)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Dispatched != batches*per || st.InputDropped != 0 {
+		t.Fatalf("dispatched %d of %d queued records, %d dropped", st.Dispatched, batches*per, st.InputDropped)
+	}
+
+	late, lateISM := tp.Pipe(1)
+	if err := late.Send(dataMsg(1, seqRec(1, trace.KindUser, 0, 0, 0))); err != nil {
+		t.Fatal(err)
+	}
+	late.Close()
+	m.Serve(lateISM)
+	msg, err := lateISM.Recv()
+	if err != nil || msg.Type != tp.MsgData {
+		t.Fatalf("a Serve after Close read the connection: got %+v, %v", msg, err)
+	}
+	if st := m.Stats(); st.Arrived != batches*per {
+		t.Fatalf("arrived %d records after the late Serve, want %d", st.Arrived, batches*per)
+	}
+}
+
+// TestWaitHangup: the wait ends when the last served peer hangs up,
+// and times out on a peer that stays connected without a word.
+func TestWaitHangup(t *testing.T) {
+	m := New(Config{Buffering: SISO}, nil)
+	defer m.Close()
+	quiet, quietISM := tp.Pipe(1)
+	m.Serve(quietISM)
+	if m.WaitHangup(10 * time.Millisecond) {
+		t.Fatal("the wait ended with a peer still connected")
+	}
+	quiet.Close()
+	if !m.WaitHangup(10 * time.Second) {
+		t.Fatal("the wait outlasted the last hang-up")
+	}
+}
+
 func TestMISORoundRobinFairness(t *testing.T) {
 	// The unit of transfer is a batch envelope, so MISO fairness is
 	// batch-granular: with two batches queued per source, pop must

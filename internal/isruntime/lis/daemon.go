@@ -181,18 +181,6 @@ func (d *Daemon) BlockedTime() (time.Duration, uint64) {
 	return time.Duration(ns), n
 }
 
-// PipeStats returns the flow statistics of every attached pipe, keyed
-// by process id.
-func (d *Daemon) PipeStats() map[int32]flow.QueueStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[int32]flow.QueueStats, len(d.pipes))
-	for proc, p := range d.pipes {
-		out[proc] = p.Stats()
-	}
-	return out
-}
-
 // Close stops the drainers after they empty their pipes.
 func (d *Daemon) Close() error {
 	d.once.Do(func() {
