@@ -38,11 +38,13 @@ race:
 
 # benchsmoke runs every benchmark exactly once — no timing fidelity,
 # just proof that each one still compiles, runs, and terminates — then
-# the pipeline, ISM ingest and relay fan-in benchmarks once more at
-# GOMAXPROCS=4, so their lanes and merger run on more than one P.
+# the pipeline, ISM ingest, relay fan-in and relay merge benchmarks
+# once more at GOMAXPROCS=4, so their lanes and merger run on more
+# than one P.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run=NONE -bench='PipelineThroughput|ISMPipeline|RelayFanIn' -benchtime=1x -cpu 4 .
+	$(GO) test -run=NONE -bench=RelayMerge -benchtime=1x -cpu 4 ./internal/isruntime/relay/
 
 # benchmod vets and tests the runtime benchmark under bench/. It is a
 # module of its own (root `go build ./...` does not see it) that

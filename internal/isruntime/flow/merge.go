@@ -14,10 +14,14 @@ import (
 // one merger goroutine, which keeps the lane heads in a 4-ary min-heap
 // and dispatches the minimum head only once every headless lane is
 // provably unable to still produce something smaller (the frontier
-// rule). The flat ISM (lanes = ingest shards, key = ingest tick, a
-// slot consumed whole) and the relay (lanes = downstream managers,
-// key = (Time, Node, Process), a slot consumed record by record) are
-// two MergeParams over this one loop.
+// rule). While every attached lane holds a head the rule has nothing
+// to hold back, so a configuration that sets Pass is handed the whole
+// head set at once and merges it in one pass, instead of one unit per
+// step and a heap sift per unit. The flat ISM (lanes = ingest shards,
+// key = ingest tick, a slot consumed whole, no Pass) and the relay
+// (lanes = downstream managers, key = (Time, Node, Process), a slot
+// consumed record by record, in passes while every lane holds a head)
+// are two MergeParams over this one loop.
 //
 // Invariants the loop relies on and every configuration owes
 // (DESIGN.md, "The frontier merge core", has the rationale):
@@ -65,6 +69,13 @@ type MergeParams[S, L any] struct {
 	// On a frontier stall blocker is the lane waited on and head the
 	// minimum head held back; otherwise both are nil.
 	OnPark func(blocker *MergeLane[S, L], head *S)
+	// Pass, when set, runs instead of Consume while every attached lane
+	// holds a head (and at least MinLanes are attached): it dispatches
+	// units off heads, in heap order (heads[0] the least), in Less order
+	// across them. It returns at the first exhausted slot, with that
+	// head's index, or after a bounded run of units with -1. A lane
+	// attached during a pass joins at the next step.
+	Pass func(heads []*S) (dry int)
 }
 
 // MergeLane is one producer's handle on the merge: a bounded ring into
@@ -111,6 +122,8 @@ type Merger[S, L any] struct {
 
 	stalls  *metrics.Counter
 	stallNs *metrics.Counter
+
+	heads []*S // merger goroutine: the heap's heads, handed to Pass
 }
 
 // NewMerger returns a merger with no lanes; it does nothing until
@@ -291,6 +304,11 @@ func (m *Merger[S, L]) step() bool {
 		m.force = false
 		return false
 	}
+	if m.p.Pass != nil && len(m.heap) == len(lanes) && len(lanes) >= m.p.MinLanes {
+		m.force = false
+		m.pass()
+		return true
+	}
 	top := m.heap[0]
 	if !m.closing.Load() && !m.clear(lanes, top) {
 		if m.retry {
@@ -312,6 +330,28 @@ func (m *Merger[S, L]) step() bool {
 		m.siftDown(0)
 	}
 	return true
+}
+
+// pass hands every head to Pass, clears the head of the lane that ran
+// dry, as step does, and restores heap order over the rest.
+func (m *Merger[S, L]) pass() {
+	m.heads = m.heads[:0]
+	for _, ln := range m.heap {
+		m.heads = append(m.heads, &ln.head)
+	}
+	if dry := m.p.Pass(m.heads); dry >= 0 {
+		ln := m.heap[dry]
+		var zero S
+		ln.head, ln.has = zero, false
+		ln.consumed.Add(1)
+		last := len(m.heap) - 1
+		m.heap[dry] = m.heap[last]
+		m.heap[last] = nil
+		m.heap = m.heap[:last]
+	}
+	for i := (len(m.heap) - 2) / 4; i >= 0; i-- {
+		m.siftDown(i)
+	}
 }
 
 // clear applies the frontier rule to top's next unit: every other

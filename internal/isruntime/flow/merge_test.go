@@ -18,18 +18,22 @@ import (
 // The shared merge suite: every liveness bug the two former mergers
 // each met separately, as one case run against BOTH configurations of
 // the core — tick-keyed whole slots (the flat ISM's shape) and
-// (Time, Node, Process)-keyed record cursors (the relay's). Cases that
+// (Time, Node, Process)-keyed record cursors merged in passes (the
+// relay's). The TestMergePass cases below pin the pass itself. Cases that
 // hinge on an exact interleaving drive step() by hand and land the
 // racing push from inside the Passed callback, so they replay
 // identically; the rest run the real goroutine against seeded
 // topologies and print the seed on failure.
 
-// rigConfig is one configuration under test: the three plug-ins plus
-// how a producer builds slots and moves its frontier source.
+// rigConfig is one configuration under test: the plug-ins plus how a
+// producer builds slots and moves its frontier source.
 type rigConfig[S, L any] struct {
 	less    func(a, b *S) bool
 	passed  func(ln L, head *S) bool
 	consume func(head *S, out *[]uint64) bool
+	// pass, when set, is the configuration's Pass, ending after limit
+	// units as the relay's ends at a flush.
+	pass    func(heads []*S, out *[]uint64, limit int) (dry int)
 	newLane func(id int) L
 	slot    func(ln L, keys []uint64) S
 	// announce counts n units as outstanding before they are pushed or
@@ -81,8 +85,9 @@ var tickConfig = rigConfig[tickSlot, *tickLane]{
 	},
 }
 
-// Record cursors: a slot is a run of records consumed one at a time in
-// (Time, Node, Process) order; the frontier source is a Time watermark.
+// Record cursors: a slot is a run of records consumed in (Time, Node,
+// Process) order, in passes over every head while each lane holds one
+// and one at a time otherwise; the frontier source is a Time watermark.
 type recSlot struct {
 	recs []trace.Record
 	pos  int
@@ -102,6 +107,24 @@ var cursorConfig = rigConfig[recSlot, *recLane]{
 		*out = append(*out, uint64(head.recs[head.pos].Time))
 		head.pos++
 		return head.pos == len(head.recs)
+	},
+	pass: func(heads []*recSlot, out *[]uint64, limit int) int {
+		for n := 1; ; n++ {
+			w := 0
+			for i := 1; i < len(heads); i++ {
+				if heads[i].recs[heads[i].pos].Before(heads[w].recs[heads[w].pos]) {
+					w = i
+				}
+			}
+			h := heads[w]
+			*out = append(*out, uint64(h.recs[h.pos].Time))
+			if h.pos++; h.pos == len(h.recs) {
+				return w
+			}
+			if n == limit {
+				return -1
+			}
+		}
 	},
 	newLane: func(id int) *recLane { return &recLane{node: int32(id)} },
 	slot: func(ln *recLane, keys []uint64) recSlot {
@@ -136,11 +159,33 @@ type rig[S, L any] struct {
 	// window, when set, runs inside Passed before the frontier source
 	// is loaded: the place a racing producer is made to land.
 	window func(ln L)
+	// passLimit bounds a pass in units (the relay's flushBatch); inPass,
+	// when set, runs as each pass begins. passes counts the passes and
+	// passDry those that ended at an exhausted slot.
+	passLimit       int
+	inPass          func()
+	passes, passDry int
 }
 
 func newRig[S, L any](cfg rigConfig[S, L], ringCap, minLanes int, budget time.Duration) *rig[S, L] {
-	r := &rig[S, L]{cfg: cfg, reg: metrics.NewRegistry()}
+	r := &rig[S, L]{cfg: cfg, reg: metrics.NewRegistry(), passLimit: 5}
 	scope := r.reg.Scope("merge")
+	var pass func([]*S) int
+	if cfg.pass != nil {
+		pass = func(heads []*S) int {
+			if r.inPass != nil {
+				r.inPass()
+			}
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			dry := cfg.pass(heads, &r.out, r.passLimit)
+			r.passes++
+			if dry >= 0 {
+				r.passDry++
+			}
+			return dry
+		}
+	}
 	r.m = NewMerger(MergeParams[S, L]{
 		RingCap:     ringCap,
 		MinLanes:    minLanes,
@@ -160,6 +205,7 @@ func newRig[S, L any](cfg rigConfig[S, L], ringCap, minLanes int, budget time.Du
 			defer r.mu.Unlock()
 			return cfg.consume(head, &r.out)
 		},
+		Pass:   pass,
 		OnPark: func(*MergeLane[S, L], *S) {},
 	})
 	return r
@@ -517,4 +563,121 @@ func caseRandomTopology[S, L any](t *testing.T, cfg rigConfig[S, L]) {
 		r.m.Close()
 		r.check(t, fmt.Sprintf("seed %d (k=%d, %d keys)", seed, k, total))
 	}
+}
+
+// The pass, pinned on the record-cursor configuration. These cases
+// drive an unstarted merger by hand, so each seed replays one exact
+// schedule: producers push as far as their rings have room, then the
+// merger steps until it runs out of safe work.
+
+// passPlan deals keys 1..total to k lanes in turns of run keys and cuts
+// each lane's share into slots of 1..maxSlot keys.
+func passPlan(rng *rand.Rand, k, run, total, maxSlot int) [][][]uint64 {
+	plan := make([][][]uint64, k)
+	shares := make([][]uint64, k)
+	for key := 1; key <= total; key++ {
+		l := (key - 1) / run % k
+		shares[l] = append(shares[l], uint64(key))
+	}
+	for l, keys := range shares {
+		for len(keys) > 0 {
+			n := min(1+rng.Intn(maxSlot), len(keys))
+			plan[l] = append(plan[l], keys[:n])
+			keys = keys[n:]
+		}
+	}
+	return plan
+}
+
+// feedByHand pushes plan through the lanes in rounds, a random number
+// of slots per lane per round within its ring's room, stepping the
+// merger after each round. A lane exits after its last slot (its
+// watermark cannot pass the keys the others still hold), and the
+// merger then drains.
+func feedByHand[S, L any](r *rig[S, L], rng *rand.Rand, lanes []*MergeLane[S, L], plan [][][]uint64) {
+	for left := len(lanes); left > 0; {
+		for l, ln := range lanes {
+			if ln.exited.Load() {
+				continue
+			}
+			for n := rng.Intn(ln.Cap() + 1); n > 0 && len(plan[l]) > 0 && ln.Backlog() < ln.Cap(); n-- {
+				r.push(ln, plan[l][0]...)
+				plan[l] = plan[l][1:]
+			}
+			if len(plan[l]) == 0 {
+				ln.Exit()
+				left--
+			}
+		}
+		r.stepAll()
+	}
+}
+
+// TestMergePassInterleavedRuns: 3 and 5 lanes whose keys interleave in
+// runs of 1, 2 and 64, cut into slots that end mid-pass, merged in
+// passes that also stop at their unit bound. The output is the sorted
+// union, and both ends of a pass occur.
+func TestMergePassInterleavedRuns(t *testing.T) {
+	for _, k := range []int{3, 5} {
+		for _, run := range []int{1, 2, 64} {
+			t.Run(fmt.Sprintf("lanes=%d/run=%d", k, run), func(t *testing.T) {
+				passes, dry := 0, 0
+				for seed := int64(1); seed <= 8; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					total := 300 + rng.Intn(1200)
+					maxSlot := []int{1, 3, 17, 200}[rng.Intn(4)]
+					r := newRig(cursorConfig, 2<<rng.Intn(3), k, 0)
+					r.passLimit = 1 + rng.Intn(64)
+					lanes := make([]*MergeLane[recSlot, *recLane], k)
+					for i := range lanes {
+						lanes[i] = r.attach(0)
+					}
+					feedByHand(r, rng, lanes, passPlan(rng, k, run, total, maxSlot))
+					r.check(t, fmt.Sprintf("seed %d (%d keys, slots ≤ %d, pass ≤ %d)", seed, total, maxSlot, r.passLimit))
+					passes += r.passes
+					dry += r.passDry
+				}
+				if dry == 0 || dry == passes {
+					t.Fatalf("%d passes, %d of them ended by an exhausted slot: want both ends of a pass", passes, dry)
+				}
+			})
+		}
+	}
+}
+
+// TestMergePassAttachMidPass: a lane attaches while the two others are
+// in a pass. The pass finishes over the older snapshot; the next step
+// sees the new lane, headless and owing, and stalls on it; once it
+// pushes, its keys merge in order with the others'.
+func TestMergePassAttachMidPass(t *testing.T) {
+	r := newRig(cursorConfig, 4, 0, 0)
+	r.passLimit = 4
+	a, b := r.attach(0), r.attach(0)
+	r.push(a, 10, 12, 14)
+	r.push(b, 11, 13, 15)
+	var c *MergeLane[recSlot, *recLane]
+	r.inPass = func() {
+		if c == nil {
+			c = r.attach(0)
+		}
+	}
+	r.stepAll()
+	if c == nil || r.passes != 1 {
+		t.Fatalf("lane attached: %v, passes %d: want one pass over the older snapshot", c != nil, r.passes)
+	}
+	if got := r.output(); len(got) != 4 {
+		t.Fatalf("dispatched %v past a lane attached mid-pass, want the pass's 4 units", got)
+	}
+	if !r.m.stalled || r.m.blocker != c {
+		t.Fatalf("after the pass: stalled=%v on %p, want a stall on the new lane %p", r.m.stalled, r.m.blocker, c)
+	}
+	r.push(c, 20, 34)
+	r.push(a, 30, 32)
+	r.push(b, 31, 33)
+	r.stepAll()
+	a.Exit()
+	b.Exit()
+	c.Exit()
+	r.stepAll()
+	r.check(t, "lane attached mid-pass")
 }

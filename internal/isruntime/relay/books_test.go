@@ -100,6 +100,48 @@ func TestRelayKillAbandonsRestOfSlot(t *testing.T) {
 	}
 }
 
+// TestRelayKillInsidePass: both lanes hold 512-record heads whose Times
+// interleave, so the first flush comes inside a pass over both. A
+// subscriber on the merger goroutine kills the relay at that flush:
+// nothing after it may be emitted or spooled, and no ack may advance.
+func TestRelayKillInsidePass(t *testing.T) {
+	f := newTwoLanes(t)
+	f.rel.SubscribeBatch("crash", func([]trace.Record) { f.rel.killed.Store(true) })
+	var a, b []trace.Record
+	for j := range flushBatch {
+		a = append(a, user(1, uint64(j), int64(10+2*j)))
+		b = append(b, user(2, uint64(j), int64(11+2*j)))
+	}
+	f.send(0, 1, a...)
+	f.send(1, 1, b...)
+	f.send(0, 2, markRecord(5000))
+	f.send(1, 2, markRecord(5000))
+	f.await("both marks", func(st Stats) bool { return st.Marks == 2 })
+	if !f.rel.merge.WaitQuiet(time.Now().Add(5 * time.Second)) {
+		t.Fatalf("the merge never went quiet: %+v", f.rel.Stats())
+	}
+	if err := f.rel.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.times) != flushBatch {
+		t.Fatalf("a relay killed at its first flush emitted %d records, want %d", len(f.times), flushBatch)
+	}
+	for i, tm := range f.times {
+		if tm != int64(10+i) {
+			t.Fatalf("first flush emitted Time %d at %d: not one pass over both lanes", tm, i)
+		}
+	}
+	spooled, _, err := trace.DecodeSegments(nil, f.spool.Bytes())
+	if err != nil || len(spooled) != flushBatch {
+		t.Fatalf("spool holds %d records (err %v), want the %d of the first flush", len(spooled), err, flushBatch)
+	}
+	for node := int32(100); node <= 101; node++ {
+		if acked := f.rel.ackFrontier(node); acked != 0 {
+			t.Fatalf("lane %d acknowledged up to %d after the kill", node, acked)
+		}
+	}
+}
+
 // TestRelayBooksLookasideCollision: sources 64 node ids apart share a
 // slot of every per-source lookaside (lane books, sequencer, emission
 // counts). Evicting each other on every record must cost only the map

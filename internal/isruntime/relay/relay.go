@@ -83,7 +83,8 @@ const flushBatch = 512
 const laneRing = 256
 
 // laneSlot is one ordered, pool-owned sub-batch handed from a lane to
-// the merger, which consumes it record by record: pos is its cursor.
+// the merger, which consumes it record by record (in passes over every
+// lane's head, or one at a time): pos is its cursor.
 type laneSlot struct {
 	recs []trace.Record
 	pos  int
@@ -188,8 +189,8 @@ type Relay struct {
 	cfg  Config
 	recv *fault.Receiver
 
-	// merge is the frontier merge core, configured record-granular on
-	// (Time, Node, Process) with watermarks as the frontier source.
+	// merge is the frontier merge core, configured on (Time, Node,
+	// Process) record cursors with watermarks as the frontier source.
 	// lanesMu serializes lane creation; lookups read its snapshot.
 	merge   *flow.Merger[laneSlot, *lane]
 	lanesMu sync.Mutex
@@ -220,7 +221,7 @@ type Relay struct {
 	pending []trace.Record // merged, not yet through the tail
 
 	frontier atomic.Int64 // merge frontier: no future emission below this Time
-	killed   atomic.Bool
+	killed   atomic.Bool  // the tests' crash hook (Kill): dispatch nothing more
 
 	mu      sync.Mutex
 	conns   []tp.Conn // served connections whose reader still runs
@@ -267,11 +268,12 @@ func New(cfg Config) *Relay {
 		Scope:       s,
 		Clock:       clock,
 		Less: func(a, b *laneSlot) bool {
-			return a.recs[a.pos].Before(b.recs[b.pos])
+			return trace.Precedes(&a.recs[a.pos], &b.recs[b.pos])
 		},
 		Passed:  passed,
 		Consume: r.consume,
 		OnPark:  r.onPark,
+		Pass:    r.pass,
 	})
 	// Restore: replay the previous incarnation's emitted output through
 	// the accounting (and, at the root, the causal-merge state) so
@@ -623,23 +625,61 @@ func passed(ln *lane, head *laneSlot) bool {
 	return ln.watermark.Load() >= head.recs[head.pos].Time
 }
 
-// consume takes the next record off a lane head — the record-granular
-// unit of the k-way merge on the (Time, Node, Process) total order —
-// into the dispatch buffer, which goes through the tail every
-// flushBatch records and at every park.
-func (r *Relay) consume(_ *lane, h *laneSlot) bool {
-	if !r.killed.Load() {
-		r.pending = append(r.pending, h.recs[h.pos])
-		if len(r.pending) >= flushBatch {
-			r.flushOut()
+// pass is the merge while every lane holds a head, when the frontier
+// rule has nothing to hold back: record by record it takes the least
+// head's record — one comparison for two lanes, a scan for more — into
+// the dispatch buffer. It ends at the first exhausted slot, reporting
+// its index, or once the buffer has gone through the tail, so a pass
+// dispatches at most flushBatch records.
+func (r *Relay) pass(heads []*laneSlot) int {
+	for {
+		w, least := 0, &heads[0].recs[heads[0].pos]
+		for i := 1; i < len(heads); i++ {
+			if h := heads[i]; trace.Precedes(&h.recs[h.pos], least) {
+				w, least = i, &h.recs[h.pos]
+			}
+		}
+		flushed := r.dispatch(least)
+		if heads[w].advance() {
+			return w
+		}
+		if flushed {
+			return -1
 		}
 	}
-	h.pos++
-	exhausted := h.pos == len(h.recs)
-	if exhausted {
-		flow.PutBatch(h.recs)
+}
+
+// consume is the one-record case of pass, for when some lane is
+// headless and the frontier rule picks each record.
+func (r *Relay) consume(_ *lane, h *laneSlot) bool {
+	r.dispatch(&h.recs[h.pos])
+	return h.advance()
+}
+
+// dispatch appends rec to the dispatch buffer, which goes through the
+// tail every flushBatch records (and at every park), and reports
+// whether it did. A killed relay dispatches nothing more.
+func (r *Relay) dispatch(rec *trace.Record) (flushed bool) {
+	if r.killed.Load() {
+		return false
 	}
-	return exhausted
+	r.pending = append(r.pending, *rec)
+	if len(r.pending) < flushBatch {
+		return false
+	}
+	r.flushOut()
+	return true
+}
+
+// advance moves the cursor past its record and reports whether the
+// slot is exhausted, recycling it then.
+func (h *laneSlot) advance() bool {
+	h.pos++
+	if h.pos < len(h.recs) {
+		return false
+	}
+	flow.PutBatch(h.recs)
+	return true
 }
 
 // onPark is the merger's park point: everything dispatched becomes
@@ -658,10 +698,11 @@ func (r *Relay) onPark(blocker *mergeLane, head *laneSlot) {
 	}
 }
 
-// flushOut runs the dispatch buffer through the tail, counts each
-// released record as emitted for its source — the ack gate's currency —
-// and seals the spool, always before acks can advance (DESIGN.md, "The
-// dispatch tail"). A record the root's causal merger holds (its send is
+// flushOut runs the dispatch buffer through the tail — when it fills,
+// which ends a pass, and at every park — counts each released record
+// as emitted for its source (the ack gate's currency), and seals the
+// spool, always before acks can advance (DESIGN.md, "The dispatch
+// tail"). A record the root's causal merger holds (its send is
 // still in flight on another lane) stays unemitted, so its batch stays
 // unacked and in the downstream's replay window.
 func (r *Relay) flushOut() {
@@ -788,20 +829,6 @@ func (r *Relay) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// Kill shuts the relay down crash-consistently: records admitted but
-// not yet emitted are abandoned (drained from the rings and discarded,
-// never dispatched or acked), exactly as a real crash would lose them,
-// and the spool flushes only what was emitted — the durable state a
-// successor rebuilds from via Config.Resume. Every abandoned record is
-// still covered by its downstream's replay window, because the
-// dispatch gate never acknowledged it. This is the failover path (and
-// the crash half of the crash-restart equivalence tests); Close is the
-// orderly one.
-func (r *Relay) Kill() error {
-	r.killed.Store(true)
-	return r.Close()
 }
 
 // Close shuts the relay down: the merger switches to closing mode

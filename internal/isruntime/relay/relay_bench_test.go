@@ -9,41 +9,44 @@ import (
 	"prism/internal/trace"
 )
 
-// The relay's merge at chosen run lengths. A run is a stretch of one
-// lane's records that no other lane's record interrupts in the
-// (Time, Node, Process) order. The merge is record-granular — one heap
-// sift and one frontier check per record — so today the run length
-// should barely matter; this is the yardstick a run-granular core
-// (ROADMAP item 1) has to move. The seeded runtime benchmark shuffles
-// nodes uniformly over its two leaves and cannot vary the interleaving;
-// here it is the parameter.
+// The relay's merge at chosen lane counts and run lengths. A run is a
+// stretch of one lane's records that no other lane's record interrupts
+// in the (Time, Node, Process) order. While every lane holds a head the
+// merge runs in passes: per record, one comparison for two lanes and a
+// scan for more, with no heap sift and no round trip through the merge
+// core. A pass ends at an exhausted slot or a flushBatch, never at a run
+// boundary, so the cost per record should follow the lane count and
+// not the run length. The seeded runtime benchmark shuffles nodes
+// uniformly over its two leaves and can vary neither; here both are
+// parameters.
 
 const (
 	mergeBenchBatch   = 512 // records per session batch, the uplink default
 	mergeBenchSources = 8   // sources per lane
 )
 
-// BenchmarkRelayMerge drives two lanes of raw session batches through
+// BenchmarkRelayMerge drives lanes of raw session batches through
 // pipes into a root relay: admission, the frontier merge, the causal
 // merger, the dispatch-gated acks. One op is one batch on each lane.
-// The lanes' capture Times alternate in stretches of run records;
+// The lanes' capture Times take turns in stretches of run records;
 // run=slot gives each batch one stretch.
 func BenchmarkRelayMerge(b *testing.B) {
-	for _, run := range []int{1, 2, 64, mergeBenchBatch} {
-		name := fmt.Sprintf("run=%d", run)
-		if run == mergeBenchBatch {
-			name = "run=slot"
+	for _, lanes := range []int{2, 3, 8} {
+		for _, run := range []int{1, 2, 64, mergeBenchBatch} {
+			name := fmt.Sprintf("lanes=%d/run=%d", lanes, run)
+			if run == mergeBenchBatch {
+				name = fmt.Sprintf("lanes=%d/run=slot", lanes)
+			}
+			b.Run(name, func(b *testing.B) { benchRelayMerge(b, lanes, run) })
 		}
-		b.Run(name, func(b *testing.B) { benchRelayMerge(b, run) })
 	}
 }
 
-func benchRelayMerge(b *testing.B, run int) {
-	const lanes = 2
+func benchRelayMerge(b *testing.B, lanes, run int) {
 	rel := New(Config{Root: true, Downstreams: lanes})
 	var delivered uint64
 	rel.SubscribeBatch("count", func(rs []trace.Record) { delivered += uint64(len(rs)) })
-	var conns [lanes]tp.Conn
+	conns := make([]tp.Conn, lanes)
 	for i := range conns {
 		local, remote := tp.Pipe(64)
 		conns[i] = local
@@ -64,18 +67,18 @@ func benchRelayMerge(b *testing.B, run int) {
 		}
 	}
 	// offset[lane][j] is the Time of a batch's j-th record past the
-	// batch pair's base: stretches of run records, the lanes taking
+	// batch round's base: stretches of run records, the lanes taking
 	// turns.
-	var offset [lanes][mergeBenchBatch]int64
+	offset := make([][mergeBenchBatch]int64, lanes)
 	for lane := range offset {
 		for j := range offset[lane] {
 			offset[lane][j] = int64((j/run*lanes+lane)*run + j%run)
 		}
 	}
-	var seqs [lanes][mergeBenchSources]uint64
+	seqs := make([][mergeBenchSources]uint64, lanes)
 
 	b.ReportAllocs()
-	b.SetBytes(lanes * mergeBenchBatch * trace.RecordSize)
+	b.SetBytes(int64(lanes * mergeBenchBatch * trace.RecordSize))
 	b.ResetTimer()
 	var base int64
 	for i := 0; i < b.N; i++ {
@@ -93,16 +96,16 @@ func benchRelayMerge(b *testing.B, run int) {
 			}
 			send(lane, int64(i+1), batch)
 		}
-		base += lanes * mergeBenchBatch
+		base += int64(lanes * mergeBenchBatch)
 	}
-	// Seal both lanes so each releases the tail the other's watermark
-	// holds, then drain end to end.
+	// Mark every lane at the end so each releases the tail the others'
+	// watermarks hold, then drain end to end.
 	for lane := 0; lane < lanes; lane++ {
 		mark := flow.GetBatch(1)[:1]
 		mark[0] = markRecord(base)
 		send(lane, int64(b.N+1), mark)
 	}
-	want := uint64(b.N) * lanes * mergeBenchBatch
+	want := uint64(b.N) * uint64(lanes) * mergeBenchBatch
 	for rel.Stats().Dispatched < want { // in flight on a pipe, Drain would not see it
 		rel.Drain()
 	}

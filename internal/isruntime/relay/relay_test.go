@@ -540,6 +540,79 @@ func TestRelayCloseDispatchesUnsealedTail(t *testing.T) {
 	}
 }
 
+// TestRelayMergeMatchesStableSort: random partitions of a causal
+// execution's sources into 2, 3 and 5 lanes, each lane's share in
+// session batches of 1 to 700 records, admitted concurrently. The root
+// emits the stable (Time, Node, Process) sort of the union, causally
+// valid, whether the merge ran in passes or record by record.
+func TestRelayMergeMatchesStableSort(t *testing.T) {
+	const nodes, events = 12, 3000
+	for _, k := range []int{2, 3, 5} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*10 + int64(k)))
+			all := genExecution(nodes, events, seed)
+			maxSlot := []int{1, 7, 64, 700}[rng.Intn(4)]
+			owner := make([]int, nodes)
+			for n := range owner {
+				owner[n] = rng.Intn(k)
+			}
+			shares := make([][]trace.Record, k)
+			for _, r := range all {
+				shares[owner[r.Node]] = append(shares[owner[r.Node]], r)
+			}
+			batches := make([][][]trace.Record, k)
+			for l, recs := range shares {
+				for len(recs) > 0 {
+					n := min(1+rng.Intn(maxSlot), len(recs))
+					batches[l] = append(batches[l], recs[:n])
+					recs = recs[n:]
+				}
+			}
+			what := fmt.Sprintf("lanes=%d seed %d (batches ≤ %d)", k, seed, maxSlot)
+
+			rel := New(Config{Root: true, Downstreams: k})
+			var got []trace.Record
+			rel.SubscribeBatch("got", func(rs []trace.Record) { got = append(got, rs...) })
+			var wg sync.WaitGroup
+			for l := range k {
+				wg.Add(1)
+				go func() { // one admitting goroutine per lane, as Serve runs
+					defer wg.Done()
+					send := func(seq int64, rs ...trace.Record) {
+						m := tp.DataMessage(int32(100+l), rs)
+						m.Arg = seq
+						rel.inject(nil, m)
+					}
+					for i, b := range batches[l] {
+						send(int64(i+1), b...)
+					}
+					send(int64(len(batches[l])+1), markRecord(math.MaxInt64))
+				}()
+			}
+			wg.Wait()
+			rel.Drain()
+			if err := rel.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := slices.Clone(all)
+			trace.SortByTime(want) // stable, on (Time, Node, Process)
+			if len(got) != len(want) {
+				t.Fatalf("%s: emitted %d records, want %d", what, len(got), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				g.Logical, w.Logical = 0, 0 // the root restamps Logical
+				if g != w {
+					t.Fatalf("%s: record %d is %+v, want %+v", what, i, got[i], want[i])
+				}
+			}
+			if err := trace.CheckCausal(got); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+	}
+}
+
 // TestUplinkSealIsFinal: a seal is the uplink's last mark. Beacon, Mark
 // and a second Seal after it put nothing on the wire.
 func TestUplinkSealIsFinal(t *testing.T) {

@@ -92,14 +92,18 @@ func (r Record) AppendText(dst []byte) []byte {
 
 // Before reports whether r precedes o in (Time, Node, Process) order,
 // the total order used for merged off-line traces.
-func (r Record) Before(o Record) bool {
-	if r.Time != o.Time {
-		return r.Time < o.Time
+func (r Record) Before(o Record) bool { return Precedes(&r, &o) }
+
+// Precedes is Before through pointers, for merge loops: an inlined
+// Before copies both records to the stack, Precedes neither.
+func Precedes(a, b *Record) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
 	}
-	if r.Node != o.Node {
-		return r.Node < o.Node
+	if a.Node != b.Node {
+		return a.Node < b.Node
 	}
-	return r.Process < o.Process
+	return a.Process < b.Process
 }
 
 // compareByTime is the merged-trace total order as a three-way
