@@ -388,7 +388,7 @@ func TestLoadResume(t *testing.T) {
 		{"flat-format spool", flat},
 		{"flat-format header only", flat[:8]},
 		{"corrupt middle segment", flipped},
-		{"short tail of another format", append(bytes.Clone(whole[:seg1]), "PSEG\x02\x00"...)},
+		{"short tail of another format", append(bytes.Clone(whole[:seg1]), "PSEG\x01\x00"...)},
 	}
 	for _, c := range refused {
 		t.Run(c.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,6 +201,31 @@ func TestScanFilesTornTail(t *testing.T) {
 				t.Fatalf("ScanFiles = %v, want trace.ErrBadSegment", err)
 			}
 		})
+	}
+}
+
+// TestScanRefusesVersion1 pins that a segment of the first version,
+// whose logical column had no form byte, is refused with the
+// unsupported-version error both by the file framer and by a scan
+// worker that parses it, rather than misdecoded.
+func TestScanRefusesVersion1(t *testing.T) {
+	old := trace.AppendSegment(nil, tierRecs(100, 0))
+	binary.LittleEndian.PutUint32(old[4:], 1)
+	path := filepath.Join(t.TempDir(), "v1.seg")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ScanFiles([]string{path}, FilterAll(), ScanOptions{})
+	if err == nil {
+		sc.Close()
+		t.Fatal("file framer took a version-1 segment")
+	}
+	if !errors.Is(err, trace.ErrBadSegment) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("ScanFiles = %v, want the unsupported-version error", err)
+	}
+	sc = newScanner([]segRef{{data: old, size: len(old), count: 100}}, nil, FilterAll(), ScanOptions{})
+	if _, err := collect(sc); !errors.Is(err, trace.ErrBadSegment) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("scan = %v, want the unsupported-version error", err)
 	}
 }
 

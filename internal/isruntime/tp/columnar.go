@@ -9,7 +9,7 @@ package tp
 //
 // Frame layout (little-endian), alongside the flat layout in tp.go:
 //
-//	type    uint8  = frameColumnar (2)
+//	type    uint8  = frameColumnar (3)
 //	control uint8  (always 0 — columnar frames carry data only; any
 //	               other value is ErrCorruptFrame)
 //	node    int32
@@ -38,8 +38,10 @@ import (
 // frameColumnar is the wire type byte of a columnar data frame. It is
 // deliberately outside the MsgType enum: on the wire it marks an
 // alternate encoding of MsgData, and ReadMessage decodes it back to a
-// plain data message.
-const frameColumnar = 2
+// plain data message. It was 2 before the logical column took its form
+// byte; ReadMessage refuses a type-2 frame as corrupt rather than
+// misdecode its body.
+const frameColumnar = 3
 
 // columnarExtSize is the columnar frame's header extension past the
 // shared frameHeaderSize prefix: bodyLen u32 + crc u32.

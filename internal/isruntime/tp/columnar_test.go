@@ -119,6 +119,19 @@ func TestColumnarFrameCorruption(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCorruptFrame", err)
 		}
 	})
+	// The columnar frame of the layout before the logical column took a
+	// form byte had type 2: a peer still sending it is refused, not
+	// misdecoded.
+	t.Run("previous-columnar-type", func(t *testing.T) {
+		if frame[0] != 3 {
+			t.Fatalf("columnar frame type %d, want 3", frame[0])
+		}
+		bad := append([]byte(nil), frame...)
+		bad[0] = 2
+		if _, err := ReadMessage(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("err = %v, want ErrCorruptFrame", err)
+		}
+	})
 	t.Run("absurd-bodylen", func(t *testing.T) {
 		bad := append([]byte(nil), frame...)
 		bad[frameHeaderSize] = 0xff

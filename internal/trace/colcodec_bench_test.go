@@ -103,16 +103,55 @@ func flatFrame(rng *rand.Rand, n int, mix [4]lengthMix) []Record {
 	return rs
 }
 
-// decodeShapes are the two run shapes the decode yardsticks time: the
-// globally ordered stream a segment holds (node runs of about 1.14
-// records, so about 2.1 runs per record over node, process and kind)
-// and a per-node frame (one node run, about 1.25 runs per record).
+// sequenced stamps each record of a shape's batches with its source's
+// capture sequence, as a LIS frame, a leaf's uplink frame and a capture
+// stream at rest carry it: each source counts up by one from a base
+// within 320 of the batch's other sources', as the sources of the
+// benchmark's stream keep pace with each other. In the delta form that
+// spread reproduces the measured logical mix; the column takes the base
+// form.
+func sequenced(batch func(*rand.Rand, int, [4]lengthMix) []Record) func(*rand.Rand, int, [4]lengthMix) []Record {
+	return func(rng *rand.Rand, n int, mix [4]lengthMix) []Record {
+		rs := batch(rng, n, mix)
+		next := map[SourceKey]uint64{}
+		start := uint64(rng.Intn(1 << 24))
+		for i := range rs {
+			k := SourceKey{rs[i].Node, rs[i].Process}
+			if _, ok := next[k]; !ok {
+				next[k] = start + uint64(rng.Intn(320))
+			}
+			rs[i].Logical = next[k]
+			next[k]++
+		}
+		return rs
+	}
+}
+
+// lamport stamps a shuffled batch with one stamp per record across
+// sources, as a causal merger dispatches them: the logical column stays
+// in the delta form, a byte a record.
+func lamport(rng *rand.Rand, n int, mix [4]lengthMix) []Record {
+	rs := mixBatch(rng, n, mix)
+	stamp := uint64(rng.Intn(1 << 24))
+	for i := range rs {
+		rs[i].Logical = stamp + uint64(i)
+	}
+	return rs
+}
+
+// decodeShapes are the shapes the yardsticks time: the globally
+// ordered stream a segment holds (node runs of about 1.14 records, so
+// about 2.1 runs per record over node, process and kind) and a per-node
+// frame (one node run, about 1.25 runs per record), both carrying
+// per-source capture sequences; and the globally ordered stream with
+// Lamport stamps, as a causal merger spools it.
 var decodeShapes = [...]struct {
 	name  string
 	batch func(*rand.Rand, int, [4]lengthMix) []Record
 }{
-	{"shuffled", mixBatch},
-	{"flat", flatFrame},
+	{"shuffled", sequenced(mixBatch)},
+	{"flat", sequenced(flatFrame)},
+	{"lamport", lamport},
 }
 
 const decodeBenchRecords = 8192
@@ -186,16 +225,24 @@ func encodeColumns(rss [][]Record) []segmentColumns {
 }
 
 // BenchmarkVarintColsDecode times the time, logical, tag and payload
-// columns of a segment alone, through decodeVarintCols.
+// columns of a segment alone, through decodeLogicalCol; the node and
+// process columns a base form needs are decoded before the timer
+// starts, once for every segment.
 func BenchmarkVarintColsDecode(b *testing.B) {
 	segmentCases(b, func(b *testing.B, rss [][]Record) {
 		cols := encodeColumns(rss)
-		dst := make([]Record, decodeBenchRecords)
+		dsts := make([][]Record, len(cols))
+		for i, c := range cols {
+			dsts[i] = make([]Record, decodeBenchRecords)
+			if err := decodeColumnsAt(c.buf, &c.off, dsts[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c := &cols[i%len(cols)]
-			if err := decodeVarintCols(c.buf, &c.off, dst); err != nil {
+			c, dst := &cols[i%len(cols)], dsts[i%len(cols)]
+			if err := decodeLogicalCol(c.buf, &c.off, dst, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -213,9 +260,9 @@ func BenchmarkRunsDecode(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := &cols[i%len(cols)]
-			_, err := decodeRunsCol(c.buf[c.off[2]:c.off[3]], 2, dst)
+			_, _, err := decodeRunsCol(c.buf[c.off[2]:c.off[3]], 2, dst)
 			if err == nil {
-				_, err = decodeRunsCol(c.buf[c.off[3]:c.off[4]], 3, dst)
+				_, _, err = decodeRunsCol(c.buf[c.off[3]:c.off[4]], 3, dst)
 			}
 			if err == nil {
 				_, err = decodeKindsCol(c.buf[c.off[4]:c.off[5]], dst)
@@ -328,7 +375,7 @@ func BenchmarkColumnEncode(b *testing.B) {
 	var cc ColumnCodec
 	cols := [numColumns]func(b []byte, rs []Record) int{
 		func(b []byte, rs []Record) int { return putTimeCol(b, 0, rs) },
-		func(b []byte, rs []Record) int { return putLogicalCol(b, 0, rs) },
+		func(b []byte, rs []Record) int { return putLogicalCol(b, 0, rs, &cc.scan) },
 		func(b []byte, rs []Record) int { return putIDCol(b, 0, rs, 2) },
 		func(b []byte, rs []Record) int { return putIDCol(b, 0, rs, 3) },
 		func(b []byte, rs []Record) int {

@@ -36,13 +36,16 @@ func extremesBatch(rng *rand.Rand, n int) []Record {
 	return rs
 }
 
+// small reports whether r's source has a slot in a smallTable.
+func small(r *Record) bool { return smallIDs(uint32(r.Node), uint32(r.Process)) }
+
 // serialDecodeColumns decodes a wire body one column after another,
 // each starting where the last ended, so it needs no column boundaries.
 // It is the reference the differential tests and both decoder fuzzers
 // hold the production decoders to, and shares none of their column
 // loops: every column, run columns included, is a plain loop over one
 // varint at a time.
-func serialDecodeColumns(buf []byte, out []Record) error {
+func serialDecodeColumns(buf []byte, out []Record) (err error) {
 	// uvarint reads one varint of column ci from the front of buf.
 	uvarint := func(ci int) (uint64, error) {
 		if len(buf) > 0 && buf[0] < 0x80 {
@@ -64,16 +67,70 @@ func serialDecodeColumns(buf []byte, out []Record) error {
 		prev += prevDelta
 		out[i].Time = prev
 	}
-	prev, prevDelta = 0, 0
-	for i := range out {
-		u, err := uvarint(1)
+	if len(buf) == 0 {
+		return fmt.Errorf("%w: logical column missing its form byte", ErrBadSegment)
+	}
+	form := buf[0]
+	buf = buf[1:]
+	var bases []uint64 // the base form's bases, applied once node and process are known
+	switch form {
+	case logicalDelta:
+		prev, prevDelta = 0, 0
+		for i := range out {
+			u, err := uvarint(1)
+			if err != nil {
+				return err
+			}
+			prevDelta += unzigzag(u)
+			prev += prevDelta
+			out[i].Logical = uint64(prev)
+		}
+	case logicalBases:
+		sources, err := uvarint(1)
 		if err != nil {
 			return err
 		}
-		prevDelta += unzigzag(u)
-		prev += prevDelta
-		out[i].Logical = uint64(prev)
+		if sources > uint64(len(out)) {
+			return fmt.Errorf("%w: logical column claims %d bases for %d records", ErrBadSegment, sources, len(out))
+		}
+		bases = make([]uint64, sources)
+		for j := range bases {
+			if bases[j], err = uvarint(1); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("%w: logical column of unknown form %d", ErrBadSegment, form)
 	}
+	defer func() {
+		if form != logicalBases || err != nil {
+			return
+		}
+		// Each source counts up from its base, sources numbered in the
+		// order they first appear.
+		index := map[SourceKey]int{}
+		for i := range out {
+			k := SourceKey{out[i].Node, out[i].Process}
+			j, ok := index[k]
+			if !ok {
+				j = len(index)
+				if !small(&out[i]) || len(bases) > smallSources {
+					err = fmt.Errorf("%w: logical column has bases for %d sources outside the source table", ErrBadSegment, len(bases))
+					return
+				}
+				if j == len(bases) {
+					err = fmt.Errorf("%w: logical column has %d bases for more sources", ErrBadSegment, len(bases))
+					return
+				}
+				index[k] = j
+			}
+			out[i].Logical = bases[j]
+			bases[j]++
+		}
+		if len(index) != len(bases) {
+			err = fmt.Errorf("%w: logical column has %d bases for %d sources", ErrBadSegment, len(bases), len(index))
+		}
+	}()
 	for _, ci := range [...]int{2, 3} {
 		for i := 0; i < len(out); {
 			runLen, err := uvarint(ci)
@@ -177,12 +234,41 @@ func serialAppendColumns(dst []byte, rs []Record, off *[numColumns]int) []byte {
 		prev, prevDelta = v, delta
 	}
 	off[1] = len(dst)
+	// The logical column: the base form when every source counts up by
+	// one from its first record, the sources fit a smallTable and its
+	// bases are no larger than the delta form, else the delta form.
+	index := map[SourceKey]int{}
+	var bases, next []uint64
+	contiguous := true
+	for i := range rs {
+		k := SourceKey{rs[i].Node, rs[i].Process}
+		contiguous = contiguous && small(&rs[i])
+		j, ok := index[k]
+		if !ok {
+			j = len(bases)
+			index[k] = j
+			bases = append(bases, rs[i].Logical)
+			next = append(next, rs[i].Logical)
+		}
+		contiguous = contiguous && next[j] == rs[i].Logical
+		next[j]++
+	}
+	var deltas []byte
 	prev, prevDelta = 0, 0
 	for i := range rs {
 		v := int64(rs[i].Logical)
 		delta := v - prev
-		uvarint(zigzag(delta - prevDelta))
+		deltas = binary.AppendUvarint(deltas, zigzag(delta-prevDelta))
 		prev, prevDelta = v, delta
+	}
+	baseCol := binary.AppendUvarint(nil, uint64(len(bases)))
+	for _, b := range bases {
+		baseCol = binary.AppendUvarint(baseCol, b)
+	}
+	if contiguous && len(bases) <= smallSources && len(baseCol) <= len(deltas) {
+		dst = append(append(dst, logicalBases), baseCol...)
+	} else {
+		dst = append(append(dst, logicalDelta), deltas...)
 	}
 	for _, ci := range [...]int{2, 3} {
 		off[ci] = len(dst)
@@ -324,7 +410,11 @@ func TestMixBatchLengths(t *testing.T) {
 	end := append(off[1:], len(buf))
 	for k, ci := range [...]int{0, 1, 5, 6} {
 		var counts [3]int
-		for _, v := range splitVarints(buf[off[ci]:end[ci]]) {
+		start := off[ci]
+		if ci == 1 {
+			start++ // the delta form's form byte
+		}
+		for _, v := range splitVarints(buf[start:end[ci]]) {
 			counts[len(v)-1]++
 		}
 		for l, want := range measuredMix[k] {
@@ -608,6 +698,17 @@ func FuzzColumnsDecode(f *testing.F) {
 		body, _ := withRunCol(f, b)
 		f.Add(body, uint16(badRunRecords))
 	}
+	// The base form of the logical column, the delta form of per-source
+	// sequences the source table cannot hold, and malformed ones
+	// (TestLogicalHostileBases).
+	for _, sources := range [...]int{1, 16, 40} {
+		add(withSources(rng, mixBatch(rng, 64, measuredMix), sourceIDs(sources)))
+	}
+	add(withSources(rng, mixBatch(rng, 32, measuredMix), []SourceKey{{Node: -1}, {Node: 2, Process: 1}}))
+	for _, h := range hostileBases {
+		body, _ := withLogicalCol(f, h)
+		f.Add(body, uint16(hostileBaseRecords))
+	}
 	f.Fuzz(func(t *testing.T, body []byte, count uint16) {
 		n := int(count) % 600
 		got, want := make([]Record, n), make([]Record, n)
@@ -751,14 +852,15 @@ func worstBatch(n int) []Record {
 
 // TestMaxColumnsSizeBound checks that the encoder stays within
 // MaxColumnsSize, the limit at which a receiver rejects a frame, on
-// worst-case records, with room for the wideStoreSlack bytes its last
+// worst-case records (their logical column in the delta form behind its
+// form byte), with room for the wideStoreSlack bytes its last
 // store may write past the end, and that a dst with MaxColumnsSize
 // spare capacity is written in place, not regrown.
 func TestMaxColumnsSizeBound(t *testing.T) {
 	for _, n := range [...]int{1, 32, 256, 8192} {
 		in := worstBatch(n)
 		dict := min(n, 256)
-		want := 47*n + dict + len(binary.AppendUvarint(nil, uint64(dict)))
+		want := 47*n + 1 + dict + len(binary.AppendUvarint(nil, uint64(dict)))
 		var cc ColumnCodec
 		got := cc.AppendColumns(nil, in)
 		if len(got) != want {
@@ -794,8 +896,14 @@ func TestColumnsEncodeAllocs(t *testing.T) {
 // previous record's node, process, kind and tag, so runs of any length
 // occur; the top four bits shift x right by 0–60, so deltas and values
 // of every varint length occur. Each chunk's record repeats stretch
-// more times when control bit 3 is set.
+// more times when control bit 3 is set. When data's length is odd,
+// each source's Logical then counts up by one from its first record's,
+// so half the inputs are per-source contiguous; when it is 1 modulo 4,
+// node and process ids are also cut to the source table's range, so a
+// quarter reach the logical column's base form.
 func fuzzRecords(data []byte, stretch uint8) []Record {
+	sequenced := len(data)%2 == 1
+	inTable := len(data)%4 == 1
 	var rs []Record
 	var r Record
 	for ; len(data) >= 9 && len(rs) < 1<<15; data = data[9:] {
@@ -806,6 +914,9 @@ func fuzzRecords(data []byte, stretch uint8) []Record {
 		}
 		if c&2 == 0 {
 			r.Process = int32(v >> 3)
+		}
+		if inTable {
+			r.Node, r.Process = r.Node&(smallNodes-1), r.Process&(smallProcs-1)
 		}
 		if c&4 == 0 {
 			r.Kind = Kind(x >> 56)
@@ -824,6 +935,16 @@ func fuzzRecords(data []byte, stretch uint8) []Record {
 			rs = append(rs, r)
 		}
 	}
+	if sequenced {
+		next := map[SourceKey]uint64{}
+		for i := range rs {
+			k := SourceKey{rs[i].Node, rs[i].Process}
+			if v, ok := next[k]; ok {
+				rs[i].Logical = v
+			}
+			next[k] = rs[i].Logical + 1
+		}
+	}
 	return rs
 }
 
@@ -838,6 +959,7 @@ func FuzzColumnsEncode(f *testing.F) {
 	seed := make([]byte, 9*64)
 	rng.Read(seed)
 	f.Add(seed, uint8(3))
+	f.Add(append(seed, 0), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, stretch uint8) {
 		in := fuzzRecords(data, stretch)
 		encodeMatches(t, "fuzzed", nil, in)
@@ -1131,52 +1253,75 @@ func TestVarintColsBoundary(t *testing.T) {
 		}
 		return v
 	}
-	base := AppendSegment(nil, mixBatch(rand.New(rand.NewSource(46)), n, measuredMix))
-	for _, ci := range [...]int{0, 1, 5, 6} {
-		base = withColumn(t, base, ci, bytes.Join(baseVarints(), nil))
+	// The logical column's varints follow its delta form byte.
+	column := func(ci int, varints [][]byte) []byte {
+		col := bytes.Join(varints, nil)
+		if ci == 1 {
+			col = append([]byte{logicalDelta}, col...)
+		}
+		return col
 	}
-	for _, ci := range [...]int{0, 1, 5, 6} {
-		for _, c := range boundaryCases(ci, n) {
-			what := colNames[ci] + " " + c.what
-			buf := withColumn(t, base, ci, bytes.Join(c.edit(baseVarints()), nil))
-			var s Segment
-			if _, err := s.Parse(buf); err != nil {
-				t.Fatalf("%s: parse: %v", what, err)
-			}
-			body := buf[s.colOff[0]:s.colOff[numColumns]]
-			want := make([]Record, n)
-			refErr := serialDecodeColumns(body, want)
-			segGot, segErr := s.AppendRecords(nil)
-			wire := make([]Record, n)
-			wireErr := DecodeColumns(body, wire)
-			if c.err == "" {
-				if refErr != nil || segErr != nil || wireErr != nil {
-					t.Fatalf("%s: errors: serial %v, segment %v, wire %v", what, refErr, segErr, wireErr)
+	// Each case runs with the logical column in the delta form, one of
+	// the edited columns, and in the base form, whose Logical the loop
+	// rebuilds while it reads the other columns: a stretch it redoes
+	// after a cursor passed its column's end must still fail.
+	rs := mixBatch(rand.New(rand.NewSource(46)), n, measuredMix)
+	for _, bases := range [...]bool{false, true} {
+		cols := []int{0, 1, 5, 6}
+		if bases {
+			rs = withSources(rand.New(rand.NewSource(46)), rs, sourceIDs(4))
+			cols = []int{0, 5, 6}
+		}
+		base := AppendSegment(nil, rs)
+		for _, ci := range cols {
+			base = withColumn(t, base, ci, column(ci, baseVarints()))
+		}
+		for _, ci := range cols {
+			for _, c := range boundaryCases(ci, n) {
+				what := colNames[ci] + " " + c.what
+				if bases {
+					what += ", logical in the base form"
 				}
-				recordsEqual(t, what+" segment", segGot, want)
-				recordsEqual(t, what+" wire", wire, want)
-				continue
-			}
-			if segErr == nil || segErr.Error() != c.err {
-				t.Fatalf("%s: segment decode error %v, want %q", what, segErr, c.err)
-			}
-			if (wireErr == nil) != (refErr == nil) {
-				t.Fatalf("%s: wire decode error %v, serial decode error %v", what, wireErr, refErr)
-			}
-			switch {
-			case ci == 6 && (wireErr == nil || wireErr.Error() != c.err):
-				t.Fatalf("%s: wire decode error %v, want %q", what, wireErr, c.err)
-			case wireErr == nil:
-				recordsEqual(t, what+" wire", wire, want)
-			case !errors.Is(wireErr, ErrBadSegment):
-				t.Fatalf("%s: wire decode error %v, want ErrBadSegment", what, wireErr)
-			default:
-				named := false
-				for _, name := range colNames[ci:] {
-					named = named || strings.Contains(wireErr.Error(), name)
+				buf := withColumn(t, base, ci, column(ci, c.edit(baseVarints())))
+				var s Segment
+				if _, err := s.Parse(buf); err != nil {
+					t.Fatalf("%s: parse: %v", what, err)
 				}
-				if !named {
-					t.Fatalf("%s: wire decode error %q names none of %q", what, wireErr, colNames[ci:])
+				body := buf[s.colOff[0]:s.colOff[numColumns]]
+				want := make([]Record, n)
+				refErr := serialDecodeColumns(body, want)
+				segGot, segErr := s.AppendRecords(nil)
+				wire := make([]Record, n)
+				wireErr := DecodeColumns(body, wire)
+				if c.err == "" {
+					if refErr != nil || segErr != nil || wireErr != nil {
+						t.Fatalf("%s: errors: serial %v, segment %v, wire %v", what, refErr, segErr, wireErr)
+					}
+					recordsEqual(t, what+" segment", segGot, want)
+					recordsEqual(t, what+" wire", wire, want)
+					continue
+				}
+				if segErr == nil || segErr.Error() != c.err {
+					t.Fatalf("%s: segment decode error %v, want %q", what, segErr, c.err)
+				}
+				if (wireErr == nil) != (refErr == nil) {
+					t.Fatalf("%s: wire decode error %v, serial decode error %v", what, wireErr, refErr)
+				}
+				switch {
+				case ci == 6 && (wireErr == nil || wireErr.Error() != c.err):
+					t.Fatalf("%s: wire decode error %v, want %q", what, wireErr, c.err)
+				case wireErr == nil:
+					recordsEqual(t, what+" wire", wire, want)
+				case !errors.Is(wireErr, ErrBadSegment):
+					t.Fatalf("%s: wire decode error %v, want ErrBadSegment", what, wireErr)
+				default:
+					named := false
+					for _, name := range colNames[ci:] {
+						named = named || strings.Contains(wireErr.Error(), name)
+					}
+					if !named {
+						t.Fatalf("%s: wire decode error %q names none of %q", what, wireErr, colNames[ci:])
+					}
 				}
 			}
 		}

@@ -10,7 +10,8 @@ package trace
 //	│ magic u32 │ version u32 │ segLen u32 │ count u32          │
 //	├ columns (concatenated, offsets in the footer) ───────────┤
 //	│ 0 time     delta-of-delta zigzag varints                  │
-//	│ 1 logical  delta-of-delta zigzag varints (ingest ticks)   │
+//	│ 1 logical  form byte, then a source count and one base    │
+//	│            per source, or delta-of-delta zigzag varints   │
 //	│ 2 node     run-length (len uvarint, value zigzag varint)  │
 //	│ 3 process  run-length (len uvarint, value zigzag varint)  │
 //	│ 4 kind     dictionary (size uvarint, kinds) + RLE indexes │
@@ -27,11 +28,18 @@ package trace
 // The crc32c covers every byte between the header and the crc field
 // itself — columns and footer index alike.
 //
-// Timestamps and ingest ticks are near-monotone, so their second
-// differences are small and encode in one to three bytes (measured
-// shares in colcodec.go); node and process
-// ids arrive in long constant runs (a spill run is a sequence of
-// per-source batches); kinds draw from a tiny alphabet. The flat codec
+// Timestamps are near-monotone, so their second differences are small
+// and encode in one to three bytes (measured shares in colcodec.go).
+// Column 1 holds what Logical carries: a capture sequence (a LIS
+// frame, a capture stream at rest), a leaf's uplink sequence, or a
+// Lamport stamp (a causal merger's spool). The first two count up by
+// one per source, so the column is one base per source where the
+// sources fit the codec's source table; Lamport stamps keep the
+// delta-of-delta varints, about a byte each (colcodec.go).
+// Version 1, whose column 1 was always the varints with no form byte,
+// is refused as an unsupported version. Node and process ids arrive in
+// long constant runs (a spill run is a sequence of per-source
+// batches); kinds draw from a tiny alphabet. The flat codec
 // spends a fixed RecordSize = 36 bytes per record; a segment of the
 // pipeline-benchmark workload spends well under 9.
 //
@@ -53,7 +61,7 @@ import (
 const (
 	segMagic     = 0x47455350 // "PSEG"
 	segFootMagic = 0x50455347 // "GSEP"
-	segVersion   = 1
+	segVersion   = 2
 
 	segHeaderSize = 16
 	// segFooterBase is the footer size with zero sources; each source
@@ -264,13 +272,17 @@ func (s *Segment) Parse(buf []byte) ([]byte, error) {
 	if colOff[0] != segHeaderSize {
 		return nil, fmt.Errorf("%w: first column starts at %d, want %d", ErrBadSegment, colOff[0], segHeaderSize)
 	}
-	// Every varint column spends at least one byte per record, so an
-	// absurd count claim is caught before any decode buffer is sized
-	// by it.
-	for _, c := range [...]int{0, 1, 5, 6} {
+	// The time, tag and payload columns spend at least one byte per
+	// record, so an absurd count claim is caught before any decode
+	// buffer is sized by it. The logical column spends at least its
+	// form byte.
+	for _, c := range [...]int{0, 5, 6} {
 		if colOff[c+1]-colOff[c] < count {
 			return nil, fmt.Errorf("%w: column %d has %d bytes for %d records", ErrBadSegment, c, colOff[c+1]-colOff[c], count)
 		}
+	}
+	if colOff[2] == colOff[1] {
+		return nil, fmt.Errorf("%w: column 1 has no form byte", ErrBadSegment)
 	}
 	minTime := int64(binary.LittleEndian.Uint64(foot[32:]))
 	maxTime := int64(binary.LittleEndian.Uint64(foot[40:]))

@@ -44,6 +44,16 @@ func FuzzSegmentDecode(f *testing.F) {
 		_, seg := withRunCol(f, b)
 		f.Add(seg)
 	}
+	// The logical column's base form, the delta form of per-source
+	// sequences the source table cannot hold, and malformed ones
+	// (TestLogicalHostileBases).
+	for _, sources := range [...]int{1, 16, 40} {
+		f.Add(AppendSegment(nil, withSources(rng, mixBatch(rng, 64, measuredMix), sourceIDs(sources))))
+	}
+	for _, h := range hostileBases {
+		_, seg := withLogicalCol(f, h)
+		f.Add(seg)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var seg Segment
